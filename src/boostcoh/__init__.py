@@ -30,7 +30,6 @@ from .integrals import (
     f_factor,
     gauss_hermite_nodes,
     i2_bracket_magnitude,
-    i2_parity_term,
     moments_perturbative,
     moments_quadrature,
     n_bounds,
@@ -82,7 +81,6 @@ __all__ = [
     "moments_quadrature",
     "moments_perturbative",
     "f_factor",
-    "i2_parity_term",
     "i2_bracket_magnitude",
     "n_bounds",
     "SpinAmplitudesSingle",

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,10 @@ from .coherence import (
     spectrum_dual_boost,
     spectrum_single_boost,
 )
-from .core import BoostParams, EntangledPairConfig, WavePacket, boost_from_beta
+from .core import (
+    BoostParams, EntangledPairConfig, WavePacket, boost_from_beta,
+    check_beta, check_nonneg_int, check_positive_finite,
+)
 from .density import (
     rho_dual_boost_general,
     rho_dual_boost_perturbative,
@@ -39,10 +44,12 @@ from .density import (
     rho_single_boost_perturbative,
 )
 from .integrals import (
+    DEFAULT_ORDER,
+    MAX_ORDER,
     QuadratureToleranceError,
+    check_n_in_bounds,
     f_factor,
     moments_quadrature,
-    n_bounds,
 )
 from .wigner import half_angle_perp
 
@@ -86,13 +93,13 @@ class SweepSpec:
         if self.scenario not in ("single", "dual"):
             raise ValueError(f"scenario must be 'single' or 'dual', got {self.scenario!r}")
         EntangledPairConfig(self.theta)
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        check_nonneg_int(self.n, "n")
+        check_positive_finite(self.mass, "mass")
         lo, hi, steps = self.sigma_grid
-        if lo <= 0 or hi < lo or steps < 2:
-            raise ValueError(f"sigma grid needs 0 < min <= max and steps >= 2, got {self.sigma_grid}")
+        check_positive_finite(lo, "sigma_min")
+        check_positive_finite(hi, "sigma_max")
+        if hi < lo or steps < 2:
+            raise ValueError(f"sigma grid needs min <= max and steps >= 2, got {self.sigma_grid}")
         if not self.betas:
             raise ValueError("at least one beta configuration is required")
         for cfg in self.betas:
@@ -101,8 +108,7 @@ class SweepSpec:
             if len(values) != expected:
                 raise ValueError(f"{self.scenario} sweep needs {expected} beta value(s) per entry")
             for b in values:
-                if not 0.0 <= b < 1.0:
-                    raise ValueError(f"beta must satisfy 0 <= beta < 1, got {b}")
+                check_beta(b)
         unknown = set(self.methods) - set(METHODS)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
@@ -148,16 +154,6 @@ class SweepRow:
         ]
 
 
-def _check_n_in_bounds(n: int, sigma_over_m: float, scenario: str) -> None:
-    kind = "single_boost" if scenario == "single" else "dual_boost"
-    lower, upper = n_bounds(sigma_over_m, kind)
-    if not lower < n <= upper:
-        raise ValueError(
-            f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
-            f"for the {scenario} scenario at sigma/m = {sigma_over_m:.6g}"
-        )
-
-
 def _evaluate_point(
     scenario: str,
     theta: float,
@@ -167,16 +163,13 @@ def _evaluate_point(
     quad_order: int,
     quad_max_order: int,
 ) -> SweepRow:
+    single = scenario == "single"
     eps = pkt.sigma_over_m
-    _check_n_in_bounds(pkt.n, eps, scenario)
+    check_n_in_bounds(pkt.n, eps, "single_boost" if single else "dual_boost")
     factors = [f_factor(pkt.n, b, eps) for b in boosts]
-
-    if scenario == "single":
-        rho_pert = rho_single_boost_perturbative(theta, factors[0])
-        spectrum = spectrum_single_boost(theta, factors[0])
-    else:
-        rho_pert = rho_dual_boost_perturbative(theta, factors[0], factors[1])
-        spectrum = spectrum_dual_boost(theta, factors[0], factors[1])
+    # Computed for every method: it is the printed spectrum and the F range
+    # gate of the closed forms.
+    spectrum = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
 
     cf_pert = cf_exact = cf_quad = None
     if "perturbative" in methods:
@@ -184,19 +177,18 @@ def _evaluate_point(
     if "exact-eig" in methods:
         cf_exact = c_frobenius(spectrum, 4)
 
-    l1_value = c_l1(rho_pert)
     if "quadrature" in methods:
         moments = [
             moments_quadrature(pkt, b, quad_order, max_order=quad_max_order)
             for b in boosts
         ]
-        if scenario == "single":
-            rho_quad = rho_single_boost_general(theta, moments[0])
-        else:
-            rho_quad = rho_dual_boost_general(theta, moments[0], moments[1])
-        spectrum = hermitian_eigenvalues(rho_quad)
+        rho = (rho_single_boost_general if single else rho_dual_boost_general)(theta, *moments)
+        spectrum = hermitian_eigenvalues(rho)
         cf_quad = c_frobenius(spectrum, 4)
-        l1_value = c_l1(rho_quad)
+    else:
+        rho = (rho_single_boost_perturbative if single else rho_dual_boost_perturbative)(
+            theta, *factors
+        )
 
     return SweepRow(
         sigma=pkt.sigma,
@@ -204,7 +196,7 @@ def _evaluate_point(
         beta2=boosts[1].beta if len(boosts) == 2 else None,
         n=pkt.n,
         theta=theta,
-        c_l1=l1_value,
+        c_l1=c_l1(rho),
         c_f_perturbative=cf_pert,
         c_f_exact_eig=cf_exact,
         c_f_quadrature=cf_quad,
@@ -214,7 +206,7 @@ def _evaluate_point(
     )
 
 
-def run_sweep(spec: SweepSpec, quad_order: int = 16, quad_max_order: int = 256):
+def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
     """Yield SweepRows sorted by sigma, then beta configuration."""
     beta_configs = sorted(
         spec.betas, key=lambda cfg: cfg if isinstance(cfg, tuple) else (cfg,)
@@ -232,19 +224,34 @@ def run_sweep(spec: SweepSpec, quad_order: int = 16, quad_max_order: int = 256):
             )
 
 
-def write_sweep_csv(spec: SweepSpec, out_path, quad_order: int = 16, quad_max_order: int = 256) -> int:
-    """Write the sweep to ``out_path``; partial files are removed on failure."""
-    path = Path(out_path)
-    count = 0
+def write_sweep_csv(
+    spec: SweepSpec, out_path, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER
+) -> int:
+    """Write the sweep to ``out_path``, replacing it only when every row succeeded.
+
+    A new or regular target (symlinks resolved) is written as a temporary
+    file beside it and renamed onto it, so a failed sweep leaves no partial
+    file and an existing file intact.  A device or FIFO is written through.
+    """
+    path = Path(out_path).resolve()
+    direct = path.exists() and not path.is_file()
+    tmp = path if direct else path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
+            count = 0
             for row in run_sweep(spec, quad_order, quad_max_order):
                 writer.writerow(row.csv_fields())
                 count += 1
+        if not direct:
+            if path.exists():
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
     except BaseException:
-        path.unlink(missing_ok=True)
+        if not direct:
+            tmp.unlink(missing_ok=True)
         raise
     return count
 
@@ -369,6 +376,12 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, conv(text))
 
 
+def _quad_orders(args: argparse.Namespace) -> tuple[int, int]:
+    order = DEFAULT_ORDER if args.quad_order is None else args.quad_order
+    max_order = MAX_ORDER if args.quad_max_order is None else args.quad_max_order
+    return order, max_order
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
@@ -481,8 +494,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
     row = _evaluate_point(
-        args.scenario, args.theta, boosts, pkt, (args.method,),
-        args.quad_order or 16, args.quad_max_order or 256,
+        args.scenario, args.theta, boosts, pkt, (args.method,), *_quad_orders(args)
     )
 
     print(f"scenario      {args.scenario}")
@@ -533,9 +545,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "out")
     spec = _sweep_spec_from_args(args)
-    count = write_sweep_csv(
-        spec, args.out, args.quad_order or 16, args.quad_max_order or 256
-    )
+    count = write_sweep_csv(spec, args.out, *_quad_orders(args))
     print(f"wrote {count} rows to {args.out}")
     return 0
 

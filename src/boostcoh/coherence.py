@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .core import BoostParams, DensityMatrix
-from .integrals import PerturbativeFactor, f_factor, n_bounds
+from .integrals import PerturbativeFactor, check_n_in_bounds, f_factor
 
 __all__ = [
     "Spectrum",
@@ -104,11 +104,8 @@ def c_frobenius(spec: Spectrum, d: int) -> float:
 
 
 def spectrum_single_boost(theta: float, f: PerturbativeFactor) -> Spectrum:
-    """Closed-form spectrum {1 - F, F, 0, 0}: independent of theta."""
-    del theta  # both X blocks are rank-1, so the angle drops out
-    if not 0.0 <= f.f < 0.5:
-        raise ValueError(f"F must lie in [0, 1/2), got {f.f}")
-    return Spectrum((1.0 - f.f, f.f, 0.0, 0.0))
+    """Closed-form spectrum {1 - F, F, 0, 0}: :func:`spectrum_dual_boost` with F1 = 0."""
+    return spectrum_dual_boost(theta, PerturbativeFactor(0.0), f)
 
 
 def spectrum_dual_boost(
@@ -120,13 +117,16 @@ def spectrum_dual_boost(
     disc = F1^2 + F2^2 - 2 F1 F2 cos(4 theta); the inner block contributes
     1 - (F1 + F2) and 0.  The discriminant is evaluated as
     (F1 - F2)^2 + 4 F1 F2 sin^2(2 theta), which is the same polynomial but
-    cannot round below zero.
+    cannot round below zero, on F1, F2 exactly rescaled by a power of two
+    so that the squares cannot underflow.
     """
     if f1.f + f2.f >= 0.5:
         raise ValueError(f"F1 + F2 must be < 1/2, got {f1.f + f2.f}")
     s = f1.f + f2.f
-    disc = (f1.f - f2.f) ** 2 + 4.0 * f1.f * f2.f * math.sin(2.0 * theta) ** 2
-    half_gap = math.sqrt(disc) / 2.0
+    _, e = math.frexp(max(f1.f, f2.f))
+    a, b = math.ldexp(f1.f, -e), math.ldexp(f2.f, -e)
+    disc = (a - b) ** 2 + 4.0 * a * b * math.sin(2.0 * theta) ** 2
+    half_gap = math.ldexp(math.sqrt(disc), e) / 2.0
     return Spectrum((1.0 - s, s / 2.0 + half_gap, s / 2.0 - half_gap, 0.0))
 
 
@@ -200,12 +200,7 @@ def c_frobenius_perturbative(
     """
     seq = _resolve_boosts(boosts)
     scenario = "single_boost" if len(seq) == 1 else "dual_boost"
-    lower, upper = n_bounds(sigma_over_m, scenario)
-    if not lower < n <= upper:
-        raise ValueError(
-            f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
-            f"for {scenario} at sigma/m = {sigma_over_m:.6g}"
-        )
+    check_n_in_bounds(n, sigma_over_m, scenario)
     total = sum(f_factor(n, b, sigma_over_m).f for b in seq)
     return 1.0 - (4.0 / 3.0) * total
 

@@ -28,6 +28,9 @@ __all__ = [
     "GeometryConfig",
     "EntangledPairConfig",
     "DensityMatrix",
+    "check_nonneg_int",
+    "check_beta",
+    "check_positive_finite",
     "boost_from_beta",
     "psi_amplitude",
     "gamma_half_integer",
@@ -39,6 +42,26 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def check_nonneg_int(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a nonnegative integer (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def check_beta(beta: float) -> None:
+    """Raise ``ValueError`` outside the massive-particle domain 0 <= beta < 1."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must satisfy 0 <= beta < 1, got {beta}")
+
+
+def check_positive_finite(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +78,7 @@ class BoostParams:
     cosh_alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must satisfy 0 <= beta < 1, got {self.beta}")
+        check_beta(self.beta)
         if self.cosh_alpha < 1.0:
             raise ValueError(f"cosh_alpha must be >= 1, got {self.cosh_alpha}")
         # Mass-shell identity cosh^2 - sinh^2 = 1, checked through beta:
@@ -79,8 +101,7 @@ def boost_from_beta(beta: float) -> BoostParams:
 
     Raises ``ValueError`` outside the massive-particle domain 0 <= beta < 1.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must satisfy 0 <= beta < 1, got {beta}")
+    check_beta(beta)
     # 1 - beta^2 computed in factored form: exact for beta near 1, where the
     # naive expression loses ~5 decimal digits.
     cosh_alpha = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
@@ -106,14 +127,9 @@ class WavePacket:
     mass: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        check_nonneg_int(self.n, "n")
+        check_positive_finite(self.sigma, "sigma")
+        check_positive_finite(self.mass, "mass")
 
     @property
     def sigma_over_m(self) -> float:
@@ -131,10 +147,7 @@ def gamma_half_integer(k: int) -> float:
     Raises ``OverflowError`` once the value leaves the double range
     (k >= 171).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    check_nonneg_int(k, "k")
     value = _SQRT_PI
     for i in range(k):
         value *= i + 0.5

@@ -13,6 +13,8 @@ Two constructor families are provided:
 * perturbative (F-based): the integer-n forms where the odd moments vanish
   and the matrix is X-shaped.
 
+Each one-boost constructor is the two-boost one with particle 1 at rest.
+
 Basis ordering is |00>, |01>, |10>, |11> throughout.
 """
 
@@ -38,6 +40,9 @@ __all__ = [
     "rho_dual_boost_perturbative",
     "partial_trace",
 ]
+
+# Moments of a particle at rest: no Wigner rotation, cos^2(phi/2) = 1.
+REST = MomentIntegrals(i1=1.0, i2=0.0, i3=0.0, method="perturbative")
 
 
 @dataclass(frozen=True)
@@ -113,34 +118,17 @@ def amplitudes_dual(theta: float, phi1_half, phi2_half) -> SpinAmplitudesDual:
 
 
 def rho_single_boost_general(theta: float, m: MomentIntegrals) -> DensityMatrix:
-    """4x4 reduced spin state with the moment triple carried explicitly.
+    """One-boost reduced state: :func:`rho_dual_boost_general` with particle 1 at rest.
 
-    Entries are laid out exactly as the moment-weighted outer product of
-    (C, A, D, B) dictates; nonzero I2 (relevant only for non-integer n)
-    populates the off-X positions.
+    Entries are the moment-weighted outer product of the (C, A, D, B)
+    amplitudes; nonzero I2 populates the off-X positions.
     """
-    st, ct = math.sin(theta), math.cos(theta)
-    i1, i2, i3 = m.i1, m.i2, m.i3
-    sc = st * ct
-    rho = np.array(
-        [
-            [ct**2 * i3, sc * i2, ct**2 * i2, -sc * i3],
-            [sc * i2, st**2 * i1, sc * i1, -(st**2) * i2],
-            [ct**2 * i2, sc * i1, ct**2 * i1, -sc * i2],
-            [-sc * i3, -(st**2) * i2, -sc * i2, st**2 * i3],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(rho)
+    return rho_dual_boost_general(theta, REST, m)
 
 
 def rho_single_boost_perturbative(theta: float, f: PerturbativeFactor) -> DensityMatrix:
-    """X-shaped reduced state at integer n, where I2 = 0 and I3 = F."""
-    if not 0.0 <= f.f < 0.5:
-        raise ValueError(f"F must lie in [0, 1/2) for a physical state, got {f.f}")
-    return rho_single_boost_general(
-        theta, MomentIntegrals(i1=1.0 - f.f, i2=0.0, i3=f.f, method="perturbative")
-    )
+    """X-shaped one-boost state at integer n (I2 = 0, I3 = F), for F in [0, 1/2)."""
+    return rho_dual_boost_perturbative(theta, PerturbativeFactor(0.0), f)
 
 
 def rho_dual_boost_perturbative(
@@ -157,7 +145,9 @@ def rho_dual_boost_perturbative(
             f"F1 + F2 must be < 1/2 for a physical state, got {f1.f + f2.f}"
         )
     st, ct = math.sin(theta), math.cos(theta)
-    s2, c2, sc = st**2, ct**2, st * ct
+    # Products, not powers: they round like the einsum in rho_dual_boost_general,
+    # so the one-boost forms agree bit for bit.
+    s2, c2, sc = st * st, ct * ct, st * ct
     g1, g2 = f1.f, f2.f
     rest = 1.0 - g1 - g2
     rho = np.array(
@@ -204,10 +194,9 @@ def rho_dual_boost_general(
     :func:`rho_dual_boost_perturbative` -- ``m1`` weights sin^2(theta) in
     the |00><00| corner -- so for X-shaped inputs (i2 = 0) the two
     constructors agree entry by entry up to O(i3_1 * i3_2).  In that
-    convention the one-boost limit reads
-    ``rho_dual_boost_general(theta, rest, m) == rho_single_boost_general(theta, m)``
-    with ``rest = (1, 0, 0)``; the opposite limit is the same matrix
-    conjugated by the qubit swap at theta -> pi/2 - theta.
+    convention the one-boost state is ``rho_dual_boost_general(theta, REST, m)``,
+    which :func:`rho_single_boost_general` returns; the opposite limit is
+    the same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
     """
     table = _dual_coefficient_table(theta)
     mom1 = np.array([[m1.i1, m1.i2], [m1.i2, m1.i3]])

@@ -33,7 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import BoostParams, WavePacket, gamma_half_integer
+from .core import BoostParams, WavePacket, check_nonneg_int, gamma_half_integer
 from .wigner import _perp_components
 
 __all__ = [
@@ -44,12 +44,13 @@ __all__ = [
     "moments_quadrature",
     "f_factor",
     "moments_perturbative",
-    "i2_parity_term",
     "i2_bracket_magnitude",
     "n_bounds",
+    "check_n_in_bounds",
 ]
 
 MIN_ORDER = 2
+DEFAULT_ORDER = 16
 MAX_ORDER = 256
 
 Scenario = Literal["single_boost", "dual_boost"]
@@ -123,8 +124,7 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     construction; sum of weights equals sqrt(pi).  Arrays are cached and
     read-only.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
+    check_nonneg_int(order, "order")
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
     return _gh_cached(int(order))
@@ -159,7 +159,7 @@ def _moments_at_order(pkt: WavePacket, boost: BoostParams, order: int):
 def moments_quadrature(
     pkt: WavePacket,
     boost: BoostParams,
-    order: int = 16,
+    order: int = DEFAULT_ORDER,
     *,
     rtol: float = 1e-12,
     max_order: int = MAX_ORDER,
@@ -204,7 +204,7 @@ def f_factor(n: int, boost: BoostParams, sigma_over_m: float) -> PerturbativeFac
     Emits a warning when F > 1, where the perturbative I1 = 1 - F would
     leave [0, 1] and the expansion has manifestly broken down.
     """
-    _check_n(n)
+    check_nonneg_int(n, "n")
     if not 0.0 < sigma_over_m < 1.0:
         raise ValueError(f"sigma/m must lie in (0, 1), got {sigma_over_m}")
     f = ((2 * n + 1) / 8.0) * _boost_ratio(boost) * sigma_over_m**2
@@ -222,25 +222,14 @@ def moments_perturbative(n: int, boost: BoostParams, sigma_over_m: float) -> Mom
     return MomentIntegrals(i1=1.0 - f, i2=0.0, i3=f, method="perturbative")
 
 
-def i2_parity_term(n: int, boost: BoostParams, sigma_over_m: float) -> float:
-    """The closed-form I2, which vanishes for every integer n.
-
-    The O(sigma/m) bracket it multiplies survives only for the half-odd
-    parity factor (1 - (-1)^(2n))/2; see :func:`i2_bracket_magnitude` for
-    the diagnostic magnitude.
-    """
-    _check_n(n)
-    del boost, sigma_over_m
-    return 0.0
-
-
 def i2_bracket_magnitude(n: int, boost: BoostParams, sigma_over_m: float) -> float:
     """[Gamma(n+1)/Gamma(n+1/2)] sinh(a) / (2 (cosh(a) + 1)) (sigma/m).
 
-    Diagnostic only: the parity prefactor kills this term for integer n.
-    The Gamma ratio is built by recurrence to stay finite for large n.
+    Diagnostic only: the parity prefactor (1 - (-1)^(2n))/2 kills this term
+    for integer n, so the closed-form I2 is 0.  The Gamma ratio is built by
+    recurrence to stay finite for large n.
     """
-    _check_n(n)
+    check_nonneg_int(n, "n")
     ratio = 1.0 / math.sqrt(math.pi)  # Gamma(1)/Gamma(1/2)
     for i in range(1, n + 1):
         ratio *= i / (i - 0.5)
@@ -267,12 +256,15 @@ def n_bounds(sigma_over_m: float, scenario: Scenario) -> tuple[float, float]:
     return (-0.5, upper)
 
 
+def check_n_in_bounds(n: int, sigma_over_m: float, scenario: Scenario) -> None:
+    """Raise ``ValueError`` when n falls outside :func:`n_bounds`."""
+    lower, upper = n_bounds(sigma_over_m, scenario)
+    if not lower < n <= upper:
+        raise ValueError(
+            f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
+            f"for {scenario} at sigma/m = {sigma_over_m:.6g}"
+        )
+
+
 def _boost_ratio(boost: BoostParams) -> float:
     return (boost.cosh_alpha - 1.0) / (boost.cosh_alpha + 1.0)
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")

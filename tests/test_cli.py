@@ -2,6 +2,8 @@
 
 import csv
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -93,6 +95,15 @@ class TestCoherenceCommand:
         assert code == 2
         assert "n > -1/2" in capsys.readouterr().err
 
+    def test_zero_quad_order_rejected(self, capsys):
+        code = main([
+            "coherence", "--scenario", "single", "--beta", "0.95",
+            "--sigma", "100", "--mass", "939.36", "--n", "2",
+            "--method", "quadrature", "--quad-order", "0",
+        ])
+        assert code == 2
+        assert "order" in capsys.readouterr().err
+
     def test_quadrature_tolerance_exit_code(self, capsys):
         code = main([
             "coherence", "--scenario", "single", "--beta", "0.95",
@@ -140,6 +151,11 @@ class TestCoherenceCommand:
 
 
 class TestSweepCommand:
+    SMALL = [
+        "sweep", "--scenario", "single", "--n", "2", "--mass", "939.36",
+        "--sigma-min", "1", "--sigma-max", "2", "--steps", "2", "--betas", "0.0,0.3",
+    ]
+
     def test_row_count_and_schema(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -225,6 +241,63 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert not out.exists()
+
+    def test_existing_file_kept_on_mid_sweep_failure(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"earlier results\n")
+        code = main([
+            "sweep", "--scenario", "single", "--n", "2", "--mass", "10",
+            "--sigma-min", "1", "--sigma-max", "15", "--steps", "8",
+            "--betas", "0.5", "--out", str(out),
+        ])
+        assert code == 2
+        assert out.read_bytes() == b"earlier results\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
+
+    def test_writes_through_symlink(self, tmp_path, capsys):
+        target = tmp_path / "data" / "sweep.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(self.SMALL + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+        assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+    def test_writes_through_fifo(self, tmp_path, capsys):
+        # a nonblocking reader lets the writer open the FIFO without a thread;
+        # the small sweep fits in the pipe buffer
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(self.SMALL + ["--out", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert data.decode().splitlines()[0] == ",".join(CSV_HEADER)
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.fifo"]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(n=2.5),
+            dict(mass=math.nan),
+            dict(sigma_grid=(1.0, math.nan, 4)),
+            dict(sigma_grid=(math.nan, 2.0, 4)),
+            dict(sigma_grid=(1.0, math.inf, 4)),
+        ],
+    )
+    def test_invalid_spec_rejected_at_construction(self, changes):
+        fields = dict(
+            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 2.0, 4), betas=(0.5,), methods=("perturbative",),
+        )
+        SweepSpec(**fields)
+        with pytest.raises(ValueError):
+            SweepSpec(**{**fields, **changes})
 
 
 class TestFigureCommand:

@@ -120,6 +120,11 @@ class TestSpectrumSingleBoost:
         with pytest.raises(ValueError):
             spectrum_single_boost(0.3, PerturbativeFactor(0.6))
 
+    @pytest.mark.parametrize("f", [1e-160, 1e-300])
+    def test_tiny_factor_does_not_underflow(self, f):
+        spec = spectrum_single_boost(0.7, PerturbativeFactor(f))
+        assert spec.eigenvalues == (1.0, f, 0.0, 0.0)
+
 
 class TestSpectrumDualBoost:
     def test_no_boost(self):
@@ -157,6 +162,11 @@ class TestSpectrumDualBoost:
     def test_refuses_unphysical_sum(self):
         with pytest.raises(ValueError):
             spectrum_dual_boost(0.3, PerturbativeFactor(0.3), PerturbativeFactor(0.2))
+
+    def test_tiny_factors_do_not_underflow(self):
+        f = PerturbativeFactor(1e-160)
+        spec = spectrum_dual_boost(math.pi / 4, f, f)
+        assert spec.eigenvalues == pytest.approx((1.0, 2e-160, 0.0, 0.0), rel=1e-15, abs=0.0)
 
 
 class TestHermitianEigenvalues:

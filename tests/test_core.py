@@ -88,6 +88,8 @@ class TestWavePacket:
             dict(n=0.5, sigma=1.0, mass=1.0),
             dict(n=0, sigma=0.0, mass=1.0),
             dict(n=0, sigma=1.0, mass=-2.0),
+            dict(n=2, sigma=math.nan, mass=1.0),
+            dict(n=2, sigma=1.0, mass=math.inf),
         ],
     )
     def test_rejects_invalid(self, kwargs):

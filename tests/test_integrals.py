@@ -16,7 +16,6 @@ from boostcoh import (
     f_factor,
     gauss_hermite_nodes,
     i2_bracket_magnitude,
-    i2_parity_term,
     moments_perturbative,
     moments_quadrature,
     n_bounds,
@@ -208,10 +207,6 @@ class TestMomentsPerturbative:
 
 
 class TestI2ParityTerm:
-    def test_vanishes_for_integer_n(self):
-        for n in (0, 1, 5):
-            assert i2_parity_term(n, boost_from_beta(0.9), 0.1) == 0.0
-
     def test_bracket_frozen_value(self):
         # Gamma(1)/Gamma(1/2) * sinh / (2 (cosh + 1)) * 0.1 at beta = 0.95
         value = i2_bracket_magnitude(0, boost_from_beta(0.95), 0.1)
