@@ -8,8 +8,12 @@ sweep       write a CSV of coherence values over a sigma grid
 figure      run the fig1/fig2 preset sweeps (neutron mass, n = 2)
 
 Exit codes: 0 success, 2 usage or domain error, 3 quadrature tolerance not
-met.  Every subcommand accepts ``--config FILE`` with ``key = value`` lines
-mirroring the long flags; explicit flags win on conflict.
+met.  Every subcommand accepts ``--config FILE`` with ``key = value`` lines.
+A key is one of the subcommand's long flags, written with dashes or
+underscores.  Each line is parsed as ``--key=value`` by the subcommand's own
+parser, so it is checked with the same types and choices (and argparse's
+unique-prefix rule); a key the subcommand does not have exits 2.  Flags on
+the command line win over the file.
 """
 
 from __future__ import annotations
@@ -319,39 +323,20 @@ def _pair_list(text: str) -> tuple[tuple[float, float], ...]:
 
 def _method_list(text: str) -> tuple[str, ...]:
     methods = tuple(part.strip() for part in text.split(",") if part.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}; choose from {METHODS}")
+    if not methods or set(methods) - set(METHODS):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty comma-separated subset of {METHODS}, got {text!r}"
+        )
     return methods
 
 
-# fields that may come from a config file, with their converters
-_CONFIG_FIELDS = {
-    "beta": float,
-    "beta1": float,
-    "beta2": float,
-    "p_over_m": float,
-    "theta": float,
-    "sigma": float,
-    "mass": float,
-    "n": _nonneg_int,
-    "method": str,
-    "methods": _method_list,
-    "scenario": str,
-    "sigma_min": float,
-    "sigma_max": float,
-    "steps": int,
-    "betas": _float_list,
-    "beta_pairs": _pair_list,
-    "out": str,
-    "quad_order": int,
-    "quad_max_order": int,
-}
+def load_config(path) -> list[str]:
+    """Turn a ``key = value`` file into ``--key=value`` arguments.
 
-
-def load_config(path) -> dict[str, str]:
-    """Parse a ``key = value`` file; '#' starts a comment, blanks ignored."""
-    values: dict[str, str] = {}
+    '#' starts a comment and blank lines are skipped.  Underscores in a key
+    become dashes, so ``p_over_m`` and ``p-over-m`` both name ``--p-over-m``.
+    """
+    args = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -360,26 +345,8 @@ def load_config(path) -> dict[str, str]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    raw = load_config(args.config)
-    for key, text in raw.items():
-        conv = _CONFIG_FIELDS.get(key)
-        if conv is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, conv(text))
-
-
-def _quad_orders(args: argparse.Namespace) -> tuple[int, int]:
-    order = DEFAULT_ORDER if args.quad_order is None else args.quad_order
-    max_order = MAX_ORDER if args.quad_max_order is None else args.quad_max_order
-    return order, max_order
+        args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return args
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -396,63 +363,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key = value file mirroring the flags")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="key = value file of long flags; flags given here win")
+        p.set_defaults(func=func)
+        return p
 
-    p_wig = sub.add_parser("wigner", help="half-angle quantities for e_hat perpendicular to f_hat")
-    p_wig.add_argument("--beta", type=float, default=None, help="boost speed fraction v/c")
-    p_wig.add_argument("--p-over-m", dest="p_over_m", type=float, default=None,
-                       help="particle momentum over mass")
-    add_common(p_wig)
-    p_wig.set_defaults(func=cmd_wigner)
+    # Flag groups shared by several subcommands; the figure presets live in
+    # figure_spec, so its flags default to None.
+    def add_packet(p: argparse.ArgumentParser, theta=None, n=None) -> None:
+        p.add_argument("--theta", type=float, default=theta, help="entanglement angle (radians)")
+        p.add_argument("--n", type=_nonneg_int, default=n, help="wave-packet generalization exponent")
+        p.add_argument("--mass", type=float, help="particle rest mass (MeV)")
 
-    p_coh = sub.add_parser("coherence", help="coherence measures at one parameter point")
-    p_coh.add_argument("--scenario", choices=("single", "dual"), default=None)
-    p_coh.add_argument("--theta", type=float, default=None, help="entanglement angle (radians, default pi/4)")
-    p_coh.add_argument("--beta", type=float, default=None, help="boost for the single scenario")
-    p_coh.add_argument("--beta1", type=float, default=None, help="first boost for the dual scenario")
-    p_coh.add_argument("--beta2", type=float, default=None, help="second boost for the dual scenario")
-    p_coh.add_argument("--sigma", type=float, default=None, help="Gaussian width (MeV)")
-    p_coh.add_argument("--mass", type=float, default=None, help="particle rest mass (MeV)")
-    p_coh.add_argument("--n", type=_nonneg_int, default=None, help="wave-packet generalization exponent")
-    p_coh.add_argument("--method", choices=METHODS, default=None)
-    p_coh.add_argument("--quad-order", dest="quad_order", type=int, default=None)
-    p_coh.add_argument("--quad-max-order", dest="quad_max_order", type=int, default=None)
-    add_common(p_coh)
-    p_coh.set_defaults(func=cmd_coherence)
+    def add_route(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scenario", choices=("single", "dual"), default="single")
+        p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
+        p.add_argument("--quad-max-order", type=int, default=MAX_ORDER)
 
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over a sigma grid")
-    p_sweep.add_argument("--scenario", choices=("single", "dual"), default=None)
-    p_sweep.add_argument("--theta", type=float, default=None)
-    p_sweep.add_argument("--n", type=_nonneg_int, default=None)
-    p_sweep.add_argument("--mass", type=float, default=None)
-    p_sweep.add_argument("--sigma-min", dest="sigma_min", type=float, default=None)
-    p_sweep.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--betas", type=_float_list, default=None,
-                         help="comma-separated list, e.g. 0.0,0.3,0.95 (single scenario)")
-    p_sweep.add_argument("--beta-pairs", dest="beta_pairs", type=_pair_list, default=None,
+    def add_grid(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--sigma-min", type=float)
+        p.add_argument("--sigma-max", type=float)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--betas", type=_float_list,
+                       help="comma-separated list, e.g. 0.0,0.3,0.95 (single scenario)")
+        p.add_argument("--out", help="CSV output path")
+
+    p_wig = command("wigner", cmd_wigner, "half-angle quantities for e_hat perpendicular to f_hat")
+    p_wig.add_argument("--beta", type=float, help="boost speed fraction v/c")
+    p_wig.add_argument("--p-over-m", type=float, help="particle momentum over mass")
+
+    p_coh = command("coherence", cmd_coherence, "coherence measures at one parameter point")
+    add_route(p_coh)
+    add_packet(p_coh, theta=math.pi / 4, n=2)
+    p_coh.add_argument("--beta", type=float, help="boost for the single scenario")
+    p_coh.add_argument("--beta1", type=float, help="first boost for the dual scenario")
+    p_coh.add_argument("--beta2", type=float, help="second boost for the dual scenario")
+    p_coh.add_argument("--sigma", type=float, help="Gaussian width (MeV)")
+    p_coh.add_argument("--method", choices=METHODS, default="perturbative")
+
+    p_sweep = command("sweep", cmd_sweep, "CSV sweep over a sigma grid")
+    add_route(p_sweep)
+    add_packet(p_sweep, theta=math.pi / 4)
+    add_grid(p_sweep)
+    p_sweep.add_argument("--beta-pairs", type=_pair_list,
                          help="comma-separated b1:b2 pairs (dual scenario)")
-    p_sweep.add_argument("--methods", type=_method_list, default=None,
+    p_sweep.add_argument("--methods", type=_method_list, default="perturbative,exact-eig",
                          help=f"comma-separated subset of {METHODS}")
-    p_sweep.add_argument("--out", default=None, help="CSV output path")
-    p_sweep.add_argument("--quad-order", dest="quad_order", type=int, default=None)
-    p_sweep.add_argument("--quad-max-order", dest="quad_max_order", type=int, default=None)
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("figure", help="preset sweeps for the two coherence-decay figures")
+    p_fig = command("figure", cmd_figure, "preset sweeps for the two coherence-decay figures")
     p_fig.add_argument("name", choices=("fig1", "fig2"))
-    p_fig.add_argument("--out", default=None, help="CSV output path")
-    p_fig.add_argument("--theta", type=float, default=None)
-    p_fig.add_argument("--n", type=_nonneg_int, default=None)
-    p_fig.add_argument("--mass", type=float, default=None)
-    p_fig.add_argument("--sigma-min", dest="sigma_min", type=float, default=None)
-    p_fig.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-    p_fig.add_argument("--steps", type=int, default=None)
-    p_fig.add_argument("--betas", type=_float_list, default=None)
-    add_common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
+    add_packet(p_fig)
+    add_grid(p_fig)
 
     return parser
 
@@ -474,14 +436,6 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def cmd_coherence(args: argparse.Namespace) -> int:
-    if args.scenario is None:
-        args.scenario = "single"
-    if args.theta is None:
-        args.theta = math.pi / 4
-    if args.n is None:
-        args.n = 2
-    if args.method is None:
-        args.method = "perturbative"
     _require(args, "sigma", "mass")
     if args.scenario == "single":
         _require(args, "beta")
@@ -494,7 +448,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
     row = _evaluate_point(
-        args.scenario, args.theta, boosts, pkt, (args.method,), *_quad_orders(args)
+        args.scenario, args.theta, boosts, pkt, (args.method,),
+        args.quad_order, args.quad_max_order,
     )
 
     print(f"scenario      {args.scenario}")
@@ -518,34 +473,19 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    if args.scenario is None:
-        args.scenario = "single"
-    if args.theta is None:
-        args.theta = math.pi / 4
-    _require(args, "n", "mass", "sigma_min", "sigma_max", "steps")
-    if args.scenario == "single":
-        _require(args, "betas")
-        beta_cfgs = args.betas
-    else:
-        _require(args, "beta_pairs")
-        beta_cfgs = args.beta_pairs
-    methods = args.methods or ("perturbative", "exact-eig")
-    return SweepSpec(
+def cmd_sweep(args: argparse.Namespace) -> int:
+    beta_key = "betas" if args.scenario == "single" else "beta_pairs"
+    _require(args, "out", "n", "mass", "sigma_min", "sigma_max", "steps", beta_key)
+    spec = SweepSpec(
         scenario=args.scenario,
         theta=args.theta,
         n=args.n,
         mass=args.mass,
         sigma_grid=(args.sigma_min, args.sigma_max, args.steps),
-        betas=tuple(beta_cfgs),
-        methods=methods,
+        betas=getattr(args, beta_key),
+        methods=args.methods,
     )
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, "out")
-    spec = _sweep_spec_from_args(args)
-    count = write_sweep_csv(spec, args.out, *_quad_orders(args))
+    count = write_sweep_csv(spec, args.out, args.quad_order, args.quad_max_order)
     print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -564,14 +504,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # argv[0] is the subcommand; config arguments go ahead of the
+            # command line's, and argparse keeps a flag's last occurrence.
+            args = parser.parse_args(argv[:1] + load_config(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _merge_config(args)
-        return args.func(args)
     except QuadratureToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -52,6 +52,7 @@ __all__ = [
 MIN_ORDER = 2
 DEFAULT_ORDER = 16
 MAX_ORDER = 256
+RTOL = 1e-12  # adaptive stopping tolerance on successive moment estimates
 
 Scenario = Literal["single_boost", "dual_boost"]
 
@@ -161,23 +162,26 @@ def moments_quadrature(
     boost: BoostParams,
     order: int = DEFAULT_ORDER,
     *,
-    rtol: float = 1e-12,
     max_order: int = MAX_ORDER,
     adaptive: bool = True,
 ) -> MomentIntegrals:
     """Evaluate (I1, I2, I3) on Gauss-Hermite nodes.
 
     Starting from ``order``, the order is doubled until two successive
-    evaluations agree to ``rtol`` (relative, floored at 1 in the
+    evaluations agree to :data:`RTOL` (relative, floored at 1 in the
     denominator) or ``max_order`` is exceeded, in which case
     :class:`QuadratureToleranceError` carries the best estimate.  With
-    ``adaptive=False`` a single fixed-order evaluation is returned.
+    ``adaptive=False`` a single fixed-order evaluation is returned;
+    otherwise ``max_order`` must lie in [order, MAX_ORDER].
     """
     i1, i2, i3 = _moments_at_order(pkt, boost, order)
     if not adaptive:
         return MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
+    if not order <= max_order <= MAX_ORDER:
+        raise ValueError(
+            f"max_order must lie in [order, {MAX_ORDER}] = [{order}, {MAX_ORDER}], got {max_order}"
+        )
 
-    max_order = min(max_order, MAX_ORDER)
     delta = math.inf
     while order * 2 <= max_order:
         order *= 2
@@ -188,12 +192,12 @@ def moments_quadrature(
             abs(j3 - i3) / max(1.0, abs(j3)),
         )
         i1, i2, i3 = j1, j2, j3
-        if delta < rtol:
+        if delta < RTOL:
             return MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
     raise QuadratureToleranceError(
         best=MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature"),
         delta=delta,
-        rtol=rtol,
+        rtol=RTOL,
     )
 
 

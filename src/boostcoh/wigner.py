@@ -54,6 +54,13 @@ class WignerTrig:
     sincos_half: float
 
     def __post_init__(self) -> None:
+        # Every comparison below is false for NaN, so non-finite values
+        # are rejected first.
+        if not all(map(math.isfinite, (self.cos2_half, self.sin2_half, self.sincos_half))):
+            raise ValueError(
+                "half-angle terms must be finite, got "
+                f"({self.cos2_half}, {self.sin2_half}, {self.sincos_half})"
+            )
         if self.cos2_half < -1e-15 or self.sin2_half < -1e-15:
             raise ValueError("squared half-angle terms must be nonnegative")
         if abs(self.cos2_half + self.sin2_half - 1.0) > 1e-10:
@@ -113,7 +120,8 @@ def half_angle_perp(boost: BoostParams, p_over_m: float) -> WignerTrig:
     Negative ``p_over_m`` is allowed (needed when integrating over the full
     momentum line); cos^2 and sin^2 are even in it, sin*cos is odd.
     """
-    cos2, sin2, sincos = _perp_components(boost.sinh_alpha, boost.cosh_alpha, p_over_m)
+    with np.errstate(invalid="ignore"):  # WignerTrig rejects the NaN of p/m = +-inf
+        cos2, sin2, sincos = _perp_components(boost.sinh_alpha, boost.cosh_alpha, p_over_m)
     return WignerTrig(cos2_half=float(cos2), sin2_half=float(sin2), sincos_half=float(sincos))
 
 

@@ -47,9 +47,20 @@ class TestWignerCommand:
     def test_domain_error_exit_code(self, capsys):
         assert main(["wigner", "--beta", "1.2", "--p-over-m", "1"]) == 2
         assert "beta" in capsys.readouterr().err
+        for p_over_m in ("nan", "inf", "-inf"):
+            assert main(["wigner", "--beta", "0.5", f"--p-over-m={p_over_m}"]) == 2
+            assert "finite" in capsys.readouterr().err
 
     def test_missing_flag_exit_code(self, capsys):
         assert main(["wigner", "--beta", "0.5"]) == 2
+
+    @pytest.mark.parametrize("key", ["p_over_m", "p-over-m"])
+    def test_config_key_dashes_or_underscores(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"beta = 0.95\n{key} = 1\n", encoding="utf-8")
+        assert main(["wigner", "--config", str(cfg)]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["cos2_half"]) == pytest.approx(0.9174974086627170, rel=1e-13)
 
 
 class TestCoherenceCommand:
@@ -104,6 +115,15 @@ class TestCoherenceCommand:
         assert code == 2
         assert "order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_order", ["0", "8", "1000"])
+    def test_quad_max_order_out_of_range_rejected(self, max_order, capsys):
+        code = main([
+            "coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36",
+            "--method", "quadrature", "--quad-max-order", max_order,
+        ])
+        assert code == 2
+        assert "max_order" in capsys.readouterr().err
+
     def test_quadrature_tolerance_exit_code(self, capsys):
         code = main([
             "coherence", "--scenario", "single", "--beta", "0.95",
@@ -148,6 +168,35 @@ class TestCoherenceCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("velocity = 0.95\n", encoding="utf-8")
         assert main(["coherence", "--config", str(cfg)]) == 2
+
+    SWEEP_KEYS = "n = 2\nmass = 939.36\nsigma_min = 1\nsigma_max = 2\nsteps = 2\nbetas = 0.5\n"
+    POINT_KEYS = "beta = 0.5\nbeta1 = 0.5\nbeta2 = 0.5\nsigma = 100\nmass = 939.36\n"
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["coherence"], POINT_KEYS + "scenario = triple\n"),
+            (["coherence"], POINT_KEYS + "method = foo\n"),
+            (["sweep"], SWEEP_KEYS + "sigma = 100\n"),
+            (["figure", "fig1"], "quad_order = 16\n"),
+            (["sweep"], SWEEP_KEYS + "methods =\n"),
+            (["wigner"], "beta = 0.5\np_over_m = 1\nn = 2\n"),
+        ],
+        ids=["bad-scenario", "bad-method", "sweep-sigma", "figure-quad-order",
+             "empty-methods", "wigner-n"],
+    )
+    def test_config_checked_like_flags(self, argv, config, tmp_path, capsys):
+        # Config lines are parsed as the subcommand's own flags: bad choices,
+        # empty lists and keys the subcommand lacks are usage errors.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = [*argv, "--config", str(cfg)]
+        if argv[0] in ("sweep", "figure"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -220,6 +269,12 @@ class TestSweepCommand:
         for row in rows:
             f1 = float(row[9])
             assert abs(float(row[7]) - float(row[6])) <= 3 * f1**2 + 1e-15
+
+    def test_empty_methods_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main([*self.SMALL, "--methods", "", "--out", str(out)]) == 2
+        assert "--methods" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -324,6 +379,15 @@ class TestFigureCommand:
 
     def test_unknown_name_rejected(self, capsys):
         assert main(["figure", "fig3", "--out", "x.csv"]) == 2
+
+    def test_config_overrides_presets(self, tmp_path):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text("steps = 4\nbetas = 0.3,0.8\n", encoding="utf-8")
+        out = tmp_path / "fig1.csv"
+        assert main(["figure", "fig1", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4 * 2
+        assert {row[1] for row in rows} == {"0.3", "0.8"}
 
 
 class TestEntryPoint:

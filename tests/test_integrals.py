@@ -129,6 +129,12 @@ class TestMomentsQuadrature:
         assert err.best.i3 == pytest.approx(3.2056e-3, rel=1e-3)
         assert err.delta > err.rtol or math.isinf(err.delta)
 
+    @pytest.mark.parametrize("order, max_order", [(16, 0), (16, 8), (16, 512), (32, 16)])
+    def test_max_order_out_of_range_rejected(self, order, max_order):
+        pkt = WavePacket(2, 0.1, 1.0)
+        with pytest.raises(ValueError, match="max_order"):
+            moments_quadrature(pkt, boost_from_beta(0.95), order, max_order=max_order)
+
     def test_moment_triple_validation(self):
         with pytest.raises(ValueError):
             MomentIntegrals(i1=0.9, i2=0.0, i3=0.2, method="quadrature")

@@ -70,6 +70,16 @@ class TestHalfAnglePerp:
                 assert half_angle_perp(boost_from_beta(beta), x).sin2_half >= 0.0
 
 
+class TestWignerTrig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cos2_half", "sin2_half", "sincos_half"])
+    def test_rejects_non_finite(self, field, bad):
+        fields = dict(cos2_half=1.0, sin2_half=0.0, sincos_half=0.0)
+        WignerTrig(**fields)
+        with pytest.raises(ValueError, match="finite"):
+            WignerTrig(**{**fields, field: bad})
+
+
 class TestHalfAngleGeneral:
     def test_no_boost_no_rotation(self):
         geom = GeometryConfig.perpendicular()
