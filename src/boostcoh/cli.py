@@ -79,6 +79,10 @@ FIGURE_MASS_MEV = 939.36  # neutron rest mass
 FIGURE_N = 2
 FIGURE_STEPS = 256
 FIGURE_SIGMA_FRACTION = 0.3  # sweep sigma/m over (0, 0.3]
+# Sigma points per moments_quadrature call in a sweep.  It bounds the
+# (points x nodes) arrays: a 32768-step quadrature sweep peaked at 171 MiB
+# as one block, 37.6 MiB in blocks of 256 and 34.5 MiB point by point.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -158,15 +162,39 @@ class SweepRow:
         ]
 
 
+def _quadrature_entries(
+    pkts: Sequence[WavePacket],
+    boosts: Sequence[BoostParams],
+    methods: Sequence[str],
+    quad_order: int,
+    quad_max_order: int,
+) -> list:
+    """Per packet, the tuple of its per-boost ``moments_quadrature`` entries.
+
+    One call per boost covers every packet; without quadrature each packet
+    gets None.
+    """
+    if "quadrature" not in methods:
+        return [None] * len(pkts)
+    per_boost = [
+        moments_quadrature(pkts, b, quad_order, max_order=quad_max_order) for b in boosts
+    ]
+    return list(zip(*per_boost))
+
+
 def _evaluate_point(
     scenario: str,
     theta: float,
     boosts: Sequence[BoostParams],
     pkt: WavePacket,
     methods: Sequence[str],
-    quad_order: int,
-    quad_max_order: int,
+    moments: tuple | None,
 ) -> SweepRow:
+    """One row; ``moments`` holds the point's per-boost quadrature entries.
+
+    The domain gates run first, so a point outside them fails with their
+    error even when its quadrature entry is an error too.
+    """
     single = scenario == "single"
     eps = pkt.sigma_over_m
     check_n_in_bounds(pkt.n, eps, "single_boost" if single else "dual_boost")
@@ -182,10 +210,9 @@ def _evaluate_point(
         cf_exact = c_frobenius(spectrum, 4)
 
     if "quadrature" in methods:
-        moments = [
-            moments_quadrature(pkt, b, quad_order, max_order=quad_max_order)
-            for b in boosts
-        ]
+        for entry in moments:
+            if isinstance(entry, Exception):
+                raise entry
         rho = (rho_single_boost_general if single else rho_dual_boost_general)(theta, *moments)
         spectrum = hermitian_eigenvalues(rho)
         cf_quad = c_frobenius(spectrum, 4)
@@ -211,7 +238,12 @@ def _evaluate_point(
 
 
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
-    """Yield SweepRows sorted by sigma, then beta configuration."""
+    """Yield SweepRows sorted by sigma, then beta configuration.
+
+    The sigma grid is walked in blocks of :data:`BLOCK` points, and the
+    quadrature moments of a block are evaluated together, one call per
+    boost.  Rows are still yielded one at a time.
+    """
     beta_configs = sorted(
         spec.betas, key=lambda cfg: cfg if isinstance(cfg, tuple) else (cfg,)
     )
@@ -219,13 +251,18 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
         tuple(boost_from_beta(b) for b in (cfg if isinstance(cfg, tuple) else (cfg,)))
         for cfg in beta_configs
     ]
-    for sigma in spec.sigmas():
-        pkt = WavePacket(spec.n, sigma, spec.mass)
-        for boosts in boosts_by_cfg:
-            yield _evaluate_point(
-                spec.scenario, spec.theta, boosts, pkt,
-                spec.methods, quad_order, quad_max_order,
-            )
+    sigmas = spec.sigmas()
+    for start in range(0, len(sigmas), BLOCK):
+        pkts = [WavePacket(spec.n, sigma, spec.mass) for sigma in sigmas[start:start + BLOCK]]
+        moments_by_cfg = [
+            _quadrature_entries(pkts, boosts, spec.methods, quad_order, quad_max_order)
+            for boosts in boosts_by_cfg
+        ]
+        for i, pkt in enumerate(pkts):
+            for boosts, moments in zip(boosts_by_cfg, moments_by_cfg):
+                yield _evaluate_point(
+                    spec.scenario, spec.theta, boosts, pkt, spec.methods, moments[i]
+                )
 
 
 def write_sweep_csv(
@@ -349,11 +386,21 @@ def load_config(path) -> list[str]:
     return args
 
 
+def _flags(names: Sequence[str]) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ValueError(f"missing required option(s): {flags}")
+        raise ValueError(f"missing required option(s): {_flags(missing)}")
+
+
+def _forbid(args: argparse.Namespace, scenario: str, *names: str) -> None:
+    """Reject the other scenario's beta flags rather than ignore them."""
+    given = [n for n in names if getattr(args, n, None) is not None]
+    if given:
+        raise ValueError(f"{_flags(given)} cannot be used with --scenario {scenario}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,18 +486,21 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     _require(args, "sigma", "mass")
     if args.scenario == "single":
         _require(args, "beta")
+        _forbid(args, "single", "beta1", "beta2")
         betas = (args.beta,)
     else:
         _require(args, "beta1", "beta2")
+        _forbid(args, "dual", "beta")
         betas = (args.beta1, args.beta2)
     EntangledPairConfig(args.theta)
 
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
-    row = _evaluate_point(
-        args.scenario, args.theta, boosts, pkt, (args.method,),
-        args.quad_order, args.quad_max_order,
+    methods = (args.method,)
+    [moments] = _quadrature_entries(
+        [pkt], boosts, methods, args.quad_order, args.quad_max_order
     )
+    row = _evaluate_point(args.scenario, args.theta, boosts, pkt, methods, moments)
 
     print(f"scenario      {args.scenario}")
     print(f"method        {args.method}")
@@ -474,8 +524,11 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    beta_key = "betas" if args.scenario == "single" else "beta_pairs"
+    beta_key, other_key = "betas", "beta_pairs"
+    if args.scenario == "dual":
+        beta_key, other_key = other_key, beta_key
     _require(args, "out", "n", "mass", "sigma_min", "sigma_max", "steps", beta_key)
+    _forbid(args, args.scenario, other_key)
     spec = SweepSpec(
         scenario=args.scenario,
         theta=args.theta,

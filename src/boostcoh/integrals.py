@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -131,40 +131,55 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gh_cached(int(order))
 
 
-def _symmetric_sum(terms: np.ndarray) -> float:
-    # Summing t + reversed(t) first makes odd integrands vanish exactly.
-    return float(np.sum(terms + terms[::-1]) / 2.0)
-
-
-def _moments_at_order(pkt: WavePacket, boost: BoostParams, order: int):
+def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -> np.ndarray:
+    """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array."""
     kappa, w = gauss_hermite_nodes(order)
-    k2 = kappa * kappa
-    if pkt.n == 0:
+    if n == 0:
         poly = np.full_like(kappa, 1.0 / gamma_half_integer(0))
     else:
         # kappa^2n / Gamma(n + 1/2) in log space; exp(-inf) = 0 handles a
         # kappa = 0 node (odd orders) for n > 0.
         with np.errstate(divide="ignore"):
-            poly = np.exp(pkt.n * np.log(k2) - math.lgamma(pkt.n + 0.5))
+            poly = np.exp(n * np.log(kappa * kappa) - math.lgamma(n + 0.5))
     base = w * poly
     cos2, sin2, sincos = _perp_components(
-        boost.sinh_alpha, boost.cosh_alpha, pkt.sigma_over_m * kappa
+        boost.sinh_alpha, boost.cosh_alpha, eps[:, None] * kappa
     )
-    return (
-        _symmetric_sum(base * cos2),
-        _symmetric_sum(base * sincos),
-        _symmetric_sum(base * sin2),
-    )
+    # Adding each row to its reverse makes odd integrands vanish exactly.
+    # Along the last, contiguous axis numpy sums every row pairwise, exactly
+    # as it sums a lone 1-D row, so a point's bits do not depend on the
+    # other points evaluated with it.  Taking one component at a time keeps
+    # fewer (points x nodes) arrays alive at once.
+    sums = []
+    for part in (cos2, sincos, sin2):
+        terms = base * part
+        sums.append(np.sum(terms + terms[:, ::-1], axis=-1))
+    return np.stack(sums) / 2.0
+
+
+def _entry(i1: float, i2: float, i3: float, delta: float | None):
+    """What a one-packet call returns, or the error it raises, for one point.
+
+    ``delta`` is None for a fixed-order evaluation, which has no tolerance
+    to meet.
+    """
+    try:
+        best = MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
+    except ValueError as exc:  # too low an order to integrate kappa^2n exactly
+        return exc
+    if delta is None or delta < RTOL:
+        return best
+    return QuadratureToleranceError(best=best, delta=delta, rtol=RTOL)
 
 
 def moments_quadrature(
-    pkt: WavePacket,
+    pkt: WavePacket | Sequence[WavePacket],
     boost: BoostParams,
     order: int = DEFAULT_ORDER,
     *,
     max_order: int = MAX_ORDER,
     adaptive: bool = True,
-) -> MomentIntegrals:
+) -> MomentIntegrals | tuple[MomentIntegrals | Exception, ...]:
     """Evaluate (I1, I2, I3) on Gauss-Hermite nodes.
 
     Starting from ``order``, the order is doubled until two successive
@@ -173,32 +188,49 @@ def moments_quadrature(
     :class:`QuadratureToleranceError` carries the best estimate.  With
     ``adaptive=False`` a single fixed-order evaluation is returned;
     otherwise ``max_order`` must lie in [order, MAX_ORDER].
-    """
-    i1, i2, i3 = _moments_at_order(pkt, boost, order)
-    if not adaptive:
-        return MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
-    if not order <= max_order <= MAX_ORDER:
-        raise ValueError(
-            f"max_order must lie in [order, {MAX_ORDER}] = [{order}, {MAX_ORDER}], got {max_order}"
-        )
 
-    delta = math.inf
-    while order * 2 <= max_order:
-        order *= 2
-        j1, j2, j3 = _moments_at_order(pkt, boost, order)
-        delta = max(
-            abs(j1 - i1) / max(1.0, abs(j1)),
-            abs(j2 - i2) / max(1.0, abs(j2)),
-            abs(j3 - i3) / max(1.0, abs(j3)),
-        )
-        i1, i2, i3 = j1, j2, j3
-        if delta < RTOL:
-            return MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
-    raise QuadratureToleranceError(
-        best=MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature"),
-        delta=delta,
-        rtol=RTOL,
-    )
+    ``pkt`` may also be a sequence of packets sharing ``n``.  Their moments
+    are then evaluated together, one (points x nodes) contraction per
+    order, and each point leaves the doubling as soon as it converges.  The
+    result is a tuple with one entry per packet, bit for bit what the
+    one-packet call gives: its ``MomentIntegrals``, or the exception it
+    would raise, returned rather than raised.  A bad ``order`` or
+    ``max_order`` raises ``ValueError`` at once in both forms.  The CLI
+    passes at most ``cli.BLOCK`` packets per call, which bounds the size
+    of the arrays.
+    """
+    pkts = (pkt,) if isinstance(pkt, WavePacket) else tuple(pkt)
+    n = pkts[0].n if pkts else 0
+    if any(p.n != n for p in pkts):
+        raise ValueError(f"packets must share n, got {sorted({p.n for p in pkts})}")
+    eps = np.array([p.sigma_over_m for p in pkts], dtype=float)
+
+    values = _moments_at_order(n, eps, boost, order)
+    if not adaptive:
+        deltas = [None] * len(pkts)
+    else:
+        if not order <= max_order <= MAX_ORDER:
+            raise ValueError(
+                f"max_order must lie in [order, {MAX_ORDER}] = [{order}, {MAX_ORDER}], "
+                f"got {max_order}"
+            )
+        delta = np.full(len(pkts), math.inf)
+        todo = np.arange(len(pkts))  # points that have not converged yet
+        while todo.size and order * 2 <= max_order:
+            order *= 2
+            new = _moments_at_order(n, eps[todo], boost, order)
+            step = np.max(np.abs(new - values[:, todo]) / np.maximum(1.0, np.abs(new)), axis=0)
+            values[:, todo] = new
+            delta[todo] = step
+            todo = todo[~(step < RTOL)]
+        deltas = delta.tolist()
+
+    entries = tuple(_entry(*v, d) for v, d in zip(values.T.tolist(), deltas))
+    if isinstance(pkt, WavePacket):
+        if isinstance(entries[0], Exception):
+            raise entries[0]
+        return entries[0]
+    return entries
 
 
 def f_factor(n: int, boost: BoostParams, sigma_over_m: float) -> PerturbativeFactor:

@@ -9,6 +9,11 @@ import sys
 
 import pytest
 
+from boostcoh import (
+    WavePacket, boost_from_beta, c_frobenius, hermitian_eigenvalues, moments_quadrature,
+    rho_dual_boost_general,
+)
+from boostcoh import cli
 from boostcoh.cli import CSV_HEADER, SweepSpec, figure_spec, main, run_sweep
 
 
@@ -198,6 +203,38 @@ class TestCoherenceCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    GRID = ["--n", "2", "--mass", "939.36", "--sigma-min", "1", "--sigma-max", "2", "--steps", "2"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["coherence", "--scenario", "dual", "--beta1", "0.5", "--beta2", "0.5",
+              "--sigma", "100", "--mass", "939.36"], "beta", "0.9"),
+            (["coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36"],
+             "beta1", "0.5"),
+            (["sweep", "--scenario", "dual", "--beta-pairs", "0.5:0.5", *GRID], "betas", "0.9"),
+            (["sweep", "--scenario", "single", "--betas", "0.9", *GRID],
+             "beta-pairs", "0.5:0.5"),
+        ],
+        ids=["coherence-dual", "coherence-single", "sweep-dual", "sweep-single"],
+    )
+    def test_other_scenario_betas_rejected(self, argv, key, value, source, tmp_path, capsys):
+        # A beta flag of the other scenario would be ignored; it is an error,
+        # whether it comes from the command line or from a config file.
+        if source == "flag":
+            argv = [*argv, f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        if argv[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert f"--{key} cannot be used" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     SMALL = [
@@ -334,6 +371,58 @@ class TestSweepCommand:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert data.decode().splitlines()[0] == ",".join(CSV_HEADER)
         assert [p.name for p in tmp_path.iterdir()] == ["rows.fifo"]
+
+    # sigma/m runs 0.5, 1.0, ..., 3.0; quadrature stops converging past ~1.2.
+    CROSSING = [
+        "sweep", "--methods", "quadrature", "--n", "1", "--mass", "1",
+        "--sigma-min", "0.5", "--sigma-max", "3", "--steps", "6", "--betas", "0.999",
+    ]
+
+    def test_domain_gate_fails_before_later_quadrature_errors(self, tmp_path, capsys):
+        # The second row's sigma/m gate fails first, although later rows of
+        # the same block also fail to converge.
+        out = tmp_path / "sweep.csv"
+        assert main([*self.CROSSING, "--out", str(out)]) == 2
+        assert "sigma/m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_failing_row_sets_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main([*self.CROSSING, "--quad-max-order", "16", "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    # 257 sigma points: one full block of 256 and a block of one.
+    TWO_BLOCKS = [
+        "sweep", "--scenario", "dual", "--n", "1", "--mass", "939.36",
+        "--sigma-min", "5", "--sigma-max", "560", "--steps", "257",
+        "--beta-pairs", "0.3:0.95,0.9:0.9", "--methods", "quadrature",
+    ]
+
+    def test_rows_across_blocks_match_one_point_calls(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main([*self.TWO_BLOCKS, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 257 * 2
+        for row in rows:
+            pkt = WavePacket(1, float(row[0]), 939.36)
+            moments = [moments_quadrature(pkt, boost_from_beta(float(b))) for b in row[1:3]]
+            rho = rho_dual_boost_general(math.pi / 4, *moments)
+            assert float(row[8]) == c_frobenius(hermitian_eigenvalues(rho), 4)
+
+    def test_one_moments_call_per_block_and_boost(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's tracer times the moments layer at this name.
+        calls = []
+        original = cli.moments_quadrature
+
+        def counting(pkts, *args, **kwargs):
+            calls.append(len(pkts))
+            return original(pkts, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "moments_quadrature", counting)
+        assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
+        # 2 blocks x 2 beta pairs x 2 boosts
+        assert calls == [256] * 4 + [1] * 4
 
     @pytest.mark.parametrize(
         "changes",

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostcoh import (
     BoostParams,
@@ -20,6 +21,7 @@ from boostcoh import (
     moments_quadrature,
     n_bounds,
 )
+from boostcoh.integrals import MAX_ORDER, MIN_ORDER
 
 from oracles import hermite_value, hermite_weight, mp_f_factor, trapezoid_moments
 
@@ -134,6 +136,43 @@ class TestMomentsQuadrature:
         pkt = WavePacket(2, 0.1, 1.0)
         with pytest.raises(ValueError, match="max_order"):
             moments_quadrature(pkt, boost_from_beta(0.95), order, max_order=max_order)
+        with pytest.raises(ValueError, match="max_order"):
+            moments_quadrature([pkt, pkt], boost_from_beta(0.95), order, max_order=max_order)
+
+    def test_sequence_needs_shared_n(self):
+        pkts = [WavePacket(2, 0.1, 1.0), WavePacket(3, 0.1, 1.0)]
+        with pytest.raises(ValueError, match="share n"):
+            moments_quadrature(pkts, boost_from_beta(0.95))
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        eps=st.lists(st.floats(0.0, 0.99, exclude_min=True), max_size=12),
+        beta=st.floats(0.0, 0.999),
+        order=st.integers(MIN_ORDER, 64),
+        adaptive=st.booleans(),
+        data=st.data(),
+    )
+    def test_sequence_matches_one_packet_calls(self, n, eps, beta, order, adaptive, data):
+        # Each point's bits must not depend on the points evaluated with it,
+        # nor on when they leave the order doubling.
+        max_order = data.draw(st.integers(order, MAX_ORDER))
+        boost = boost_from_beta(beta)
+        pkts = [WavePacket(n, e, 1.0) for e in eps]
+        entries = moments_quadrature(pkts, boost, order, max_order=max_order, adaptive=adaptive)
+        assert len(entries) == len(pkts)
+        for pkt, entry in zip(pkts, entries):
+            try:
+                want = moments_quadrature(
+                    pkt, boost, order, max_order=max_order, adaptive=adaptive
+                )
+            except QuadratureToleranceError as exc:
+                assert isinstance(entry, QuadratureToleranceError)
+                assert (entry.delta, entry.best) == (exc.delta, exc.best)
+            except ValueError as exc:  # too low an order to integrate kappa^2n exactly
+                assert isinstance(entry, ValueError) and str(entry) == str(exc)
+            else:
+                assert entry == want
 
     def test_moment_triple_validation(self):
         with pytest.raises(ValueError):
