@@ -26,7 +26,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .coherence import (
     Spectrum,
@@ -51,6 +51,7 @@ from .integrals import (
     DEFAULT_ORDER,
     MAX_ORDER,
     QuadratureToleranceError,
+    check_factor_sum,
     check_n_in_bounds,
     f_factor,
     moments_quadrature,
@@ -79,9 +80,10 @@ FIGURE_MASS_MEV = 939.36  # neutron rest mass
 FIGURE_N = 2
 FIGURE_STEPS = 256
 FIGURE_SIGMA_FRACTION = 0.3  # sweep sigma/m over (0, 0.3]
-# Sigma points per moments_quadrature call in a sweep.  It bounds the
-# (points x nodes) arrays: a 32768-step quadrature sweep peaked at 171 MiB
-# as one block, 37.6 MiB in blocks of 256 and 34.5 MiB point by point.
+# Sigma points per moments_quadrature call and per density-matrix stack in a
+# sweep.  It bounds the (points x nodes) arrays: a 32768-step quadrature
+# sweep peaked at 171 MiB as one block, 37.6 MiB in blocks of 256 and
+# 34.5 MiB point by point.
 BLOCK = 256
 
 
@@ -162,87 +164,120 @@ class SweepRow:
         ]
 
 
-def _quadrature_entries(
-    pkts: Sequence[WavePacket],
+def _block_values(
+    single: bool,
+    theta: float,
     boosts: Sequence[BoostParams],
+    pkts: Sequence[WavePacket],
     methods: Sequence[str],
     quad_order: int,
     quad_max_order: int,
-) -> list:
-    """Per packet, the tuple of its per-boost ``moments_quadrature`` entries.
+) -> tuple[list, list, list, list]:
+    """Per packet of one beta configuration: (error, factors, c_l1, Jacobi eigenvalues).
 
-    One call per boost covers every packet; without quadrature each packet
-    gets None.
+    The domain gates run point by point first.  The points that pass them
+    and hold no quadrature error are then assembled, validated and, for
+    quadrature, diagonalized as one stack.  A point keeps the first error
+    it meets: gate, quadrature or validation, in that order.  Only plain
+    values are returned, so no stack outlives the call.
     """
-    if "quadrature" not in methods:
-        return [None] * len(pkts)
-    per_boost = [
-        moments_quadrature(pkts, b, quad_order, max_order=quad_max_order) for b in boosts
-    ]
-    return list(zip(*per_boost))
+    quadrature = "quadrature" in methods
+    moments = [None] * len(pkts)  # per packet, its per-boost quadrature entries
+    if quadrature:  # one call per boost covers every packet
+        per_boost = [moments_quadrature(pkts, b, quad_order, max_order=quad_max_order)
+                     for b in boosts]
+        moments = list(zip(*per_boost))
+
+    errors: list[Exception | None] = []
+    factors = []
+    for pkt, entries in zip(pkts, moments):
+        try:
+            check_n_in_bounds(pkt.n, pkt.sigma_over_m, "single_boost" if single else "dual_boost")
+            point_factors = tuple(f_factor(pkt.n, b, pkt.sigma_over_m) for b in boosts)
+            check_factor_sum(*point_factors)  # the closed spectrum's gate
+        except ValueError as exc:
+            errors.append(exc)
+            factors.append(None)
+            continue
+        errors.append(next((e for e in entries or () if isinstance(e, Exception)), None))
+        factors.append(point_factors)
+
+    l1 = [None] * len(pkts)
+    eigs = [None] * len(pkts)
+    stacked = [k for k, err in enumerate(errors) if err is None]
+    if stacked:
+        if quadrature:
+            build = rho_single_boost_general if single else rho_dual_boost_general
+            args = zip(*(moments[k] for k in stacked))
+        else:
+            build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
+            args = zip(*(factors[k] for k in stacked))
+        rho = build(theta, *args)
+        for k, err, value in zip(stacked, rho.errors, c_l1(rho).tolist()):
+            errors[k], l1[k] = err, value
+        if quadrature:
+            for k, values in zip(stacked, hermitian_eigenvalues(rho).tolist()):
+                eigs[k] = values
+    return errors, factors, l1, eigs
 
 
-def _evaluate_point(
+def _config_rows(
     scenario: str,
     theta: float,
     boosts: Sequence[BoostParams],
-    pkt: WavePacket,
+    pkts: Sequence[WavePacket],
     methods: Sequence[str],
-    moments: tuple | None,
-) -> SweepRow:
-    """One row; ``moments`` holds the point's per-boost quadrature entries.
+    quad_order: int,
+    quad_max_order: int,
+) -> Iterator[SweepRow]:
+    """Yield the rows of one beta configuration over a block of packets.
 
-    The domain gates run first, so a point outside them fails with their
-    error even when its quadrature entry is an error too.
+    A failing point's own error is raised when its row is reached, and
+    each row is built only as it is yielded.
     """
     single = scenario == "single"
-    eps = pkt.sigma_over_m
-    check_n_in_bounds(pkt.n, eps, "single_boost" if single else "dual_boost")
-    factors = [f_factor(pkt.n, b, eps) for b in boosts]
-    # Computed for every method: it is the printed spectrum and the F range
-    # gate of the closed forms.
-    spectrum = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
-
-    cf_pert = cf_exact = cf_quad = None
-    if "perturbative" in methods:
-        cf_pert = c_frobenius_perturbative(pkt.n, tuple(boosts), eps)
-    if "exact-eig" in methods:
-        cf_exact = c_frobenius(spectrum, 4)
-
-    if "quadrature" in methods:
-        for entry in moments:
-            if isinstance(entry, Exception):
-                raise entry
-        rho = (rho_single_boost_general if single else rho_dual_boost_general)(theta, *moments)
-        spectrum = hermitian_eigenvalues(rho)
-        cf_quad = c_frobenius(spectrum, 4)
-    else:
-        rho = (rho_single_boost_perturbative if single else rho_dual_boost_perturbative)(
-            theta, *factors
-        )
-
-    return SweepRow(
-        sigma=pkt.sigma,
-        beta1=boosts[0].beta,
-        beta2=boosts[1].beta if len(boosts) == 2 else None,
-        n=pkt.n,
-        theta=theta,
-        c_l1=c_l1(rho),
-        c_f_perturbative=cf_pert,
-        c_f_exact_eig=cf_exact,
-        c_f_quadrature=cf_quad,
-        f1=factors[0].f,
-        f2=factors[1].f if len(factors) == 2 else None,
-        spectrum=spectrum,
+    quadrature = "quadrature" in methods
+    errors, factors, l1, eigs = _block_values(
+        single, theta, boosts, pkts, methods, quad_order, quad_max_order
     )
+    closed_spectrum = spectrum_single_boost if single else spectrum_dual_boost
+    for k, pkt in enumerate(pkts):
+        if errors[k] is not None:
+            raise errors[k]
+        cf_pert = cf_exact = cf_quad = None
+        if "perturbative" in methods:
+            cf_pert = c_frobenius_perturbative(pkt.n, tuple(boosts), pkt.sigma_over_m)
+        # The row's spectrum: Jacobi's on quadrature rows, else the closed form.
+        if "exact-eig" in methods or not quadrature:
+            spectrum = closed_spectrum(theta, *factors[k])
+            if "exact-eig" in methods:
+                cf_exact = c_frobenius(spectrum, 4)
+        if quadrature:
+            spectrum = Spectrum(eigs[k])
+            cf_quad = c_frobenius(spectrum, 4)
+        yield SweepRow(
+            sigma=pkt.sigma,
+            beta1=boosts[0].beta,
+            beta2=boosts[1].beta if len(boosts) == 2 else None,
+            n=pkt.n,
+            theta=theta,
+            c_l1=l1[k],
+            c_f_perturbative=cf_pert,
+            c_f_exact_eig=cf_exact,
+            c_f_quadrature=cf_quad,
+            f1=factors[k][0].f,
+            f2=factors[k][1].f if len(boosts) == 2 else None,
+            spectrum=spectrum,
+        )
 
 
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
     """Yield SweepRows sorted by sigma, then beta configuration.
 
-    The sigma grid is walked in blocks of :data:`BLOCK` points, and the
-    quadrature moments of a block are evaluated together, one call per
-    boost.  Rows are still yielded one at a time.
+    The sigma grid is walked in blocks of :data:`BLOCK` points.  Per block
+    and beta configuration, the quadrature moments are evaluated with one
+    call per boost, and the density matrices as one stack.  Rows are still
+    yielded one at a time.
     """
     beta_configs = sorted(
         spec.betas, key=lambda cfg: cfg if isinstance(cfg, tuple) else (cfg,)
@@ -254,15 +289,14 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
     sigmas = spec.sigmas()
     for start in range(0, len(sigmas), BLOCK):
         pkts = [WavePacket(spec.n, sigma, spec.mass) for sigma in sigmas[start:start + BLOCK]]
-        moments_by_cfg = [
-            _quadrature_entries(pkts, boosts, spec.methods, quad_order, quad_max_order)
+        configs = [
+            _config_rows(spec.scenario, spec.theta, boosts, pkts, spec.methods,
+                         quad_order, quad_max_order)
             for boosts in boosts_by_cfg
         ]
-        for i, pkt in enumerate(pkts):
-            for boosts, moments in zip(boosts_by_cfg, moments_by_cfg):
-                yield _evaluate_point(
-                    spec.scenario, spec.theta, boosts, pkt, spec.methods, moments[i]
-                )
+        for _ in pkts:
+            for rows in configs:
+                yield next(rows)
 
 
 def write_sweep_csv(
@@ -496,11 +530,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
-    methods = (args.method,)
-    [moments] = _quadrature_entries(
-        [pkt], boosts, methods, args.quad_order, args.quad_max_order
-    )
-    row = _evaluate_point(args.scenario, args.theta, boosts, pkt, methods, moments)
+    row = next(_config_rows(args.scenario, args.theta, boosts, [pkt], (args.method,),
+                            args.quad_order, args.quad_max_order))
 
     print(f"scenario      {args.scenario}")
     print(f"method        {args.method}")

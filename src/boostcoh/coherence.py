@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .core import BoostParams, DensityMatrix
-from .integrals import PerturbativeFactor, check_n_in_bounds, f_factor
+from .integrals import PerturbativeFactor, check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
     "Spectrum",
@@ -86,10 +86,38 @@ class CoherenceReport:
             raise ValueError("dim must match the spectrum length")
 
 
-def c_l1(rho: DensityMatrix) -> float:
-    """Sum of absolute values of the off-diagonal entries."""
-    off_diagonal = ~np.eye(rho.dim, dtype=bool)
-    return float(np.abs(rho.entries[off_diagonal]).sum())
+def c_l1(rho: DensityMatrix):
+    """Sum of absolute values of the off-diagonal entries.
+
+    A float for one matrix; for a stack, an array with one value per
+    matrix.  Each matrix's moduli are added in the order numpy's ``sum``
+    uses for a lone 1-D array, so a value does not depend on the stack it
+    came in.
+    """
+    entries = rho.entries.reshape(-1, rho.dim, rho.dim)
+    values = _sum_last_axis(np.abs(entries[:, ~np.eye(rho.dim, dtype=bool)]))
+    return float(values[0]) if rho.entries.ndim == 2 else values
+
+
+def _sum_last_axis(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` summed as numpy sums a lone 1-D row of fewer than 16.
+
+    That is: below 8 values, one after another from 0; otherwise 8
+    accumulators added as a tree, then the tail one at a time.  Rows here
+    hold the 2 or 12 off-diagonal entries of a 2x2 or 4x4 matrix.  A
+    reduction along an axis of a 2-D array need not keep that order.
+    """
+    n = v.shape[-1]
+    if n < 8:
+        total = np.zeros(v.shape[:-1])
+        for i in range(n):
+            total += v[..., i]
+        return total
+    r = [v[..., i] for i in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(8, n):
+        total += v[..., i]
+    return total
 
 
 def c_frobenius(spec: Spectrum, d: int) -> float:
@@ -120,8 +148,7 @@ def spectrum_dual_boost(
     cannot round below zero, on F1, F2 exactly rescaled by a power of two
     so that the squares cannot underflow.
     """
-    if f1.f + f2.f >= 0.5:
-        raise ValueError(f"F1 + F2 must be < 1/2, got {f1.f + f2.f}")
+    check_factor_sum(f1, f2)
     s = f1.f + f2.f
     _, e = math.frexp(max(f1.f, f2.f))
     a, b = math.ldexp(f1.f, -e), math.ldexp(f2.f, -e)
@@ -130,54 +157,87 @@ def spectrum_dual_boost(
     return Spectrum((1.0 - s, s / 2.0 + half_gap, s / 2.0 - half_gap, 0.0))
 
 
-def hermitian_eigenvalues(rho: DensityMatrix) -> Spectrum:
+def hermitian_eigenvalues(rho: DensityMatrix):
     """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
 
     Sweeps run until the off-diagonal Frobenius norm drops below 1e-13,
     with a hard cap of 100 sweeps.  Serves as the numerically independent
     check on the analytic spectra.
+
+    One matrix gives a :class:`Spectrum`.  A stack gives a (points x d)
+    array of descending eigenvalues, NaN for a matrix that failed
+    validation.  The matrices of a stack are rotated in lockstep: each
+    makes the same rotations, in the same order, as it would alone, and
+    leaves the loop once it has converged.  On real matrices, such as every
+    state the pipeline builds, each value is bit for bit the lone matrix's;
+    complex entries round through numpy's vector loops and may move an
+    eigenvalue by an ulp.  Raises :class:`JacobiConvergenceError` when any
+    matrix is still unconverged after 100 sweeps.
     """
-    a = np.array(rho.entries, dtype=complex)
-    n = a.shape[0]
+    if rho.entries.ndim == 2:
+        return Spectrum(tuple(_jacobi(rho.entries[None].copy())[0].tolist()))
+    valid = np.array([e is None for e in rho.errors], dtype=bool)
+    eigs = np.full(rho.entries.shape[:-1], np.nan)
+    eigs[valid] = _jacobi(rho.entries[valid])
+    return eigs
+
+
+def _jacobi(a: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each matrix of the stack ``a``, which is overwritten."""
+    n = a.shape[-1]
     off_diagonal = ~np.eye(n, dtype=bool)
+    eigs = np.empty(a.shape[:-1])
+    todo = np.arange(len(a))  # stack index of each matrix still in ``a``
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(a[off_diagonal]) ** 2)))
-        if off < JACOBI_OFF_TOL:
-            eigs = np.sort(np.real(np.diagonal(a)))[::-1]
-            return Spectrum(tuple(float(v) for v in eigs))
+        off = np.sqrt(_sum_last_axis(np.abs(a[:, off_diagonal]) ** 2))
+        done = off < JACOBI_OFF_TOL
+        eigs[todo[done]] = np.sort(a[done].diagonal(axis1=1, axis2=2).real)[:, ::-1]
+        if done.all():
+            return eigs
+        if done.any():
+            a, todo = a[~done], todo[~done]
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _jacobi_rotate(a, p, q)
     raise JacobiConvergenceError(
-        f"off-diagonal norm {off:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
+        f"off-diagonal norm {off.max():.3e} after {JACOBI_MAX_SWEEPS} sweeps"
     )
 
 
 def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Unitary rotation in the (p, q) plane that zeroes a[p, q]."""
-    apq = complex(a[p, q])
-    r = abs(apq)
-    if r == 0.0:
+    """Per matrix of the stack ``a``, the unitary (p, q) rotation that zeroes a[p, q].
+
+    Matrices whose a[p, q] is already zero are left alone.
+    """
+    r = np.abs(a[:, p, q])
+    rotated = r != 0.0
+    if not rotated.any():
         return
+    b = a if rotated.all() else a[rotated]
+    apq, r = b[:, p, q], r[rotated]
     # componentwise division: the complex reciprocal overflows for
     # subnormal pivots, float division does not
-    phase = complex(apq.real / r, apq.imag / r)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+    phase = np.empty_like(apq)
+    phase.real, phase.imag = apq.real / r, apq.imag / r
+    with np.errstate(over="ignore"):  # a huge tau gives t = 0, as in scalar code
+        tau = (b[:, q, q].real - b[:, p, p].real) / (2.0 * r)
+        # 1/(tau + sqrt(1 + tau^2)), or -1/(-tau + sqrt(1 + tau^2)) for tau < 0
+        u = np.abs(tau)
+        t = np.where(tau >= 0.0, 1.0, -1.0) / (u + np.sqrt(1.0 + u * u))
+    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+    s_phase = (t * c[:, 0] * phase)[:, None]
+    s_conj = (t * c[:, 0] * phase.conj())[:, None]
 
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * phase * col_p + c * col_q
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * np.conj(phase) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
+    col_p, col_q = b[:, :, p].copy(), b[:, :, q].copy()
+    b[:, :, p] = c * col_p - s_conj * col_q
+    b[:, :, q] = s_phase * col_p + c * col_q
+    row_p, row_q = b[:, p, :].copy(), b[:, q, :].copy()
+    b[:, p, :] = c * row_p - s_phase * row_q
+    b[:, q, :] = s_conj * row_p + c * row_q
+    b[:, p, q] = 0.0
+    b[:, q, p] = 0.0
+    if b is not a:
+        a[rotated] = b
 
 
 def _resolve_boosts(boosts) -> tuple[BoostParams, ...]:
@@ -196,13 +256,15 @@ def c_frobenius_perturbative(
 
     ``boosts`` holds one entry when a single particle is boosted and two
     when both are.  Raises ``ValueError`` when n falls outside the allowed
-    range for the scenario.
+    range for the scenario, or when F1 + F2 >= 1/2, as the closed spectrum
+    does.
     """
     seq = _resolve_boosts(boosts)
     scenario = "single_boost" if len(seq) == 1 else "dual_boost"
     check_n_in_bounds(n, sigma_over_m, scenario)
-    total = sum(f_factor(n, b, sigma_over_m).f for b in seq)
-    return 1.0 - (4.0 / 3.0) * total
+    factors = [f_factor(n, b, sigma_over_m) for b in seq]
+    check_factor_sum(*factors)
+    return 1.0 - (4.0 / 3.0) * sum(f.f for f in factors)
 
 
 def coherence_report(

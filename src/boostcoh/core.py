@@ -15,7 +15,7 @@ can be shared freely across threads and cached without copying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,31 +209,61 @@ class EntangledPairConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Complex Hermitian trace-one matrix, 2x2 or 4x4.
+    """Complex Hermitian trace-one matrix, 2x2 or 4x4, or a stack of them.
 
     Construction validates Hermiticity (1e-12 entrywise), unit trace
-    (1e-10) and positive semidefiniteness (eigenvalues >= -1e-10), so any
-    instance in circulation is a physical state.
+    (1e-10) and positive semidefiniteness (eigenvalues >= -1e-10).  A lone
+    (d x d) matrix that fails raises ``ValueError``, so any such instance in
+    circulation is a physical state.  A (points x d x d) stack is validated
+    in one pass, with one stacked ``eigvalsh``, and never raises for a bad
+    matrix: ``errors`` holds, per matrix, None or the ``ValueError`` the
+    matrix would raise on its own.  A lone matrix is checked as a stack of
+    one.
     """
 
     entries: np.ndarray
+    errors: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
-        if arr.shape[0] not in (2, 4):
-            raise ValueError(f"dimension must be 2 or 4, got {arr.shape[0]}")
-        if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        trace = arr.trace()
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace = {trace}, expected 1 within 1e-10")
-        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-            raise ValueError("matrix is not positive semidefinite within 1e-10")
+        if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
+            raise ValueError(f"entries must be a square matrix or a stack, got {arr.shape}")
+        if arr.shape[-1] not in (2, 4):
+            raise ValueError(f"dimension must be 2 or 4, got {arr.shape[-1]}")
+        errors = _verdicts(arr.reshape(-1, *arr.shape[-2:]))
+        if arr.ndim == 2 and errors[0] is not None:
+            raise errors[0]
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "errors", errors)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
+
+
+def _verdicts(stack: np.ndarray) -> tuple[ValueError | None, ...]:
+    """Per matrix of ``stack``, None or the error of the first check it fails.
+
+    The comparisons are written so that NaN fails them; only matrices that
+    pass the first two checks reach the eigensolver.
+    """
+    asymmetry = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    herm_ok = asymmetry <= HERMITICITY_TOL
+    trace = np.trace(stack, axis1=-2, axis2=-1)
+    trace_ok = np.abs(trace - 1.0) <= TRACE_TOL
+    psd_ok = herm_ok & trace_ok
+    psd_ok[psd_ok] = np.linalg.eigvalsh(stack[psd_ok]).min(axis=-1) >= -PSD_TOL
+    if psd_ok.all():
+        return (None,) * len(stack)
+    errors = []
+    for h_ok, t_ok, p_ok, t in zip(herm_ok, trace_ok, psd_ok, trace.tolist()):
+        if not h_ok:
+            errors.append(ValueError("matrix is not Hermitian within 1e-12"))
+        elif not t_ok:
+            errors.append(ValueError(f"trace = {t}, expected 1 within 1e-10"))
+        elif not p_ok:
+            errors.append(ValueError("matrix is not positive semidefinite within 1e-10"))
+        else:
+            errors.append(None)
+    return tuple(errors)

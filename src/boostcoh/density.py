@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .core import DensityMatrix
-from .integrals import MomentIntegrals, PerturbativeFactor
+from .integrals import MomentIntegrals, PerturbativeFactor, check_factor_sum
 
 __all__ = [
     "SpinAmplitudesSingle",
@@ -117,7 +117,7 @@ def amplitudes_dual(theta: float, phi1_half, phi2_half) -> SpinAmplitudesDual:
     )
 
 
-def rho_single_boost_general(theta: float, m: MomentIntegrals) -> DensityMatrix:
+def rho_single_boost_general(theta: float, m) -> DensityMatrix:
     """One-boost reduced state: :func:`rho_dual_boost_general` with particle 1 at rest.
 
     Entries are the moment-weighted outer product of the (C, A, D, B)
@@ -126,40 +126,55 @@ def rho_single_boost_general(theta: float, m: MomentIntegrals) -> DensityMatrix:
     return rho_dual_boost_general(theta, REST, m)
 
 
-def rho_single_boost_perturbative(theta: float, f: PerturbativeFactor) -> DensityMatrix:
+def rho_single_boost_perturbative(theta: float, f) -> DensityMatrix:
     """X-shaped one-boost state at integer n (I2 = 0, I3 = F), for F in [0, 1/2)."""
     return rho_dual_boost_perturbative(theta, PerturbativeFactor(0.0), f)
 
 
-def rho_dual_boost_perturbative(
-    theta: float, f1: PerturbativeFactor, f2: PerturbativeFactor
-) -> DensityMatrix:
+def _per_point(*args) -> tuple[bool, list, ...]:
+    """Whether every argument is one value, then each argument as a per-point list.
+
+    An argument is one value or a sequence of them, one per point; a lone
+    value is repeated to the length of the sequences.
+    """
+    lists = [None if isinstance(a, (MomentIntegrals, PerturbativeFactor)) else list(a)
+             for a in args]
+    count = max((len(x) for x in lists if x is not None), default=1)
+    if any(x is not None and len(x) != count for x in lists):
+        raise ValueError("per-point arguments must have the same length")
+    lone = all(x is None for x in lists)
+    return (lone, *([a] * count if x is None else x for a, x in zip(args, lists)))
+
+
+def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
     """X-shaped reduced state with both particles boosted (integer n).
 
     Corner block carries sin^2(theta) F1 + cos^2(theta) F2 and its swap;
     the inner block keeps weight 1 - F1 - F2.  Requires F1 + F2 < 1/2 so
     the first-order matrix stays positive semidefinite.
+
+    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor` or a sequence
+    of them, one per point; with a sequence the result is the stack of the
+    points' states, else one state.  A lone factor is shared by all points.
     """
-    if f1.f + f2.f >= 0.5:
-        raise ValueError(
-            f"F1 + F2 must be < 1/2 for a physical state, got {f1.f + f2.f}"
-        )
+    lone, f1s, f2s = _per_point(f1, f2)
+    for pair in zip(f1s, f2s):
+        check_factor_sum(*pair)
     st, ct = math.sin(theta), math.cos(theta)
     # Products, not powers: they round like the einsum in rho_dual_boost_general,
     # so the one-boost forms agree bit for bit.
     s2, c2, sc = st * st, ct * ct, st * ct
-    g1, g2 = f1.f, f2.f
+    g1 = np.array([f.f for f in f1s])
+    g2 = np.array([f.f for f in f2s])
     rest = 1.0 - g1 - g2
-    rho = np.array(
-        [
-            [s2 * g1 + c2 * g2, 0.0, 0.0, -sc * (g1 + g2)],
-            [0.0, s2 * rest, sc * rest, 0.0],
-            [0.0, sc * rest, c2 * rest, 0.0],
-            [-sc * (g1 + g2), 0.0, 0.0, s2 * g2 + c2 * g1],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(rho)
+    rho = np.zeros((len(g1), 4, 4), dtype=complex)
+    rho[:, 0, 0] = s2 * g1 + c2 * g2
+    rho[:, 0, 3] = rho[:, 3, 0] = -sc * (g1 + g2)
+    rho[:, 1, 1] = s2 * rest
+    rho[:, 1, 2] = rho[:, 2, 1] = sc * rest
+    rho[:, 2, 2] = c2 * rest
+    rho[:, 3, 3] = s2 * g2 + c2 * g1
+    return DensityMatrix(rho[0] if lone else rho)
 
 
 # Coefficient tables for the bilinear expansion of the two-boost state: the
@@ -179,9 +194,12 @@ def _dual_coefficient_table(theta: float) -> np.ndarray:
     return table
 
 
-def rho_dual_boost_general(
-    theta: float, m1: MomentIntegrals, m2: MomentIntegrals
-) -> DensityMatrix:
+def _moment_matrices(ms: list) -> np.ndarray:
+    """Per point, the symmetric 2x2 moment matrix [[I1, I2], [I2, I3]]."""
+    return np.array([[m.i1, m.i2, m.i2, m.i3] for m in ms]).reshape(-1, 2, 2)
+
+
+def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     """Dual-boost reduced state with both moment triples retained.
 
     Each entry is the exact bilinear polynomial in the six per-particle
@@ -197,14 +215,17 @@ def rho_dual_boost_general(
     convention the one-boost state is ``rho_dual_boost_general(theta, REST, m)``,
     which :func:`rho_single_boost_general` returns; the opposite limit is
     the same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
+
+    ``m1`` and ``m2`` are each a :class:`MomentIntegrals` or a sequence of
+    them, one per point, as for :func:`rho_dual_boost_perturbative`.
     """
     table = _dual_coefficient_table(theta)
-    mom1 = np.array([[m1.i1, m1.i2], [m1.i2, m1.i3]])
-    mom2 = np.array([[m2.i1, m2.i2], [m2.i2, m2.i3]])
+    lone, m1s, m2s = _per_point(m1, m2)
+    mom1, mom2 = _moment_matrices(m1s), _moment_matrices(m2s)
     # m1 feeds the second amplitude slot (and m2 the first): that is what
     # aligns the bilinear expansion with the closed-form corner layout.
-    rho = np.einsum("aij,bkl,ik,jl->ab", table, table, mom2, mom1)
-    return DensityMatrix(rho.astype(complex))
+    rho = np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1).astype(complex)
+    return DensityMatrix(rho[0] if lone else rho)
 
 
 def partial_trace(rho4: DensityMatrix, keep: Literal["first", "second"]) -> DensityMatrix:

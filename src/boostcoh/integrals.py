@@ -47,6 +47,7 @@ __all__ = [
     "i2_bracket_magnitude",
     "n_bounds",
     "check_n_in_bounds",
+    "check_factor_sum",
 ]
 
 MIN_ORDER = 2
@@ -61,10 +62,12 @@ class QuadratureToleranceError(RuntimeError):
     """Adaptive quadrature hit the order cap before meeting the tolerance.
 
     Carries the best estimate and the last achieved delta so callers can
-    decide whether the partial result is still usable.
+    decide whether the partial result is still usable.  ``best`` is None
+    when the last estimate is too crude to be a moment triple at all (the
+    order is too low to integrate kappa^2n).
     """
 
-    def __init__(self, best: "MomentIntegrals", delta: float, rtol: float):
+    def __init__(self, best: "MomentIntegrals | None", delta: float, rtol: float):
         self.best = best
         self.delta = delta
         self.rtol = rtol
@@ -161,13 +164,18 @@ def _entry(i1: float, i2: float, i3: float, delta: float | None):
     """What a one-packet call returns, or the error it raises, for one point.
 
     ``delta`` is None for a fixed-order evaluation, which has no tolerance
-    to meet.
+    to meet.  A fixed-order or converged estimate that is not a valid
+    triple gives its ``ValueError``; an unconverged one is a tolerance error
+    whatever its values, with ``best=None`` when they are not a triple.
     """
+    final = delta is None or delta < RTOL
     try:
         best = MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
     except ValueError as exc:  # too low an order to integrate kappa^2n exactly
-        return exc
-    if delta is None or delta < RTOL:
+        if final:
+            return exc
+        best = None
+    if final:
         return best
     return QuadratureToleranceError(best=best, delta=delta, rtol=RTOL)
 
@@ -300,6 +308,16 @@ def check_n_in_bounds(n: int, sigma_over_m: float, scenario: Scenario) -> None:
             f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
             f"for {scenario} at sigma/m = {sigma_over_m:.6g}"
         )
+
+
+def check_factor_sum(*factors: PerturbativeFactor) -> None:
+    """Raise ``ValueError`` unless F1 + F2 < 1/2, the domain of the closed forms.
+
+    One factor is the one-boost case, F1 = 0.
+    """
+    total = sum(f.f for f in factors)
+    if total >= 0.5:
+        raise ValueError(f"F1 + F2 must be < 1/2, got {total}")
 
 
 def _boost_ratio(boost: BoostParams) -> float:

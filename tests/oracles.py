@@ -5,7 +5,9 @@ from the package's own code paths:
 
 * ``trapezoid_moments``: wide-window composite trapezoid rule for the
   moment integrals (kappa in [-12, 12], 1e6 points);
-* mpmath evaluations at 50 significant digits for closed-form targets.
+* mpmath evaluations at 50 significant digits for closed-form targets;
+* ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
+  a time with Python scalars.
 
 Tests freeze the resulting values as literals and, where cheap, recompute
 them at run time.
@@ -17,6 +19,11 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from boostcoh.coherence import (
+    JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, JacobiConvergenceError, Spectrum,
+)
+from boostcoh.core import DensityMatrix
 
 mp.mp.dps = 50
 
@@ -94,3 +101,53 @@ def hermite_weight(order: int, x: float) -> mp.mpf:
         mp.mpf(2) ** (order - 1) * mp.factorial(order) * mp.sqrt(mp.pi)
         / (order**2 * hnm1**2)
     )
+
+
+def jacobi_eigenvalues(rho: DensityMatrix) -> Spectrum:
+    """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
+
+    The package's one-matrix solver before it learned to rotate a stack of
+    matrices in lockstep, kept verbatim (renamed) as the reference the
+    stacked solver must reproduce.
+    """
+    a = np.array(rho.entries, dtype=complex)
+    n = a.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(float(np.sum(np.abs(a[off_diagonal]) ** 2)))
+        if off < JACOBI_OFF_TOL:
+            eigs = np.sort(np.real(np.diagonal(a)))[::-1]
+            return Spectrum(tuple(float(v) for v in eigs))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _jacobi_rotate(a, p, q)
+    raise JacobiConvergenceError(
+        f"off-diagonal norm {off:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
+    """Unitary rotation in the (p, q) plane that zeroes a[p, q]."""
+    apq = complex(a[p, q])
+    r = abs(apq)
+    if r == 0.0:
+        return
+    # componentwise division: the complex reciprocal overflows for
+    # subnormal pivots, float division does not
+    phase = complex(apq.real / r, apq.imag / r)
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+    if tau >= 0.0:
+        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+
+    col_p, col_q = a[:, p].copy(), a[:, q].copy()
+    a[:, p] = c * col_p - s * np.conj(phase) * col_q
+    a[:, q] = s * phase * col_p + c * col_q
+    row_p, row_q = a[p, :].copy(), a[q, :].copy()
+    a[p, :] = c * row_p - s * phase * row_q
+    a[q, :] = s * np.conj(phase) * row_p + c * row_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0

@@ -13,7 +13,7 @@ from boostcoh import (
     WavePacket, boost_from_beta, c_frobenius, hermitian_eigenvalues, moments_quadrature,
     rho_dual_boost_general,
 )
-from boostcoh import cli
+from boostcoh import cli, density
 from boostcoh.cli import CSV_HEADER, SweepSpec, figure_spec, main, run_sweep
 
 
@@ -134,6 +134,16 @@ class TestCoherenceCommand:
             "coherence", "--scenario", "single", "--beta", "0.95",
             "--sigma", "100", "--mass", "939.36", "--n", "2",
             "--method", "quadrature", "--quad-max-order", "16",
+        ])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_crude_estimate_exit_code(self, capsys):
+        # The order-4 estimate is not even a moment triple; it is still an
+        # unconverged quadrature, not a usage error.
+        code = main([
+            "coherence", "--method", "quadrature", "--n", "8", "--quad-order", "2",
+            "--quad-max-order", "4", "--beta", "0.5", "--sigma", "10", "--mass", "939.36",
         ])
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
@@ -423,6 +433,28 @@ class TestSweepCommand:
         assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
         # 2 blocks x 2 beta pairs x 2 boosts
         assert calls == [256] * 4 + [1] * 4
+
+    def test_one_stack_per_block_and_beta_pair(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's tracer counts the density-matrix and Jacobi layers
+        # at these names.
+        calls = {"DensityMatrix": [], "hermitian_eigenvalues": []}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls[name].append(len(result.errors) if name == "DensityMatrix" else len(result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(density, "DensityMatrix")
+        counting(cli, "hermitian_eigenvalues")
+        assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
+        # 2 blocks x 2 beta pairs
+        assert calls["DensityMatrix"] == [256, 256, 1, 1]
+        assert calls["hermitian_eigenvalues"] == [256, 256, 1, 1]
 
     @pytest.mark.parametrize(
         "changes",

@@ -1,29 +1,36 @@
 """Tests for the coherence measures, spectra, and the Jacobi eigensolver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boostcoh import (
     DensityMatrix,
     JacobiConvergenceError,
     PerturbativeFactor,
+    QuadratureToleranceError,
     Spectrum,
+    WavePacket,
     boost_from_beta,
     c_frobenius,
     c_frobenius_perturbative,
     c_l1,
     coherence_report,
+    f_factor,
     hermitian_eigenvalues,
+    moments_quadrature,
+    rho_dual_boost_general,
     rho_dual_boost_perturbative,
+    rho_single_boost_general,
     rho_single_boost_perturbative,
     spectrum_dual_boost,
     spectrum_single_boost,
 )
 
-from oracles import mp_frobenius_from_spectrum
+from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
 
 THETAS = [k * math.pi / 24 for k in range(13)]
 
@@ -211,6 +218,94 @@ class TestHermitianEigenvalues:
         assert all(values[i] >= values[i + 1] for i in range(3))
 
 
+# One state the sweep pipeline can build: (n, theta, betas, sigma/m, quadrature-fed).
+PIPELINE_STATE = st.tuples(
+    st.integers(0, 8),
+    st.floats(0.0, math.pi / 2),
+    st.lists(st.floats(0.0, 0.999), min_size=1, max_size=2),
+    st.floats(0.0, 0.95, exclude_min=True, exclude_max=True),
+    st.booleans(),
+)
+
+
+def pipeline_state(n, theta, betas, eps, quadrature):
+    """The sweep's matrix for one point, or None outside the route's domain."""
+    boosts = [boost_from_beta(b) for b in betas]
+    pkt = WavePacket(n, eps, 1.0)
+    general = rho_single_boost_general if len(boosts) == 1 else rho_dual_boost_general
+    closed = (rho_single_boost_perturbative if len(boosts) == 1
+              else rho_dual_boost_perturbative)
+    try:
+        if quadrature:
+            return general(theta, *(moments_quadrature(pkt, b) for b in boosts))
+        return closed(theta, *(f_factor(n, b, eps) for b in boosts))
+    except (ValueError, QuadratureToleranceError):
+        return None
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestStackedJacobi:
+    """The lockstep solver against the one-matrix solver it replaced."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(PIPELINE_STATE, min_size=1, max_size=6))
+    @pytest.mark.filterwarnings("ignore:F = .* > 1")
+    def test_pipeline_states_bit_for_bit(self, points):
+        states = [rho for p in points if (rho := pipeline_state(*p)) is not None]
+        assume(states)
+        stack = DensityMatrix(np.stack([rho.entries for rho in states]))
+        got = hermitian_eigenvalues(stack)
+        for rho, row in zip(states, got):
+            want = jacobi_eigenvalues(rho).eigenvalues
+            assert bits(row) == bits(want)
+            assert bits(hermitian_eigenvalues(rho).eigenvalues) == bits(want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([2, 4]),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    def test_complex_states_within_an_ulp(self, dim, seeds):
+        states = [random_density_matrix(np.random.default_rng(seed), dim) for seed in seeds]
+        got = hermitian_eigenvalues(DensityMatrix(np.stack([rho.entries for rho in states])))
+        for rho, row in zip(states, got):
+            assert np.max(np.abs(row - jacobi_eigenvalues(rho).eigenvalues)) <= 1e-15
+
+    def test_subnormal_pivot_without_warnings(self):
+        # tau = -0.2 / 2e-310 overflows to -inf; the scalar solver gives t = -0
+        entries = np.array([[0.6, 1e-310], [1e-310, 0.4]], dtype=complex)
+        rho = DensityMatrix(np.stack([entries, np.diag([0.5, 0.5])]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermitian_eigenvalues(rho)
+        assert bits(got[0]) == bits(jacobi_eigenvalues(DensityMatrix(entries)).eigenvalues)
+        assert got[1].tolist() == [0.5, 0.5]
+
+    def test_invalid_matrix_left_out(self):
+        good = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+        stack = DensityMatrix(np.stack([good.entries, np.diag([0.7, 0.7])]))
+        got = hermitian_eigenvalues(stack)
+        assert bits(got[0]) == bits(jacobi_eigenvalues(good).eigenvalues)
+        assert np.isnan(got[1]).all()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(PIPELINE_STATE, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    @pytest.mark.filterwarnings("ignore:F = .* > 1")
+    def test_stacked_c_l1_bit_for_bit(self, points, seed):
+        rng = np.random.default_rng(seed)
+        states = [rho for p in points if (rho := pipeline_state(*p)) is not None]
+        states.append(random_density_matrix(rng, 4))  # complex entries too
+        stack = c_l1(DensityMatrix(np.stack([rho.entries for rho in states])))
+        off_diagonal = ~np.eye(4, dtype=bool)
+        for rho, value in zip(states, stack):
+            # the per-matrix formula before stacking: a lone 1-D numpy sum
+            assert bits(value) == bits(np.abs(rho.entries[off_diagonal]).sum())
+            assert bits(value) == bits(c_l1(rho))
+
+
 class TestCFrobeniusPerturbative:
     def test_rest_frame_is_exact_unity(self):
         assert c_frobenius_perturbative(2, boost_from_beta(0.0), 0.1) == 1.0
@@ -246,6 +341,15 @@ class TestCFrobeniusPerturbative:
         assert c_frobenius_perturbative(149, (boost, boost), 0.1) < 1.0
         with pytest.raises(ValueError, match="allowed range"):
             c_frobenius_perturbative(150, (boost, boost), 0.1)
+
+    def test_factor_sum_gate(self):
+        # n = 299 (149 for two boosts) is inside the n bounds at
+        # sigma/m = 0.1, but F1 + F2 is about 3/4
+        boost = boost_from_beta(0.999999)
+        with pytest.raises(ValueError, match="F1 \\+ F2 must be < 1/2"):
+            c_frobenius_perturbative(299, boost, 0.1)
+        with pytest.raises(ValueError, match="F1 \\+ F2 must be < 1/2"):
+            c_frobenius_perturbative(149, (boost, boost), 0.1)
 
     def test_monotone_decreasing(self):
         base = c_frobenius_perturbative(2, boost_from_beta(0.8), 0.1)

@@ -207,6 +207,27 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
 
+    def test_stack_reports_each_verdict(self):
+        stack = np.stack([
+            np.diag([0.7, 0.3]),
+            np.array([[0.5, 0.1], [0.3, 0.5]]),
+            np.diag([0.7, 0.7]),
+            np.array([[0.6, 0.55], [0.55, 0.4]]),
+            np.full((2, 2), np.nan),
+        ])
+        rho = DensityMatrix(stack)  # a stack does not raise for a bad matrix
+        assert rho.dim == 2 and not rho.entries.flags.writeable
+        assert rho.errors[0] is None
+        for err, matrix in zip(rho.errors[1:], stack[1:]):
+            with pytest.raises(ValueError) as lone:
+                DensityMatrix(matrix)
+            assert isinstance(err, ValueError) and str(err) == str(lone.value)
+        assert "Hermitian" in str(rho.errors[4])  # NaN fails the checks
+
+    def test_rejects_bad_stack_shape(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.zeros((2, 2, 2, 2)))
+
     def test_complex_off_diagonals_allowed(self):
         rho = DensityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
         assert rho.dim == 2

@@ -131,6 +131,16 @@ class TestMomentsQuadrature:
         assert err.best.i3 == pytest.approx(3.2056e-3, rel=1e-3)
         assert err.delta > err.rtol or math.isinf(err.delta)
 
+    def test_crude_unconverged_estimate_is_a_tolerance_error(self):
+        # At orders 2 and 4, n = 8 leaves i1 + i3 far from 1: not a triple.
+        pkt = WavePacket(8, 10.0, 939.36)
+        boost = boost_from_beta(0.5)
+        with pytest.raises(QuadratureToleranceError) as info:
+            moments_quadrature(pkt, boost, 2, max_order=4)
+        assert info.value.best is None
+        with pytest.raises(ValueError, match="i1 \\+ i3"):
+            moments_quadrature(pkt, boost, 2, adaptive=False)
+
     @pytest.mark.parametrize("order, max_order", [(16, 0), (16, 8), (16, 512), (32, 16)])
     def test_max_order_out_of_range_rejected(self, order, max_order):
         pkt = WavePacket(2, 0.1, 1.0)
