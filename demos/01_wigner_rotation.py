@@ -3,22 +3,13 @@
 
 A particle moving along x with momentum p, watched from a frame boosted
 along z, picks up a momentum-dependent spin rotation about y.  This demo
-prints the half-angle quantities, checks the general-geometry formula
-against the perpendicular specialization, and shows the little-group
-rotation matrix acting on the spin basis.
+prints the boost kinematics and the half-angle quantities that the
+density-matrix pipeline integrates over momentum.
 """
 
 import math
 
-import numpy as np
-
-from boostcoh import (
-    GeometryConfig,
-    boost_from_beta,
-    half_angle_general,
-    half_angle_perp,
-    little_group_matrix,
-)
+from boostcoh import boost_from_beta, half_angle_perp
 
 print("=" * 72)
 print("Boost kinematics")
@@ -42,31 +33,3 @@ for x in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0):
 print()
 print("The rotation never saturates: even at p/m -> infinity the angle")
 print("stays below pi because the half-angle cosine is bounded away from 0.")
-
-print()
-print("=" * 72)
-print("General geometry agrees with the perpendicular closed form")
-print("=" * 72)
-geom = GeometryConfig.perpendicular()
-worst = 0.0
-for beta in np.linspace(0.05, 0.99, 20):
-    for x in np.linspace(-5, 5, 21):
-        general = half_angle_general(boost_from_beta(beta), math.asinh(x), geom)
-        perp = half_angle_perp(boost_from_beta(beta), x)
-        worst = max(worst, abs(general.cos_half**2 - perp.cos2_half))
-print(f"max |cos_half^2 - cos2_half| over a 20 x 21 grid: {worst:.3e}")
-
-axis = half_angle_general(boost, math.asinh(1.0), geom).sin_half_axis
-print(f"rotation axis at p/m = 1: ({axis[0]:.3f}, {axis[1]:.3f}, {axis[2]:.3f})  -> +y, as z x x")
-
-print()
-print("=" * 72)
-print("Little-group action on the spin basis")
-print("=" * 72)
-trig = half_angle_perp(boost, 1.0)
-mat = little_group_matrix(trig)
-print("D =")
-print(np.array_str(mat, precision=6))
-print(f"D D^T - 1 (max abs): {np.max(np.abs(mat @ mat.T - np.eye(2))):.2e}")
-print(f"det D:               {np.linalg.det(mat):.15f}")
-print("columns are the images of |0> and |1>: |0> -> c|0> - s|1>, |1> -> s|0> + c|1>")

@@ -16,7 +16,6 @@ from boostcoh import (
     WavePacket,
     boost_from_beta,
     f_factor,
-    i2_bracket_magnitude,
     moments_quadrature,
     n_bounds,
 )
@@ -54,8 +53,6 @@ print("=" * 72)
 m = moments_quadrature(WavePacket(2, 0.1, 1.0), boost)
 print(f"I2 from quadrature at integer n:      {m.i2!r}")
 print("(the integrand is odd in momentum, so symmetric nodes cancel it exactly)")
-print(f"closed-form magnitude it would carry: {i2_bracket_magnitude(2, boost, 0.1):.6e}")
-print("that bracket is O(sigma/m) but only half-odd exponents would activate it")
 
 print()
 print("=" * 72)

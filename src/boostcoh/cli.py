@@ -38,8 +38,8 @@ from .coherence import (
     spectrum_single_boost,
 )
 from .core import (
-    BoostParams, EntangledPairConfig, WavePacket, boost_from_beta,
-    check_beta, check_nonneg_int, check_positive_finite,
+    BoostParams, WavePacket, boost_from_beta,
+    check_beta, check_nonneg_int, check_positive_finite, check_theta,
 )
 from .density import (
     rho_dual_boost_general,
@@ -87,6 +87,11 @@ FIGURE_SIGMA_FRACTION = 0.3  # sweep sigma/m over (0, 0.3]
 BLOCK = 256
 
 
+def _beta_tuple(cfg) -> tuple:
+    """A sweep's beta configuration as a tuple: a single sweep's float becomes (beta,)."""
+    return cfg if isinstance(cfg, tuple) else (cfg,)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one CSV sweep."""
@@ -102,7 +107,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.scenario not in ("single", "dual"):
             raise ValueError(f"scenario must be 'single' or 'dual', got {self.scenario!r}")
-        EntangledPairConfig(self.theta)
+        check_theta(self.theta)
         check_nonneg_int(self.n, "n")
         check_positive_finite(self.mass, "mass")
         lo, hi, steps = self.sigma_grid
@@ -113,7 +118,7 @@ class SweepSpec:
         if not self.betas:
             raise ValueError("at least one beta configuration is required")
         for cfg in self.betas:
-            values = cfg if isinstance(cfg, tuple) else (cfg,)
+            values = _beta_tuple(cfg)
             expected = 2 if self.scenario == "dual" else 1
             if len(values) != expected:
                 raise ValueError(f"{self.scenario} sweep needs {expected} beta value(s) per entry")
@@ -279,12 +284,8 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
     call per boost, and the density matrices as one stack.  Rows are still
     yielded one at a time.
     """
-    beta_configs = sorted(
-        spec.betas, key=lambda cfg: cfg if isinstance(cfg, tuple) else (cfg,)
-    )
     boosts_by_cfg = [
-        tuple(boost_from_beta(b) for b in (cfg if isinstance(cfg, tuple) else (cfg,)))
-        for cfg in beta_configs
+        tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
     ]
     sigmas = spec.sigmas()
     for start in range(0, len(sigmas), BLOCK):
@@ -526,7 +527,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         _require(args, "beta1", "beta2")
         _forbid(args, "dual", "beta")
         betas = (args.beta1, args.beta2)
-    EntangledPairConfig(args.theta)
+    check_theta(args.theta)
 
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)

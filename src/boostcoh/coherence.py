@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .integrals import PerturbativeFactor, check_factor_sum, check_n_in_bounds, 
 
 __all__ = [
     "Spectrum",
-    "CoherenceReport",
     "JacobiConvergenceError",
     "c_l1",
     "c_frobenius",
@@ -34,13 +33,10 @@ __all__ = [
     "spectrum_dual_boost",
     "hermitian_eigenvalues",
     "c_frobenius_perturbative",
-    "coherence_report",
 ]
 
 JACOBI_OFF_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
-
-Method = Literal["analytic", "eigensolver", "perturbative"]
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -65,25 +61,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Both coherence measures plus the spectrum they came from."""
-
-    c_l1: float
-    c_frobenius: float
-    spectrum: Spectrum
-    method: Method
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.c_l1 < 0.0:
-            raise ValueError(f"c_l1 must be nonnegative, got {self.c_l1}")
-        if not -1e-12 <= self.c_frobenius <= 1.0 + 1e-12:
-            raise ValueError(f"c_frobenius must lie in [0, 1], got {self.c_frobenius}")
-        if self.dim != len(self.spectrum):
-            raise ValueError("dim must match the spectrum length")
 
 
 def c_l1(rho: DensityMatrix):
@@ -265,24 +242,3 @@ def c_frobenius_perturbative(
     factors = [f_factor(n, b, sigma_over_m) for b in seq]
     check_factor_sum(*factors)
     return 1.0 - (4.0 / 3.0) * sum(f.f for f in factors)
-
-
-def coherence_report(
-    rho: DensityMatrix,
-    spectrum: Spectrum | None = None,
-    method: Method = "eigensolver",
-) -> CoherenceReport:
-    """Assemble both measures for a state.
-
-    When ``spectrum`` is omitted it is computed with the Jacobi solver; a
-    caller holding a closed-form spectrum passes it in with the matching
-    method tag.
-    """
-    spec = hermitian_eigenvalues(rho) if spectrum is None else spectrum
-    return CoherenceReport(
-        c_l1=c_l1(rho),
-        c_frobenius=c_frobenius(spec, rho.dim),
-        spectrum=spec,
-        method=method,
-        dim=rho.dim,
-    )

@@ -25,23 +25,18 @@ __all__ = [
     "PSD_TOL",
     "BoostParams",
     "WavePacket",
-    "GeometryConfig",
-    "EntangledPairConfig",
     "DensityMatrix",
     "check_nonneg_int",
     "check_beta",
+    "check_theta",
     "check_positive_finite",
     "boost_from_beta",
-    "psi_amplitude",
-    "gamma_half_integer",
 ]
 
 # Density-matrix construction tolerances (absolute).
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 def check_nonneg_int(value, name: str) -> None:
@@ -56,6 +51,12 @@ def check_beta(beta: float) -> None:
     """Raise ``ValueError`` outside the massive-particle domain 0 <= beta < 1."""
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must satisfy 0 <= beta < 1, got {beta}")
+
+
+def check_theta(theta: float) -> None:
+    """Raise ``ValueError`` outside the entanglement-angle domain 0 <= theta <= pi/2."""
+    if not 0.0 <= theta <= math.pi / 2 + 1e-15:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
 
 
 def check_positive_finite(value: float, name: str) -> None:
@@ -134,77 +135,6 @@ class WavePacket:
     @property
     def sigma_over_m(self) -> float:
         return self.sigma / self.mass
-
-    @property
-    def perturbative_valid(self) -> bool:
-        """Whether the narrow-packet expansion (sigma/m < 1) applies."""
-        return self.sigma_over_m < 1.0
-
-
-def gamma_half_integer(k: int) -> float:
-    """Gamma(k + 1/2) by the exact recurrence Gamma(x+1) = x Gamma(x).
-
-    Raises ``OverflowError`` once the value leaves the double range
-    (k >= 171).
-    """
-    check_nonneg_int(k, "k")
-    value = _SQRT_PI
-    for i in range(k):
-        value *= i + 0.5
-        if math.isinf(value):
-            raise OverflowError(f"Gamma({k} + 1/2) exceeds the double range")
-    return value
-
-
-def psi_amplitude(pkt: WavePacket, p):
-    """Momentum amplitude psi(p) = p^n exp(-p^2/2 sigma^2) / sqrt(norm).
-
-    The normalization sqrt(sigma^(2n+1) Gamma(n + 1/2)) makes
-    integral |psi|^2 dp = 1 over the whole real line.  Accepts scalars or
-    numpy arrays for ``p``.
-    """
-    norm = math.sqrt(pkt.sigma ** (2 * pkt.n + 1) * gamma_half_integer(pkt.n))
-    p = np.asarray(p, dtype=float)
-    value = p**pkt.n * np.exp(-0.5 * (p / pkt.sigma) ** 2) / norm
-    return value if value.ndim else float(value)
-
-
-def _unit3(vec, name: str) -> tuple[float, float, float]:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Boost direction e_hat and particle momentum direction f_hat."""
-
-    e_hat: tuple[float, float, float]
-    f_hat: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e_hat", _unit3(self.e_hat, "e_hat"))
-        object.__setattr__(self, "f_hat", _unit3(self.f_hat, "f_hat"))
-
-    @classmethod
-    def perpendicular(cls) -> "GeometryConfig":
-        """The e_hat = z, f_hat = x configuration used by the boosted-pair
-        density-matrix pipeline."""
-        return cls(e_hat=(0.0, 0.0, 1.0), f_hat=(1.0, 0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class EntangledPairConfig:
-    """Entanglement angle theta of the pair state sin(theta)|01> + cos(theta)|10>."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi / 2 + 1e-15:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,6 @@ Basis ordering is |00>, |01>, |10>, |11> throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -30,91 +28,14 @@ from .core import DensityMatrix
 from .integrals import MomentIntegrals, PerturbativeFactor, check_factor_sum
 
 __all__ = [
-    "SpinAmplitudesSingle",
-    "SpinAmplitudesDual",
-    "amplitudes_single",
-    "amplitudes_dual",
     "rho_single_boost_general",
     "rho_single_boost_perturbative",
     "rho_dual_boost_general",
     "rho_dual_boost_perturbative",
-    "partial_trace",
 ]
 
 # Moments of a particle at rest: no Wigner rotation, cos^2(phi/2) = 1.
-REST = MomentIntegrals(i1=1.0, i2=0.0, i3=0.0, method="perturbative")
-
-
-@dataclass(frozen=True)
-class SpinAmplitudesSingle:
-    """Amplitudes (A, B, C, D) of |01>, |11>, |00>, |10> after one boost."""
-
-    a_coef: float
-    b_coef: float
-    c_coef: float
-    d_coef: float
-
-    def __post_init__(self) -> None:
-        total = self.a_coef**2 + self.b_coef**2 + self.c_coef**2 + self.d_coef**2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes must be normalized, sum of squares = {total}")
-
-
-@dataclass(frozen=True)
-class SpinAmplitudesDual:
-    """Amplitudes (P, Q, R, S) of |00>, |01>, |10>, |11> after two boosts."""
-
-    p_coef: float
-    q_coef: float
-    r_coef: float
-    s_coef: float
-
-    def __post_init__(self) -> None:
-        total = self.p_coef**2 + self.q_coef**2 + self.r_coef**2 + self.s_coef**2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes must be normalized, sum of squares = {total}")
-
-
-def _check_half_angle(pair, name: str) -> tuple[float, float]:
-    c, s = float(pair[0]), float(pair[1])
-    if abs(c * c + s * s - 1.0) > 1e-10:
-        raise ValueError(f"{name}: cos^2 + sin^2 = {c * c + s * s}, expected 1 within 1e-10")
-    return c, s
-
-
-def amplitudes_single(theta: float, phi_half) -> SpinAmplitudesSingle:
-    """Spin amplitudes when one particle is boosted.
-
-    ``phi_half`` is the (cos(phi/2), sin(phi/2)) pair of its Wigner
-    rotation:
-
-        A = sin(theta) cos(phi/2)    B = -sin(theta) sin(phi/2)
-        C = cos(theta) sin(phi/2)    D = cos(theta) cos(phi/2)
-    """
-    c, s = _check_half_angle(phi_half, "phi_half")
-    return SpinAmplitudesSingle(
-        a_coef=math.sin(theta) * c,
-        b_coef=-math.sin(theta) * s,
-        c_coef=math.cos(theta) * s,
-        d_coef=math.cos(theta) * c,
-    )
-
-
-def amplitudes_dual(theta: float, phi1_half, phi2_half) -> SpinAmplitudesDual:
-    """Spin amplitudes when both particles are boosted.
-
-    With phi2 = 0 this reduces to the single-boost amplitudes under the
-    mapping P -> C, Q -> A, R -> D, S -> B.
-    """
-    c1, s1 = _check_half_angle(phi1_half, "phi1_half")
-    c2, s2 = _check_half_angle(phi2_half, "phi2_half")
-    st, ct = math.sin(theta), math.cos(theta)
-    return SpinAmplitudesDual(
-        p_coef=st * c1 * s2 + ct * s1 * c2,
-        q_coef=st * c1 * c2 - ct * s1 * s2,
-        r_coef=-(st * s1 * s2 - ct * c1 * c2),
-        s_coef=-(st * s1 * c2 + ct * c1 * s2),
-    )
+REST = MomentIntegrals(i1=1.0, i2=0.0, i3=0.0)
 
 
 def rho_single_boost_general(theta: float, m) -> DensityMatrix:
@@ -226,17 +147,3 @@ def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     # aligns the bilinear expansion with the closed-form corner layout.
     rho = np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1).astype(complex)
     return DensityMatrix(rho[0] if lone else rho)
-
-
-def partial_trace(rho4: DensityMatrix, keep: Literal["first", "second"]) -> DensityMatrix:
-    """Trace out one qubit of a 4x4 state in the fixed product basis."""
-    if rho4.dim != 4:
-        raise ValueError(f"partial trace needs a 4x4 state, got dim {rho4.dim}")
-    blocks = rho4.entries.reshape(2, 2, 2, 2)
-    if keep == "first":
-        reduced = np.einsum("ikjk->ij", blocks)
-    elif keep == "second":
-        reduced = np.einsum("kikj->ij", blocks)
-    else:
-        raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-    return DensityMatrix(reduced)

@@ -33,7 +33,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import BoostParams, WavePacket, check_nonneg_int, gamma_half_integer
+from .core import BoostParams, WavePacket, check_nonneg_int
 from .wigner import _perp_components
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "gauss_hermite_nodes",
     "moments_quadrature",
     "f_factor",
-    "moments_perturbative",
-    "i2_bracket_magnitude",
     "n_bounds",
     "check_n_in_bounds",
     "check_factor_sum",
@@ -78,16 +76,13 @@ class QuadratureToleranceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentIntegrals:
-    """The (I1, I2, I3) triple, tagged with how it was obtained."""
+    """The (I1, I2, I3) triple."""
 
     i1: float
     i2: float
     i3: float
-    method: Literal["quadrature", "perturbative"]
 
     def __post_init__(self) -> None:
-        if self.method not in ("quadrature", "perturbative"):
-            raise ValueError(f"unknown method {self.method!r}")
         if abs(self.i1 + self.i3 - 1.0) > 1e-10:
             raise ValueError(f"i1 + i3 = {self.i1 + self.i3}, expected 1 within 1e-10")
         if not -1e-12 <= self.i1 <= 1.0 + 1e-12 or not -1e-12 <= self.i3 <= 1.0 + 1e-12:
@@ -138,7 +133,7 @@ def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -
     """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array."""
     kappa, w = gauss_hermite_nodes(order)
     if n == 0:
-        poly = np.full_like(kappa, 1.0 / gamma_half_integer(0))
+        poly = np.full_like(kappa, 1.0 / math.sqrt(math.pi))  # 1 / Gamma(1/2)
     else:
         # kappa^2n / Gamma(n + 1/2) in log space; exp(-inf) = 0 handles a
         # kappa = 0 node (odd orders) for n > 0.
@@ -170,7 +165,7 @@ def _entry(i1: float, i2: float, i3: float, delta: float | None):
     """
     final = delta is None or delta < RTOL
     try:
-        best = MomentIntegrals(i1=i1, i2=i2, i3=i3, method="quadrature")
+        best = MomentIntegrals(i1=i1, i2=i2, i3=i3)
     except ValueError as exc:  # too low an order to integrate kappa^2n exactly
         if final:
             return exc
@@ -258,26 +253,6 @@ def f_factor(n: int, boost: BoostParams, sigma_over_m: float) -> PerturbativeFac
             stacklevel=2,
         )
     return PerturbativeFactor(f=f)
-
-
-def moments_perturbative(n: int, boost: BoostParams, sigma_over_m: float) -> MomentIntegrals:
-    """The integer-n closed forms (1 - F, 0, F)."""
-    f = f_factor(n, boost, sigma_over_m).f
-    return MomentIntegrals(i1=1.0 - f, i2=0.0, i3=f, method="perturbative")
-
-
-def i2_bracket_magnitude(n: int, boost: BoostParams, sigma_over_m: float) -> float:
-    """[Gamma(n+1)/Gamma(n+1/2)] sinh(a) / (2 (cosh(a) + 1)) (sigma/m).
-
-    Diagnostic only: the parity prefactor (1 - (-1)^(2n))/2 kills this term
-    for integer n, so the closed-form I2 is 0.  The Gamma ratio is built by
-    recurrence to stay finite for large n.
-    """
-    check_nonneg_int(n, "n")
-    ratio = 1.0 / math.sqrt(math.pi)  # Gamma(1)/Gamma(1/2)
-    for i in range(1, n + 1):
-        ratio *= i / (i - 0.5)
-    return ratio * boost.sinh_alpha / (2.0 * (boost.cosh_alpha + 1.0)) * sigma_over_m
 
 
 def n_bounds(sigma_over_m: float, scenario: Scenario) -> tuple[float, float]:

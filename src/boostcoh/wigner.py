@@ -2,16 +2,11 @@
 
 The composition of a particle boost (rapidity chi along f_hat) with a frame
 boost (rapidity alpha along e_hat) rotates the spin by the Wigner angle phi
-about n_hat ~ e_hat x f_hat.  The half-angle form
-
-    cos(phi/2) = [cosh(a/2) cosh(x/2) + sinh(a/2) sinh(x/2) (e.f)] / N
-    sin(phi/2) n_hat = sinh(a/2) sinh(x/2) (e x f) / N
-    N = sqrt(1/2 + 1/2 cosh(a) cosh(x) + 1/2 sinh(a) sinh(x) (e.f))
-
-is what the density-matrix pipeline consumes.  For the perpendicular
-geometry (e_hat = z, f_hat = x) the three quadratic combinations reduce to
-rational functions of a = sinh(alpha), b = cosh(alpha) and p/m, implemented
-in :func:`half_angle_perp`.
+about n_hat ~ e_hat x f_hat.  The density-matrix pipeline consumes its
+half-angle form for the perpendicular geometry (e_hat = z, f_hat = x),
+where the three quadratic combinations cos^2, sin^2 and sin*cos of phi/2
+reduce to rational functions of a = sinh(alpha), b = cosh(alpha) and p/m,
+implemented in :func:`half_angle_perp`.
 """
 
 from __future__ import annotations
@@ -21,28 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoostParams, GeometryConfig
+from .core import BoostParams
 
-__all__ = [
-    "WignerHalfAngle",
-    "WignerTrig",
-    "half_angle_general",
-    "half_angle_perp",
-    "little_group_matrix",
-]
-
-
-@dataclass(frozen=True)
-class WignerHalfAngle:
-    """cos(phi/2) together with the axis-weighted sin(phi/2) n_hat."""
-
-    cos_half: float
-    sin_half_axis: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        closure = self.cos_half**2 + sum(c * c for c in self.sin_half_axis)
-        if abs(closure - 1.0) > 1e-10:
-            raise ValueError(f"cos^2 + |sin n|^2 = {closure}, expected 1 within 1e-10")
+__all__ = ["WignerTrig", "half_angle_perp"]
 
 
 @dataclass(frozen=True)
@@ -69,36 +45,6 @@ class WignerTrig:
             raise ValueError("sincos_half^2 exceeds cos2_half * sin2_half")
 
 
-def half_angle_general(boost: BoostParams, chi: float, geom: GeometryConfig) -> WignerHalfAngle:
-    """Half-angle data for arbitrary boost/momentum geometry.
-
-    ``chi`` is the particle rapidity (sinh chi = p/m); it may be negative,
-    which flips the rotation sense.  The shared denominator is >= 1 for any
-    real rapidities, so the construction never degenerates.
-    """
-    e = np.asarray(geom.e_hat)
-    f = np.asarray(geom.f_hat)
-    dot = float(e @ f)
-    cross = np.cross(e, f)
-
-    half_a, half_x = boost.alpha / 2.0, chi / 2.0
-    denom = math.sqrt(
-        0.5
-        + 0.5 * boost.cosh_alpha * math.cosh(chi)
-        + 0.5 * boost.sinh_alpha * math.sinh(chi) * dot
-    )
-    cos_half = (
-        math.cosh(half_a) * math.cosh(half_x)
-        + math.sinh(half_a) * math.sinh(half_x) * dot
-    ) / denom
-    axis_scale = math.sinh(half_a) * math.sinh(half_x) / denom
-    axis = axis_scale * cross
-    return WignerHalfAngle(
-        cos_half=cos_half,
-        sin_half_axis=(float(axis[0]), float(axis[1]), float(axis[2])),
-    )
-
-
 def _perp_components(a: float, b: float, x):
     """cos^2, sin^2, sin*cos of phi/2 for e_hat perpendicular to f_hat.
 
@@ -123,18 +69,3 @@ def half_angle_perp(boost: BoostParams, p_over_m: float) -> WignerTrig:
     with np.errstate(invalid="ignore"):  # WignerTrig rejects the NaN of p/m = +-inf
         cos2, sin2, sincos = _perp_components(boost.sinh_alpha, boost.cosh_alpha, p_over_m)
     return WignerTrig(cos2_half=float(cos2), sin2_half=float(sin2), sincos_half=float(sincos))
-
-
-def little_group_matrix(trig: WignerTrig) -> np.ndarray:
-    """Real 2x2 rotation [[c, s], [-s, c]] acting on the spin basis.
-
-    cos(phi/2) is recovered as the positive square root (its closed form is
-    positive for the geometries in scope) and sin(phi/2) takes its sign from
-    ``sincos_half``.  Raises ``ValueError`` when cos^2(phi/2) < 1e-14: the
-    sign of sin(phi/2) is then unrecoverable from the quadratic data.
-    """
-    if trig.cos2_half < 1e-14:
-        raise ValueError("cos^2(phi/2) too small to recover a consistent sign")
-    c = math.sqrt(trig.cos2_half)
-    s = trig.sincos_half / c
-    return np.array([[c, s], [-s, c]])

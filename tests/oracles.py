@@ -7,7 +7,12 @@ from the package's own code paths:
   moment integrals (kappa in [-12, 12], 1e6 points);
 * mpmath evaluations at 50 significant digits for closed-form targets;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
-  a time with Python scalars.
+  a time with Python scalars;
+* the paper's formulas the pipeline never evaluates directly: the
+  momentum amplitude ``psi_amplitude``, the Wigner half-angle for any
+  geometry (``half_angle_general``), the spin amplitudes of the boosted
+  pair (``amplitudes_single``/``amplitudes_dual``), and an index-loop
+  partial trace (``ptrace_reference``).
 
 Tests freeze the resulting values as literals and, where cheap, recompute
 them at run time.
@@ -23,7 +28,7 @@ import numpy as np
 from boostcoh.coherence import (
     JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, JacobiConvergenceError, Spectrum,
 )
-from boostcoh.core import DensityMatrix
+from boostcoh.core import BoostParams, DensityMatrix, WavePacket, check_nonneg_int
 
 mp.mp.dps = 50
 
@@ -151,3 +156,104 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     a[q, :] = s * np.conj(phase) * row_p + c * row_q
     a[p, q] = 0.0
     a[q, p] = 0.0
+
+
+def gamma_half_integer(k: int) -> float:
+    """Gamma(k + 1/2) by the exact recurrence Gamma(x+1) = x Gamma(x).
+
+    Raises ``OverflowError`` once the value leaves the double range
+    (k >= 171).
+    """
+    check_nonneg_int(k, "k")
+    value = math.sqrt(math.pi)
+    for i in range(k):
+        value *= i + 0.5
+        if math.isinf(value):
+            raise OverflowError(f"Gamma({k} + 1/2) exceeds the double range")
+    return value
+
+
+def psi_amplitude(pkt: WavePacket, p):
+    """Momentum amplitude psi(p) = p^n exp(-p^2/2 sigma^2) / sqrt(norm).
+
+    The normalization sqrt(sigma^(2n+1) Gamma(n + 1/2)) makes
+    integral |psi|^2 dp = 1 over the whole real line.  Accepts scalars or
+    numpy arrays for ``p``.
+    """
+    norm = math.sqrt(pkt.sigma ** (2 * pkt.n + 1) * gamma_half_integer(pkt.n))
+    p = np.asarray(p, dtype=float)
+    value = p**pkt.n * np.exp(-0.5 * (p / pkt.sigma) ** 2) / norm
+    return value if value.ndim else float(value)
+
+
+def half_angle_general(boost: BoostParams, chi: float, e_hat, f_hat):
+    """(cos(phi/2), sin(phi/2) n_hat) for a frame boost along the unit vector
+    ``e_hat`` and a particle of rapidity ``chi`` along the unit vector ``f_hat``:
+
+        cos(phi/2) = [cosh(a/2) cosh(x/2) + sinh(a/2) sinh(x/2) (e.f)] / N
+        sin(phi/2) n_hat = sinh(a/2) sinh(x/2) (e x f) / N
+        N = sqrt(1/2 + 1/2 cosh(a) cosh(x) + 1/2 sinh(a) sinh(x) (e.f))
+
+    ``chi`` may be negative, which flips the rotation sense.  The
+    perpendicular geometry e_hat = z, f_hat = x with sinh(chi) = p/m is what
+    ``half_angle_perp`` specializes.
+    """
+    e = np.asarray(e_hat, dtype=float)
+    f = np.asarray(f_hat, dtype=float)
+    dot = float(e @ f)
+    half_a, half_x = boost.alpha / 2.0, chi / 2.0
+    denom = math.sqrt(
+        0.5
+        + 0.5 * boost.cosh_alpha * math.cosh(chi)
+        + 0.5 * boost.sinh_alpha * math.sinh(chi) * dot
+    )
+    cos_half = (
+        math.cosh(half_a) * math.cosh(half_x)
+        + math.sinh(half_a) * math.sinh(half_x) * dot
+    ) / denom
+    axis = math.sinh(half_a) * math.sinh(half_x) / denom * np.cross(e, f)
+    return cos_half, axis
+
+
+def amplitudes_single(theta: float, phi_half) -> tuple[float, float, float, float]:
+    """Amplitudes (A, B, C, D) of |01>, |11>, |00>, |10> when one particle is
+    boosted, for its half-angle pair ``phi_half`` = (cos(phi/2), sin(phi/2)):
+
+        A = sin(theta) cos(phi/2)    B = -sin(theta) sin(phi/2)
+        C = cos(theta) sin(phi/2)    D = cos(theta) cos(phi/2)
+    """
+    c, s = phi_half
+    return (math.sin(theta) * c, -math.sin(theta) * s,
+            math.cos(theta) * s, math.cos(theta) * c)
+
+
+def amplitudes_dual(theta: float, phi1_half, phi2_half) -> tuple[float, float, float, float]:
+    """Amplitudes (P, Q, R, S) of |00>, |01>, |10>, |11> when both particles
+    are boosted.
+
+    With phi2 = 0 this reduces to the single-boost amplitudes under the
+    mapping P -> C, Q -> A, R -> D, S -> B.
+    """
+    c1, s1 = phi1_half
+    c2, s2 = phi2_half
+    st, ct = math.sin(theta), math.cos(theta)
+    return (
+        st * c1 * s2 + ct * s1 * c2,
+        st * c1 * c2 - ct * s1 * s2,
+        -(st * s1 * s2 - ct * c1 * c2),
+        -(st * s1 * c2 + ct * c1 * s2),
+    )
+
+
+def ptrace_reference(rho: np.ndarray, keep: str) -> np.ndarray:
+    """Partial trace of a 4x4 two-qubit matrix by an index loop, keeping the
+    ``"first"`` or the ``"second"`` qubit."""
+    out = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                if keep == "first":
+                    out[i, j] += rho[2 * i + k, 2 * j + k]
+                else:
+                    out[i, j] += rho[2 * k + i, 2 * k + j]
+    return out

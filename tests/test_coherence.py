@@ -18,7 +18,6 @@ from boostcoh import (
     c_frobenius,
     c_frobenius_perturbative,
     c_l1,
-    coherence_report,
     f_factor,
     hermitian_eigenvalues,
     moments_quadrature,
@@ -377,24 +376,6 @@ class TestTruncationQuality:
             for theta in np.linspace(0.0, math.pi / 2, 31)
         ]
         assert max(values) - min(values) <= 5 * total**2
-
-
-class TestCoherenceReport:
-    def test_assembles_from_matrix(self):
-        rho = rho_single_boost_perturbative(0.6, PerturbativeFactor(0.01))
-        report = coherence_report(rho)
-        assert report.dim == 4
-        assert report.method == "eigensolver"
-        assert report.c_l1 == pytest.approx(math.sin(1.2), abs=1e-12)
-        assert report.c_frobenius == pytest.approx(
-            c_frobenius(spectrum_single_boost(0.6, PerturbativeFactor(0.01)), 4), abs=1e-11
-        )
-
-    def test_accepts_analytic_spectrum(self):
-        f = PerturbativeFactor(0.01)
-        rho = rho_single_boost_perturbative(0.6, f)
-        report = coherence_report(rho, spectrum_single_boost(0.6, f), method="analytic")
-        assert report.method == "analytic"
 
     def test_refused_beyond_validity(self):
         # the PSD-safe range ends at F = 1/2: refuse rather than clamp

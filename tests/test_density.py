@@ -1,4 +1,4 @@
-"""Tests for the reduced density-matrix constructors and partial traces."""
+"""Tests for the reduced density-matrix constructors and the spin amplitudes."""
 
 import math
 
@@ -10,16 +10,15 @@ from boostcoh import (
     MomentIntegrals,
     PerturbativeFactor,
     WavePacket,
-    amplitudes_dual,
-    amplitudes_single,
     boost_from_beta,
     moments_quadrature,
-    partial_trace,
     rho_dual_boost_general,
     rho_dual_boost_perturbative,
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
+
+from oracles import amplitudes_dual, amplitudes_single
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi / 2)
 HALF_ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -31,85 +30,115 @@ def pure_state_projector(theta: float) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def ptrace_reference(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Index-loop partial trace, independent of the einsum path."""
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                if keep == "first":
-                    out[i, j] += rho[2 * i + k, 2 * j + k]
-                else:
-                    out[i, j] += rho[2 * k + i, 2 * k + j]
-    return out
-
-
+# The spin amplitudes are test oracles: these tests pin the oracles, and
+# TestAmplitudeOracle checks the moment-based constructors against them.
 class TestAmplitudesSingle:
     def test_no_rotation(self):
-        amps = amplitudes_single(math.pi / 4, (1.0, 0.0))
+        a, b, c, d = amplitudes_single(math.pi / 4, (1.0, 0.0))
         r = 1 / math.sqrt(2)
-        assert amps.a_coef == pytest.approx(r, rel=1e-15)
-        assert amps.b_coef == 0.0
-        assert amps.c_coef == 0.0
-        assert amps.d_coef == pytest.approx(r, rel=1e-15)
+        assert a == pytest.approx(r, rel=1e-15)
+        assert b == 0.0
+        assert c == 0.0
+        assert d == pytest.approx(r, rel=1e-15)
 
     def test_quarter_rotation_at_theta_zero(self):
         r = 1 / math.sqrt(2)
-        amps = amplitudes_single(0.0, (r, r))
-        assert amps.a_coef == 0.0
-        assert amps.b_coef == 0.0
-        assert amps.c_coef == pytest.approx(r, rel=1e-15)
-        assert amps.d_coef == pytest.approx(r, rel=1e-15)
+        a, b, c, d = amplitudes_single(0.0, (r, r))
+        assert a == 0.0
+        assert b == 0.0
+        assert c == pytest.approx(r, rel=1e-15)
+        assert d == pytest.approx(r, rel=1e-15)
 
     @given(theta=ANGLES, phi=HALF_ANGLES)
     def test_normalized(self, theta, phi):
         amps = amplitudes_single(theta, (math.cos(phi), math.sin(phi)))
-        total = amps.a_coef**2 + amps.b_coef**2 + amps.c_coef**2 + amps.d_coef**2
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_unnormalized_half_angle(self):
-        with pytest.raises(ValueError):
-            amplitudes_single(0.3, (0.9, 0.9))
+        assert sum(x * x for x in amps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAmplitudesDual:
     def test_unrotated(self):
-        amps = amplitudes_dual(math.pi / 6, (1.0, 0.0), (1.0, 0.0))
-        assert amps.p_coef == 0.0
-        assert amps.q_coef == pytest.approx(0.5, rel=1e-15)
-        assert amps.r_coef == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
-        assert amps.s_coef == 0.0
+        p, q, r, s = amplitudes_dual(math.pi / 6, (1.0, 0.0), (1.0, 0.0))
+        assert p == 0.0
+        assert q == pytest.approx(0.5, rel=1e-15)
+        assert r == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+        assert s == 0.0
 
     @given(theta=ANGLES, phi=HALF_ANGLES)
     def test_reduces_to_single_when_second_unrotated(self, theta, phi):
         pair = (math.cos(phi), math.sin(phi))
-        dual = amplitudes_dual(theta, pair, (1.0, 0.0))
-        single = amplitudes_single(theta, pair)
-        assert dual.p_coef == pytest.approx(single.c_coef, abs=1e-15)
-        assert dual.q_coef == pytest.approx(single.a_coef, abs=1e-15)
-        assert dual.r_coef == pytest.approx(single.d_coef, abs=1e-15)
-        assert dual.s_coef == pytest.approx(single.b_coef, abs=1e-15)
+        p, q, r, s = amplitudes_dual(theta, pair, (1.0, 0.0))
+        a, b, c, d = amplitudes_single(theta, pair)
+        assert p == pytest.approx(c, abs=1e-15)
+        assert q == pytest.approx(a, abs=1e-15)
+        assert r == pytest.approx(d, abs=1e-15)
+        assert s == pytest.approx(b, abs=1e-15)
 
     @given(theta=ANGLES, phi1=HALF_ANGLES, phi2=HALF_ANGLES)
     def test_normalized(self, theta, phi1, phi2):
         amps = amplitudes_dual(
             theta, (math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2))
         )
-        total = amps.p_coef**2 + amps.q_coef**2 + amps.r_coef**2 + amps.s_coef**2
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert sum(x * x for x in amps) == pytest.approx(1.0, abs=1e-12)
+
+
+# A discrete distribution of half-angles phi/2 for one particle: 2-6 angles
+# with positive weights, normalized below.
+HALF_ANGLE_DISTRIBUTIONS = st.lists(
+    st.tuples(HALF_ANGLES, st.floats(min_value=0.01, max_value=1.0)), min_size=2, max_size=6
+)
+
+
+def _half_angles_and_moments(dist):
+    """Per angle its weight and (cos, sin) pair, and the distribution's moments."""
+    total = sum(w for _, w in dist)
+    points = [(w / total, (math.cos(a), math.sin(a))) for a, w in dist]
+    i1 = sum(w * c * c for w, (c, _) in points)
+    i2 = sum(w * c * s for w, (c, s) in points)
+    i3 = sum(w * s * s for w, (_, s) in points)
+    return points, MomentIntegrals(i1, i2, i3)
+
+
+class TestAmplitudeOracle:
+    """The moment-based constructors are the momentum average of the pure
+    states the spin amplitudes describe.  A discrete half-angle distribution
+    stands in for the momentum profile; its moments feed the constructor."""
+
+    @given(theta=ANGLES, dist=HALF_ANGLE_DISTRIBUTIONS)
+    def test_single_boost_is_mixture_of_amplitude_states(self, theta, dist):
+        points, m = _half_angles_and_moments(dist)
+        want = np.zeros((4, 4))
+        for w, pair in points:
+            a, b, c, d = amplitudes_single(theta, pair)
+            vec = np.array([c, a, d, b])  # basis order |00>, |01>, |10>, |11>
+            want += w * np.outer(vec, vec)
+        rho = rho_single_boost_general(theta, m)
+        assert np.max(np.abs(rho.entries - want)) <= 1e-14
+
+    @given(theta=ANGLES, dist1=HALF_ANGLE_DISTRIBUTIONS, dist2=HALF_ANGLE_DISTRIBUTIONS)
+    def test_dual_boost_is_mixture_of_amplitude_states(self, theta, dist1, dist2):
+        points1, m1 = _half_angles_and_moments(dist1)
+        points2, m2 = _half_angles_and_moments(dist2)
+        want = np.zeros((4, 4))
+        for w1, pair1 in points1:
+            for w2, pair2 in points2:
+                # m1 binds to the second amplitude slot, m2 to the first
+                vec = np.array(amplitudes_dual(theta, pair2, pair1))
+                want += w1 * w2 * np.outer(vec, vec)
+        rho = rho_dual_boost_general(theta, m1, m2)
+        assert np.max(np.abs(rho.entries - want)) <= 1e-14
 
 
 class TestRhoSingleBoostGeneral:
     def test_unboosted_is_pure_projector(self):
         rho = rho_single_boost_general(
-            math.pi / 4, MomentIntegrals(1.0, 0.0, 0.0, "quadrature")
+            math.pi / 4, MomentIntegrals(1.0, 0.0, 0.0)
         )
         expected = np.zeros((4, 4))
         expected[1:3, 1:3] = 0.5
         assert np.allclose(rho.entries, expected, atol=1e-15)
 
     def test_theta_zero_entries(self):
-        rho = rho_single_boost_general(0.0, MomentIntegrals(0.9, 0.0, 0.1, "quadrature"))
+        rho = rho_single_boost_general(0.0, MomentIntegrals(0.9, 0.0, 0.1))
         e = rho.entries.real
         assert e[0, 0] == pytest.approx(0.1)
         assert e[2, 2] == pytest.approx(0.9)
@@ -125,7 +154,7 @@ class TestRhoSingleBoostGeneral:
         # odd-moment weight populates exactly the off-X positions
         theta = 0.3
         st_, ct = math.sin(theta), math.cos(theta)
-        m = MomentIntegrals(0.9, 0.05, 0.1, "quadrature")
+        m = MomentIntegrals(0.9, 0.05, 0.1)
         rho = rho_single_boost_general(theta, m).entries.real
         assert rho[0, 1] == pytest.approx(st_ * ct * 0.05, rel=1e-13)
         assert rho[0, 2] == pytest.approx(ct**2 * 0.05, rel=1e-13)
@@ -135,7 +164,7 @@ class TestRhoSingleBoostGeneral:
     def test_matches_perturbative_by_substitution(self, theta):
         f = PerturbativeFactor(0.0032756246548487538)
         general = rho_single_boost_general(
-            theta, MomentIntegrals(1.0 - f.f, 0.0, f.f, "perturbative")
+            theta, MomentIntegrals(1.0 - f.f, 0.0, f.f)
         )
         pert = rho_single_boost_perturbative(theta, f)
         assert np.array_equal(general.entries, pert.entries)
@@ -225,8 +254,8 @@ class TestRhoDualBoostGeneral:
         # the closed form up to the quadratic cross term f1 f2
         general = rho_dual_boost_general(
             theta,
-            MomentIntegrals(1 - f1, 0.0, f1, "perturbative"),
-            MomentIntegrals(1 - f2, 0.0, f2, "perturbative"),
+            MomentIntegrals(1 - f1, 0.0, f1),
+            MomentIntegrals(1 - f2, 0.0, f2),
         )
         pert = rho_dual_boost_perturbative(
             theta, PerturbativeFactor(f1), PerturbativeFactor(f2)
@@ -234,8 +263,8 @@ class TestRhoDualBoostGeneral:
         assert np.max(np.abs(general.entries - pert.entries)) <= f1 * f2 + 1e-14
 
     def test_one_boost_limit_reduces_to_single(self):
-        m = MomentIntegrals(0.93, 0.02, 0.07, "quadrature")
-        rest = MomentIntegrals(1.0, 0.0, 0.0, "quadrature")
+        m = MomentIntegrals(0.93, 0.02, 0.07)
+        rest = MomentIntegrals(1.0, 0.0, 0.0)
         for theta in (0.0, 0.5, 1.2):
             dual = rho_dual_boost_general(theta, rest, m)
             single = rho_single_boost_general(theta, m)
@@ -273,8 +302,8 @@ class TestStackedConstructors:
     @given(theta=ANGLES, points=FACTORS)
     def test_general_stack_matches_lone_calls(self, theta, points):
         # I2 = 0, as for every state the pipeline builds
-        m1s = [MomentIntegrals(1 - a, 0.0, a, "quadrature") for a, _ in points]
-        m2s = [MomentIntegrals(1 - b, 0.0, b, "quadrature") for _, b in points]
+        m1s = [MomentIntegrals(1 - a, 0.0, a) for a, _ in points]
+        m2s = [MomentIntegrals(1 - b, 0.0, b) for _, b in points]
         stack = rho_dual_boost_general(theta, m1s, m2s)
         for k, (m1, m2) in enumerate(zip(m1s, m2s)):
             assert np.array_equal(stack.entries[k], rho_dual_boost_general(theta, m1, m2).entries)
@@ -283,7 +312,7 @@ class TestStackedConstructors:
             assert np.array_equal(single.entries[k], rho_single_boost_general(theta, m2).entries)
 
     def test_odd_moments_in_a_stack(self):
-        m = MomentIntegrals(0.93, 0.02, 0.07, "quadrature")
+        m = MomentIntegrals(0.93, 0.02, 0.07)
         stack = rho_single_boost_general(0.5, [m, m])
         lone = rho_single_boost_general(0.5, m)
         assert np.allclose(stack.entries, lone.entries, rtol=0.0, atol=1e-16)
@@ -298,54 +327,3 @@ class TestStackedConstructors:
         with pytest.raises(ValueError, match="F1 \\+ F2 must be < 1/2"):
             rho_dual_boost_perturbative(0.5, [ok, ok], [ok, bad])
 
-
-class TestPartialTrace:
-    @given(theta=ANGLES, f=st.floats(0.0, 0.45))
-    def test_single_boost_reduction(self, theta, f):
-        rho = rho_single_boost_perturbative(theta, PerturbativeFactor(f))
-        reduced = partial_trace(rho, "first").entries.real
-        cos2t = math.cos(2 * theta)
-        assert reduced[0, 0] == pytest.approx(math.sin(theta) ** 2 + cos2t * f, abs=1e-12)
-        assert reduced[1, 1] == pytest.approx(math.cos(theta) ** 2 - cos2t * f, abs=1e-12)
-        assert abs(reduced[0, 1]) < 1e-15
-
-    @given(f=st.floats(0.0, 0.45))
-    def test_maximal_entanglement_hides_the_boost(self, f):
-        rho = rho_single_boost_perturbative(math.pi / 4, PerturbativeFactor(f))
-        reduced = partial_trace(rho, "first").entries.real
-        assert reduced[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert reduced[1, 1] == pytest.approx(0.5, abs=1e-12)
-
-    @given(theta=ANGLES, f1=st.floats(0.0, 0.2), f2=st.floats(0.0, 0.2))
-    def test_dual_boost_reductions(self, theta, f1, f2):
-        rho = rho_dual_boost_perturbative(theta, PerturbativeFactor(f1), PerturbativeFactor(f2))
-        cos2t = math.cos(2 * theta)
-        first = partial_trace(rho, "first").entries.real
-        assert first[0, 0] == pytest.approx(math.sin(theta) ** 2 + cos2t * f2, abs=1e-12)
-        second = partial_trace(rho, "second").entries.real
-        assert second[0, 0] == pytest.approx(math.cos(theta) ** 2 - cos2t * f1, abs=1e-12)
-        assert second[1, 1] == pytest.approx(math.sin(theta) ** 2 + cos2t * f1, abs=1e-12)
-
-    def test_unboosted_pure_state(self):
-        theta = 0.9
-        zero = PerturbativeFactor(0.0)
-        rho = rho_dual_boost_perturbative(theta, zero, zero)
-        first = partial_trace(rho, "first").entries.real
-        second = partial_trace(rho, "second").entries.real
-        assert np.allclose(np.diag(first), [math.sin(theta) ** 2, math.cos(theta) ** 2])
-        assert np.allclose(np.diag(second), [math.cos(theta) ** 2, math.sin(theta) ** 2])
-
-    @given(theta=ANGLES, f1=st.floats(0.0, 0.2), f2=st.floats(0.0, 0.2))
-    def test_against_index_loop_reference(self, theta, f1, f2):
-        rho = rho_dual_boost_perturbative(theta, PerturbativeFactor(f1), PerturbativeFactor(f2))
-        for keep in ("first", "second"):
-            reduced = partial_trace(rho, keep)
-            assert np.allclose(reduced.entries, ptrace_reference(rho.entries, keep), atol=1e-15)
-            assert reduced.entries.trace().real == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        rho = rho_single_boost_perturbative(0.3, PerturbativeFactor(0.1))
-        with pytest.raises(ValueError):
-            partial_trace(rho, "third")
-        with pytest.raises(ValueError):
-            partial_trace(partial_trace(rho, "first"), "first")

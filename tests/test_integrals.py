@@ -16,8 +16,6 @@ from boostcoh import (
     boost_from_beta,
     f_factor,
     gauss_hermite_nodes,
-    i2_bracket_magnitude,
-    moments_perturbative,
     moments_quadrature,
     n_bounds,
 )
@@ -78,7 +76,6 @@ class TestMomentsQuadrature:
         assert m.i1 == pytest.approx(1.0, abs=1e-14)
         assert m.i2 == 0.0
         assert m.i3 == 0.0
-        assert m.method == "quadrature"
 
     # frozen against 50-digit mpmath quadrature of the same integrals
     @pytest.mark.parametrize(
@@ -186,11 +183,9 @@ class TestMomentsQuadrature:
 
     def test_moment_triple_validation(self):
         with pytest.raises(ValueError):
-            MomentIntegrals(i1=0.9, i2=0.0, i3=0.2, method="quadrature")
+            MomentIntegrals(i1=0.9, i2=0.0, i3=0.2)
         with pytest.raises(ValueError):
-            MomentIntegrals(i1=0.4, i2=0.7, i3=0.6, method="quadrature")
-        with pytest.raises(ValueError):
-            MomentIntegrals(i1=0.5, i2=0.0, i3=0.5, method="magic")
+            MomentIntegrals(i1=0.4, i2=0.7, i3=0.6)
 
 
 class TestFFactor:
@@ -239,51 +234,13 @@ class TestFFactor:
         with pytest.raises(ValueError):
             PerturbativeFactor(-0.01)
 
-
-class TestMomentsPerturbative:
-    def test_identity_boost(self):
-        m = moments_perturbative(2, boost_from_beta(0.0), 0.1)
-        assert (m.i1, m.i2, m.i3) == (1.0, 0.0, 0.0)
-        assert m.method == "perturbative"
-
-    def test_frozen_value(self):
-        m = moments_perturbative(2, boost_from_beta(0.95), 0.1)
-        assert m.i3 == pytest.approx(3.27562465484875e-3, rel=1e-13)
-        assert m.i1 + m.i3 == 1.0
-
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     @pytest.mark.parametrize("beta", [0.3, 0.8, 0.95])
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_agrees_with_quadrature_to_truncation_order(self, n, beta, eps):
-        pkt = WavePacket(n, eps, 1.0)
-        exact = moments_quadrature(pkt, boost_from_beta(beta))
-        approx = moments_perturbative(n, boost_from_beta(beta), eps)
-        assert abs(exact.i3 - approx.i3) <= 5.0 * eps**4
-
-
-class TestI2ParityTerm:
-    def test_bracket_frozen_value(self):
-        # Gamma(1)/Gamma(1/2) * sinh / (2 (cosh + 1)) * 0.1 at beta = 0.95
-        value = i2_bracket_magnitude(0, boost_from_beta(0.95), 0.1)
-        assert value == pytest.approx(0.0204221811867952, rel=1e-13)
-
-    def test_bracket_zero_at_rest(self):
-        for n in (0, 3):
-            assert i2_bracket_magnitude(n, boost_from_beta(0.0), 0.1) == 0.0
-
-    def test_bracket_gamma_ratio_stable_for_large_n(self):
-        # ratio Gamma(n+1)/Gamma(n+1/2) grows like sqrt(n); no overflow
-        value = i2_bracket_magnitude(500, boost_from_beta(0.9), 0.1)
-        assert 0.0 < value < 10.0
-
-    def test_bracket_matches_math_gamma(self):
-        boost = boost_from_beta(0.7)
-        for n in (1, 4, 9):
-            expected = (
-                math.gamma(n + 1) / math.gamma(n + 0.5)
-                * boost.sinh_alpha / (2 * (boost.cosh_alpha + 1)) * 0.2
-            )
-            assert i2_bracket_magnitude(n, boost, 0.2) == pytest.approx(expected, rel=1e-13)
+        # the closed form I3 = F drops terms of order (sigma/m)^4
+        exact = moments_quadrature(WavePacket(n, eps, 1.0), boost_from_beta(beta))
+        assert abs(exact.i3 - f_factor(n, boost_from_beta(beta), eps).f) <= 5.0 * eps**4
 
 
 class TestNBounds:

@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from boostcoh import (
-    GeometryConfig,
-    WignerTrig,
-    boost_from_beta,
-    half_angle_general,
-    half_angle_perp,
-    little_group_matrix,
-)
+from boostcoh import WignerTrig, boost_from_beta, half_angle_perp
 
-from oracles import mp_perp_trig
+from oracles import half_angle_general, mp_perp_trig
 
 BETAS = st.floats(min_value=0.0, max_value=0.99)
 MOMENTA = st.floats(min_value=-50.0, max_value=50.0)
@@ -80,28 +73,33 @@ class TestWignerTrig:
             WignerTrig(**{**fields, field: bad})
 
 
+Z_HAT, X_HAT = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+
+
 class TestHalfAngleGeneral:
+    """The general-geometry half-angle oracle, and ``half_angle_perp`` against it."""
+
     def test_no_boost_no_rotation(self):
-        geom = GeometryConfig.perpendicular()
-        result = half_angle_general(boost_from_beta(0.0), 1.3, geom)
-        assert result.cos_half == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(result.sin_half_axis, 0.0)
+        cos_half, axis = half_angle_general(boost_from_beta(0.0), 1.3, Z_HAT, X_HAT)
+        assert cos_half == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(axis, 0.0)
 
     def test_zero_rapidity_particle(self):
         # cosh^2(a/2) = (1 + cosh a)/2 makes cos(phi/2) equal 1 identically.
-        geom = GeometryConfig(e_hat=(0.0, 1.0, 0.0), f_hat=(1.0, 0.0, 0.0))
         for beta in (0.1, 0.5, 0.95):
-            result = half_angle_general(boost_from_beta(beta), 0.0, geom)
-            assert result.cos_half == pytest.approx(1.0, abs=1e-15)
-            assert np.allclose(result.sin_half_axis, 0.0)
+            cos_half, axis = half_angle_general(
+                boost_from_beta(beta), 0.0, (0.0, 1.0, 0.0), X_HAT
+            )
+            assert cos_half == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(axis, 0.0)
 
     def test_perpendicular_reference_point(self):
         # sinh(chi) = 1 and beta = 0.95: cos^2(phi/2) = 0.9174974...,
         # rotation axis along +y (z cross x).
-        geom = GeometryConfig.perpendicular()
-        result = half_angle_general(boost_from_beta(0.95), math.asinh(1.0), geom)
-        assert result.cos_half**2 == pytest.approx(0.9174974086627170, rel=1e-13)
-        axis = np.asarray(result.sin_half_axis)
+        cos_half, axis = half_angle_general(
+            boost_from_beta(0.95), math.asinh(1.0), Z_HAT, X_HAT
+        )
+        assert cos_half**2 == pytest.approx(0.9174974086627170, rel=1e-13)
         assert axis[0] == 0.0 and axis[2] == 0.0
         assert axis[1] > 0.0
 
@@ -109,12 +107,10 @@ class TestHalfAngleGeneral:
     @pytest.mark.parametrize("x", np.linspace(-8.0, 8.0, 10))
     def test_agrees_with_perp_specialization(self, beta, x):
         boost = boost_from_beta(beta)
-        geom = GeometryConfig.perpendicular()
-        general = half_angle_general(boost, math.asinh(x), geom)
+        cos_half, axis = half_angle_general(boost, math.asinh(x), Z_HAT, X_HAT)
         trig = half_angle_perp(boost, x)
-        assert general.cos_half**2 == pytest.approx(trig.cos2_half, abs=1e-12)
-        axis_norm2 = sum(c * c for c in general.sin_half_axis)
-        assert axis_norm2 == pytest.approx(trig.sin2_half, abs=1e-12)
+        assert cos_half**2 == pytest.approx(trig.cos2_half, abs=1e-12)
+        assert float(axis @ axis) == pytest.approx(trig.sin2_half, abs=1e-12)
 
     @given(
         beta=BETAS,
@@ -127,40 +123,6 @@ class TestHalfAngleGeneral:
         f = rng.normal(size=3)
         e /= np.linalg.norm(e)
         f /= np.linalg.norm(f)
-        geom = GeometryConfig(e_hat=tuple(e), f_hat=tuple(f))
-        result = half_angle_general(boost_from_beta(beta), chi, geom)
-        closure = result.cos_half**2 + sum(c * c for c in result.sin_half_axis)
-        assert closure == pytest.approx(1.0, abs=1e-12)
+        cos_half, axis = half_angle_general(boost_from_beta(beta), chi, e, f)
+        assert cos_half**2 + float(axis @ axis) == pytest.approx(1.0, abs=1e-12)
 
-
-class TestLittleGroupMatrix:
-    def test_identity(self):
-        mat = little_group_matrix(WignerTrig(1.0, 0.0, 0.0))
-        assert np.array_equal(mat, np.eye(2))
-
-    def test_quarter_turn(self):
-        trig = WignerTrig(0.5, 0.5, 0.5)
-        mat = little_group_matrix(trig)
-        r = 1 / math.sqrt(2)
-        assert np.allclose(mat, [[r, r], [-r, r]], atol=1e-15)
-
-    @pytest.mark.parametrize("beta", [0.2, 0.8, 0.99])
-    @pytest.mark.parametrize("x", [-3.0, 0.4, 10.0])
-    def test_special_orthogonal(self, beta, x):
-        mat = little_group_matrix(half_angle_perp(boost_from_beta(beta), x))
-        assert np.allclose(mat @ mat.T, np.eye(2), atol=1e-12)
-        assert np.linalg.det(mat) == pytest.approx(1.0, abs=1e-12)
-
-    def test_basis_action(self):
-        # columns are the images of the spin basis states:
-        # |0> -> c|0> - s|1>,  |1> -> s|0> + c|1>
-        trig = half_angle_perp(boost_from_beta(0.95), 1.0)
-        mat = little_group_matrix(trig)
-        c = math.sqrt(trig.cos2_half)
-        s = trig.sincos_half / c
-        assert np.allclose(mat[:, 0], [c, -s])
-        assert np.allclose(mat[:, 1], [s, c])
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="sign"):
-            little_group_matrix(WignerTrig(1e-15, 1.0 - 1e-15, 0.0))
