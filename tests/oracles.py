@@ -12,7 +12,10 @@ from the package's own code paths:
   momentum amplitude ``psi_amplitude``, the Wigner half-angle for any
   geometry (``half_angle_general``), the spin amplitudes of the boosted
   pair (``amplitudes_single``/``amplitudes_dual``), and an index-loop
-  partial trace (``ptrace_reference``).
+  partial trace (``ptrace_reference``);
+* the Wigner rotation from explicit 4x4 Lorentz matrices
+  (``wigner_rotation_matrix``) and its spin-1/2 representation
+  (``spin_half_matrix``).
 
 Tests freeze the resulting values as literals and, where cheap, recompute
 them at run time.
@@ -257,3 +260,64 @@ def ptrace_reference(rho: np.ndarray, keep: str) -> np.ndarray:
                 else:
                     out[i, j] += rho[2 * k + i, 2 * k + j]
     return out
+
+
+def lorentz_boost(rapidity: float, axis) -> np.ndarray:
+    """4x4 pure boost of the given rapidity along the unit 3-vector ``axis``,
+    acting on (t, x, y, z) components."""
+    n = np.asarray(axis, dtype=float)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    out = np.eye(4)
+    out[0, 0] = ch
+    out[0, 1:] = out[1:, 0] = sh * n
+    out[1:, 1:] += (ch - 1.0) * np.outer(n, n)
+    return out
+
+
+def _standard_boost(p: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """The pure boost taking the unit-mass rest momentum (1, 0, 0, 0) to ``p``
+    (``sign`` = -1 gives its inverse)."""
+    size = float(np.linalg.norm(p[1:]))
+    if size == 0.0:
+        return np.eye(4)
+    return lorentz_boost(sign * math.asinh(size), p[1:] / size)
+
+
+def wigner_rotation_matrix(boost: BoostParams, chi: float, e_hat, f_hat) -> np.ndarray:
+    """The 4x4 Wigner rotation W = L(p')^-1 Lambda L(p) from explicit matrices.
+
+    Lambda is the boost of rapidity ``boost.alpha`` along the unit vector
+    ``e_hat``; the particle (unit mass) has rapidity ``chi`` along the unit
+    vector ``f_hat``, p' = Lambda p, and L(q) is the pure boost from rest to
+    q.  W fixes the rest momentum, so its spatial block is a rotation.  It
+    shares no formula with ``half_angle_general``.
+    """
+    f = np.asarray(f_hat, dtype=float)
+    p = np.concatenate(([math.cosh(chi)], math.sinh(chi) * f))
+    frame = lorentz_boost(boost.alpha, e_hat)
+    return _standard_boost(frame @ p, sign=-1.0) @ frame @ _standard_boost(p)
+
+
+def wigner_matrix_tol(boost: BoostParams, chi: float) -> float:
+    """Absolute rounding bound for ``wigner_rotation_matrix``: it multiplies
+    three boosts with entries up to cosh(alpha) cosh(chi), and its error
+    grows with their square."""
+    return 1e-14 * (boost.cosh_alpha * math.cosh(chi)) ** 2
+
+
+def rotation_half_angles(w: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(cos^2(psi/2), sin^2(psi/2), sin(psi/2) cos(psi/2) n_hat) of the
+    rotation by psi about n_hat in the spatial block of the 4x4 matrix ``w``."""
+    r = w[1:, 1:]
+    cos_psi = (np.trace(r) - 1.0) / 2.0
+    sin_psi_axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
+    return (1.0 + cos_psi) / 2.0, (1.0 - cos_psi) / 2.0, sin_psi_axis / 2.0
+
+
+def spin_half_matrix(w: np.ndarray) -> np.ndarray:
+    """The spin-1/2 representation cos(psi/2) - i sin(psi/2) n_hat.sigma of
+    the rotation in ``w``, in the basis (up, down) along z; |psi| < pi."""
+    cos2, _, sincos_axis = rotation_half_angles(w)
+    c = math.sqrt(cos2)
+    nx, ny, nz = sincos_axis / c  # sin(psi/2) n_hat
+    return np.array([[c - 1j * nz, -ny - 1j * nx], [ny - 1j * nx, c + 1j * nz]])

@@ -11,6 +11,7 @@ from boostcoh import (
     PerturbativeFactor,
     WavePacket,
     boost_from_beta,
+    half_angle_perp,
     moments_quadrature,
     rho_dual_boost_general,
     rho_dual_boost_perturbative,
@@ -18,15 +19,23 @@ from boostcoh import (
     rho_single_boost_perturbative,
 )
 
-from oracles import amplitudes_dual, amplitudes_single
+from oracles import (
+    amplitudes_dual, amplitudes_single, ptrace_reference, spin_half_matrix,
+    wigner_matrix_tol, wigner_rotation_matrix,
+)
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi / 2)
 HALF_ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
+def pure_state_vector(theta: float) -> np.ndarray:
+    """sin(theta)|01> + cos(theta)|10> in the basis |00>, |01>, |10>, |11>."""
+    return np.array([0.0, math.sin(theta), math.cos(theta), 0.0], dtype=complex)
+
+
 def pure_state_projector(theta: float) -> np.ndarray:
-    """|psi><psi| for sin(theta)|01> + cos(theta)|10| (independent oracle)."""
-    vec = np.array([0.0, math.sin(theta), math.cos(theta), 0.0], dtype=complex)
+    """|psi><psi| for sin(theta)|01> + cos(theta)|10> (independent oracle)."""
+    vec = pure_state_vector(theta)
     return np.outer(vec, vec.conj())
 
 
@@ -127,6 +136,113 @@ class TestAmplitudeOracle:
         rho = rho_dual_boost_general(theta, m1, m2)
         assert np.max(np.abs(rho.entries - want)) <= 1e-14
 
+
+
+def _sharp_momentum_moments(boost, x: float) -> MomentIntegrals:
+    """The moments of a packet concentrated at p/m = x."""
+    trig = half_angle_perp(boost, x)
+    return MomentIntegrals(trig.cos2_half, trig.sincos_half, trig.sin2_half)
+
+
+def _spin_rotation(boost, x: float) -> np.ndarray:
+    """D(W) of the Wigner rotation of a particle with p/m = x along x under
+    a boost along z, from explicit Lorentz matrices."""
+    w = wigner_rotation_matrix(boost, math.asinh(x), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    return spin_half_matrix(w)
+
+
+def _rotation_tol(*boosts_and_momenta) -> float:
+    """The Lorentz-matrix rounding bound of the worst-conditioned particle."""
+    return max(wigner_matrix_tol(boost, math.asinh(x)) for boost, x in boosts_and_momenta)
+
+
+SHARP_MOMENTA = st.floats(min_value=-10.0, max_value=10.0)
+BOOST_BETAS = st.floats(min_value=0.0, max_value=0.99)
+
+
+class TestSpinRotationOracle:
+    """For a packet at one momentum, each boosted particle's spin turns by
+    D(W), the spin-1/2 representation of its Wigner rotation, with |0> spin
+    up along z: the constructors reproduce that pure state."""
+
+    @pytest.mark.parametrize("beta", [0.2, 0.8, 0.99])
+    @pytest.mark.parametrize("x", [-3.0, 0.4, 10.0])
+    def test_single_boost_rotates_the_first_spin(self, beta, x):
+        theta = 0.3
+        boost = boost_from_beta(beta)
+        vec = np.kron(_spin_rotation(boost, x), np.eye(2)) @ pure_state_vector(theta)
+        rho = rho_single_boost_general(theta, _sharp_momentum_moments(boost, x))
+        assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) <= _rotation_tol((boost, x))
+
+    @given(theta=ANGLES, beta1=BOOST_BETAS, x1=SHARP_MOMENTA, beta2=BOOST_BETAS, x2=SHARP_MOMENTA)
+    def test_dual_boost_rotates_both_spins(self, theta, beta1, x1, beta2, x2):
+        b1, b2 = boost_from_beta(beta1), boost_from_beta(beta2)
+        # m1 binds to the second spin, m2 to the first
+        rotation = np.kron(_spin_rotation(b2, x2), _spin_rotation(b1, x1))
+        vec = rotation @ pure_state_vector(theta)
+        rho = rho_dual_boost_general(
+            theta, _sharp_momentum_moments(b1, x1), _sharp_momentum_moments(b2, x2)
+        )
+        tol = _rotation_tol((b1, x1), (b2, x2))
+        assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) <= tol
+
+
+class TestPartialTrace:
+    """One-particle marginals of the constructed states."""
+
+    @given(theta=ANGLES, f=st.floats(0.0, 0.45))
+    def test_single_boost_reduction(self, theta, f):
+        rho = rho_single_boost_perturbative(theta, PerturbativeFactor(f))
+        reduced = ptrace_reference(rho.entries, "first").real
+        cos2t = math.cos(2 * theta)
+        assert reduced[0, 0] == pytest.approx(math.sin(theta) ** 2 + cos2t * f, abs=1e-12)
+        assert reduced[1, 1] == pytest.approx(math.cos(theta) ** 2 - cos2t * f, abs=1e-12)
+        assert abs(reduced[0, 1]) < 1e-15
+
+    @given(f=st.floats(0.0, 0.45))
+    def test_maximal_entanglement_hides_the_boost(self, f):
+        rho = rho_single_boost_perturbative(math.pi / 4, PerturbativeFactor(f))
+        reduced = ptrace_reference(rho.entries, "first").real
+        assert reduced[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert reduced[1, 1] == pytest.approx(0.5, abs=1e-12)
+
+    @given(theta=ANGLES, f1=st.floats(0.0, 0.2), f2=st.floats(0.0, 0.2))
+    def test_dual_boost_reductions(self, theta, f1, f2):
+        rho = rho_dual_boost_perturbative(theta, PerturbativeFactor(f1), PerturbativeFactor(f2))
+        cos2t = math.cos(2 * theta)
+        first = ptrace_reference(rho.entries, "first").real
+        assert first[0, 0] == pytest.approx(math.sin(theta) ** 2 + cos2t * f2, abs=1e-12)
+        second = ptrace_reference(rho.entries, "second").real
+        assert second[0, 0] == pytest.approx(math.cos(theta) ** 2 - cos2t * f1, abs=1e-12)
+        assert second[1, 1] == pytest.approx(math.sin(theta) ** 2 + cos2t * f1, abs=1e-12)
+
+    def test_unboosted_pure_state(self):
+        theta = 0.9
+        zero = PerturbativeFactor(0.0)
+        rho = rho_dual_boost_perturbative(theta, zero, zero)
+        first = ptrace_reference(rho.entries, "first").real
+        second = ptrace_reference(rho.entries, "second").real
+        assert np.allclose(np.diag(first), [math.sin(theta) ** 2, math.cos(theta) ** 2])
+        assert np.allclose(np.diag(second), [math.cos(theta) ** 2, math.sin(theta) ** 2])
+
+    @given(theta=ANGLES, dist=HALF_ANGLE_DISTRIBUTIONS)
+    def test_single_boost_leaves_the_partner_alone(self, theta, dist):
+        # the boost acts on the first spin only, odd moments included
+        _, m = _half_angles_and_moments(dist)
+        second = ptrace_reference(rho_single_boost_general(theta, m).entries, "second")
+        want = np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2])
+        assert np.max(np.abs(second - want)) <= 1e-14
+
+    @given(theta=ANGLES, dist1=HALF_ANGLE_DISTRIBUTIONS, dist1b=HALF_ANGLE_DISTRIBUTIONS,
+           dist2=HALF_ANGLE_DISTRIBUTIONS)
+    def test_dual_boost_marginal_ignores_the_other_boost(self, theta, dist1, dist1b, dist2):
+        # the first spin's marginal depends on m2 alone, whatever m1 is
+        _, m1 = _half_angles_and_moments(dist1)
+        _, m1b = _half_angles_and_moments(dist1b)
+        _, m2 = _half_angles_and_moments(dist2)
+        first = ptrace_reference(rho_dual_boost_general(theta, m1, m2).entries, "first")
+        other = ptrace_reference(rho_dual_boost_general(theta, m1b, m2).entries, "first")
+        assert np.max(np.abs(first - other)) <= 1e-14
 
 class TestRhoSingleBoostGeneral:
     def test_unboosted_is_pure_projector(self):

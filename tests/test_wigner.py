@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 
 from boostcoh import WignerTrig, boost_from_beta, half_angle_perp
 
-from oracles import half_angle_general, mp_perp_trig
+from oracles import (
+    half_angle_general, mp_perp_trig, rotation_half_angles, wigner_matrix_tol,
+    wigner_rotation_matrix,
+)
 
 BETAS = st.floats(min_value=0.0, max_value=0.99)
 MOMENTA = st.floats(min_value=-50.0, max_value=50.0)
@@ -72,6 +75,19 @@ class TestWignerTrig:
         with pytest.raises(ValueError, match="finite"):
             WignerTrig(**{**fields, field: bad})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1.5, -0.5, 0.0), "nonnegative"),
+            ((0.6, 0.5, 0.0), "must equal 1"),
+            ((0.5, 0.5, 0.6), "exceeds"),
+        ],
+        ids=["negative-square", "not-closed", "sincos-too-large"],
+    )
+    def test_rejects_inconsistent_terms(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            WignerTrig(*fields)
+
 
 Z_HAT, X_HAT = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
 
@@ -126,3 +142,57 @@ class TestHalfAngleGeneral:
         cos_half, axis = half_angle_general(boost_from_beta(beta), chi, e, f)
         assert cos_half**2 + float(axis @ axis) == pytest.approx(1.0, abs=1e-12)
 
+
+
+
+def _assert_rotation(w: np.ndarray, tol: float) -> None:
+    """``w`` fixes the time axis and its spatial block is in SO(3)."""
+    unit_t = [1.0, 0.0, 0.0, 0.0]
+    assert np.allclose(w[0], unit_t, rtol=0.0, atol=tol)
+    assert np.allclose(w[:, 0], unit_t, rtol=0.0, atol=tol)
+    r = w[1:, 1:]
+    assert np.allclose(r @ r.T, np.eye(3), rtol=0.0, atol=tol)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=tol)
+
+
+class TestLorentzMatrixOracle:
+    """The half-angle formulas against the Wigner rotation W computed from
+    explicit 4x4 Lorentz matrices.  The formulas give the angle phi of the
+    inverse rotation W^T, taken about e_hat x f_hat."""
+
+    @pytest.mark.parametrize("beta", [0.2, 0.8, 0.99])
+    @pytest.mark.parametrize("x", [-3.0, 0.4, 10.0])
+    def test_perp_matches_matrix_rotation(self, beta, x):
+        boost = boost_from_beta(beta)
+        chi = math.asinh(x)
+        w = wigner_rotation_matrix(boost, chi, Z_HAT, X_HAT)
+        tol = wigner_matrix_tol(boost, chi)
+        _assert_rotation(w, tol)
+        cos2, sin2, sincos = rotation_half_angles(w.T)
+        # the rotation axis is y = z cross x
+        assert sincos[0] == pytest.approx(0.0, abs=tol)
+        assert sincos[2] == pytest.approx(0.0, abs=tol)
+        trig = half_angle_perp(boost, x)
+        assert trig.cos2_half == pytest.approx(cos2, abs=tol)
+        assert trig.sin2_half == pytest.approx(sin2, abs=tol)
+        assert trig.sincos_half == pytest.approx(sincos[1], abs=tol)
+
+    @given(
+        beta=BETAS,
+        chi=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_general_geometry_matches_matrix_rotation(self, beta, chi, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=3)
+        f = rng.normal(size=3)
+        e /= np.linalg.norm(e)
+        f /= np.linalg.norm(f)
+        boost = boost_from_beta(beta)
+        w = wigner_rotation_matrix(boost, chi, e, f)
+        tol = wigner_matrix_tol(boost, chi)
+        _assert_rotation(w, tol)
+        cos2, _, sincos = rotation_half_angles(w.T)
+        cos_half, axis = half_angle_general(boost, chi, e, f)
+        assert cos_half**2 == pytest.approx(cos2, abs=tol)
+        assert np.allclose(cos_half * axis, sincos, rtol=0.0, atol=tol)
