@@ -19,14 +19,15 @@ the command line win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
+
+import numpy as np
 
 from .coherence import (
     Spectrum,
@@ -50,6 +51,7 @@ from .density import (
 from .integrals import (
     DEFAULT_ORDER,
     MAX_ORDER,
+    PerturbativeFactor,
     QuadratureToleranceError,
     check_factor_sum,
     check_n_in_bounds,
@@ -133,9 +135,8 @@ class SweepSpec:
         return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row; ``spectrum`` is kept in memory only."""
+class SweepRow(NamedTuple):
+    """One CSV row."""
 
     sigma: float
     beta1: float
@@ -148,25 +149,11 @@ class SweepRow:
     c_f_quadrature: float | None
     f1: float
     f2: float | None
-    spectrum: Spectrum | None = None
 
     def csv_fields(self) -> list[str]:
-        def fmt(value) -> str:
-            return "" if value is None else repr(value)
-
-        return [
-            repr(self.sigma),
-            repr(self.beta1),
-            fmt(self.beta2),
-            str(self.n),
-            repr(self.theta),
-            repr(self.c_l1),
-            fmt(self.c_f_perturbative),
-            fmt(self.c_f_exact_eig),
-            fmt(self.c_f_quadrature),
-            repr(self.f1),
-            fmt(self.f2),
-        ]
+        fields = ["" if value is None else repr(value) for value in self]
+        fields[3] = str(self.n)
+        return fields
 
 
 def _block_values(
@@ -177,53 +164,88 @@ def _block_values(
     methods: Sequence[str],
     quad_order: int,
     quad_max_order: int,
-) -> tuple[list, list, list, list]:
-    """Per packet of one beta configuration: (error, factors, c_l1, Jacobi eigenvalues).
+) -> tuple[list, np.ndarray, tuple | None]:
+    """One beta configuration over a block of packets, as columns.
 
-    The domain gates run point by point first.  The points that pass them
-    and hold no quadrature error are then assembled, validated and, for
-    quadrature, diagonalized as one stack.  A point keeps the first error
-    it meets: gate, quadrature or validation, in that order.  Only plain
-    values are returned, so no stack outlives the call.
+    Returns ``(columns, spectra, failure)``.  ``columns`` holds the CSV
+    columns c_l1 to f2 as lists, one value per packet (None for a method
+    not asked for).  ``spectra`` holds each point's spectrum: Jacobi's on
+    quadrature rows, else the closed form.  ``failure`` is None, or
+    ``(k, error)`` for the first point k that fails a check, with the error
+    it raises when checked alone.
+
+    Every value and check is computed once for the whole block: the domain
+    gates (n bounds, then F1 + F2 < 1/2) as masks, the quadrature moments
+    with one call per boost, the density matrices as one stack, and the
+    spectra and coherences as columns.  A point keeps the first failure it
+    meets, in that order.  Only plain values are returned, so no stack
+    outlives the call.
     """
     quadrature = "quadrature" in methods
-    moments = [None] * len(pkts)  # per packet, its per-boost quadrature entries
+    scenario = "single_boost" if single else "dual_boost"
+    count, n = len(pkts), pkts[0].n
+    eps = np.array([pkt.sigma_over_m for pkt in pkts])
+    inside = check_n_in_bounds(n, eps, scenario)
+    factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
+    passed = inside & check_factor_sum(*factors)
+
+    errors = [None] * count  # per point, its quadrature or validation error
     if quadrature:  # one call per boost covers every packet
-        per_boost = [moments_quadrature(pkts, b, quad_order, max_order=quad_max_order)
-                     for b in boosts]
-        moments = list(zip(*per_boost))
-
-    errors: list[Exception | None] = []
-    factors = []
-    for pkt, entries in zip(pkts, moments):
-        try:
-            check_n_in_bounds(pkt.n, pkt.sigma_over_m, "single_boost" if single else "dual_boost")
-            point_factors = tuple(f_factor(pkt.n, b, pkt.sigma_over_m) for b in boosts)
-            check_factor_sum(*point_factors)  # the closed spectrum's gate
-        except ValueError as exc:
-            errors.append(exc)
-            factors.append(None)
-            continue
-        errors.append(next((e for e in entries or () if isinstance(e, Exception)), None))
-        factors.append(point_factors)
-
-    l1 = [None] * len(pkts)
-    eigs = [None] * len(pkts)
-    stacked = [k for k, err in enumerate(errors) if err is None]
-    if stacked:
+        moments = list(zip(*(moments_quadrature(pkts, b, quad_order, max_order=quad_max_order)
+                             for b in boosts)))
+        errors = [next((e for e in m if isinstance(e, Exception)), None) for m in moments]
+    stacked = np.flatnonzero(passed & np.array([e is None for e in errors]))
+    l1 = np.full(count, np.nan)
+    eigs = np.full((count, 4), np.nan)
+    if stacked.size:
         if quadrature:
             build = rho_single_boost_general if single else rho_dual_boost_general
-            args = zip(*(moments[k] for k in stacked))
+            rho = build(theta, *zip(*(moments[k] for k in stacked)))
         else:
             build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
-            args = zip(*(factors[k] for k in stacked))
-        rho = build(theta, *args)
-        for k, err, value in zip(stacked, rho.errors, c_l1(rho).tolist()):
-            errors[k], l1[k] = err, value
+            rho = build(theta, *(f[stacked] for f in factors))
+        l1[stacked] = c_l1(rho)
+        for k, err in zip(stacked.tolist(), rho.errors):
+            errors[k] = err
         if quadrature:
-            for k, values in zip(stacked, hermitian_eigenvalues(rho).tolist()):
-                eigs[k] = values
-    return errors, factors, l1, eigs
+            eigs[stacked] = hermitian_eigenvalues(rho)
+    passed &= np.array([e is None for e in errors])
+
+    none = [None] * count
+    cf_pert = cf_exact = cf_quad = none
+    if "perturbative" in methods:
+        cf_pert = c_frobenius_perturbative(n, boosts, eps, factors).tolist()
+    closed = "exact-eig" in methods or not quadrature
+    if closed:
+        spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
+        passed &= ~np.isnan(spectra[:, 0])
+        if "exact-eig" in methods:
+            cf_exact = c_frobenius(spectra, 4).tolist()
+    if quadrature:
+        spectra = eigs
+        quad = c_frobenius(eigs, 4)
+        passed &= ~np.isnan(quad)
+        cf_quad = quad.tolist()
+    f1, f2 = (factors[0].tolist(), none) if single else (f.tolist() for f in factors)
+    columns = [l1.tolist(), cf_pert, cf_exact, cf_quad, f1, f2]
+    if passed.all():
+        return columns, spectra, None
+
+    # The first failing point, checked alone, raises its own error.
+    k = int(np.argmin(passed))
+    try:
+        check_n_in_bounds(n, pkts[k].sigma_over_m, scenario)
+        point_factors = [PerturbativeFactor(f[k].item()) for f in factors]
+        check_factor_sum(*point_factors)
+        if errors[k] is not None:
+            raise errors[k]
+        if closed:
+            (spectrum_single_boost if single else spectrum_dual_boost)(theta, *point_factors)
+        if quadrature:
+            Spectrum(eigs[k].tolist())
+    except (ValueError, QuadratureToleranceError) as exc:
+        return columns, spectra, (k, exc)
+    raise AssertionError(f"point {k} failed a block check but passes alone")
 
 
 def _config_rows(
@@ -237,52 +259,27 @@ def _config_rows(
 ) -> Iterator[SweepRow]:
     """Yield the rows of one beta configuration over a block of packets.
 
-    A failing point's own error is raised when its row is reached, and
-    each row is built only as it is yielded.
+    A failing point's own error is raised when its row is reached.
     """
-    single = scenario == "single"
-    quadrature = "quadrature" in methods
-    errors, factors, l1, eigs = _block_values(
-        single, theta, boosts, pkts, methods, quad_order, quad_max_order
+    columns, _, failure = _block_values(
+        scenario == "single", theta, boosts, pkts, methods, quad_order, quad_max_order
     )
-    closed_spectrum = spectrum_single_boost if single else spectrum_dual_boost
-    for k, pkt in enumerate(pkts):
-        if errors[k] is not None:
-            raise errors[k]
-        cf_pert = cf_exact = cf_quad = None
-        if "perturbative" in methods:
-            cf_pert = c_frobenius_perturbative(pkt.n, tuple(boosts), pkt.sigma_over_m)
-        # The row's spectrum: Jacobi's on quadrature rows, else the closed form.
-        if "exact-eig" in methods or not quadrature:
-            spectrum = closed_spectrum(theta, *factors[k])
-            if "exact-eig" in methods:
-                cf_exact = c_frobenius(spectrum, 4)
-        if quadrature:
-            spectrum = Spectrum(eigs[k])
-            cf_quad = c_frobenius(spectrum, 4)
-        yield SweepRow(
-            sigma=pkt.sigma,
-            beta1=boosts[0].beta,
-            beta2=boosts[1].beta if len(boosts) == 2 else None,
-            n=pkt.n,
-            theta=theta,
-            c_l1=l1[k],
-            c_f_perturbative=cf_pert,
-            c_f_exact_eig=cf_exact,
-            c_f_quadrature=cf_quad,
-            f1=factors[k][0].f,
-            f2=factors[k][1].f if len(boosts) == 2 else None,
-            spectrum=spectrum,
-        )
+    beta1 = boosts[0].beta
+    beta2 = boosts[1].beta if len(boosts) == 2 else None
+    stop = len(pkts) if failure is None else failure[0]
+    for pkt, values in zip(pkts[:stop], zip(*columns)):
+        yield SweepRow(pkt.sigma, beta1, beta2, pkt.n, theta, *values)
+    if failure is not None:
+        raise failure[1]
 
 
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
     """Yield SweepRows sorted by sigma, then beta configuration.
 
     The sigma grid is walked in blocks of :data:`BLOCK` points.  Per block
-    and beta configuration, the quadrature moments are evaluated with one
-    call per boost, and the density matrices as one stack.  Rows are still
-    yielded one at a time.
+    and beta configuration, every value is computed as a column (see
+    :func:`_block_values`) when its first row of the block is asked for.
+    Rows are still yielded one at a time.
     """
     boosts_by_cfg = [
         tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
@@ -307,19 +304,26 @@ def write_sweep_csv(
 
     A new or regular target (symlinks resolved) is written as a temporary
     file beside it and renamed onto it, so a failed sweep leaves no partial
-    file and an existing file intact.  A device or FIFO is written through.
+    file and an existing file intact.  Anything else that exists, such as
+    a device, a FIFO or ``/dev/stdout`` on a pipe, is written through at
+    the path as given: resolving ``/dev/stdout`` would name the pipe as
+    ``/proc/<pid>/fd/pipe:[N]``, which cannot be opened.
+
+    No field can hold a comma, a quote or a line break, so each row is
+    its fields joined by commas, as ``csv.writer`` would write them.
     """
-    path = Path(out_path).resolve()
+    path = Path(out_path)
     direct = path.exists() and not path.is_file()
+    if not direct:
+        path = path.resolve()
     tmp = path if direct else path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
     try:
         with fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
+            fh.write(",".join(CSV_HEADER) + "\n")
             count = 0
             for row in run_sweep(spec, quad_order, quad_max_order):
-                writer.writerow(row.csv_fields())
+                fh.write(",".join(row.csv_fields()) + "\n")
                 count += 1
         if not direct:
             if path.exists():
@@ -531,8 +535,13 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
-    row = next(_config_rows(args.scenario, args.theta, boosts, [pkt], (args.method,),
-                            args.quad_order, args.quad_max_order))
+    columns, spectra, failure = _block_values(
+        args.scenario == "single", args.theta, boosts, [pkt], (args.method,),
+        args.quad_order, args.quad_max_order,
+    )
+    if failure is not None:
+        raise failure[1]
+    l1, cf_pert, cf_exact, cf_quad, f1, f2 = (column[0] for column in columns)
 
     print(f"scenario      {args.scenario}")
     print(f"method        {args.method}")
@@ -543,14 +552,12 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     print(f"mass_mev      {pkt.mass!r}")
     print(f"sigma_over_m  {pkt.sigma_over_m!r}")
     print(f"n             {pkt.n}")
-    print(f"F1            {row.f1!r}")
-    if row.f2 is not None:
-        print(f"F2            {row.f2!r}")
-    print(f"spectrum      {list(row.spectrum.eigenvalues)!r}")
-    print(f"c_l1          {row.c_l1!r}")
-    cf = {"perturbative": row.c_f_perturbative,
-          "exact-eig": row.c_f_exact_eig,
-          "quadrature": row.c_f_quadrature}[args.method]
+    print(f"F1            {f1!r}")
+    if f2 is not None:
+        print(f"F2            {f2!r}")
+    print(f"spectrum      {spectra[0].tolist()!r}")
+    print(f"c_l1          {l1!r}")
+    cf = {"perturbative": cf_pert, "exact-eig": cf_exact, "quadrature": cf_quad}[args.method]
     print(f"c_F           {cf!r}")
     return 0
 

@@ -50,17 +50,40 @@ class Spectrum:
     eigenvalues: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.eigenvalues)
-        if sorted(values, reverse=True) != list(values):
-            values = tuple(sorted(values, reverse=True))
-        object.__setattr__(self, "eigenvalues", values)
-        if abs(sum(values) - 1.0) > 1e-10:
-            raise ValueError(f"eigenvalues sum to {sum(values)}, expected 1 within 1e-10")
-        if any(v < -1e-10 or v > 1.0 + 1e-10 for v in values):
-            raise ValueError(f"eigenvalues must lie in [0, 1]: {values}")
+        values = _descending(np.array([self.eigenvalues], dtype=float))
+        object.__setattr__(self, "eigenvalues", tuple(values[0].tolist()))
+        (total,), (off_sum,), (off_range,) = _spectrum_faults(values)
+        if off_sum:
+            raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
+        if off_range:
+            raise ValueError(f"eigenvalues must lie in [0, 1]: {self.eigenvalues}")
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
+
+
+def _descending(values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` sorted descending, as ``sorted(row, reverse=True)`` does."""
+    return -np.sort(-values, axis=-1, kind="stable")
+
+
+def _spectrum_faults(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Per row of descending eigenvalues: its sum, and whether it fails each Spectrum check.
+
+    The checks are a sum off 1 by more than 1e-10, and a value outside
+    [0, 1] by more than 1e-10.  A row holding NaN fails neither.
+    """
+    total = _fold(values)
+    off_range = ((values < -1e-10) | (values > 1.0 + 1e-10)).any(axis=-1)
+    return total.tolist(), np.abs(total - 1.0) > 1e-10, off_range
+
+
+def _checked_spectra(values: np.ndarray) -> np.ndarray:
+    """Rows sorted descending, NaN where a row fails a :class:`Spectrum` check."""
+    values = _descending(values)
+    _, off_sum, off_range = _spectrum_faults(values)
+    values[off_sum | off_range] = np.nan
+    return values
 
 
 def c_l1(rho: DensityMatrix):
@@ -86,10 +109,7 @@ def _sum_last_axis(v: np.ndarray) -> np.ndarray:
     """
     n = v.shape[-1]
     if n < 8:
-        total = np.zeros(v.shape[:-1])
-        for i in range(n):
-            total += v[..., i]
-        return total
+        return _fold(v)
     r = [v[..., i] for i in range(8)]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for i in range(8, n):
@@ -97,25 +117,40 @@ def _sum_last_axis(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def c_frobenius(spec: Spectrum, d: int) -> float:
-    """sqrt((d/(d-1)) sum (lambda_i - 1/d)^2): distance from maximal mixing."""
-    if d != len(spec):
-        raise ValueError(f"d = {d} does not match spectrum length {len(spec)}")
+def _fold(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` added one value after another from 0, as ``sum`` adds a tuple."""
+    total = np.zeros(v.shape[:-1])
+    for i in range(v.shape[-1]):
+        total += v[..., i]
+    return total
+
+
+def c_frobenius(spec, d: int):
+    """sqrt((d/(d-1)) sum (lambda_i - 1/d)^2): distance from maximal mixing.
+
+    ``spec`` is a :class:`Spectrum`, which gives a float, or a
+    (points x d) array of eigenvalues, which gives one value per row: NaN
+    where the row holds NaN or fails a :class:`Spectrum` check.  A row is
+    sorted descending and its terms added in that order from 0, so a value
+    is bit for bit the one-value call's.
+    """
+    lone = isinstance(spec, Spectrum)
+    values = np.array([spec.eigenvalues] if lone else spec, dtype=float)
+    if d != values.shape[-1]:
+        raise ValueError(f"d = {d} does not match spectrum length {values.shape[-1]}")
     if d < 2:
         raise ValueError("coherence needs d >= 2")
-    return math.sqrt(
-        d / (d - 1.0) * sum((lam - 1.0 / d) ** 2 for lam in spec.eigenvalues)
-    )
+    terms = np.float_power(_checked_spectra(values) - 1.0 / d, 2.0)
+    coherence = np.sqrt(d / (d - 1.0) * _fold(terms))
+    return coherence.item() if lone else coherence
 
 
-def spectrum_single_boost(theta: float, f: PerturbativeFactor) -> Spectrum:
+def spectrum_single_boost(theta: float, f):
     """Closed-form spectrum {1 - F, F, 0, 0}: :func:`spectrum_dual_boost` with F1 = 0."""
     return spectrum_dual_boost(theta, PerturbativeFactor(0.0), f)
 
 
-def spectrum_dual_boost(
-    theta: float, f1: PerturbativeFactor, f2: PerturbativeFactor
-) -> Spectrum:
+def spectrum_dual_boost(theta: float, f1, f2):
     """Closed-form spectrum of the dual-boost X matrix.
 
     The corner block contributes (F1 + F2)/2 +/- sqrt(disc)/2 with
@@ -124,14 +159,28 @@ def spectrum_dual_boost(
     (F1 - F2)^2 + 4 F1 F2 sin^2(2 theta), which is the same polynomial but
     cannot round below zero, on F1, F2 exactly rescaled by a power of two
     so that the squares cannot underflow.
+
+    Two :class:`PerturbativeFactor` give a :class:`Spectrum`, and raise
+    ``ValueError`` unless F1 + F2 < 1/2.  Either factor may instead be an
+    array of F, one per point (a lone factor is shared): the result is then
+    a (points x 4) array of descending eigenvalues, a row NaN where
+    F1 + F2 >= 1/2, an F is NaN, or the row fails a :class:`Spectrum`
+    check.  The one-value call is a one-element call into the same code.
     """
-    check_factor_sum(f1, f2)
-    s = f1.f + f2.f
-    _, e = math.frexp(max(f1.f, f2.f))
-    a, b = math.ldexp(f1.f, -e), math.ldexp(f2.f, -e)
-    disc = (a - b) ** 2 + 4.0 * a * b * math.sin(2.0 * theta) ** 2
-    half_gap = math.ldexp(math.sqrt(disc), e) / 2.0
-    return Spectrum((1.0 - s, s / 2.0 + half_gap, s / 2.0 - half_gap, 0.0))
+    lone = isinstance(f1, PerturbativeFactor) and isinstance(f2, PerturbativeFactor)
+    if lone:
+        check_factor_sum(f1, f2)
+    g1, g2 = (np.array([f.f]) if isinstance(f, PerturbativeFactor) else f for f in (f1, f2))
+    s = g1 + g2
+    _, e = np.frexp(np.maximum(g1, g2))
+    a, b = np.ldexp(g1, -e), np.ldexp(g2, -e)
+    disc = np.float_power(a - b, 2.0) + 4.0 * a * b * math.sin(2.0 * theta) ** 2
+    half_gap = np.ldexp(np.sqrt(disc), e) / 2.0
+    values = np.stack([1.0 - s, s / 2.0 + half_gap, s / 2.0 - half_gap, np.zeros_like(s)], axis=-1)
+    if lone:
+        return Spectrum(values[0].tolist())
+    values[~check_factor_sum(g1, g2)] = np.nan
+    return _checked_spectra(values)
 
 
 def hermitian_eigenvalues(rho: DensityMatrix):
@@ -217,28 +266,36 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
         a[rotated] = b
 
 
-def _resolve_boosts(boosts) -> tuple[BoostParams, ...]:
-    if isinstance(boosts, BoostParams):
-        return (boosts,)
-    seq = tuple(boosts)
-    if not 1 <= len(seq) <= 2 or not all(isinstance(b, BoostParams) for b in seq):
-        raise ValueError("boosts must be one or two BoostParams")
-    return seq
-
-
 def c_frobenius_perturbative(
-    n: int, boosts: BoostParams | Sequence[BoostParams], sigma_over_m: float
-) -> float:
+    n: int, boosts: BoostParams | Sequence[BoostParams], sigma_over_m, factors=None
+):
     """O((sigma/m)^2) Frobenius coherence: 1 - (4/3) sum_i F_i.
 
     ``boosts`` holds one entry when a single particle is boosted and two
     when both are.  Raises ``ValueError`` when n falls outside the allowed
     range for the scenario, or when F1 + F2 >= 1/2, as the closed spectrum
     does.
+
+    An array of sigma/m gives an array, NaN at the points that fail either
+    check; the one-value call is a one-element call into the same code.
+    ``factors``, the F column of each boost at those points, spares a
+    caller that already holds them (a sweep does) a second :func:`f_factor`.
     """
-    seq = _resolve_boosts(boosts)
+    seq = (boosts,) if isinstance(boosts, BoostParams) else tuple(boosts)
+    if not 1 <= len(seq) <= 2:
+        raise ValueError("boosts must be one or two BoostParams")
     scenario = "single_boost" if len(seq) == 1 else "dual_boost"
-    check_n_in_bounds(n, sigma_over_m, scenario)
-    factors = [f_factor(n, b, sigma_over_m) for b in seq]
-    check_factor_sum(*factors)
-    return 1.0 - (4.0 / 3.0) * sum(f.f for f in factors)
+    lone = np.ndim(sigma_over_m) == 0
+    if lone:  # the point's own checks raise, in order
+        check_n_in_bounds(n, sigma_over_m, scenario)
+    eps = np.array(sigma_over_m, dtype=float, ndmin=1)
+    inside = check_n_in_bounds(n, eps, scenario)
+    if factors is None:
+        factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in seq]
+    inside &= check_factor_sum(*factors)
+    values = np.where(inside, 1.0 - (4.0 / 3.0) * sum(factors), np.nan)
+    if not lone:
+        return values
+    if not inside[0]:
+        check_factor_sum(*(PerturbativeFactor(f.item()) for f in factors))
+    return values.item()

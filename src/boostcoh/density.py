@@ -56,10 +56,11 @@ def _per_point(*args) -> tuple[bool, list, ...]:
     """Whether every argument is one value, then each argument as a per-point list.
 
     An argument is one value or a sequence of them, one per point; a lone
-    value is repeated to the length of the sequences.
+    value is repeated to the length of the sequences.  An array is kept as
+    it is.
     """
-    lists = [None if isinstance(a, (MomentIntegrals, PerturbativeFactor)) else list(a)
-             for a in args]
+    lists = [None if isinstance(a, (MomentIntegrals, PerturbativeFactor))
+             else a if isinstance(a, np.ndarray) else list(a) for a in args]
     count = max((len(x) for x in lists if x is not None), default=1)
     if any(x is not None and len(x) != count for x in lists):
         raise ValueError("per-point arguments must have the same length")
@@ -74,19 +75,21 @@ def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
     the inner block keeps weight 1 - F1 - F2.  Requires F1 + F2 < 1/2 so
     the first-order matrix stays positive semidefinite.
 
-    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor` or a sequence
-    of them, one per point; with a sequence the result is the stack of the
-    points' states, else one state.  A lone factor is shared by all points.
+    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor`, a sequence
+    of them or an array of F, one per point; with a sequence or an array
+    the result is the stack of the points' states, else one state.  A lone
+    factor is shared by all points.
     """
-    lone, f1s, f2s = _per_point(f1, f2)
-    for pair in zip(f1s, f2s):
-        check_factor_sum(*pair)
+    lone, g1, g2 = _per_point(f1, f2)
+    g1, g2 = (g if isinstance(g, np.ndarray) else np.array([f.f for f in g]) for g in (g1, g2))
+    inside = check_factor_sum(g1, g2)
+    if not inside.all():  # the first point outside raises its own error
+        k = int(np.argmin(inside))
+        check_factor_sum(PerturbativeFactor(g1[k].item()), PerturbativeFactor(g2[k].item()))
     st, ct = math.sin(theta), math.cos(theta)
     # Products, not powers: they round like the einsum in rho_dual_boost_general,
     # so the one-boost forms agree bit for bit.
     s2, c2, sc = st * st, ct * ct, st * ct
-    g1 = np.array([f.f for f in f1s])
-    g2 = np.array([f.f for f in f2s])
     rest = 1.0 - g1 - g2
     rho = np.zeros((len(g1), 4, 4), dtype=complex)
     rho[:, 0, 0] = s2 * g1 + c2 * g2

@@ -236,63 +236,93 @@ def moments_quadrature(
     return entries
 
 
-def f_factor(n: int, boost: BoostParams, sigma_over_m: float) -> PerturbativeFactor:
+def f_factor(n: int, boost: BoostParams, sigma_over_m):
     """F = ((2n+1)/8) ((cosh a - 1)/(cosh a + 1)) (sigma/m)^2.
 
     Valid for integer n >= 0 in the narrow-packet regime sigma/m < 1.
     Emits a warning when F > 1, where the perturbative I1 = 1 - F would
     leave [0, 1] and the expansion has manifestly broken down.
+
+    One sigma/m gives a :class:`PerturbativeFactor`.  An array of sigma/m
+    gives an array of F, NaN where sigma/m lies outside (0, 1); the
+    one-value call is a one-element call into the same code that raises
+    ``ValueError`` there instead.  The square is ``np.float_power``, which
+    rounds as Python's ``**`` does (``x * x`` need not), so both forms
+    give the same bits.
     """
     check_nonneg_int(n, "n")
-    if not 0.0 < sigma_over_m < 1.0:
-        raise ValueError(f"sigma/m must lie in (0, 1), got {sigma_over_m}")
-    f = ((2 * n + 1) / 8.0) * _boost_ratio(boost) * sigma_over_m**2
-    if f > 1.0:
+    eps = _inside_unit(sigma_over_m)
+    f = ((2 * n + 1) / 8.0) * _boost_ratio(boost) * np.float_power(eps, 2.0)
+    for value in f[f > 1.0].tolist():
         warnings.warn(
-            f"F = {f:.4g} > 1: perturbative I1 = 1 - F leaves [0, 1]",
+            f"F = {value:.4g} > 1: perturbative I1 = 1 - F leaves [0, 1]",
             stacklevel=2,
         )
-    return PerturbativeFactor(f=f)
+    return PerturbativeFactor(f=f.item()) if np.ndim(sigma_over_m) == 0 else f
 
 
-def n_bounds(sigma_over_m: float, scenario: Scenario) -> tuple[float, float]:
+def n_bounds(sigma_over_m, scenario: Scenario) -> tuple:
     """Allowed range (lower, upper] of the generalization exponent n.
 
     The lower bound -1/2 is open; it keeps the maximal coherence at or
     below unity.  The upper bound keeps the limiting coherence nonnegative:
     3 (m/sigma)^2 - 1/2 with one boosted particle, half that budget per
     particle when both are boosted.
+
+    An array of sigma/m gives an array of upper bounds, NaN where sigma/m
+    lies outside (0, 1), as for :func:`f_factor`.
     """
-    if not 0.0 < sigma_over_m < 1.0:
-        raise ValueError(f"sigma/m must lie in (0, 1), got {sigma_over_m}")
-    inv2 = (1.0 / sigma_over_m) ** 2
+    eps = _inside_unit(sigma_over_m)
+    with np.errstate(over="ignore"):  # a tiny sigma/m allows any n
+        inv2 = np.float_power(1.0 / eps, 2.0)
     if scenario == "single_boost":
         upper = 3.0 * inv2 - 0.5
     elif scenario == "dual_boost":
         upper = 1.5 * inv2 - 0.5
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return (-0.5, upper)
+    return (-0.5, upper.item() if np.ndim(sigma_over_m) == 0 else upper)
 
 
-def check_n_in_bounds(n: int, sigma_over_m: float, scenario: Scenario) -> None:
-    """Raise ``ValueError`` when n falls outside :func:`n_bounds`."""
+def check_n_in_bounds(n: int, sigma_over_m, scenario: Scenario):
+    """Raise ``ValueError`` when n falls outside :func:`n_bounds`.
+
+    For an array of sigma/m nothing is raised: the result is the mask of
+    the points whose bounds hold n (False where sigma/m is outside (0, 1)).
+    """
     lower, upper = n_bounds(sigma_over_m, scenario)
-    if not lower < n <= upper:
+    inside = (lower < n) & (n <= upper)
+    if np.ndim(sigma_over_m) > 0:
+        return inside
+    if not inside:
         raise ValueError(
             f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
             f"for {scenario} at sigma/m = {sigma_over_m:.6g}"
         )
 
 
-def check_factor_sum(*factors: PerturbativeFactor) -> None:
+def check_factor_sum(*factors):
     """Raise ``ValueError`` unless F1 + F2 < 1/2, the domain of the closed forms.
 
-    One factor is the one-boost case, F1 = 0.
+    One factor is the one-boost case, F1 = 0.  Factors given as F columns
+    (arrays, a lone factor shared) raise nothing: the result is the mask of
+    the points inside the domain, False where an F is NaN.  The sum is
+    Python's left fold from 0 in both forms.
     """
-    total = sum(f.f for f in factors)
+    total = sum(f.f if isinstance(f, PerturbativeFactor) else f for f in factors)
+    if any(isinstance(f, np.ndarray) for f in factors):
+        return total < 0.5
     if total >= 0.5:
         raise ValueError(f"F1 + F2 must be < 1/2, got {total}")
+
+
+def _inside_unit(sigma_over_m) -> np.ndarray:
+    """sigma/m as a 1-D array, NaN outside (0, 1); one value there raises ``ValueError``."""
+    eps = np.array(sigma_over_m, dtype=float, ndmin=1)
+    inside = (0.0 < eps) & (eps < 1.0)
+    if np.ndim(sigma_over_m) == 0 and not inside[0]:
+        raise ValueError(f"sigma/m must lie in (0, 1), got {sigma_over_m}")
+    return np.where(inside, eps, np.nan)
 
 
 def _boost_ratio(boost: BoostParams) -> float:

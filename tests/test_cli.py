@@ -15,6 +15,9 @@ from boostcoh import (
 )
 from boostcoh import cli, density
 from boostcoh.cli import CSV_HEADER, SweepSpec, figure_spec, main, run_sweep
+from boostcoh.integrals import check_n_in_bounds
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def parse_report(output: str) -> dict:
@@ -382,6 +385,20 @@ class TestSweepCommand:
         assert data.decode().splitlines()[0] == ",".join(CSV_HEADER)
         assert [p.name for p in tmp_path.iterdir()] == ["rows.fifo"]
 
+    def test_writes_through_stdout_pipe(self, tmp_path):
+        # /dev/stdout on a pipe resolves to /proc/<pid>/fd/pipe:[N], which
+        # cannot be opened; the path as given can.
+        result = subprocess.run(
+            [sys.executable, "-m", "boostcoh.cli", *self.SMALL, "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert len(lines) == 1 + 2 * 2 + 1  # header, rows, "wrote 4 rows to ..."
+        assert list(tmp_path.iterdir()) == []
+
     # sigma/m runs 0.5, 1.0, ..., 3.0; quadrature stops converging past ~1.2.
     CROSSING = [
         "sweep", "--methods", "quadrature", "--n", "1", "--mass", "1",
@@ -455,6 +472,63 @@ class TestSweepCommand:
         # 2 blocks x 2 beta pairs
         assert calls["DensityMatrix"] == [256, 256, 1, 1]
         assert calls["hermitian_eigenvalues"] == [256, 256, 1, 1]
+
+    def test_one_closed_call_per_block_and_configuration(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's tracer counts the F and closed-spectrum layers at
+        # these names.
+        calls = {"f_factor": [], "spectrum_dual_boost": []}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(len(args[-1]))  # points in the sigma/m or F column
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counting("f_factor")
+        counting("spectrum_dual_boost")
+        out = tmp_path / "fig2.csv"
+        assert main(["figure", "fig2", "--steps", "257", "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 257 * 4
+        # 2 blocks x 4 beta pairs x 2 boosts, and one spectrum per pair
+        assert calls["f_factor"] == [256] * 8 + [1] * 8
+        assert calls["spectrum_dual_boost"] == [256] * 4 + [1] * 4
+
+    # n = 40 leaves the dual n bounds at sigma/m = sqrt(1.5 / 40.5) ~ 0.1925,
+    # at grid index 304 of 400: mid-way through the second block.
+    N_BOUNDS_MID_BLOCK = [
+        "sweep", "--scenario", "dual", "--n", "40", "--mass", "1", "--sigma-min", "0.01",
+        "--sigma-max", "0.25", "--steps", "400", "--beta-pairs", "0.5:0.5,0.3:0.6",
+        "--methods", "perturbative,exact-eig",
+    ]
+
+    def test_n_bounds_failure_mid_block(self, tmp_path, capsys):
+        spec = SweepSpec(
+            scenario="dual", theta=math.pi / 4, n=40, mass=1.0, sigma_grid=(0.01, 0.25, 400),
+            betas=((0.5, 0.5), (0.3, 0.6)), methods=("perturbative", "exact-eig"),
+        )
+        first = None
+        for k, sigma in enumerate(spec.sigmas()):
+            try:
+                check_n_in_bounds(40, sigma / 1.0, "dual_boost")
+            except ValueError as exc:
+                first = k, str(exc)
+                break
+        assert first is not None and cli.BLOCK < first[0] < 2 * cli.BLOCK - 1
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"earlier results\n")
+        assert main([*self.N_BOUNDS_MID_BLOCK, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {first[1]}\n"
+        assert out.read_bytes() == b"earlier results\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
+        # every row before it is yielded first
+        rows = []
+        with pytest.raises(ValueError, match="outside the allowed range"):
+            for row in run_sweep(spec):
+                rows.append(row)
+        assert len(rows) == first[0] * 2
 
     @pytest.mark.parametrize(
         "changes",

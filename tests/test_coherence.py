@@ -305,6 +305,87 @@ class TestStackedJacobi:
             assert bits(value) == bits(c_l1(rho))
 
 
+# F values for the closed spectra, with the tiny ones whose squares underflow
+CLOSED_FACTOR = st.sampled_from([0.0, 1e-160, 1e-300]) | st.floats(0.0, 0.3)
+
+
+class TestColumnForms:
+    """Each array call equals the one-value calls bit for bit, NaN where those raise."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(0, 8),
+        betas=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=2),
+        eps=st.lists(st.floats(0.0, 0.95, exclude_min=True, exclude_max=True),
+                     min_size=1, max_size=8),
+    )
+    @pytest.mark.filterwarnings("ignore:F = .* > 1")
+    def test_factors_and_perturbative_coherence(self, n, betas, eps):
+        boosts = [boost_from_beta(b) for b in betas]
+        for b in boosts:
+            column = f_factor(n, b, np.array(eps))
+            assert bits(column) == bits([f_factor(n, b, e).f for e in eps])
+        values = c_frobenius_perturbative(n, boosts, np.array(eps))
+        for e, value in zip(eps, values.tolist()):
+            try:
+                lone = c_frobenius_perturbative(n, boosts, e)
+            except ValueError:
+                assert math.isnan(value)
+            else:
+                assert bits(value) == bits(lone)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        theta=st.floats(0.0, math.pi / 2),
+        points=st.lists(st.tuples(CLOSED_FACTOR, CLOSED_FACTOR), min_size=1, max_size=8),
+    )
+    def test_closed_spectra_and_frobenius(self, theta, points):
+        f1 = np.array([a for a, _ in points])
+        f2 = np.array([b for _, b in points])
+        forms = [
+            (spectrum_dual_boost(theta, f1, f2),
+             lambda a, b: spectrum_dual_boost(theta, PerturbativeFactor(a), PerturbativeFactor(b))),
+            (spectrum_single_boost(theta, f2),
+             lambda a, b: spectrum_single_boost(theta, PerturbativeFactor(b))),
+        ]
+        for spectra, lone_call in forms:
+            values = c_frobenius(spectra, 4)
+            for (a, b), row, value in zip(points, spectra, values):
+                try:
+                    lone = lone_call(a, b)
+                except ValueError:  # F1 + F2 >= 1/2
+                    assert np.isnan(row).all() and np.isnan(value)
+                else:
+                    assert bits(row) == bits(lone.eigenvalues)
+                    assert bits(value) == bits(c_frobenius(lone, 4))
+
+    def test_frobenius_rows_are_checked_as_spectra(self):
+        rng = np.random.default_rng(11)
+        rows = rng.dirichlet(np.ones(4), size=200)
+        rows = np.take_along_axis(rows, rng.permuted(np.tile(np.arange(4), (200, 1)), axis=1), 1)
+        rows[7] = (0.6, 0.5, 0.0, 0.0)  # sums to 1.1
+        rows[9] = (1.2, -0.2, 0.0, 0.0)  # leaves [0, 1]
+        values = c_frobenius(rows, 4)
+        for k, (row, value) in enumerate(zip(rows.tolist(), values.tolist())):
+            if k in (7, 9):
+                with pytest.raises(ValueError):
+                    Spectrum(tuple(row))
+                assert math.isnan(value)
+            else:
+                assert bits(value) == bits(c_frobenius(Spectrum(tuple(row)), 4))
+
+    @given(st.floats(-1e150, 1e150))
+    def test_float_power_rounds_as_python_pow(self, x):
+        assert bits(np.float_power(np.array([x]), 2.0)) == bits([x**2])
+
+    def test_float_power_on_random_doubles(self):
+        # x * x and np.square can round differently from Python's x**2,
+        # which is C pow; float_power calls pow.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.uniform(-300, 150, 100_000)
+        assert bits(np.float_power(x, 2.0)) == bits([v**2 for v in x.tolist()])
+
+
 class TestCFrobeniusPerturbative:
     def test_rest_frame_is_exact_unity(self):
         assert c_frobenius_perturbative(2, boost_from_beta(0.0), 0.1) == 1.0
