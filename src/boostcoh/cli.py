@@ -25,7 +25,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .integrals import (
 )
 from .wigner import half_angle_perp
 
-__all__ = ["SweepSpec", "SweepRow", "build_parser", "main", "entry_point"]
+__all__ = ["SweepSpec", "build_parser", "main", "entry_point"]
 
 METHODS = ("perturbative", "exact-eig", "quadrature")
 CSV_HEADER = [
@@ -135,44 +135,24 @@ class SweepSpec:
         return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-class SweepRow(NamedTuple):
-    """One CSV row."""
-
-    sigma: float
-    beta1: float
-    beta2: float | None
-    n: int
-    theta: float
-    c_l1: float
-    c_f_perturbative: float | None
-    c_f_exact_eig: float | None
-    c_f_quadrature: float | None
-    f1: float
-    f2: float | None
-
-    def csv_fields(self) -> list[str]:
-        fields = ["" if value is None else repr(value) for value in self]
-        fields[3] = str(self.n)
-        return fields
-
-
 def _block_values(
     single: bool,
     theta: float,
     boosts: Sequence[BoostParams],
-    pkts: Sequence[WavePacket],
+    n: int,
+    eps: np.ndarray,
     methods: Sequence[str],
     quad_order: int,
     quad_max_order: int,
 ) -> tuple[list, np.ndarray, tuple | None]:
-    """One beta configuration over a block of packets, as columns.
+    """One beta configuration over a block of sigma/m values, as columns.
 
     Returns ``(columns, spectra, failure)``.  ``columns`` holds the CSV
-    columns c_l1 to f2 as lists, one value per packet (None for a method
-    not asked for).  ``spectra`` holds each point's spectrum: Jacobi's on
-    quadrature rows, else the closed form.  ``failure`` is None, or
-    ``(k, error)`` for the first point k that fails a check, with the error
-    it raises when checked alone.
+    columns c_l1 to f2 as arrays, one value per point (None for a method
+    not asked for, and for f2 with one boost).  ``spectra`` holds each
+    point's spectrum: Jacobi's on quadrature rows, else the closed form.
+    ``failure`` is None, or ``(k, error)`` for the first point k that fails
+    a check, with the error it raises when checked alone.
 
     Every value and check is computed once for the whole block: the domain
     gates (n bounds, then F1 + F2 < 1/2) as masks, the quadrature moments
@@ -183,58 +163,59 @@ def _block_values(
     """
     quadrature = "quadrature" in methods
     scenario = "single_boost" if single else "dual_boost"
-    count, n = len(pkts), pkts[0].n
-    eps = np.array([pkt.sigma_over_m for pkt in pkts])
+    count = len(eps)
     inside = check_n_in_bounds(n, eps, scenario)
     factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
     passed = inside & check_factor_sum(*factors)
 
-    errors = [None] * count  # per point, its quadrature or validation error
-    if quadrature:  # one call per boost covers every packet
-        moments = list(zip(*(moments_quadrature(pkts, b, quad_order, max_order=quad_max_order)
-                             for b in boosts)))
-        errors = [next((e for e in m if isinstance(e, Exception)), None) for m in moments]
-    stacked = np.flatnonzero(passed & np.array([e is None for e in errors]))
+    # Per point, None or its first quadrature or validation error; an
+    # exception is truthy, so ``errors.astype(bool)`` marks the failures.
+    errors = np.full(count, None, dtype=object)
+    if quadrature:  # one call per boost covers every point
+        moments = []
+        for b in boosts:
+            values, errs = moments_quadrature((n, eps), b, quad_order, max_order=quad_max_order)
+            moments.append(values)
+            errors = np.where(errors.astype(bool), errors, errs)
+    stacked = np.flatnonzero(passed & ~errors.astype(bool))
     l1 = np.full(count, np.nan)
     eigs = np.full((count, 4), np.nan)
     if stacked.size:
         if quadrature:
             build = rho_single_boost_general if single else rho_dual_boost_general
-            rho = build(theta, *zip(*(moments[k] for k in stacked)))
+            rho = build(theta, *(m[stacked] for m in moments))
         else:
             build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
             rho = build(theta, *(f[stacked] for f in factors))
         l1[stacked] = c_l1(rho)
-        for k, err in zip(stacked.tolist(), rho.errors):
-            errors[k] = err
+        if any(rho.errors):
+            errors[stacked] = rho.errors
         if quadrature:
             eigs[stacked] = hermitian_eigenvalues(rho)
-    passed &= np.array([e is None for e in errors])
+    passed &= ~errors.astype(bool)
 
-    none = [None] * count
-    cf_pert = cf_exact = cf_quad = none
+    cf_pert = cf_exact = cf_quad = None
     if "perturbative" in methods:
-        cf_pert = c_frobenius_perturbative(n, boosts, eps, factors).tolist()
+        cf_pert = c_frobenius_perturbative(n, boosts, eps, factors)
     closed = "exact-eig" in methods or not quadrature
     if closed:
         spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
         passed &= ~np.isnan(spectra[:, 0])
         if "exact-eig" in methods:
-            cf_exact = c_frobenius(spectra, 4).tolist()
+            cf_exact = c_frobenius(spectra, 4)
     if quadrature:
         spectra = eigs
-        quad = c_frobenius(eigs, 4)
-        passed &= ~np.isnan(quad)
-        cf_quad = quad.tolist()
-    f1, f2 = (factors[0].tolist(), none) if single else (f.tolist() for f in factors)
-    columns = [l1.tolist(), cf_pert, cf_exact, cf_quad, f1, f2]
+        cf_quad = c_frobenius(eigs, 4)
+        passed &= ~np.isnan(cf_quad)
+    f1, f2 = (factors[0], None) if single else factors
+    columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
     if passed.all():
         return columns, spectra, None
 
     # The first failing point, checked alone, raises its own error.
     k = int(np.argmin(passed))
     try:
-        check_n_in_bounds(n, pkts[k].sigma_over_m, scenario)
+        check_n_in_bounds(n, eps[k].item(), scenario)
         point_factors = [PerturbativeFactor(f[k].item()) for f in factors]
         check_factor_sum(*point_factors)
         if errors[k] is not None:
@@ -248,53 +229,66 @@ def _block_values(
     raise AssertionError(f"point {k} failed a block check but passes alone")
 
 
-def _config_rows(
-    scenario: str,
-    theta: float,
+def _config_lines(
+    spec: SweepSpec,
     boosts: Sequence[BoostParams],
-    pkts: Sequence[WavePacket],
-    methods: Sequence[str],
+    sigma_text: Sequence[str],
+    eps: np.ndarray,
     quad_order: int,
     quad_max_order: int,
-) -> Iterator[SweepRow]:
-    """Yield the rows of one beta configuration over a block of packets.
+) -> Iterator[str]:
+    """Yield the CSV lines of one beta configuration over a block.
 
-    A failing point's own error is raised when its row is reached.
+    The block's values are computed as columns (see :func:`_block_values`)
+    when the first line is asked for, and its text is built by column:
+    each value column goes through one ``map(repr, ...)``, f2 shares f1's
+    text when the two F columns hold the same bits (a symmetric pair), and
+    a column not asked for is empty.  A failing point's own error is raised
+    when its line is reached.
     """
     columns, _, failure = _block_values(
-        scenario == "single", theta, boosts, pkts, methods, quad_order, quad_max_order
+        spec.scenario == "single", spec.theta, boosts, spec.n, eps, spec.methods,
+        quad_order, quad_max_order,
     )
-    beta1 = boosts[0].beta
-    beta2 = boosts[1].beta if len(boosts) == 2 else None
-    stop = len(pkts) if failure is None else failure[0]
-    for pkt, values in zip(pkts[:stop], zip(*columns)):
-        yield SweepRow(pkt.sigma, beta1, beta2, pkt.n, theta, *values)
+    count = len(sigma_text) if failure is None else failure[0]
+
+    def text(column) -> list[str]:
+        return [""] * count if column is None else list(map(repr, column[:count].tolist()))
+
+    *values, f1, f2 = columns
+    f1_text = text(f1)
+    # a symmetric pair has the same F columns: format them once
+    f2_text = f1_text if f2 is not None and f2.tobytes() == f1.tobytes() else text(f2)
+    beta2 = repr(boosts[1].beta) if len(boosts) == 2 else ""
+    head = [f"{boosts[0].beta!r},{beta2},{spec.n},{spec.theta!r}"] * count
+    yield from map(",".join, zip(sigma_text, head, *map(text, values), f1_text, f2_text))
     if failure is not None:
         raise failure[1]
 
 
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
-    """Yield SweepRows sorted by sigma, then beta configuration.
+    """Yield the sweep's CSV lines (without the newline), sorted by sigma, then beta configuration.
 
-    The sigma grid is walked in blocks of :data:`BLOCK` points.  Per block
-    and beta configuration, every value is computed as a column (see
-    :func:`_block_values`) when its first row of the block is asked for.
-    Rows are still yielded one at a time.
+    The sigma grid is walked in blocks of :data:`BLOCK` points.  Per block,
+    sigma/m is one array division and each sigma is formatted once for
+    every beta configuration.  Per block and configuration, the values and
+    their text are columns (see :func:`_config_lines`), built when the
+    first line of the block is asked for.  Lines are still yielded one per
+    row.
     """
     boosts_by_cfg = [
         tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
     ]
     sigmas = spec.sigmas()
     for start in range(0, len(sigmas), BLOCK):
-        pkts = [WavePacket(spec.n, sigma, spec.mass) for sigma in sigmas[start:start + BLOCK]]
-        configs = [
-            _config_rows(spec.scenario, spec.theta, boosts, pkts, spec.methods,
-                         quad_order, quad_max_order)
-            for boosts in boosts_by_cfg
-        ]
-        for _ in pkts:
-            for rows in configs:
-                yield next(rows)
+        sigma = sigmas[start:start + BLOCK]
+        eps = np.array(sigma) / spec.mass
+        sigma_text = list(map(repr, sigma))
+        configs = [_config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order)
+                   for boosts in boosts_by_cfg]
+        for _ in sigma:
+            for lines in configs:
+                yield next(lines)
 
 
 def write_sweep_csv(
@@ -309,8 +303,8 @@ def write_sweep_csv(
     the path as given: resolving ``/dev/stdout`` would name the pipe as
     ``/proc/<pid>/fd/pipe:[N]``, which cannot be opened.
 
-    No field can hold a comma, a quote or a line break, so each row is
-    its fields joined by commas, as ``csv.writer`` would write them.
+    No field can hold a comma, a quote or a line break, so each line of
+    :func:`run_sweep` is the row as ``csv.writer`` would write it.
     """
     path = Path(out_path)
     direct = path.exists() and not path.is_file()
@@ -322,8 +316,8 @@ def write_sweep_csv(
         with fh:
             fh.write(",".join(CSV_HEADER) + "\n")
             count = 0
-            for row in run_sweep(spec, quad_order, quad_max_order):
-                fh.write(",".join(row.csv_fields()) + "\n")
+            for line in run_sweep(spec, quad_order, quad_max_order):
+                fh.write(line + "\n")
                 count += 1
         if not direct:
             if path.exists():
@@ -536,12 +530,14 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     pkt = WavePacket(args.n, args.sigma, args.mass)
     boosts = tuple(boost_from_beta(b) for b in betas)
     columns, spectra, failure = _block_values(
-        args.scenario == "single", args.theta, boosts, [pkt], (args.method,),
-        args.quad_order, args.quad_max_order,
+        args.scenario == "single", args.theta, boosts, pkt.n, np.array([pkt.sigma_over_m]),
+        (args.method,), args.quad_order, args.quad_max_order,
     )
     if failure is not None:
         raise failure[1]
-    l1, cf_pert, cf_exact, cf_quad, f1, f2 = (column[0] for column in columns)
+    l1, cf_pert, cf_exact, cf_quad, f1, f2 = (
+        None if column is None else column[0].item() for column in columns
+    )
 
     print(f"scenario      {args.scenario}")
     print(f"method        {args.method}")

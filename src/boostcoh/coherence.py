@@ -71,10 +71,10 @@ def _spectrum_faults(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """Per row of descending eigenvalues: its sum, and whether it fails each Spectrum check.
 
     The checks are a sum off 1 by more than 1e-10, and a value outside
-    [0, 1] by more than 1e-10.  A row holding NaN fails neither.
+    [0, 1] by more than 1e-10.  A NaN value fails the range check.
     """
     total = _fold(values)
-    off_range = ((values < -1e-10) | (values > 1.0 + 1e-10)).any(axis=-1)
+    off_range = ~((-1e-10 <= values) & (values <= 1.0 + 1e-10)).all(axis=-1)
     return total.tolist(), np.abs(total - 1.0) > 1e-10, off_range
 
 

@@ -52,20 +52,25 @@ def rho_single_boost_perturbative(theta: float, f) -> DensityMatrix:
     return rho_dual_boost_perturbative(theta, PerturbativeFactor(0.0), f)
 
 
-def _per_point(*args) -> tuple[bool, list, ...]:
-    """Whether every argument is one value, then each argument as a per-point list.
+def _per_point(*args) -> tuple:
+    """Whether every argument is one value, then each argument as per-point rows.
 
-    An argument is one value or a sequence of them, one per point; a lone
-    value is repeated to the length of the sequences.  An array is kept as
-    it is.
+    An argument is one value or an array with one row per point: F for a
+    :class:`PerturbativeFactor`, (I1, I2, I3) for a :class:`MomentIntegrals`.
+    A lone value is repeated to the length of the arrays.
     """
-    lists = [None if isinstance(a, (MomentIntegrals, PerturbativeFactor))
-             else a if isinstance(a, np.ndarray) else list(a) for a in args]
-    count = max((len(x) for x in lists if x is not None), default=1)
-    if any(x is not None and len(x) != count for x in lists):
+    lone = [isinstance(a, (MomentIntegrals, PerturbativeFactor)) for a in args]
+    lengths = {len(a) for a, one in zip(args, lone) if not one}
+    if len(lengths) > 1:
         raise ValueError("per-point arguments must have the same length")
-    lone = all(x is None for x in lists)
-    return (lone, *([a] * count if x is None else x for a, x in zip(args, lists)))
+    count = lengths.pop() if lengths else 1
+    rows = [
+        np.full(count, a.f) if isinstance(a, PerturbativeFactor)
+        else np.tile([a.i1, a.i2, a.i3], (count, 1)) if isinstance(a, MomentIntegrals)
+        else np.asarray(a, dtype=float)
+        for a in args
+    ]
+    return (all(lone), *rows)
 
 
 def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
@@ -75,13 +80,11 @@ def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
     the inner block keeps weight 1 - F1 - F2.  Requires F1 + F2 < 1/2 so
     the first-order matrix stays positive semidefinite.
 
-    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor`, a sequence
-    of them or an array of F, one per point; with a sequence or an array
-    the result is the stack of the points' states, else one state.  A lone
-    factor is shared by all points.
+    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor` or an array of
+    F, one per point; with an array the result is the stack of the points'
+    states, else one state.  A lone factor is shared by all points.
     """
     lone, g1, g2 = _per_point(f1, f2)
-    g1, g2 = (g if isinstance(g, np.ndarray) else np.array([f.f for f in g]) for g in (g1, g2))
     inside = check_factor_sum(g1, g2)
     if not inside.all():  # the first point outside raises its own error
         k = int(np.argmin(inside))
@@ -118,9 +121,9 @@ def _dual_coefficient_table(theta: float) -> np.ndarray:
     return table
 
 
-def _moment_matrices(ms: list) -> np.ndarray:
-    """Per point, the symmetric 2x2 moment matrix [[I1, I2], [I2, I3]]."""
-    return np.array([[m.i1, m.i2, m.i2, m.i3] for m in ms]).reshape(-1, 2, 2)
+def _moment_matrices(moments: np.ndarray) -> np.ndarray:
+    """Per (I1, I2, I3) row, the symmetric 2x2 moment matrix [[I1, I2], [I2, I3]]."""
+    return moments[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
 def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
@@ -140,8 +143,11 @@ def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     which :func:`rho_single_boost_general` returns; the opposite limit is
     the same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
 
-    ``m1`` and ``m2`` are each a :class:`MomentIntegrals` or a sequence of
-    them, one per point, as for :func:`rho_dual_boost_perturbative`.
+    ``m1`` and ``m2`` are each a :class:`MomentIntegrals` or a
+    (points x 3) array of (I1, I2, I3) rows, such as the block form of
+    :func:`~boostcoh.integrals.moments_quadrature` returns, as for
+    :func:`rho_dual_boost_perturbative`.  The rows are not checked as
+    triples; the :class:`DensityMatrix` checks of the result apply.
     """
     table = _dual_coefficient_table(theta)
     lone, m1s, m2s = _per_point(m1, m2)

@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -83,12 +83,29 @@ class MomentIntegrals:
     i3: float
 
     def __post_init__(self) -> None:
-        if abs(self.i1 + self.i3 - 1.0) > 1e-10:
+        off_sum, off_range, off_i2 = _moment_faults(np.array([[self.i1, self.i2, self.i3]]))[:, 0]
+        if off_sum:
             raise ValueError(f"i1 + i3 = {self.i1 + self.i3}, expected 1 within 1e-10")
-        if not -1e-12 <= self.i1 <= 1.0 + 1e-12 or not -1e-12 <= self.i3 <= 1.0 + 1e-12:
+        if off_range:
             raise ValueError("i1 and i3 must lie in [0, 1]")
-        if abs(self.i2) > 0.5 + 1e-12:
+        if off_i2:
             raise ValueError(f"|i2| must not exceed 1/2, got {self.i2}")
+
+
+def _moment_faults(values: np.ndarray) -> np.ndarray:
+    """Per row (i1, i2, i3) of ``values``, whether it fails each moment check.
+
+    The result is a (3 x points) mask: i1 + i3 off 1 by more than 1e-10;
+    i1 or i3 outside [0, 1] by more than 1e-12; |i2| above 1/2 by more than
+    1e-12.  The comparisons are written so that NaN fails them.
+    """
+    i1, i2, i3 = values[:, 0], values[:, 1], values[:, 2]
+    lo, hi = -1e-12, 1.0 + 1e-12
+    return np.stack([
+        ~(np.abs(i1 + i3 - 1.0) <= 1e-10),
+        ~((lo <= i1) & (i1 <= hi) & (lo <= i3) & (i3 <= hi)),
+        ~(np.abs(i2) <= 0.5 + 1e-12),
+    ])
 
 
 @dataclass(frozen=True)
@@ -155,34 +172,31 @@ def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -
     return np.stack(sums) / 2.0
 
 
-def _entry(i1: float, i2: float, i3: float, delta: float | None):
-    """What a one-packet call returns, or the error it raises, for one point.
+def _point_error(i1: float, i2: float, i3: float, delta: float | None) -> Exception:
+    """The error a one-packet call raises for a point that failed a check.
 
-    ``delta`` is None for a fixed-order evaluation, which has no tolerance
-    to meet.  A fixed-order or converged estimate that is not a valid
-    triple gives its ``ValueError``; an unconverged one is a tolerance error
-    whatever its values, with ``best=None`` when they are not a triple.
+    ``delta`` is None for a fixed-order evaluation or a converged one.  An
+    estimate that is not a valid triple gives its ``ValueError``; an
+    unconverged one is a tolerance error whatever its values, with
+    ``best=None`` when they are not a triple.
     """
-    final = delta is None or delta < RTOL
     try:
         best = MomentIntegrals(i1=i1, i2=i2, i3=i3)
     except ValueError as exc:  # too low an order to integrate kappa^2n exactly
-        if final:
+        if delta is None:
             return exc
         best = None
-    if final:
-        return best
     return QuadratureToleranceError(best=best, delta=delta, rtol=RTOL)
 
 
 def moments_quadrature(
-    pkt: WavePacket | Sequence[WavePacket],
+    pkt: WavePacket | tuple[int, np.ndarray],
     boost: BoostParams,
     order: int = DEFAULT_ORDER,
     *,
     max_order: int = MAX_ORDER,
     adaptive: bool = True,
-) -> MomentIntegrals | tuple[MomentIntegrals | Exception, ...]:
+):
     """Evaluate (I1, I2, I3) on Gauss-Hermite nodes.
 
     Starting from ``order``, the order is doubled until two successive
@@ -192,33 +206,39 @@ def moments_quadrature(
     ``adaptive=False`` a single fixed-order evaluation is returned;
     otherwise ``max_order`` must lie in [order, MAX_ORDER].
 
-    ``pkt`` may also be a sequence of packets sharing ``n``.  Their moments
-    are then evaluated together, one (points x nodes) contraction per
+    One :class:`WavePacket` gives its :class:`MomentIntegrals`.  The moments
+    depend on a packet only through n and sigma/m, so a block of packets is
+    given as the pair ``(n, sigma_over_m)``, the second a 1-D array.  Its
+    moments are evaluated together, one (points x nodes) contraction per
     order, and each point leaves the doubling as soon as it converges.  The
-    result is a tuple with one entry per packet, bit for bit what the
-    one-packet call gives: its ``MomentIntegrals``, or the exception it
-    would raise, returned rather than raised.  A bad ``order`` or
-    ``max_order`` raises ``ValueError`` at once in both forms.  The CLI
-    passes at most ``cli.BLOCK`` packets per call, which bounds the size
-    of the arrays.
+    result is ``(values, errors)``: the (points x 3) array of (I1, I2, I3)
+    rows, and an object array holding, per point, None or the exception
+    the one-packet call would raise.  A row's bits are the one-packet
+    call's; a row with an error holds the failed estimate.  The one-packet
+    call is a one-element call into the same code.  A bad ``order``,
+    ``max_order``, n or sigma/m raises ``ValueError`` at once in both
+    forms.  The CLI passes at most ``cli.BLOCK`` points per call, which
+    bounds the size of the arrays.
     """
-    pkts = (pkt,) if isinstance(pkt, WavePacket) else tuple(pkt)
-    n = pkts[0].n if pkts else 0
-    if any(p.n != n for p in pkts):
-        raise ValueError(f"packets must share n, got {sorted({p.n for p in pkts})}")
-    eps = np.array([p.sigma_over_m for p in pkts], dtype=float)
+    lone = isinstance(pkt, WavePacket)
+    if lone:
+        n, eps = pkt.n, np.array([pkt.sigma_over_m])
+    else:
+        n, eps = pkt[0], np.asarray(pkt[1], dtype=float)
+        check_nonneg_int(n, "n")
+        if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
+            raise ValueError("sigma/m must be a 1-D array of positive finite values")
 
     values = _moments_at_order(n, eps, boost, order)
-    if not adaptive:
-        deltas = [None] * len(pkts)
-    else:
+    # A fixed-order estimate is final; an adaptive one once it has converged.
+    delta = np.full(len(eps), math.inf if adaptive else 0.0)
+    if adaptive:
         if not order <= max_order <= MAX_ORDER:
             raise ValueError(
                 f"max_order must lie in [order, {MAX_ORDER}] = [{order}, {MAX_ORDER}], "
                 f"got {max_order}"
             )
-        delta = np.full(len(pkts), math.inf)
-        todo = np.arange(len(pkts))  # points that have not converged yet
+        todo = np.arange(len(eps))  # points that have not converged yet
         while todo.size and order * 2 <= max_order:
             order *= 2
             new = _moments_at_order(n, eps[todo], boost, order)
@@ -226,14 +246,17 @@ def moments_quadrature(
             values[:, todo] = new
             delta[todo] = step
             todo = todo[~(step < RTOL)]
-        deltas = delta.tolist()
 
-    entries = tuple(_entry(*v, d) for v, d in zip(values.T.tolist(), deltas))
-    if isinstance(pkt, WavePacket):
-        if isinstance(entries[0], Exception):
-            raise entries[0]
-        return entries[0]
-    return entries
+    values = values.T.copy()
+    unconverged = ~(delta < RTOL)
+    errors = np.full(len(eps), None, dtype=object)
+    for k in np.flatnonzero(unconverged | _moment_faults(values).any(axis=0)).tolist():
+        errors[k] = _point_error(*values[k].tolist(), delta[k].item() if unconverged[k] else None)
+    if not lone:
+        return values, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return MomentIntegrals(*values[0].tolist())
 
 
 def f_factor(n: int, boost: BoostParams, sigma_over_m):

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from boostcoh import (
-    WavePacket, boost_from_beta, c_frobenius, hermitian_eigenvalues, moments_quadrature,
-    rho_dual_boost_general,
+    WavePacket, boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
+    hermitian_eigenvalues, moments_quadrature, rho_dual_boost_general,
+    rho_dual_boost_perturbative, rho_single_boost_general, rho_single_boost_perturbative,
+    spectrum_dual_boost, spectrum_single_boost,
 )
 from boostcoh import cli, density
 from boostcoh.cli import CSV_HEADER, SweepSpec, figure_spec, main, run_sweep
@@ -280,32 +282,67 @@ class TestSweepCommand:
         keys = [(float(r[0]), float(r[1])) for r in rows]
         assert keys == sorted(keys)
 
-    def test_round_trip_bit_for_bit(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        main([
-            "sweep", "--scenario", "dual", "--n", "2", "--mass", "939.36",
-            "--sigma-min", "10", "--sigma-max", "90", "--steps", "3",
-            "--beta-pairs", "0.95:0.8,0.3:0.3", "--methods",
-            "perturbative,exact-eig,quadrature", "--out", str(out),
-        ])
-        spec = SweepSpec(
-            scenario="dual", theta=math.pi / 4, n=2, mass=939.36,
-            sigma_grid=(10.0, 90.0, 3), betas=((0.95, 0.8), (0.3, 0.3)),
-            methods=("perturbative", "exact-eig", "quadrature"),
-        )
-        expected = list(run_sweep(spec))
-        _, rows = read_csv(out)
-        assert len(rows) == len(expected)
-        for row, want in zip(rows, expected):
-            assert float(row[0]) == want.sigma
-            assert float(row[1]) == want.beta1
-            assert float(row[2]) == want.beta2
-            assert float(row[5]) == want.c_l1
-            assert float(row[6]) == want.c_f_perturbative
-            assert float(row[7]) == want.c_f_exact_eig
-            assert float(row[8]) == want.c_f_quadrature
-            assert float(row[9]) == want.f1
-            assert float(row[10]) == want.f2
+    @staticmethod
+    def one_point_line(spec, sigma, betas):
+        """A sweep's CSV line for one point, from the one-value calls alone."""
+        eps = sigma / spec.mass
+        boosts = [boost_from_beta(b) for b in betas]
+        factors = [f_factor(spec.n, b, eps) for b in boosts]
+        single = len(boosts) == 1
+        values = dict.fromkeys(CSV_HEADER[5:])
+        if "perturbative" in spec.methods:
+            values["c_f_perturbative"] = c_frobenius_perturbative(spec.n, boosts, eps)
+        if "exact-eig" in spec.methods:
+            closed = (spectrum_single_boost if single else spectrum_dual_boost)
+            values["c_f_exact_eig"] = c_frobenius(closed(spec.theta, *factors), 4)
+        if "quadrature" in spec.methods:
+            pkt = WavePacket(spec.n, sigma, spec.mass)
+            general = rho_single_boost_general if single else rho_dual_boost_general
+            rho = general(spec.theta, *(moments_quadrature(pkt, b) for b in boosts))
+            values["c_f_quadrature"] = c_frobenius(hermitian_eigenvalues(rho), 4)
+        else:
+            closed = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
+            rho = closed(spec.theta, *factors)
+        values["c_l1"] = c_l1(rho)
+        values["f1"] = factors[0].f
+        values["f2"] = None if single else factors[1].f
+        fields = [sigma, *betas, *([None] if single else []), spec.theta, *values.values()]
+        fields = ["" if v is None else repr(v) for v in fields]
+        fields.insert(3, str(spec.n))
+        return ",".join(fields)
+
+    ROUND_TRIP_CASES = [
+        # an asymmetric and a symmetric pair: f2 shares f1's text on the latter
+        ("dual", ((0.95, 0.8), (0.3, 0.3)), ("perturbative", "exact-eig", "quadrature")),
+        ("dual", ((0.5, 0.5), (0.0, 0.9)), ("exact-eig",)),
+        # f2 empty, and the exact-eig column with it
+        ("single", (0.6, 0.0), ("perturbative", "quadrature")),
+    ]
+
+    def test_round_trip_bit_for_bit(self, tmp_path, capsys):
+        for scenario, betas, methods in self.ROUND_TRIP_CASES:
+            spec = SweepSpec(
+                scenario=scenario, theta=0.6, n=2, mass=939.36, sigma_grid=(10.0, 250.0, 5),
+                betas=betas, methods=methods,
+            )
+            lines = list(run_sweep(spec))
+            expected = [
+                self.one_point_line(spec, sigma, cfg)
+                for sigma in spec.sigmas()
+                for cfg in sorted(b if scenario == "dual" else (b,) for b in betas)
+            ]
+            assert lines == expected
+            out = tmp_path / f"{scenario}-{len(methods)}.csv"
+            flags = ["--betas", ",".join(map(str, betas))] if scenario == "single" else [
+                "--beta-pairs", ",".join(f"{a}:{b}" for a, b in betas)]
+            assert main([
+                "sweep", "--scenario", scenario, "--theta", "0.6", "--n", "2",
+                "--mass", "939.36", "--sigma-min", "10", "--sigma-max", "250", "--steps", "5",
+                *flags, "--methods", ",".join(methods), "--out", str(out),
+            ]) == 0
+            assert out.read_text(encoding="utf-8") == "".join(
+                line + "\n" for line in [",".join(CSV_HEADER), *lines]
+            )
 
     def test_truncation_gap_between_methods(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -442,9 +479,9 @@ class TestSweepCommand:
         calls = []
         original = cli.moments_quadrature
 
-        def counting(pkts, *args, **kwargs):
-            calls.append(len(pkts))
-            return original(pkts, *args, **kwargs)
+        def counting(block, *args, **kwargs):
+            calls.append(len(block[1]))  # points in the sigma/m column
+            return original(block, *args, **kwargs)
 
         monkeypatch.setattr(cli, "moments_quadrature", counting)
         assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0

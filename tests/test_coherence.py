@@ -28,6 +28,7 @@ from boostcoh import (
     spectrum_dual_boost,
     spectrum_single_boost,
 )
+from boostcoh.coherence import _descending, _spectrum_faults
 
 from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
 
@@ -103,6 +104,19 @@ class TestSpectrumValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Spectrum((1.1, -0.1, 0.0, 0.0))
+
+    NAN_ROWS = [(math.nan,) * 4, (math.nan, 0.5, 0.5, 0.0)]
+
+    @pytest.mark.parametrize("row", NAN_ROWS)
+    def test_rejects_nan(self, row):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            Spectrum(row)
+
+    def test_column_check_rejects_nan(self):
+        rows = np.array([*self.NAN_ROWS, (0.5, 0.5, 0.0, 0.0)])
+        _, off_sum, off_range = _spectrum_faults(_descending(rows))
+        assert (off_sum | off_range).tolist() == [True, True, False]
+        assert off_range.tolist() == [True, True, False]
 
 
 class TestSpectrumSingleBoost:

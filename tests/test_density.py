@@ -402,44 +402,45 @@ class TestStackedConstructors:
 
     @given(theta=ANGLES, points=FACTORS)
     def test_perturbative_stack_matches_lone_calls(self, theta, points):
-        f1s = [PerturbativeFactor(a) for a, _ in points]
-        f2s = [PerturbativeFactor(b) for _, b in points]
+        f1s, f2s = np.array(points).T
         stack = rho_dual_boost_perturbative(theta, f1s, f2s)
         assert stack.entries.shape == (len(points), 4, 4)
         assert stack.errors == (None,) * len(points)
-        for k, (f1, f2) in enumerate(zip(f1s, f2s)):
-            lone = rho_dual_boost_perturbative(theta, f1, f2)
+        for k, (f1, f2) in enumerate(points):
+            lone = rho_dual_boost_perturbative(theta, PerturbativeFactor(f1), PerturbativeFactor(f2))
             assert np.array_equal(stack.entries[k], lone.entries)
         single = rho_single_boost_perturbative(theta, f2s)
-        for k, f2 in enumerate(f2s):
-            lone = rho_single_boost_perturbative(theta, f2)
+        for k, (_, f2) in enumerate(points):
+            lone = rho_single_boost_perturbative(theta, PerturbativeFactor(f2))
             assert np.array_equal(single.entries[k], lone.entries)
 
     @given(theta=ANGLES, points=FACTORS)
     def test_general_stack_matches_lone_calls(self, theta, points):
         # I2 = 0, as for every state the pipeline builds
-        m1s = [MomentIntegrals(1 - a, 0.0, a) for a, _ in points]
-        m2s = [MomentIntegrals(1 - b, 0.0, b) for _, b in points]
+        m1s = np.array([(1 - a, 0.0, a) for a, _ in points])
+        m2s = np.array([(1 - b, 0.0, b) for _, b in points])
         stack = rho_dual_boost_general(theta, m1s, m2s)
-        for k, (m1, m2) in enumerate(zip(m1s, m2s)):
-            assert np.array_equal(stack.entries[k], rho_dual_boost_general(theta, m1, m2).entries)
+        for k, (m1, m2) in enumerate(zip(m1s.tolist(), m2s.tolist())):
+            lone = rho_dual_boost_general(theta, MomentIntegrals(*m1), MomentIntegrals(*m2))
+            assert np.array_equal(stack.entries[k], lone.entries)
         single = rho_single_boost_general(theta, m2s)
-        for k, m2 in enumerate(m2s):
-            assert np.array_equal(single.entries[k], rho_single_boost_general(theta, m2).entries)
+        for k, m2 in enumerate(m2s.tolist()):
+            lone = rho_single_boost_general(theta, MomentIntegrals(*m2))
+            assert np.array_equal(single.entries[k], lone.entries)
 
     def test_odd_moments_in_a_stack(self):
         m = MomentIntegrals(0.93, 0.02, 0.07)
-        stack = rho_single_boost_general(0.5, [m, m])
+        stack = rho_single_boost_general(0.5, np.array([[0.93, 0.02, 0.07]] * 2))
         lone = rho_single_boost_general(0.5, m)
         assert np.allclose(stack.entries, lone.entries, rtol=0.0, atol=1e-16)
 
     def test_length_mismatch_rejected(self):
-        f = PerturbativeFactor(0.1)
         with pytest.raises(ValueError, match="same length"):
-            rho_dual_boost_perturbative(0.5, [f, f], [f])
+            rho_dual_boost_perturbative(0.5, np.array([0.1, 0.1]), np.array([0.1]))
+        with pytest.raises(ValueError, match="same length"):
+            rho_dual_boost_general(0.5, np.array([[1.0, 0.0, 0.0]] * 2), np.array([[1.0, 0.0, 0.0]]))
 
     def test_factor_gate_applies_to_every_point(self):
-        ok, bad = PerturbativeFactor(0.1), PerturbativeFactor(0.45)
         with pytest.raises(ValueError, match="F1 \\+ F2 must be < 1/2"):
-            rho_dual_boost_perturbative(0.5, [ok, ok], [ok, bad])
+            rho_dual_boost_perturbative(0.5, np.array([0.1, 0.1]), np.array([0.1, 0.45]))
 

@@ -19,7 +19,7 @@ from boostcoh import (
     moments_quadrature,
     n_bounds,
 )
-from boostcoh.integrals import MAX_ORDER, MIN_ORDER
+from boostcoh.integrals import MAX_ORDER, MIN_ORDER, _moment_faults
 
 from oracles import hermite_value, hermite_weight, mp_f_factor, trapezoid_moments
 
@@ -144,12 +144,72 @@ class TestMomentsQuadrature:
         with pytest.raises(ValueError, match="max_order"):
             moments_quadrature(pkt, boost_from_beta(0.95), order, max_order=max_order)
         with pytest.raises(ValueError, match="max_order"):
-            moments_quadrature([pkt, pkt], boost_from_beta(0.95), order, max_order=max_order)
+            moments_quadrature(
+                (2, np.array([0.1, 0.1])), boost_from_beta(0.95), order, max_order=max_order
+            )
 
-    def test_sequence_needs_shared_n(self):
-        pkts = [WavePacket(2, 0.1, 1.0), WavePacket(3, 0.1, 1.0)]
-        with pytest.raises(ValueError, match="share n"):
-            moments_quadrature(pkts, boost_from_beta(0.95))
+    @pytest.mark.parametrize(
+        "n, eps, match",
+        [
+            (-1, [0.1], "n must be nonnegative"),
+            (2.0, [0.1], "n must be an integer"),
+            (2, [0.1, 0.0], "sigma/m"),
+            (2, [math.nan], "sigma/m"),
+            (2, [math.inf], "sigma/m"),
+            (2, [[0.1]], "sigma/m"),
+        ],
+    )
+    def test_block_rejects_bad_n_or_sigma_over_m(self, n, eps, match):
+        with pytest.raises(ValueError, match=match):
+            moments_quadrature((n, np.array(eps)), boost_from_beta(0.95))
+
+    @staticmethod
+    def check_block_against_one_packet_calls(n, eps, beta, order, max_order, adaptive):
+        """Each point's moments and error are bit for bit the one-packet call's.
+
+        Returns the kind of each point: "ok", "ValueError", or
+        "tolerance" / "crude" for a tolerance error with / without a triple.
+        """
+        boost = boost_from_beta(beta)
+        values, errors = moments_quadrature(
+            (n, np.array(eps, dtype=float)), boost, order, max_order=max_order, adaptive=adaptive
+        )
+        assert values.shape == (len(eps), 3) and errors.shape == (len(eps),)
+        kinds = []
+        for e, row, entry in zip(eps, values, errors):
+            try:
+                want = moments_quadrature(
+                    WavePacket(n, e, 1.0), boost, order, max_order=max_order, adaptive=adaptive
+                )
+            except QuadratureToleranceError as exc:
+                assert isinstance(entry, QuadratureToleranceError)
+                assert (entry.delta, entry.best) == (exc.delta, exc.best)
+                assert str(entry) == str(exc)
+                if exc.best is not None:
+                    assert row.tobytes() == np.array([exc.best.i1, exc.best.i2, exc.best.i3]).tobytes()
+                kinds.append("crude" if exc.best is None else "tolerance")
+            except ValueError as exc:  # too low an order to integrate kappa^2n exactly
+                assert type(entry) is ValueError and str(entry) == str(exc)
+                kinds.append("ValueError")
+            else:
+                assert entry is None
+                assert row.tobytes() == np.array([want.i1, want.i2, want.i3]).tobytes()
+                kinds.append("ok")
+        return kinds
+
+    @pytest.mark.parametrize(
+        "n, eps, beta, order, max_order, adaptive, kinds",
+        [
+            # orders 2 and 4 cannot integrate kappa^16: no estimate is a triple
+            (8, [0.001, 0.3, 0.9], 0.5, 2, 4, True, {"crude"}),
+            (8, [0.001, 0.3, 0.9], 0.5, 2, 4, False, {"ValueError"}),
+            # broad packets at beta 0.999 miss RTOL by order 64
+            (2, [0.01, 0.1, 0.5, 0.9, 0.95], 0.999, 16, 64, True, {"ok", "tolerance"}),
+        ],
+    )
+    def test_block_covers_failing_points(self, n, eps, beta, order, max_order, adaptive, kinds):
+        got = self.check_block_against_one_packet_calls(n, eps, beta, order, max_order, adaptive)
+        assert set(got) == kinds
 
     @settings(deadline=None)
     @given(
@@ -160,26 +220,59 @@ class TestMomentsQuadrature:
         adaptive=st.booleans(),
         data=st.data(),
     )
-    def test_sequence_matches_one_packet_calls(self, n, eps, beta, order, adaptive, data):
+    def test_block_matches_one_packet_calls(self, n, eps, beta, order, adaptive, data):
         # Each point's bits must not depend on the points evaluated with it,
         # nor on when they leave the order doubling.
         max_order = data.draw(st.integers(order, MAX_ORDER))
-        boost = boost_from_beta(beta)
-        pkts = [WavePacket(n, e, 1.0) for e in eps]
-        entries = moments_quadrature(pkts, boost, order, max_order=max_order, adaptive=adaptive)
-        assert len(entries) == len(pkts)
-        for pkt, entry in zip(pkts, entries):
-            try:
-                want = moments_quadrature(
-                    pkt, boost, order, max_order=max_order, adaptive=adaptive
-                )
-            except QuadratureToleranceError as exc:
-                assert isinstance(entry, QuadratureToleranceError)
-                assert (entry.delta, entry.best) == (exc.delta, exc.best)
-            except ValueError as exc:  # too low an order to integrate kappa^2n exactly
-                assert isinstance(entry, ValueError) and str(entry) == str(exc)
-            else:
-                assert entry == want
+        self.check_block_against_one_packet_calls(n, eps, beta, order, max_order, adaptive)
+
+    @staticmethod
+    def reference_faults(i1, i2, i3):
+        """The triple checks as scalar comparisons, the reference for finite values."""
+        return [
+            abs(i1 + i3 - 1.0) > 1e-10,
+            not (-1e-12 <= i1 <= 1.0 + 1e-12 and -1e-12 <= i3 <= 1.0 + 1e-12),
+            abs(i2) > 0.5 + 1e-12,
+        ]
+
+    def test_block_rule_agrees_with_triple_at_boundaries(self):
+        # For each check, triples on either side of its bound: the block rule
+        # flags what the scalar comparisons flag, MomentIntegrals rejects
+        # exactly the flagged triples, and its message names the first flag.
+        def around(x):  # one ulp below, x itself, one ulp above
+            return np.nextafter(x, [-math.inf, x, math.inf]).tolist()
+
+        def straddle(ulp):  # the two multiples of ulp next to 1e-10
+            k = math.floor(1e-10 / ulp)
+            return [k * ulp, (k + 1) * ulp]
+
+        groups = {
+            # i1 + i3 - 1 is exact: the ulp of 1 is 2^-52 above it, 2^-53 below
+            "i1 + i3": [(0.5, 0.0, 0.5 + d) for d in straddle(2.0**-52)]
+                       + [(0.5, 0.0, 0.5 - d) for d in straddle(2.0**-53)],
+            "i1 and i3": [(x, 0.0, 1.0 - x) for x in around(-1e-12) + around(1.0 + 1e-12)]
+                         + [(1.0 - x, 0.0, x) for x in around(-1e-12) + around(1.0 + 1e-12)],
+            "|i2|": [(0.5, s * x, 0.5) for s in (1.0, -1.0) for x in around(0.5 + 1e-12)],
+        }
+        for check, triples in groups.items():
+            flagged = []
+            for triple in triples:
+                flags = _moment_faults(np.array([triple]))[:, 0].tolist()
+                assert flags == self.reference_faults(*triple), triple
+                first = next((name for name, flag in zip(groups, flags) if flag), None)
+                try:
+                    MomentIntegrals(*triple)
+                except ValueError as exc:
+                    assert first is not None and str(exc).startswith(first), triple
+                else:
+                    assert first is None, triple
+                flagged.append(first)
+            assert check in flagged and None in flagged, check
+        # NaN fails the rule wherever it appears
+        for triple in [(math.nan, 0.0, 0.5), (0.5, math.nan, 0.5), (0.5, 0.0, math.nan)]:
+            assert _moment_faults(np.array([triple])).any()
+            with pytest.raises(ValueError):
+                MomentIntegrals(*triple)
 
     def test_moment_triple_validation(self):
         with pytest.raises(ValueError):
