@@ -19,6 +19,7 @@ the command line win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import shutil
@@ -55,6 +56,7 @@ from .integrals import (
     QuadratureToleranceError,
     check_factor_sum,
     check_n_in_bounds,
+    check_orders,
     f_factor,
     moments_quadrature,
 )
@@ -429,6 +431,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"missing required option(s): {_flags(missing)}")
 
 
+def _check_quad_flags(args: argparse.Namespace) -> None:
+    """Reject quadrature orders :func:`check_orders` refuses, naming both flags."""
+    try:
+        check_orders(args.quad_order, args.quad_max_order)
+    except ValueError as exc:
+        raise ValueError(
+            f"--quad-order {args.quad_order}, --quad-max-order {args.quad_max_order}: {exc}"
+        ) from None
+
+
 def _forbid(args: argparse.Namespace, scenario: str, *names: str) -> None:
     """Reject the other scenario's beta flags rather than ignore them."""
     given = [n for n in names if getattr(args, n, None) is not None]
@@ -499,6 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -528,6 +546,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     check_theta(args.theta)
 
     pkt = WavePacket(args.n, args.sigma, args.mass)
+    if args.method == "quadrature":
+        _check_quad_flags(args)
     boosts = tuple(boost_from_beta(b) for b in betas)
     columns, spectra, failure = _block_values(
         args.scenario == "single", args.theta, boosts, pkt.n, np.array([pkt.sigma_over_m]),
@@ -573,6 +593,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         betas=getattr(args, beta_key),
         methods=args.methods,
     )
+    if "quadrature" in spec.methods:
+        _check_quad_flags(args)
     count = write_sweep_csv(spec, args.out, args.quad_order, args.quad_max_order)
     print(f"wrote {count} rows to {args.out}")
     return 0
@@ -593,7 +615,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:

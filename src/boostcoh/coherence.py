@@ -8,9 +8,10 @@ Two measures are implemented:
   basis-independent, computed from eigenvalues.
 
 The boosted matrices are X-shaped in the product basis, so their spectra
-come in closed form (union of two 2x2 blocks); a cyclic Jacobi eigensolver
-serves as the independent oracle for those formulas and as the general
-route for quadrature-fed matrices with nonzero odd moments.
+come in closed form (union of two 2x2 blocks).  A cyclic Jacobi
+eigensolver gives the spectrum of a density matrix: on a real 4x4 X-state
+(every state a sweep builds) it is one rotation per block, made with the
+Jacobi arithmetic; any other matrix is rotated in full sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoostParams, DensityMatrix
+from .core import _OFF_X, _X_BLOCKS, BoostParams, DensityMatrix
 from .integrals import PerturbativeFactor, check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
@@ -192,30 +193,67 @@ def hermitian_eigenvalues(rho: DensityMatrix):
 
     One matrix gives a :class:`Spectrum`.  A stack gives a (points x d)
     array of descending eigenvalues, NaN for a matrix that failed
-    validation.  The matrices of a stack are rotated in lockstep: each
-    makes the same rotations, in the same order, as it would alone, and
-    leaves the loop once it has converged.  On real matrices, such as every
-    state the pipeline builds, each value is bit for bit the lone matrix's;
-    complex entries round through numpy's vector loops and may move an
-    eigenvalue by an ulp.  Raises :class:`JacobiConvergenceError` when any
-    matrix is still unconverged after 100 sweeps.
+    validation.  When every valid matrix is a real 4x4 X-state, as every
+    state a sweep builds is, the sweeps can only rotate each block once,
+    and :func:`_x_eigenvalues` makes those rotations alone, with the same
+    bits.  Any other stack (complex, 2x2, or not X-shaped) is rotated in
+    lockstep: each matrix makes the same rotations, in the same order, as
+    it would alone, and leaves the loop once it has converged.  On real
+    matrices each value is bit for bit the lone matrix's; complex entries
+    round through numpy's vector loops and may move an eigenvalue by an
+    ulp.  Raises :class:`JacobiConvergenceError` when any matrix is still
+    unconverged after 100 sweeps.
     """
-    if rho.entries.ndim == 2:
-        return Spectrum(tuple(_jacobi(rho.entries[None].copy())[0].tolist()))
+    stack = rho.entries.reshape(-1, rho.dim, rho.dim)
     valid = np.array([e is None for e in rho.errors], dtype=bool)
-    eigs = np.full(rho.entries.shape[:-1], np.nan)
-    eigs[valid] = _jacobi(rho.entries[valid])
-    return eigs
+    eigs = np.full(stack.shape[:-1], np.nan)
+    a = stack[valid]  # a copy, which _jacobi may overwrite
+    real_x = rho.dim == 4 and not a.imag.any() and not a[:, _OFF_X].any()
+    eigs[valid] = _x_eigenvalues(a) if real_x else _jacobi(a)
+    return Spectrum(tuple(eigs[0].tolist())) if rho.entries.ndim == 2 else eigs
+
+
+def _x_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each real 4x4 X matrix of ``a``, bit for bit :func:`_jacobi`'s.
+
+    A sweep skips every pivot off the X, since it is zero.  Rotating the
+    pivot (p, q) of one block moves only zeros and the other block's
+    entries stay put, so after the first sweep every off-diagonal entry is
+    zero and the second one stops.  A block is therefore rotated at most
+    once, when the matrix's norm is not below the tolerance and its pivot
+    is nonzero.  Its (p, q) rotation is :func:`_jacobi_rotate`'s, evaluated
+    on the four entries that give the new (p, p) and (q, q): with zero
+    imaginary parts, each complex operation rounds as it does there.
+    """
+    diag = a.diagonal(axis1=1, axis2=2).copy()
+    turn = ~(_off_norm(a) < JACOBI_OFF_TOL)
+    for p, q in _X_BLOCKS:
+        r = np.abs(a[:, p, q])
+        k = turn & (r != 0.0)
+        app, apq, aqp, aqq = a[k, p, p], a[k, p, q], a[k, q, p], a[k, q, q]
+        c, s_phase, s_conj = _rotation(apq, r[k], app.real, aqq.real)
+        # (p, p), (p, q), (q, p), (q, q) after the column step, then the
+        # diagonal after the row step
+        bpp, bpq = c * app - s_conj * apq, s_phase * app + c * apq
+        bqp, bqq = c * aqp - s_conj * aqq, s_phase * aqp + c * aqq
+        diag[k, p] = c * bpp - s_phase * bqp
+        diag[k, q] = s_conj * bpq + c * bqq
+    return np.sort(diag.real)[:, ::-1]
+
+
+def _off_norm(a: np.ndarray) -> np.ndarray:
+    """Per matrix of ``a``, the Frobenius norm of its off-diagonal entries."""
+    off_diagonal = ~np.eye(a.shape[-1], dtype=bool)
+    return np.sqrt(_sum_last_axis(np.abs(a[:, off_diagonal]) ** 2))
 
 
 def _jacobi(a: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of each matrix of the stack ``a``, which is overwritten."""
     n = a.shape[-1]
-    off_diagonal = ~np.eye(n, dtype=bool)
     eigs = np.empty(a.shape[:-1])
     todo = np.arange(len(a))  # stack index of each matrix still in ``a``
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(_sum_last_axis(np.abs(a[:, off_diagonal]) ** 2))
+        off = _off_norm(a)
         done = off < JACOBI_OFF_TOL
         eigs[todo[done]] = np.sort(a[done].diagonal(axis1=1, axis2=2).real)[:, ::-1]
         if done.all():
@@ -240,19 +278,9 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     if not rotated.any():
         return
     b = a if rotated.all() else a[rotated]
-    apq, r = b[:, p, q], r[rotated]
-    # componentwise division: the complex reciprocal overflows for
-    # subnormal pivots, float division does not
-    phase = np.empty_like(apq)
-    phase.real, phase.imag = apq.real / r, apq.imag / r
-    with np.errstate(over="ignore"):  # a huge tau gives t = 0, as in scalar code
-        tau = (b[:, q, q].real - b[:, p, p].real) / (2.0 * r)
-        # 1/(tau + sqrt(1 + tau^2)), or -1/(-tau + sqrt(1 + tau^2)) for tau < 0
-        u = np.abs(tau)
-        t = np.where(tau >= 0.0, 1.0, -1.0) / (u + np.sqrt(1.0 + u * u))
-    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-    s_phase = (t * c[:, 0] * phase)[:, None]
-    s_conj = (t * c[:, 0] * phase.conj())[:, None]
+    c, s_phase, s_conj = (
+        v[:, None] for v in _rotation(b[:, p, q], r[rotated], b[:, p, p].real, b[:, q, q].real)
+    )
 
     col_p, col_q = b[:, :, p].copy(), b[:, :, q].copy()
     b[:, :, p] = c * col_p - s_conj * col_q
@@ -264,6 +292,25 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     b[:, q, p] = 0.0
     if b is not a:
         a[rotated] = b
+
+
+def _rotation(apq: np.ndarray, r: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple:
+    """The cosine c and the sines s e^{i phase}, s e^{-i phase} that zero each pivot.
+
+    ``apq`` is a nonzero pivot, ``r`` its modulus, and ``app``, ``aqq`` the
+    real diagonal entries of its block.
+    """
+    # componentwise division: the complex reciprocal overflows for
+    # subnormal pivots, float division does not
+    phase = np.empty_like(apq)
+    phase.real, phase.imag = apq.real / r, apq.imag / r
+    with np.errstate(over="ignore"):  # a huge tau gives t = 0, as in scalar code
+        tau = (aqq - app) / (2.0 * r)
+        # 1/(tau + sqrt(1 + tau^2)), or -1/(-tau + sqrt(1 + tau^2)) for tau < 0
+        u = np.abs(tau)
+        t = np.where(tau >= 0.0, 1.0, -1.0) / (u + np.sqrt(1.0 + u * u))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, t * c * phase, t * c * phase.conj()
 
 
 def c_frobenius_perturbative(

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import DensityMatrix
+from .core import _X_BLOCKS, DensityMatrix
 from .integrals import MomentIntegrals, PerturbativeFactor, check_factor_sum
 
 __all__ = [
@@ -121,6 +121,34 @@ def _dual_coefficient_table(theta: float) -> np.ndarray:
     return table
 
 
+# The two (i, j) slots of the coefficient table that the basis states of
+# each X block fill: |00> and |11> fill (0, 1) and (1, 0), |01> and |10>
+# fill (0, 0) and (1, 1).
+_BLOCK_SLOTS = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
+
+
+def _x_entries(table: np.ndarray, moments2: np.ndarray, moments1: np.ndarray) -> np.ndarray:
+    """The einsum of :func:`rho_dual_boost_general` for finite rows whose I2 is zero.
+
+    The moment matrices are then diag(I1, I3), so entry (a, b) keeps only
+    the terms of the slots that both states fill: two on the X, none off
+    it.  Each term is multiplied in the einsum's operand order,
+    ((t_a t_b) M2) M1, and the pair is added to the einsum's zero start
+    (the ``+ 0.0`` turns a -0.0 sum into its +0.0), so every entry has the
+    einsum's bits, signed zeros included.
+    """
+    d2, d1 = moments2[:, [0, 2]], moments1[:, [0, 2]]
+    rho = np.zeros((len(d1), 4, 4))
+    for states, ((i, j), (k, l)) in zip(_X_BLOCKS, _BLOCK_SLOTS):
+        for a in states:
+            for b in states:
+                rho[:, a, b] = (
+                    ((table[a, i, j] * table[b, i, j]) * d2[:, i]) * d1[:, j]
+                    + ((table[a, k, l] * table[b, k, l]) * d2[:, k]) * d1[:, l]
+                ) + 0.0
+    return rho
+
+
 def _moment_matrices(moments: np.ndarray) -> np.ndarray:
     """Per (I1, I2, I3) row, the symmetric 2x2 moment matrix [[I1, I2], [I2, I3]]."""
     return moments[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
@@ -148,11 +176,20 @@ def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     :func:`~boostcoh.integrals.moments_quadrature` returns, as for
     :func:`rho_dual_boost_perturbative`.  The rows are not checked as
     triples; the :class:`DensityMatrix` checks of the result apply.
+
+    Every state a sweep builds has I2 = 0 in both triples (the quadrature
+    returns it so), and then the entries are built as the X-state they
+    are, with the einsum's bits; other moments, or any that are not
+    finite, go through the einsum.
     """
     table = _dual_coefficient_table(theta)
     lone, m1s, m2s = _per_point(m1, m2)
-    mom1, mom2 = _moment_matrices(m1s), _moment_matrices(m2s)
     # m1 feeds the second amplitude slot (and m2 the first): that is what
     # aligns the bilinear expansion with the closed-form corner layout.
-    rho = np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1).astype(complex)
+    odd = m1s[:, 1].any() or m2s[:, 1].any()
+    if not odd and np.isfinite(m1s).all() and np.isfinite(m2s).all():
+        rho = _x_entries(table, m2s, m1s)
+    else:
+        mom1, mom2 = _moment_matrices(m1s), _moment_matrices(m2s)
+        rho = np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1)
     return DensityMatrix(rho[0] if lone else rho)

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .core import BoostParams, WavePacket, check_nonneg_int
-from .wigner import _perp_components
+from .wigner import _perp_even
 
 __all__ = [
     "MomentIntegrals",
@@ -46,6 +46,7 @@ __all__ = [
     "n_bounds",
     "check_n_in_bounds",
     "check_factor_sum",
+    "check_orders",
 ]
 
 MIN_ORDER = 2
@@ -133,21 +134,46 @@ def _gh_cached(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for int f(k) e^{-k^2} dk =~ sum w_i f(k_i).
+def check_orders(order: int, max_order: int | None = None) -> None:
+    """Raise ``ValueError`` unless the quadrature can run at these orders.
 
-    Built from the symmetric-tridiagonal (Golub-Welsch) eigenvalue
-    construction; sum of weights equals sqrt(pi).  Arrays are cached and
-    read-only.
+    ``order`` must be an integer in [MIN_ORDER, MAX_ORDER].  ``max_order``
+    is an adaptive run's cap (None for one fixed order) and must lie in
+    [2 order, MAX_ORDER]: the first delta compares ``order`` with
+    ``2 order``, so a lower cap could never converge.
     """
     check_nonneg_int(order, "order")
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
+    if max_order is not None and not 2 * order <= max_order <= MAX_ORDER:
+        raise ValueError(
+            f"max_order must lie in [2 * order, {MAX_ORDER}] = [{2 * order}, {MAX_ORDER}], "
+            f"got {max_order}"
+        )
+
+
+def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for int f(k) e^{-k^2} dk =~ sum w_i f(k_i).
+
+    Built from the symmetric-tridiagonal (Golub-Welsch) eigenvalue
+    construction; sum of weights equals sqrt(pi).  The nodes are exactly
+    antisymmetric and the weights exactly symmetric.  Arrays are cached and
+    read-only.
+    """
+    check_orders(order)
     return _gh_cached(int(order))
 
 
 def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -> np.ndarray:
-    """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array."""
+    """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array.
+
+    The nodes pair exactly and so do the weights, so each term is added to
+    its mirror and the sum halved: odd sin*cos cancels to +0.0 at every
+    node and is not evaluated, while even cos^2 and sin^2 are evaluated on
+    the nonnegative half of the nodes and mirrored into the full row.
+    Numpy sums each row pairwise, as it sums a lone 1-D row, so a point's
+    bits do not depend on the other points evaluated with it.
+    """
     kappa, w = gauss_hermite_nodes(order)
     if n == 0:
         poly = np.full_like(kappa, 1.0 / math.sqrt(math.pi))  # 1 / Gamma(1/2)
@@ -156,20 +182,18 @@ def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -
         # kappa = 0 node (odd orders) for n > 0.
         with np.errstate(divide="ignore"):
             poly = np.exp(n * np.log(kappa * kappa) - math.lgamma(n + 0.5))
-    base = w * poly
-    cos2, sin2, sincos = _perp_components(
-        boost.sinh_alpha, boost.cosh_alpha, eps[:, None] * kappa
-    )
-    # Adding each row to its reverse makes odd integrands vanish exactly.
-    # Along the last, contiguous axis numpy sums every row pairwise, exactly
-    # as it sums a lone 1-D row, so a point's bits do not depend on the
-    # other points evaluated with it.  Taking one component at a time keeps
-    # fewer (points x nodes) arrays alive at once.
+    half = order // 2  # kappa[half:] >= 0, and kappa[i] = -kappa[order - 1 - i]
+    base = (w * poly)[half:]
+    cos2, sin2, _ = _perp_even(boost.cosh_alpha, eps[:, None] * kappa[half:])
+    row = np.empty((len(eps), order))
     sums = []
-    for part in (cos2, sincos, sin2):
+    for part in (cos2, sin2):
         terms = base * part
-        sums.append(np.sum(terms + terms[:, ::-1], axis=-1))
-    return np.stack(sums) / 2.0
+        row[:, half:] = terms + terms  # a term plus its mirror, which has the same bits
+        row[:, :half] = row[:, :order - half - 1:-1]
+        sums.append(np.sum(row, axis=-1))
+    i1, i3 = sums
+    return np.stack([i1, np.zeros_like(i1), i3]) / 2.0
 
 
 def _point_error(i1: float, i2: float, i3: float, delta: float | None) -> Exception:
@@ -204,7 +228,9 @@ def moments_quadrature(
     denominator) or ``max_order`` is exceeded, in which case
     :class:`QuadratureToleranceError` carries the best estimate.  With
     ``adaptive=False`` a single fixed-order evaluation is returned;
-    otherwise ``max_order`` must lie in [order, MAX_ORDER].
+    otherwise ``max_order`` must lie in [2 order, MAX_ORDER] (see
+    :func:`check_orders`).  I2 is +0.0: Gauss-Hermite nodes pair exactly,
+    and the odd integrand cancels term by term.
 
     One :class:`WavePacket` gives its :class:`MomentIntegrals`.  The moments
     depend on a packet only through n and sigma/m, so a block of packets is
@@ -229,15 +255,11 @@ def moments_quadrature(
         if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
             raise ValueError("sigma/m must be a 1-D array of positive finite values")
 
+    check_orders(order, max_order if adaptive else None)
     values = _moments_at_order(n, eps, boost, order)
     # A fixed-order estimate is final; an adaptive one once it has converged.
     delta = np.full(len(eps), math.inf if adaptive else 0.0)
     if adaptive:
-        if not order <= max_order <= MAX_ORDER:
-            raise ValueError(
-                f"max_order must lie in [order, {MAX_ORDER}] = [{order}, {MAX_ORDER}], "
-                f"got {max_order}"
-            )
         todo = np.arange(len(eps))  # points that have not converged yet
         while todo.size and order * 2 <= max_order:
             order *= 2

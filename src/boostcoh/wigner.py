@@ -48,16 +48,23 @@ class WignerTrig:
 def _perp_components(a: float, b: float, x):
     """cos^2, sin^2, sin*cos of phi/2 for e_hat perpendicular to f_hat.
 
-    ``x`` = p/m; accepts scalars or numpy arrays (used in quadrature).
-    The sin^2 expression is the literal product of two nonpositive factors
-    (1 - b) and (1 - sqrt(1 + x^2)), hence nonnegative.
+    ``x`` = p/m; accepts scalars or numpy arrays.
+    """
+    cos2, sin2, denom = _perp_even(b, x)
+    return cos2, sin2, a * x / denom
+
+
+def _perp_even(b: float, x):
+    """The even terms cos^2 and sin^2 of phi/2, and their denominator.
+
+    Each is even in ``x`` bit for bit: -x has the same square.  The
+    quadrature, whose odd term sums to zero, needs only these.  The sin^2
+    expression is the literal product of two nonpositive factors (1 - b)
+    and (1 - sqrt(1 + x^2)), hence nonnegative.
     """
     root = np.sqrt(1.0 + np.square(x))
     denom = 2.0 * (1.0 + b * root)
-    cos2 = (1.0 + b) * (1.0 + root) / denom
-    sin2 = (1.0 - b) * (1.0 - root) / denom
-    sincos = a * x / denom
-    return cos2, sin2, sincos
+    return (1.0 + b) * (1.0 + root) / denom, (1.0 - b) * (1.0 - root) / denom, denom
 
 
 def half_angle_perp(boost: BoostParams, p_over_m: float) -> WignerTrig:

@@ -8,6 +8,9 @@ from the package's own code paths:
 * mpmath evaluations at 50 significant digits for closed-form targets;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
   a time with Python scalars;
+* ``moments_at_order``: the Gauss-Hermite contraction evaluating every
+  node and all three integrands, the reference for the package's
+  half-node contraction;
 * the paper's formulas the pipeline never evaluates directly: the
   momentum amplitude ``psi_amplitude``, the Wigner half-angle for any
   geometry (``half_angle_general``), the spin amplitudes of the boosted
@@ -32,6 +35,8 @@ from boostcoh.coherence import (
     JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, JacobiConvergenceError, Spectrum,
 )
 from boostcoh.core import BoostParams, DensityMatrix, WavePacket, check_nonneg_int
+from boostcoh.integrals import gauss_hermite_nodes
+from boostcoh.wigner import _perp_components
 
 mp.mp.dps = 50
 
@@ -159,6 +164,37 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     a[q, :] = s * np.conj(phase) * row_p + c * row_q
     a[p, q] = 0.0
     a[q, p] = 0.0
+
+
+def moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -> np.ndarray:
+    """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array.
+
+    The package's contraction before it used the node symmetry, kept
+    verbatim (renamed): every node, all three integrands, and each term
+    added to its mirror, so I2 is whatever that sum gives.
+    """
+    kappa, w = gauss_hermite_nodes(order)
+    if n == 0:
+        poly = np.full_like(kappa, 1.0 / math.sqrt(math.pi))  # 1 / Gamma(1/2)
+    else:
+        # kappa^2n / Gamma(n + 1/2) in log space; exp(-inf) = 0 handles a
+        # kappa = 0 node (odd orders) for n > 0.
+        with np.errstate(divide="ignore"):
+            poly = np.exp(n * np.log(kappa * kappa) - math.lgamma(n + 0.5))
+    base = w * poly
+    cos2, sin2, sincos = _perp_components(
+        boost.sinh_alpha, boost.cosh_alpha, eps[:, None] * kappa
+    )
+    # Adding each row to its reverse makes odd integrands vanish exactly.
+    # Along the last, contiguous axis numpy sums every row pairwise, exactly
+    # as it sums a lone 1-D row, so a point's bits do not depend on the
+    # other points evaluated with it.  Taking one component at a time keeps
+    # fewer (points x nodes) arrays alive at once.
+    sums = []
+    for part in (cos2, sincos, sin2):
+        terms = base * part
+        sums.append(np.sum(terms + terms[:, ::-1], axis=-1))
+    return np.stack(sums) / 2.0
 
 
 def gamma_half_integer(k: int) -> float:

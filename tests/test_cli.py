@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from boostcoh import (
@@ -15,8 +16,8 @@ from boostcoh import (
     rho_dual_boost_perturbative, rho_single_boost_general, rho_single_boost_perturbative,
     spectrum_dual_boost, spectrum_single_boost,
 )
-from boostcoh import cli, density
-from boostcoh.cli import CSV_HEADER, SweepSpec, figure_spec, main, run_sweep
+from boostcoh import cli, coherence, density
+from boostcoh.cli import CSV_HEADER, SweepSpec, build_parser, figure_spec, main, run_sweep
 from boostcoh.integrals import check_n_in_bounds
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -135,13 +136,26 @@ class TestCoherenceCommand:
         assert "max_order" in capsys.readouterr().err
 
     def test_quadrature_tolerance_exit_code(self, capsys):
+        # orders 16 and 32 differ by 1.75e-8 on this broad packet at beta 0.999
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.95",
-            "--sigma", "100", "--mass", "939.36", "--n", "2",
-            "--method", "quadrature", "--quad-max-order", "16",
+            "coherence", "--scenario", "single", "--beta", "0.999",
+            "--sigma", "0.5", "--mass", "1", "--n", "1",
+            "--method", "quadrature", "--quad-max-order", "32",
         ])
         assert code == 3
-        assert "did not converge" in capsys.readouterr().err
+        assert "did not converge: delta 1.750e-08" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders", [["--quad-order", "256"], ["--quad-max-order", "16"],
+                                        ["--quad-order", "64", "--quad-max-order", "64"]])
+    def test_max_order_below_twice_order_rejected(self, orders, capsys):
+        # Without a doubling there is no delta: this used to exit 3 with delta inf.
+        code = main([
+            "coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36",
+            "--method", "quadrature", *orders,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--quad-order" in err and "--quad-max-order" in err and "2 * order" in err
 
     def test_crude_estimate_exit_code(self, capsys):
         # The order-4 estimate is not even a moment triple; it is still an
@@ -451,10 +465,21 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_first_failing_row_sets_exit_code(self, tmp_path, capsys):
+        # The first row, sigma/m = 0.5, fails to converge by order 32, before
+        # the second row's sigma/m gate fails.
         out = tmp_path / "sweep.csv"
-        assert main([*self.CROSSING, "--quad-max-order", "16", "--out", str(out)]) == 3
-        assert "did not converge" in capsys.readouterr().err
+        assert main([*self.CROSSING, "--quad-max-order", "32", "--out", str(out)]) == 3
+        assert "did not converge: delta 1.750e-08" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_equal_quad_orders_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("keep\n")
+        assert main([*self.CROSSING, "--quad-order", "32", "--quad-max-order", "32",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--quad-order 32, --quad-max-order 32" in err
+        assert out.read_text() == "keep\n"
 
     # 257 sigma points: one full block of 256 and a block of one.
     TWO_BLOCKS = [
@@ -637,3 +662,55 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["wigner", "--beta", "0.5", "--p-over-m", "1"]) == 0
+        finally:
+            cli._parser.cache_clear()  # drop the parser built under the patch
+        assert built == [1]
+
+    @pytest.mark.parametrize("command", [[], ["wigner"], ["coherence"], ["sweep"], ["figure"]])
+    def test_help_bytes_unchanged(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--help"])
+        want = capsys.readouterr().out
+        assert want.startswith("usage: boostcoh")
+        for _ in range(2):  # the first call may build the parser, the second reuses it
+            assert main([*command, "--help"]) == 0
+            assert capsys.readouterr().out == want
+
+
+class TestClosedFormPaths:
+    """Sweeps build only X-states, so no general eigensolver runs."""
+
+    def test_no_eigvalsh_or_sweeps(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        eigvalsh, sweeps = np.linalg.eigvalsh, coherence._jacobi
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+        monkeypatch.setattr(coherence, "_jacobi", counting("_jacobi", sweeps))
+        assert main(["figure", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert main([
+            "sweep", "--scenario", "dual", "--n", "2", "--mass", "939.36",
+            "--sigma-min", "5", "--sigma-max", "280", "--steps", "64",
+            "--beta-pairs", "0.3:0.95,0.8:0.8", "--methods", "perturbative,exact-eig,quadrature",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert calls == []
+        # the wrappers count: a general matrix reaches both
+        rho = density.DensityMatrix(np.full((4, 4), 0.25, dtype=complex))
+        coherence.hermitian_eigenvalues(rho)
+        assert calls == ["eigvalsh", "_jacobi"]

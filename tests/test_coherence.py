@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from boostcoh import (
     spectrum_dual_boost,
     spectrum_single_boost,
 )
+from boostcoh import coherence
 from boostcoh.coherence import _descending, _spectrum_faults
 
 from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
@@ -317,6 +319,98 @@ class TestStackedJacobi:
             # the per-matrix formula before stacking: a lone 1-D numpy sum
             assert bits(value) == bits(np.abs(rho.entries[off_diagonal]).sum())
             assert bits(value) == bits(c_l1(rho))
+
+
+# Pivots of an X-state: zeros, subnormals, values whose norm is below the
+# 1e-13 tolerance or just above it, and a fraction of the PSD limit.
+X_PIVOT = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 1e-160, 3e-14, -7e-14, 1.2e-13, 0.5, 1.0]
+) | st.floats(-1.0, 1.0)
+
+
+def x_state(diag, pivots, negative_zero_imag=False) -> np.ndarray:
+    """A 4x4 X-state: ``diag`` scaled to trace one, each pivot times sqrt(d_p d_q).
+
+    A pivot of modulus below 1e-12 is taken as it is, so that zeros,
+    subnormals and values near the Jacobi tolerance reach the solver; the
+    state stays within the 1e-10 PSD tolerance.
+    """
+    d = np.array(diag) / sum(diag)
+    a = np.diag(d).astype(complex)
+    for (p, q), v in zip(((0, 3), (1, 2)), pivots):
+        a[p, q] = a[q, p] = v if abs(v) < 1e-12 else v * math.sqrt(d[p] * d[q])
+    if negative_zero_imag:
+        a.imag = -0.0
+    return a
+
+
+class TestXStateRotation:
+    """One rotation per block on real X-states, bit for bit the full sweeps."""
+
+    # The one-matrix oracle's tau overflows on subnormal pivots, as it should.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(
+        st.lists(st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
+            .filter(lambda d: sum(d) > 0.1),
+        st.tuples(X_PIVOT, X_PIVOT),
+        st.booleans(),
+    ), min_size=1, max_size=6))
+    def test_matches_the_one_matrix_solver(self, points):
+        states = [DensityMatrix(x_state(*p)) for p in points]
+        stack = DensityMatrix(np.stack([rho.entries for rho in states]))
+        with mock.patch.object(coherence, "_jacobi", side_effect=AssertionError("swept")):
+            got = hermitian_eigenvalues(stack)
+            lone = [hermitian_eigenvalues(rho).eigenvalues for rho in states]
+        for rho, row, one in zip(states, got, lone):
+            want = jacobi_eigenvalues(rho).eigenvalues
+            assert bits(row) == bits(want) and bits(one) == bits(want)
+
+    def test_matches_the_lockstep_sweeps_on_random_rows(self):
+        rng = np.random.default_rng(20261018)
+        count = 4096
+        a = np.zeros((count, 4, 4), dtype=complex)
+        d = rng.uniform(0.0, 1.0, (count, 4)) ** rng.integers(1, 4, (count, 4))
+        d /= d.sum(axis=1, keepdims=True)
+        a[:, range(4), range(4)] = d
+        special = np.array([0.0, -0.0, 5e-324, -1e-310, 3e-14, -9e-14, 1.5e-13])
+        for p, q in ((0, 3), (1, 2)):
+            v = rng.uniform(-1.0, 1.0, count) * np.sqrt(d[:, p] * d[:, q])
+            pick = rng.random(count) < 0.3
+            v[pick] = rng.choice(special, pick.sum())
+            a[:, p, q] = v
+            # the lower entry may differ within the Hermiticity tolerance
+            a[:, q, p] = v + np.where(rng.random(count) < 0.3, rng.uniform(-1e-13, 1e-13, count), 0.0)
+        a.imag = np.where(rng.random(a.shape) < 0.3, -0.0, 0.0)  # real, with signed zeros
+        with mock.patch.object(coherence, "_jacobi", side_effect=AssertionError("swept")):
+            got = hermitian_eigenvalues(DensityMatrix(a))
+        assert got.tobytes() == coherence._jacobi(a.copy()).tobytes()
+
+    def test_pivots_below_the_tolerance_are_not_rotated(self):
+        # norm sqrt(2 (3e-14^2 + 4e-14^2)) = 7.1e-14 < 1e-13: the diagonal, sorted
+        a = x_state([0.1, 0.2, 0.3, 0.4], (3e-14, 4e-14))
+        assert hermitian_eigenvalues(DensityMatrix(a)).eigenvalues == (0.4, 0.3, 0.2, 0.1)
+
+    def test_complex_2x2_or_non_x_stacks_are_swept(self):
+        base = x_state([0.1, 0.2, 0.3, 0.4], (0.5, 0.5))
+        complex_x = base.copy()
+        complex_x[0, 3], complex_x[3, 0] = 0.01 + 0.01j, 0.01 - 0.01j
+        not_x = base.copy()
+        not_x[0, 1] = not_x[1, 0] = 0.01
+        sweeps = coherence._jacobi
+        stacks = [np.stack([base, complex_x]), np.stack([base, not_x]),
+                  np.stack([np.diag([0.7, 0.3]), [[0.5, 0.1], [0.1, 0.5]]]).astype(complex)]
+        for stack in stacks:
+            calls = []
+
+            def counting(a):
+                calls.append(len(a))
+                return sweeps(a)
+
+            with mock.patch.object(coherence, "_jacobi", counting):
+                got = hermitian_eigenvalues(DensityMatrix(stack))
+            assert calls == [2]
+            assert got.tobytes() == sweeps(stack.copy()).tobytes()
 
 
 # F values for the closed spectra, with the tiny ones whose squares underflow

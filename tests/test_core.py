@@ -1,6 +1,7 @@
 """Tests for the shared domain types."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,3 +216,88 @@ class TestDensityMatrix:
     def test_complex_off_diagonals_allowed(self):
         rho = DensityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
         assert rho.dim == 2
+
+
+def x_block_state(least: float, block: int, angle: float, rest=(0.3, 0.2)) -> np.ndarray:
+    """A trace-one 4x4 X-state whose least eigenvalue is ``least``.
+
+    The block on (0, 3) (``block`` 0) or (1, 2) (``block`` 1) has
+    eigenvalues ``least`` and 0.5 - least turned by ``angle``; the other
+    block is diagonal with ``rest``.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    lo, hi = least, 0.5 - least
+    blocks = ((0, 3), (1, 2))
+    (p, q), (u, v) = blocks[block], blocks[1 - block]
+    a = np.zeros((4, 4), dtype=complex)
+    a[p, p], a[q, q] = c * c * lo + s * s * hi, s * s * lo + c * c * hi
+    a[p, q] = a[q, p] = c * s * (hi - lo)
+    a[u, u], a[v, v] = rest
+    return a
+
+
+class TestXStateValidation:
+    """The PSD verdict of an X-state in closed form, as eigvalsh gives it."""
+
+    @staticmethod
+    def eigvalsh_verdicts(stack):
+        return (np.linalg.eigvalsh(stack).min(axis=-1) >= -1e-10).tolist()
+
+    def test_verdicts_at_the_tolerance(self):
+        stack = np.stack([
+            x_block_state(least, block, angle)
+            for least in (-1e-10 - 1e-12, -1e-10 + 1e-12, -1e-9, 0.0, 1e-12)
+            for block in (0, 1)
+            for angle in (0.0, 0.3, math.pi / 4, 1.2)
+        ])
+        want = self.eigvalsh_verdicts(stack)
+        assert want.count(False) == 2 * 2 * 4  # -1e-10 - 1e-12 and -1e-9 fail
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
+            rho = DensityMatrix(stack)
+        assert [e is None for e in rho.errors] == want
+        for err, matrix, ok in zip(rho.errors, stack, want):
+            if not ok:
+                assert "semidefinite" in str(err)
+                with pytest.raises(ValueError, match="semidefinite"):
+                    DensityMatrix(matrix)
+
+    def test_verdicts_on_random_states(self):
+        rng = np.random.default_rng(20261018)
+        count = 8192
+        d = rng.uniform(0.0, 1.0, (count, 4))
+        d /= d.sum(axis=1, keepdims=True)
+        stack = np.zeros((count, 4, 4), dtype=complex)
+        stack[:, range(4), range(4)] = d
+        for p, q in ((0, 3), (1, 2)):
+            # up to 1.01 of the PSD limit, so some states fail
+            v = rng.uniform(-1.01, 1.01, count) * np.sqrt(d[:, p] * d[:, q])
+            stack[:, p, q] = v
+            stack[:, q, p] = v * np.where(rng.random(count) < 0.5, 1.0, 1j)
+            stack[:, p, q] = stack[:, q, p].conj()
+        want = self.eigvalsh_verdicts(stack)
+        assert 0 < want.count(False) < count
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
+            assert [e is None for e in DensityMatrix(stack).errors] == want
+
+    def test_other_matrices_go_to_eigvalsh(self):
+        x = x_block_state(-1e-9, 0, 0.3)
+        not_x = x.copy()
+        not_x[2, 0] = not_x[0, 2] = 0.3  # lower off-X entry: not PSD any more
+        upper_only = x_block_state(0.0, 1, 0.3)
+        upper_only[0, 2] = 1e-13  # within the Hermiticity tolerance; eigvalsh reads the lower triangle
+        stack = np.stack([x, not_x, upper_only])
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "eigvalsh", counting):
+            rho = DensityMatrix(stack)
+            with pytest.raises(ValueError, match="semidefinite"):
+                DensityMatrix(not_x)
+            two = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+        assert rows == [1, 1, 1]  # not_x in the stack, not_x alone, the 2x2 matrix
+        assert [e is None for e in rho.errors] == [False, False, True]
+        assert two.errors == (None,)

@@ -1,10 +1,11 @@
 """Tests for the reduced density-matrix constructors and the spin amplitudes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boostcoh import (
     MomentIntegrals,
@@ -18,6 +19,7 @@ from boostcoh import (
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
+from boostcoh.density import _dual_coefficient_table, _moment_matrices
 
 from oracles import (
     amplitudes_dual, amplitudes_single, ptrace_reference, spin_half_matrix,
@@ -444,3 +446,56 @@ class TestStackedConstructors:
         with pytest.raises(ValueError, match="F1 \\+ F2 must be < 1/2"):
             rho_dual_boost_perturbative(0.5, np.array([0.1, 0.1]), np.array([0.1, 0.45]))
 
+
+
+def einsum_entries(theta: float, m1s: np.ndarray, m2s: np.ndarray) -> np.ndarray:
+    """The general constructor's contraction over every moment, as the reference."""
+    table = _dual_coefficient_table(theta)
+    return np.einsum(
+        "aij,bkl,pik,pjl->pab", table, table, _moment_matrices(m2s), _moment_matrices(m1s)
+    )
+
+
+# I3 of an X-state's moments, with signed zeros and subnormals; I1 = 1 - I3.
+X_I3 = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestXStateAssembly:
+    """With I2 = 0 the entries are built without the einsum, with its bits."""
+
+    @staticmethod
+    def x_moments(i3s, i2_signs) -> np.ndarray:
+        i3 = np.array(i3s)
+        return np.stack([1.0 - i3, np.copysign(0.0, i2_signs), i3], axis=1)
+
+    @settings(max_examples=200)
+    @given(
+        theta=st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | ANGLES,
+        rows=st.lists(st.tuples(X_I3, X_I3, st.sampled_from([1.0, -1.0])), min_size=1, max_size=8),
+    )
+    def test_entries_match_einsum(self, theta, rows):
+        i3a, i3b, signs = zip(*rows)
+        m1s, m2s = self.x_moments(i3a, signs), self.x_moments(i3b, signs[::-1])
+        want = einsum_entries(theta, m1s, m2s)
+        with mock.patch.object(np, "einsum", side_effect=AssertionError("einsum called")):
+            got = rho_dual_boost_general(theta, m1s, m2s).entries
+        assert got.real.tobytes() == want.tobytes()  # signed zeros included
+        assert not np.signbit(got.imag).any() and not got.imag.any()
+
+    def test_entries_match_einsum_on_random_rows(self):
+        rng = np.random.default_rng(20261018)
+        for theta in (0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 48)):
+            i3 = rng.uniform(0.0, 1.0, (2, 1024)) ** rng.integers(1, 40, (2, 1024))
+            i3[rng.random(i3.shape) < 0.05] = 0.0
+            m1s, m2s = (self.x_moments(v, rng.choice([1.0, -1.0], len(v))) for v in i3)
+            got = rho_dual_boost_general(theta, m1s, m2s).entries
+            assert got.real.tobytes() == einsum_entries(theta, m1s, m2s).tobytes()
+
+    @pytest.mark.parametrize("bad", [(0.93, 0.02, 0.07), (math.nan, 0.0, 0.07), (math.inf, 0.0, 0.0)])
+    def test_odd_or_nonfinite_rows_use_the_einsum(self, bad):
+        m1s = np.array([[0.9, 0.0, 0.1], bad])
+        m2s = np.array([[0.8, 0.0, 0.2]] * 2)
+        want = einsum_entries(0.7, m1s, m2s)
+        with np.errstate(invalid="ignore"):
+            got = rho_dual_boost_general(0.7, m1s, m2s).entries
+        assert got.real.tobytes() == want.tobytes()

@@ -19,9 +19,11 @@ from boostcoh import (
     moments_quadrature,
     n_bounds,
 )
-from boostcoh.integrals import MAX_ORDER, MIN_ORDER, _moment_faults
+from boostcoh.integrals import MAX_ORDER, MIN_ORDER, _moment_faults, _moments_at_order
 
-from oracles import hermite_value, hermite_weight, mp_f_factor, trapezoid_moments
+from oracles import (
+    hermite_value, hermite_weight, moments_at_order, mp_f_factor, trapezoid_moments,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -120,13 +122,16 @@ class TestMomentsQuadrature:
         assert a.i3 == pytest.approx(b.i3, rel=1e-12)
 
     def test_tolerance_error_carries_best_estimate(self):
-        pkt = WavePacket(2, 0.1, 1.0)
+        # A broad packet at beta 0.999: orders 16 and 32 still differ by 1.75e-8.
+        pkt = WavePacket(1, 0.5, 1.0)
         with pytest.raises(QuadratureToleranceError) as info:
-            moments_quadrature(pkt, boost_from_beta(0.95), 16, max_order=16)
+            moments_quadrature(pkt, boost_from_beta(0.999), 16, max_order=32)
         err = info.value
         assert isinstance(err.best, MomentIntegrals)
-        assert err.best.i3 == pytest.approx(3.2056e-3, rel=1e-3)
-        assert err.delta > err.rtol or math.isinf(err.delta)
+        # the order-32 estimate, within its delta of the trapezoid oracle's 0.0616716449206
+        assert err.best.i3 == pytest.approx(0.0616716449192, rel=1e-11)
+        assert err.delta == pytest.approx(1.7496e-8, rel=1e-4)
+        assert err.delta > err.rtol
 
     def test_crude_unconverged_estimate_is_a_tolerance_error(self):
         # At orders 2 and 4, n = 8 leaves i1 + i3 far from 1: not a triple.
@@ -138,8 +143,11 @@ class TestMomentsQuadrature:
         with pytest.raises(ValueError, match="i1 \\+ i3"):
             moments_quadrature(pkt, boost, 2, adaptive=False)
 
-    @pytest.mark.parametrize("order, max_order", [(16, 0), (16, 8), (16, 512), (32, 16)])
+    @pytest.mark.parametrize(
+        "order, max_order", [(16, 0), (16, 8), (16, 512), (32, 16), (16, 16), (256, 256)]
+    )
     def test_max_order_out_of_range_rejected(self, order, max_order):
+        # An adaptive run needs max_order >= 2 order: its first delta compares the two.
         pkt = WavePacket(2, 0.1, 1.0)
         with pytest.raises(ValueError, match="max_order"):
             moments_quadrature(pkt, boost_from_beta(0.95), order, max_order=max_order)
@@ -162,6 +170,33 @@ class TestMomentsQuadrature:
     def test_block_rejects_bad_n_or_sigma_over_m(self, n, eps, match):
         with pytest.raises(ValueError, match=match):
             moments_quadrature((n, np.array(eps)), boost_from_beta(0.95))
+
+    # sigma/m from narrow to far past the closed forms, with extremes whose
+    # squares underflow or whose nodes leave the double range
+    HALF_NODE_EPS = np.concatenate([np.linspace(0.001, 0.99, 25), [1e-300, 5e-324, 3.0, 100.0, 1e150]])
+
+    @pytest.mark.parametrize("order", [2, 3, 5, 16, 17, 33, 64, 97, 128, 255, 256])
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 149])
+    def test_half_node_contraction_bit_for_bit(self, order, n):
+        # The contraction over every node with all three integrands gives the
+        # same I1 and I3 bits, and an I2 of +0.0 (not -0.0) at every point.
+        for beta in (0.0, 0.3, 0.95, 0.999999):
+            boost = boost_from_beta(beta)
+            got = _moments_at_order(n, self.HALF_NODE_EPS, boost, order)
+            assert got.tobytes() == moments_at_order(n, self.HALF_NODE_EPS, boost, order).tobytes()
+            assert got[1].tobytes() == np.zeros(len(self.HALF_NODE_EPS)).tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(0, 300),
+        order=st.integers(MIN_ORDER, MAX_ORDER),
+        beta=st.floats(0.0, 0.999999),
+        eps=st.lists(st.floats(1e-6, 100.0), min_size=1, max_size=8),
+    )
+    def test_half_node_contraction_matches_on_draws(self, n, order, beta, eps):
+        boost, eps = boost_from_beta(beta), np.array(eps)
+        got = _moments_at_order(n, eps, boost, order)
+        assert got.tobytes() == moments_at_order(n, eps, boost, order).tobytes()
 
     @staticmethod
     def check_block_against_one_packet_calls(n, eps, beta, order, max_order, adaptive):
@@ -223,7 +258,7 @@ class TestMomentsQuadrature:
     def test_block_matches_one_packet_calls(self, n, eps, beta, order, adaptive, data):
         # Each point's bits must not depend on the points evaluated with it,
         # nor on when they leave the order doubling.
-        max_order = data.draw(st.integers(order, MAX_ORDER))
+        max_order = data.draw(st.integers(2 * order, MAX_ORDER))
         self.check_block_against_one_packet_calls(n, eps, beta, order, max_order, adaptive)
 
     @staticmethod
