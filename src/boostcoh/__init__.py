@@ -33,7 +33,6 @@ from .density import (
     rho_single_boost_perturbative,
 )
 from .coherence import (
-    JacobiConvergenceError,
     Spectrum,
     c_frobenius,
     c_frobenius_perturbative,
@@ -64,7 +63,6 @@ __all__ = [
     "rho_dual_boost_general",
     "rho_dual_boost_perturbative",
     "Spectrum",
-    "JacobiConvergenceError",
     "c_l1",
     "c_frobenius",
     "spectrum_single_boost",

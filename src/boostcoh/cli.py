@@ -158,10 +158,10 @@ def _block_values(
 
     Every value and check is computed once for the whole block: the domain
     gates (n bounds, then F1 + F2 < 1/2) as masks, the quadrature moments
-    with one call per boost, the density matrices as one stack, and the
-    spectra and coherences as columns.  A point keeps the first failure it
-    meets, in that order.  Only plain values are returned, so no stack
-    outlives the call.
+    of the points that passed them with one call per boost, the density
+    matrices as one stack, and the spectra and coherences as columns.  A
+    point keeps the first failure it meets, in that order.  Only plain
+    values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
     scenario = "single_boost" if single else "dual_boost"
@@ -173,19 +173,23 @@ def _block_values(
     # Per point, None or its first quadrature or validation error; an
     # exception is truthy, so ``errors.astype(bool)`` marks the failures.
     errors = np.full(count, None, dtype=object)
-    if quadrature:  # one call per boost covers every point
+    stacked = np.flatnonzero(passed)
+    if quadrature and stacked.size:  # one call per boost covers the gated points
         moments = []
         for b in boosts:
-            values, errs = moments_quadrature((n, eps), b, quad_order, max_order=quad_max_order)
+            values, errs = moments_quadrature(
+                (n, eps[stacked]), b, quad_order, max_order=quad_max_order
+            )
             moments.append(values)
-            errors = np.where(errors.astype(bool), errors, errs)
-    stacked = np.flatnonzero(passed & ~errors.astype(bool))
+            errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
+        converged = ~errors[stacked].astype(bool)
+        stacked, moments = stacked[converged], [m[converged] for m in moments]
     l1 = np.full(count, np.nan)
     eigs = np.full((count, 4), np.nan)
     if stacked.size:
         if quadrature:
             build = rho_single_boost_general if single else rho_dual_boost_general
-            rho = build(theta, *(m[stacked] for m in moments))
+            rho = build(theta, *moments)
         else:
             build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
             rho = build(theta, *(f[stacked] for f in factors))

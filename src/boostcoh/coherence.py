@@ -8,10 +8,9 @@ Two measures are implemented:
   basis-independent, computed from eigenvalues.
 
 The boosted matrices are X-shaped in the product basis, so their spectra
-come in closed form (union of two 2x2 blocks).  A cyclic Jacobi
-eigensolver gives the spectrum of a density matrix: on a real 4x4 X-state
-(every state a sweep builds) it is one rotation per block, made with the
-Jacobi arithmetic; any other matrix is rotated in full sweeps.
+come in closed form (union of two 2x2 blocks).  The numerical check on
+them is a cyclic Jacobi eigensolver, which on an X-state makes one
+rotation per block.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _OFF_X, _X_BLOCKS, BoostParams, DensityMatrix
+from .core import _X_BLOCKS, BoostParams, DensityMatrix
 from .integrals import PerturbativeFactor, check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
     "Spectrum",
-    "JacobiConvergenceError",
     "c_l1",
     "c_frobenius",
     "spectrum_single_boost",
@@ -37,11 +35,6 @@ __all__ = [
 ]
 
 JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps exceeded the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -101,19 +94,15 @@ def c_l1(rho: DensityMatrix):
 
 
 def _sum_last_axis(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` summed as numpy sums a lone 1-D row of fewer than 16.
+    """Each row of ``v`` summed as numpy sums a lone 1-D row of 8 to 15 values.
 
-    That is: below 8 values, one after another from 0; otherwise 8
-    accumulators added as a tree, then the tail one at a time.  Rows here
-    hold the 2 or 12 off-diagonal entries of a 2x2 or 4x4 matrix.  A
+    That is: 8 accumulators added as a tree, then the tail one at a time.
+    Rows here hold the 12 off-diagonal entries of a 4x4 matrix.  A
     reduction along an axis of a 2-D array need not keep that order.
     """
-    n = v.shape[-1]
-    if n < 8:
-        return _fold(v)
     r = [v[..., i] for i in range(8)]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(8, n):
+    for i in range(8, v.shape[-1]):
         total += v[..., i]
     return total
 
@@ -187,43 +176,34 @@ def spectrum_dual_boost(theta: float, f1, f2):
 def hermitian_eigenvalues(rho: DensityMatrix):
     """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-13,
-    with a hard cap of 100 sweeps.  Serves as the numerically independent
-    check on the analytic spectra.
+    Sweeps would run until the off-diagonal Frobenius norm drops below
+    1e-13.  On an X-state, the only state a :class:`DensityMatrix` holds,
+    they rotate each block at most once, and :func:`_x_eigenvalues` makes
+    those rotations alone.  Serves as the numerically independent check on
+    the analytic spectra.
 
-    One matrix gives a :class:`Spectrum`.  A stack gives a (points x d)
+    One matrix gives a :class:`Spectrum`.  A stack gives a (points x 4)
     array of descending eigenvalues, NaN for a matrix that failed
-    validation.  When every valid matrix is a real 4x4 X-state, as every
-    state a sweep builds is, the sweeps can only rotate each block once,
-    and :func:`_x_eigenvalues` makes those rotations alone, with the same
-    bits.  Any other stack (complex, 2x2, or not X-shaped) is rotated in
-    lockstep: each matrix makes the same rotations, in the same order, as
-    it would alone, and leaves the loop once it has converged.  On real
-    matrices each value is bit for bit the lone matrix's; complex entries
-    round through numpy's vector loops and may move an eigenvalue by an
-    ulp.  Raises :class:`JacobiConvergenceError` when any matrix is still
-    unconverged after 100 sweeps.
+    validation; each row is bit for bit the lone matrix's.
     """
-    stack = rho.entries.reshape(-1, rho.dim, rho.dim)
+    stack = rho.entries.reshape(-1, 4, 4)
     valid = np.array([e is None for e in rho.errors], dtype=bool)
     eigs = np.full(stack.shape[:-1], np.nan)
-    a = stack[valid]  # a copy, which _jacobi may overwrite
-    real_x = rho.dim == 4 and not a.imag.any() and not a[:, _OFF_X].any()
-    eigs[valid] = _x_eigenvalues(a) if real_x else _jacobi(a)
+    eigs[valid] = _x_eigenvalues(stack[valid])
     return Spectrum(tuple(eigs[0].tolist())) if rho.entries.ndim == 2 else eigs
 
 
 def _x_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of each real 4x4 X matrix of ``a``, bit for bit :func:`_jacobi`'s.
+    """Descending eigenvalues of each 4x4 X matrix of ``a``, as cyclic Jacobi sweeps give them.
 
     A sweep skips every pivot off the X, since it is zero.  Rotating the
     pivot (p, q) of one block moves only zeros and the other block's
     entries stay put, so after the first sweep every off-diagonal entry is
     zero and the second one stops.  A block is therefore rotated at most
     once, when the matrix's norm is not below the tolerance and its pivot
-    is nonzero.  Its (p, q) rotation is :func:`_jacobi_rotate`'s, evaluated
-    on the four entries that give the new (p, p) and (q, q): with zero
-    imaginary parts, each complex operation rounds as it does there.
+    is nonzero.  Its unitary (p, q) rotation, columns and then rows, is
+    evaluated on only the four entries that give the new (p, p) and
+    (q, q), each operation in the order the full rotation makes it.
     """
     diag = a.diagonal(axis1=1, axis2=2).copy()
     turn = ~(_off_norm(a) < JACOBI_OFF_TOL)
@@ -242,56 +222,8 @@ def _x_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _off_norm(a: np.ndarray) -> np.ndarray:
-    """Per matrix of ``a``, the Frobenius norm of its off-diagonal entries."""
-    off_diagonal = ~np.eye(a.shape[-1], dtype=bool)
-    return np.sqrt(_sum_last_axis(np.abs(a[:, off_diagonal]) ** 2))
-
-
-def _jacobi(a: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of each matrix of the stack ``a``, which is overwritten."""
-    n = a.shape[-1]
-    eigs = np.empty(a.shape[:-1])
-    todo = np.arange(len(a))  # stack index of each matrix still in ``a``
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = _off_norm(a)
-        done = off < JACOBI_OFF_TOL
-        eigs[todo[done]] = np.sort(a[done].diagonal(axis1=1, axis2=2).real)[:, ::-1]
-        if done.all():
-            return eigs
-        if done.any():
-            a, todo = a[~done], todo[~done]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, p, q)
-    raise JacobiConvergenceError(
-        f"off-diagonal norm {off.max():.3e} after {JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Per matrix of the stack ``a``, the unitary (p, q) rotation that zeroes a[p, q].
-
-    Matrices whose a[p, q] is already zero are left alone.
-    """
-    r = np.abs(a[:, p, q])
-    rotated = r != 0.0
-    if not rotated.any():
-        return
-    b = a if rotated.all() else a[rotated]
-    c, s_phase, s_conj = (
-        v[:, None] for v in _rotation(b[:, p, q], r[rotated], b[:, p, p].real, b[:, q, q].real)
-    )
-
-    col_p, col_q = b[:, :, p].copy(), b[:, :, q].copy()
-    b[:, :, p] = c * col_p - s_conj * col_q
-    b[:, :, q] = s_phase * col_p + c * col_q
-    row_p, row_q = b[:, p, :].copy(), b[:, q, :].copy()
-    b[:, p, :] = c * row_p - s_phase * row_q
-    b[:, q, :] = s_conj * row_p + c * row_q
-    b[:, p, q] = 0.0
-    b[:, q, p] = 0.0
-    if b is not a:
-        a[rotated] = b
+    """Per 4x4 matrix of ``a``, the Frobenius norm of its off-diagonal entries."""
+    return np.sqrt(_sum_last_axis(np.abs(a[:, ~np.eye(4, dtype=bool)]) ** 2))
 
 
 def _rotation(apq: np.ndarray, r: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple:

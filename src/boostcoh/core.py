@@ -6,7 +6,8 @@ Conventions used throughout the package:
 * a boost is parametrized by its rapidity alpha, with cosh(alpha) = gamma
   and tanh(alpha) = beta = v/c
 * two-qubit density matrices live in the product basis
-  |00>, |01>, |10>, |11| (row/column indices 0..3)
+  |00>, |01>, |10>, |11> (row/column indices 0..3), and are X-states:
+  two 2x2 blocks, on (|00>, |11>) and (|01>, |10>), zeros elsewhere
 
 All types are immutable value objects validated at construction, so they
 can be shared freely across threads and cached without copying.
@@ -139,19 +140,22 @@ class WavePacket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Complex Hermitian trace-one matrix, 2x2 or 4x4, or a stack of them.
+    """Complex Hermitian trace-one 4x4 X-state, or a stack of them.
 
-    Construction validates Hermiticity (1e-12 entrywise), unit trace
-    (1e-10) and positive semidefiniteness (eigenvalues >= -1e-10).  A lone
-    (d x d) matrix that fails raises ``ValueError``, so any such instance in
-    circulation is a physical state.  A (points x d x d) stack is validated
-    in one pass and never raises for a bad matrix: ``errors`` holds, per
-    matrix, None or the ``ValueError`` the matrix would raise on its own.
-    A lone matrix is checked as a stack of one.
+    An X-state is the direct sum of two 2x2 blocks, on the basis pairs
+    (|00>, |11>) and (|01>, |10>): every entry off the X is exactly zero.
+    Every state the package builds is one, and it is the only state a
+    :class:`DensityMatrix` holds.
 
-    The least eigenvalue of a 4x4 X-state (every state a sweep builds)
-    comes in closed form from its two 2x2 blocks; other matrices go
-    through one stacked ``eigvalsh``.
+    Construction validates, in this order, Hermiticity (1e-12 entrywise),
+    unit trace (1e-10), the X shape (each off-X entry exactly zero, in
+    both triangles) and positive semidefiniteness (least eigenvalue
+    >= -1e-10, in closed form from the two blocks).  A lone 4x4 matrix that
+    fails raises ``ValueError``, so any such instance in circulation is a
+    physical state.  A (points x 4 x 4) stack is validated in one pass and
+    never raises for a bad matrix: ``errors`` holds, per matrix, None or
+    the ``ValueError`` the matrix would raise on its own.  A lone matrix is
+    checked as a stack of one.
     """
 
     entries: np.ndarray
@@ -159,11 +163,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex)
-        if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
-            raise ValueError(f"entries must be a square matrix or a stack, got {arr.shape}")
-        if arr.shape[-1] not in (2, 4):
-            raise ValueError(f"dimension must be 2 or 4, got {arr.shape[-1]}")
-        errors = _verdicts(arr.reshape(-1, *arr.shape[-2:]))
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
+            raise ValueError(f"entries must be a 4x4 matrix or a stack of them, got {arr.shape}")
+        errors = _verdicts(arr.reshape(-1, 4, 4))
         if arr.ndim == 2 and errors[0] is not None:
             raise errors[0]
         arr.setflags(write=False)
@@ -198,34 +200,28 @@ def _x_least_eigenvalue(x: np.ndarray) -> np.ndarray:
 
 
 def _verdicts(stack: np.ndarray) -> tuple[ValueError | None, ...]:
-    """Per matrix of ``stack``, None or the error of the first check it fails.
+    """Per 4x4 matrix of ``stack``, None or the error of the first check it fails.
 
     The comparisons are written so that NaN fails them; only matrices that
-    pass the first two checks reach the PSD check, in closed form for a
-    4x4 matrix whose lower off-X entries are zero and by ``eigvalsh`` for
-    any other.
+    pass the first three checks reach the PSD check.
     """
     asymmetry = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     herm_ok = asymmetry <= HERMITICITY_TOL
     trace = np.trace(stack, axis1=-2, axis2=-1)
     trace_ok = np.abs(trace - 1.0) <= TRACE_TOL
-    psd_ok = herm_ok & trace_ok
-    general = psd_ok.copy()
-    if stack.shape[-1] == 4:
-        # eigvalsh reads the lower triangle only
-        closed = psd_ok & ~stack[:, np.tril(_OFF_X)].any(axis=-1)
-        psd_ok[closed] = _x_least_eigenvalue(stack[closed]) >= -PSD_TOL
-        general &= ~closed
-    if general.any():
-        psd_ok[general] = np.linalg.eigvalsh(stack[general]).min(axis=-1) >= -PSD_TOL
+    x_ok = ~stack[:, _OFF_X].any(axis=-1)  # NaN is nonzero too
+    psd_ok = herm_ok & trace_ok & x_ok
+    psd_ok[psd_ok] = _x_least_eigenvalue(stack[psd_ok]) >= -PSD_TOL
     if psd_ok.all():
         return (None,) * len(stack)
     errors = []
-    for h_ok, t_ok, p_ok, t in zip(herm_ok, trace_ok, psd_ok, trace.tolist()):
+    for h_ok, t_ok, shape_ok, p_ok, t in zip(herm_ok, trace_ok, x_ok, psd_ok, trace.tolist()):
         if not h_ok:
             errors.append(ValueError("matrix is not Hermitian within 1e-12"))
         elif not t_ok:
             errors.append(ValueError(f"trace = {t}, expected 1 within 1e-10"))
+        elif not shape_ok:
+            errors.append(ValueError("matrix is not an X-state: an entry off the X is nonzero"))
         elif not p_ok:
             errors.append(ValueError("matrix is not positive semidefinite within 1e-10"))
         else:

@@ -3,15 +3,16 @@
 Starting from sin(theta)|01> + cos(theta)|10>, boosting one particle mixes
 the spin amplitudes through the Wigner half-angle, and tracing out momentum
 leaves a 4x4 spin state whose entries are bilinear in the moment integrals.
-Boosting both particles does the same per particle.
+Boosting both particles does the same per particle.  |psi(p)|^2 is even
+in p for every packet, so the odd moment I2 vanishes and the state is an
+X-state: two 2x2 blocks, on (|00>, |11>) and (|01>, |10>).
 
 Two constructor families are provided:
 
-* general (moment-based): entries carry the full (I1, I2, I3) or the
-  per-particle (J, K, L) triples, so quadrature-fed matrices can be
-  compared against the closed forms;
-* perturbative (F-based): the integer-n forms where the odd moments vanish
-  and the matrix is X-shaped.
+* general (moment-based): entries carry the exact products of the
+  (I1, I3) or per-particle (J, L) moments, so quadrature-fed matrices can
+  be compared against the closed forms;
+* perturbative (F-based): the integer-n first-order forms.
 
 Each one-boost constructor is the two-boost one with particle 1 at rest.
 
@@ -42,7 +43,7 @@ def rho_single_boost_general(theta: float, m) -> DensityMatrix:
     """One-boost reduced state: :func:`rho_dual_boost_general` with particle 1 at rest.
 
     Entries are the moment-weighted outer product of the (C, A, D, B)
-    amplitudes; nonzero I2 populates the off-X positions.
+    amplitudes.
     """
     return rho_dual_boost_general(theta, REST, m)
 
@@ -90,8 +91,8 @@ def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
         k = int(np.argmin(inside))
         check_factor_sum(PerturbativeFactor(g1[k].item()), PerturbativeFactor(g2[k].item()))
     st, ct = math.sin(theta), math.cos(theta)
-    # Products, not powers: they round like the einsum in rho_dual_boost_general,
-    # so the one-boost forms agree bit for bit.
+    # Products, not powers: they round like the entries of
+    # rho_dual_boost_general, so the one-boost forms agree bit for bit.
     s2, c2, sc = st * st, ct * ct, st * ct
     rest = 1.0 - g1 - g2
     rho = np.zeros((len(g1), 4, 4), dtype=complex)
@@ -128,14 +129,14 @@ _BLOCK_SLOTS = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
 
 
 def _x_entries(table: np.ndarray, moments2: np.ndarray, moments1: np.ndarray) -> np.ndarray:
-    """The einsum of :func:`rho_dual_boost_general` for finite rows whose I2 is zero.
+    """The entries sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l], for rows whose I2 is zero.
 
-    The moment matrices are then diag(I1, I3), so entry (a, b) keeps only
-    the terms of the slots that both states fill: two on the X, none off
-    it.  Each term is multiplied in the einsum's operand order,
-    ((t_a t_b) M2) M1, and the pair is added to the einsum's zero start
-    (the ``+ 0.0`` turns a -0.0 sum into its +0.0), so every entry has the
-    einsum's bits, signed zeros included.
+    The moment matrices M = [[I1, I2], [I2, I3]] are then diag(I1, I3), so
+    entry (a, b) keeps only the terms of the slots that both states fill:
+    two on the X, none off it.  Each term is multiplied in the order
+    ((t_a t_b) M2) M1, and the pair is added to a zero start (the ``+ 0.0``
+    turns a -0.0 sum into its +0.0), which are the bits of the full
+    contraction, signed zeros included.
     """
     d2, d1 = moments2[:, [0, 2]], moments1[:, [0, 2]]
     rho = np.zeros((len(d1), 4, 4))
@@ -149,47 +150,38 @@ def _x_entries(table: np.ndarray, moments2: np.ndarray, moments1: np.ndarray) ->
     return rho
 
 
-def _moment_matrices(moments: np.ndarray) -> np.ndarray:
-    """Per (I1, I2, I3) row, the symmetric 2x2 moment matrix [[I1, I2], [I2, I3]]."""
-    return moments[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
-
-
 def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     """Dual-boost reduced state with both moment triples retained.
 
-    Each entry is the exact bilinear polynomial in the six per-particle
+    Each entry is the exact bilinear polynomial in the per-particle
     moments obtained by integrating the outer product of the (P, Q, R, S)
-    amplitudes.  This extends the X-shaped closed form: nonzero odd moments
-    populate the off-X positions, and products like (1 - F1) F2 are kept
-    instead of their first-order truncations.
+    amplitudes.  Products like (1 - F1) F2 are kept instead of their
+    first-order truncations.
 
     The argument order follows the corner convention of
     :func:`rho_dual_boost_perturbative` -- ``m1`` weights sin^2(theta) in
-    the |00><00| corner -- so for X-shaped inputs (i2 = 0) the two
-    constructors agree entry by entry up to O(i3_1 * i3_2).  In that
-    convention the one-boost state is ``rho_dual_boost_general(theta, REST, m)``,
-    which :func:`rho_single_boost_general` returns; the opposite limit is
-    the same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
+    the |00><00| corner -- so the two constructors agree entry by entry up
+    to O(i3_1 * i3_2).  In that convention the one-boost state is
+    ``rho_dual_boost_general(theta, REST, m)``, which
+    :func:`rho_single_boost_general` returns; the opposite limit is the
+    same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
 
     ``m1`` and ``m2`` are each a :class:`MomentIntegrals` or a
     (points x 3) array of (I1, I2, I3) rows, such as the block form of
     :func:`~boostcoh.integrals.moments_quadrature` returns, as for
-    :func:`rho_dual_boost_perturbative`.  The rows are not checked as
-    triples; the :class:`DensityMatrix` checks of the result apply.
-
-    Every state a sweep builds has I2 = 0 in both triples (the quadrature
-    returns it so), and then the entries are built as the X-state they
-    are, with the einsum's bits; other moments, or any that are not
-    finite, go through the einsum.
+    :func:`rho_dual_boost_perturbative`.  Every I2 must be zero (the
+    quadrature returns +0.0), or ``ValueError`` is raised; the state is
+    then an X-state.  The rows are not otherwise checked as triples: the
+    :class:`DensityMatrix` checks of the result apply, so a row that is not
+    finite gives a matrix that fails them.
     """
-    table = _dual_coefficient_table(theta)
     lone, m1s, m2s = _per_point(m1, m2)
+    for m in (m1s, m2s):
+        odd = m[:, 1] != 0.0  # NaN is nonzero too
+        if odd.any():
+            k = int(np.argmax(odd))
+            raise ValueError(f"I2 must be zero for an X-state, got {m[k, 1]} at point {k}")
     # m1 feeds the second amplitude slot (and m2 the first): that is what
     # aligns the bilinear expansion with the closed-form corner layout.
-    odd = m1s[:, 1].any() or m2s[:, 1].any()
-    if not odd and np.isfinite(m1s).all() and np.isfinite(m2s).all():
-        rho = _x_entries(table, m2s, m1s)
-    else:
-        mom1, mom2 = _moment_matrices(m1s), _moment_matrices(m2s)
-        rho = np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1)
+    rho = _x_entries(_dual_coefficient_table(theta), m2s, m1s)
     return DensityMatrix(rho[0] if lone else rho)

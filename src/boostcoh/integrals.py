@@ -251,9 +251,10 @@ def moments_quadrature(
         n, eps = pkt.n, np.array([pkt.sigma_over_m])
     else:
         n, eps = pkt[0], np.asarray(pkt[1], dtype=float)
-        check_nonneg_int(n, "n")
-        if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
-            raise ValueError("sigma/m must be a 1-D array of positive finite values")
+    check_nonneg_int(n, "n")
+    # a valid packet's sigma/m can still overflow to inf or underflow to 0
+    if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
+        raise ValueError("sigma/m must be positive and finite (a 1-D array for a block)")
 
     check_orders(order, max_order if adaptive else None)
     values = _moments_at_order(n, eps, boost, order)

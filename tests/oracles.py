@@ -7,7 +7,8 @@ from the package's own code paths:
   moment integrals (kappa in [-12, 12], 1e6 points);
 * mpmath evaluations at 50 significant digits for closed-form targets;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
-  a time with Python scalars;
+  a time with Python scalars, in full sweeps, the reference for the
+  package's one rotation per X block;
 * ``moments_at_order``: the Gauss-Hermite contraction evaluating every
   node and all three integrands, the reference for the package's
   half-node contraction;
@@ -31,9 +32,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from boostcoh.coherence import (
-    JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, JacobiConvergenceError, Spectrum,
-)
+from boostcoh.coherence import JACOBI_OFF_TOL, Spectrum
 from boostcoh.core import BoostParams, DensityMatrix, WavePacket, check_nonneg_int
 from boostcoh.integrals import gauss_hermite_nodes
 from boostcoh.wigner import _perp_components
@@ -42,6 +41,11 @@ mp.mp.dps = 50
 
 TRAPEZOID_WINDOW = 12.0
 TRAPEZOID_POINTS = 1_000_000
+JACOBI_MAX_SWEEPS = 100
+
+
+class JacobiConvergenceError(RuntimeError):
+    """Jacobi sweeps exceeded the iteration cap."""
 
 
 def trapezoid_moments(n: int, beta: float, sigma_over_m: float,
@@ -119,9 +123,9 @@ def hermite_weight(order: int, x: float) -> mp.mpf:
 def jacobi_eigenvalues(rho: DensityMatrix) -> Spectrum:
     """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
 
-    The package's one-matrix solver before it learned to rotate a stack of
-    matrices in lockstep, kept verbatim (renamed) as the reference the
-    stacked solver must reproduce.
+    The package's one-matrix solver before it learned to rotate each X
+    block once, kept verbatim (renamed) as the reference that rotation must
+    reproduce.
     """
     a = np.array(rho.entries, dtype=complex)
     n = a.shape[0]

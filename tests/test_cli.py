@@ -16,7 +16,7 @@ from boostcoh import (
     rho_dual_boost_perturbative, rho_single_boost_general, rho_single_boost_perturbative,
     spectrum_dual_boost, spectrum_single_boost,
 )
-from boostcoh import cli, coherence, density
+from boostcoh import cli, density, integrals
 from boostcoh.cli import CSV_HEADER, SweepSpec, build_parser, figure_spec, main, run_sweep
 from boostcoh.integrals import check_n_in_bounds
 
@@ -472,6 +472,19 @@ class TestSweepCommand:
         assert "did not converge: delta 1.750e-08" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_quadrature_skips_points_that_failed_the_gates(self, tmp_path, monkeypatch, capsys):
+        # Only the first point, sigma/m = 0.5, passes the sigma/m gate.
+        seen = []
+        at_order = integrals._moments_at_order
+
+        def counting(n, eps, boost, order):
+            seen.append(eps.tolist())
+            return at_order(n, eps, boost, order)
+
+        monkeypatch.setattr(integrals, "_moments_at_order", counting)
+        assert main([*self.CROSSING, "--out", str(tmp_path / "sweep.csv")]) == 2
+        assert seen and all(eps == [0.5] for eps in seen)
+
     def test_equal_quad_orders_rejected_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         out.write_text("keep\n")
@@ -692,16 +705,16 @@ class TestClosedFormPaths:
 
     def test_no_eigvalsh_or_sweeps(self, tmp_path, monkeypatch, capsys):
         calls = []
-        eigvalsh, sweeps = np.linalg.eigvalsh, coherence._jacobi
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            calls.append("eigvalsh")
+            return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
-        monkeypatch.setattr(coherence, "_jacobi", counting("_jacobi", sweeps))
+        # hermgauss builds the nodes with an eigvalsh: build every order first
+        for order in (16, 32, 64, 128, 256):
+            integrals.gauss_hermite_nodes(order)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert main(["figure", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
         assert main([
             "sweep", "--scenario", "dual", "--n", "2", "--mass", "939.36",
@@ -710,7 +723,5 @@ class TestClosedFormPaths:
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
         assert calls == []
-        # the wrappers count: a general matrix reaches both
-        rho = density.DensityMatrix(np.full((4, 4), 0.25, dtype=complex))
-        coherence.hermitian_eigenvalues(rho)
-        assert calls == ["eigvalsh", "_jacobi"]
+        np.linalg.eigvalsh(np.eye(2))  # the wrapper counts
+        assert calls == ["eigvalsh"]

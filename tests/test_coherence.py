@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boostcoh import (
     DensityMatrix,
-    JacobiConvergenceError,
     PerturbativeFactor,
     QuadratureToleranceError,
     Spectrum,
@@ -29,7 +27,6 @@ from boostcoh import (
     spectrum_dual_boost,
     spectrum_single_boost,
 )
-from boostcoh import coherence
 from boostcoh.coherence import _descending, _spectrum_faults
 
 from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
@@ -37,11 +34,16 @@ from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
 THETAS = [k * math.pi / 24 for k in range(13)]
 
 
-def random_density_matrix(rng, dim):
-    """Random PSD trace-one matrix from a Ginibre draw (test-only oracle input)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+def random_x_state(rng, complex_pivots=True):
+    """Random trace-one X-state, each block a Ginibre draw g g^H (test-only oracle input).
+
+    With ``complex_pivots`` False every entry is real.
+    """
+    m = np.zeros((4, 4), dtype=complex)
+    for block in ((0, 3), (1, 2)):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) * complex_pivots
+        m[np.ix_(block, block)] = g @ g.conj().T
+    return DensityMatrix(m / m.trace().real)
 
 
 class TestCL1:
@@ -63,8 +65,10 @@ class TestCL1:
         assert c_l1(rho) == pytest.approx(0.8660254037844386, abs=1e-12)
 
     def test_complex_entries(self):
-        rho = DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]]))
-        assert c_l1(rho) == pytest.approx(0.6, rel=1e-15)
+        x = np.diag([0.25] * 4).astype(complex)
+        x[0, 3], x[3, 0] = 0.1j, -0.1j
+        x[1, 2] = x[2, 1] = 0.2
+        assert c_l1(DensityMatrix(x)) == pytest.approx(0.6, rel=1e-15)
 
 
 class TestCFrobenius:
@@ -193,8 +197,8 @@ class TestSpectrumDualBoost:
 
 class TestHermitianEigenvalues:
     def test_diagonal(self):
-        spec = hermitian_eigenvalues(DensityMatrix(np.diag([0.7, 0.3]).astype(complex)))
-        assert spec.eigenvalues == pytest.approx((0.7, 0.3), abs=1e-15)
+        spec = hermitian_eigenvalues(DensityMatrix(np.diag([0.1, 0.4, 0.2, 0.3]).astype(complex)))
+        assert spec.eigenvalues == (0.4, 0.3, 0.2, 0.1)
 
     def test_known_rank_two_state(self):
         spec = hermitian_eigenvalues(
@@ -217,18 +221,23 @@ class TestHermitianEigenvalues:
         expected = sorted(block_eigs(0.3, 0.2, 0.1) + block_eigs(0.3, 0.2, 0.05), reverse=True)
         assert np.allclose(hermitian_eigenvalues(rho).eigenvalues, expected, atol=1e-13)
 
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_random_hermitian_against_numpy(self, dim):
+    @pytest.mark.parametrize("complex_pivots", [False, True], ids=["real", "complex"])
+    def test_random_hermitian_against_numpy(self, complex_pivots):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            rho = random_density_matrix(rng, dim)
+            rho = random_x_state(rng, complex_pivots)
             ours = hermitian_eigenvalues(rho).eigenvalues
             ref = np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
             assert np.allclose(ours, ref, atol=1e-12)
+            want = jacobi_eigenvalues(rho).eigenvalues
+            if complex_pivots:
+                assert np.max(np.abs(np.subtract(ours, want))) <= 1e-15
+            else:
+                assert bits(ours) == bits(want)
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(3)
-        spec = hermitian_eigenvalues(random_density_matrix(rng, 4))
+        spec = hermitian_eigenvalues(random_x_state(rng))
         values = spec.eigenvalues
         assert all(values[i] >= values[i + 1] for i in range(3))
 
@@ -263,7 +272,7 @@ def bits(values) -> list[int]:
 
 
 class TestStackedJacobi:
-    """The lockstep solver against the one-matrix solver it replaced."""
+    """Stacks of X-states against the one-matrix Jacobi oracle."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PIPELINE_STATE, min_size=1, max_size=6))
@@ -279,29 +288,32 @@ class TestStackedJacobi:
             assert bits(hermitian_eigenvalues(rho).eigenvalues) == bits(want)
 
     @settings(deadline=None, max_examples=60)
-    @given(
-        st.sampled_from([2, 4]),
-        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    )
-    def test_complex_states_within_an_ulp(self, dim, seeds):
-        states = [random_density_matrix(np.random.default_rng(seed), dim) for seed in seeds]
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    def test_complex_states_within_an_ulp(self, seeds):
+        states = [random_x_state(np.random.default_rng(seed)) for seed in seeds]
         got = hermitian_eigenvalues(DensityMatrix(np.stack([rho.entries for rho in states])))
         for rho, row in zip(states, got):
             assert np.max(np.abs(row - jacobi_eigenvalues(rho).eigenvalues)) <= 1e-15
 
+    # The one-matrix oracle's tau overflows on subnormal pivots, as it should.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_subnormal_pivot_without_warnings(self):
-        # tau = -0.2 / 2e-310 overflows to -inf; the scalar solver gives t = -0
-        entries = np.array([[0.6, 1e-310], [1e-310, 0.4]], dtype=complex)
-        rho = DensityMatrix(np.stack([entries, np.diag([0.5, 0.5])]))
+        # The inner pivot puts the norm above the tolerance, so the corner
+        # block is rotated too: tau = -0.1 / 2e-310 overflows to -inf, and
+        # the scalar solver gives t = -0.
+        entries = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
+        entries[0, 3] = entries[3, 0] = 1e-310
+        entries[1, 2] = entries[2, 1] = 0.1
+        rho = DensityMatrix(np.stack([entries, np.diag([0.25] * 4)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = hermitian_eigenvalues(rho)
         assert bits(got[0]) == bits(jacobi_eigenvalues(DensityMatrix(entries)).eigenvalues)
-        assert got[1].tolist() == [0.5, 0.5]
+        assert got[1].tolist() == [0.25] * 4
 
     def test_invalid_matrix_left_out(self):
-        good = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        stack = DensityMatrix(np.stack([good.entries, np.diag([0.7, 0.7])]))
+        good = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+        stack = DensityMatrix(np.stack([good.entries, np.diag([0.7, 0.7, 0.0, 0.0])]))
         got = hermitian_eigenvalues(stack)
         assert bits(got[0]) == bits(jacobi_eigenvalues(good).eigenvalues)
         assert np.isnan(got[1]).all()
@@ -312,7 +324,7 @@ class TestStackedJacobi:
     def test_stacked_c_l1_bit_for_bit(self, points, seed):
         rng = np.random.default_rng(seed)
         states = [rho for p in points if (rho := pipeline_state(*p)) is not None]
-        states.append(random_density_matrix(rng, 4))  # complex entries too
+        states.append(random_x_state(rng))  # complex entries too
         stack = c_l1(DensityMatrix(np.stack([rho.entries for rho in states])))
         off_diagonal = ~np.eye(4, dtype=bool)
         for rho, value in zip(states, stack):
@@ -347,6 +359,10 @@ def x_state(diag, pivots, negative_zero_imag=False) -> np.ndarray:
 class TestXStateRotation:
     """One rotation per block on real X-states, bit for bit the full sweeps."""
 
+    @staticmethod
+    def oracle_rows(a: np.ndarray) -> np.ndarray:
+        return np.array([jacobi_eigenvalues(DensityMatrix(m)).eigenvalues for m in a])
+
     # The one-matrix oracle's tau overflows on subnormal pivots, as it should.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(deadline=None, max_examples=300)
@@ -359,14 +375,14 @@ class TestXStateRotation:
     def test_matches_the_one_matrix_solver(self, points):
         states = [DensityMatrix(x_state(*p)) for p in points]
         stack = DensityMatrix(np.stack([rho.entries for rho in states]))
-        with mock.patch.object(coherence, "_jacobi", side_effect=AssertionError("swept")):
-            got = hermitian_eigenvalues(stack)
-            lone = [hermitian_eigenvalues(rho).eigenvalues for rho in states]
+        got = hermitian_eigenvalues(stack)
+        lone = [hermitian_eigenvalues(rho).eigenvalues for rho in states]
         for rho, row, one in zip(states, got, lone):
             want = jacobi_eigenvalues(rho).eigenvalues
             assert bits(row) == bits(want) and bits(one) == bits(want)
 
-    def test_matches_the_lockstep_sweeps_on_random_rows(self):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matches_the_one_matrix_solver_on_random_rows(self):
         rng = np.random.default_rng(20261018)
         count = 4096
         a = np.zeros((count, 4, 4), dtype=complex)
@@ -382,35 +398,13 @@ class TestXStateRotation:
             # the lower entry may differ within the Hermiticity tolerance
             a[:, q, p] = v + np.where(rng.random(count) < 0.3, rng.uniform(-1e-13, 1e-13, count), 0.0)
         a.imag = np.where(rng.random(a.shape) < 0.3, -0.0, 0.0)  # real, with signed zeros
-        with mock.patch.object(coherence, "_jacobi", side_effect=AssertionError("swept")):
-            got = hermitian_eigenvalues(DensityMatrix(a))
-        assert got.tobytes() == coherence._jacobi(a.copy()).tobytes()
+        got = hermitian_eigenvalues(DensityMatrix(a))
+        assert got.tobytes() == self.oracle_rows(a).tobytes()
 
     def test_pivots_below_the_tolerance_are_not_rotated(self):
         # norm sqrt(2 (3e-14^2 + 4e-14^2)) = 7.1e-14 < 1e-13: the diagonal, sorted
         a = x_state([0.1, 0.2, 0.3, 0.4], (3e-14, 4e-14))
         assert hermitian_eigenvalues(DensityMatrix(a)).eigenvalues == (0.4, 0.3, 0.2, 0.1)
-
-    def test_complex_2x2_or_non_x_stacks_are_swept(self):
-        base = x_state([0.1, 0.2, 0.3, 0.4], (0.5, 0.5))
-        complex_x = base.copy()
-        complex_x[0, 3], complex_x[3, 0] = 0.01 + 0.01j, 0.01 - 0.01j
-        not_x = base.copy()
-        not_x[0, 1] = not_x[1, 0] = 0.01
-        sweeps = coherence._jacobi
-        stacks = [np.stack([base, complex_x]), np.stack([base, not_x]),
-                  np.stack([np.diag([0.7, 0.3]), [[0.5, 0.1], [0.1, 0.5]]]).astype(complex)]
-        for stack in stacks:
-            calls = []
-
-            def counting(a):
-                calls.append(len(a))
-                return sweeps(a)
-
-            with mock.patch.object(coherence, "_jacobi", counting):
-                got = hermitian_eigenvalues(DensityMatrix(stack))
-            assert calls == [2]
-            assert got.tobytes() == sweeps(stack.copy()).tobytes()
 
 
 # F values for the closed spectra, with the tiny ones whose squares underflow

@@ -175,47 +175,62 @@ class TestDensityMatrix:
         assert not rho.entries.flags.writeable
 
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(bad)
+            DensityMatrix(x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.1, corner_lower=0.3))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
+            DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0]).astype(complex))
 
     def test_rejects_negative_eigenvalue(self):
-        bad = np.array([[0.6, 0.55], [0.55, 0.4]], dtype=complex)
         with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix(bad)
+            DensityMatrix(x_matrix(0.6, 0.0, 0.0, 0.4, corner=0.55))
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
 
     def test_stack_reports_each_verdict(self):
+        not_x = np.diag([0.4, 0.3, 0.2, 0.1])
+        not_x[0, 1] = not_x[1, 0] = 0.01
         stack = np.stack([
-            np.diag([0.7, 0.3]),
-            np.array([[0.5, 0.1], [0.3, 0.5]]),
-            np.diag([0.7, 0.7]),
-            np.array([[0.6, 0.55], [0.55, 0.4]]),
-            np.full((2, 2), np.nan),
+            np.diag([0.4, 0.3, 0.2, 0.1]),
+            x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.1, corner_lower=0.3),
+            np.diag([0.7, 0.7, 0.0, 0.0]),
+            not_x,
+            x_matrix(0.6, 0.0, 0.0, 0.4, corner=0.55),
+            np.full((4, 4), np.nan),
         ])
         rho = DensityMatrix(stack)  # a stack does not raise for a bad matrix
-        assert rho.dim == 2 and not rho.entries.flags.writeable
+        assert rho.dim == 4 and not rho.entries.flags.writeable
         assert rho.errors[0] is None
         for err, matrix in zip(rho.errors[1:], stack[1:]):
             with pytest.raises(ValueError) as lone:
                 DensityMatrix(matrix)
             assert isinstance(err, ValueError) and str(err) == str(lone.value)
-        assert "Hermitian" in str(rho.errors[4])  # NaN fails the checks
+        assert "X-state" in str(rho.errors[3])
+        assert "Hermitian" in str(rho.errors[5])  # NaN fails the checks
 
     def test_rejects_bad_stack_shape(self):
-        with pytest.raises(ValueError, match="square"):
-            DensityMatrix(np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="4x4"):
+            DensityMatrix(np.zeros((2, 2, 4, 4)))
 
     def test_complex_off_diagonals_allowed(self):
-        rho = DensityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
-        assert rho.dim == 2
+        rho = DensityMatrix(x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.5j, corner_lower=-0.5j))
+        assert rho.dim == 4
+
+
+def x_matrix(d0, d1, d2, d3, corner=0.0, inner=0.0, corner_lower=None) -> np.ndarray:
+    """The 4x4 X matrix with diagonal (d0, d1, d2, d3) and the given pivots.
+
+    ``corner`` is entry (0, 3) and ``inner`` entries (1, 2) and (2, 1);
+    entry (3, 0) is ``corner_lower``, the corner value when not given.
+    """
+    a = np.diag([d0, d1, d2, d3]).astype(complex)
+    a[0, 3] = corner
+    a[3, 0] = corner if corner_lower is None else corner_lower
+    a[1, 2] = a[2, 1] = inner
+    return a
 
 
 def x_block_state(least: float, block: int, angle: float, rest=(0.3, 0.2)) -> np.ndarray:
@@ -279,25 +294,33 @@ class TestXStateValidation:
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
             assert [e is None for e in DensityMatrix(stack).errors] == want
 
-    def test_other_matrices_go_to_eigvalsh(self):
-        x = x_block_state(-1e-9, 0, 0.3)
-        not_x = x.copy()
-        not_x[2, 0] = not_x[0, 2] = 0.3  # lower off-X entry: not PSD any more
-        upper_only = x_block_state(0.0, 1, 0.3)
-        upper_only[0, 2] = 1e-13  # within the Hermiticity tolerance; eigvalsh reads the lower triangle
-        stack = np.stack([x, not_x, upper_only])
-        rows = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            rows.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        with mock.patch.object(np.linalg, "eigvalsh", counting):
+    def test_non_x_matrices_are_rejected(self):
+        x = x_block_state(0.0, 0, 0.3)
+        lower = x.copy()
+        lower[2, 0] = lower[0, 2] = 0.01  # lower and upper off-X entries
+        upper_only = x.copy()
+        upper_only[0, 2] = 1e-13  # within the Hermiticity tolerance
+        not_psd = x_block_state(-1e-9, 0, 0.3)
+        not_psd[1, 0] = not_psd[0, 1] = 1e-3
+        stack = np.stack([x, lower, upper_only, not_psd])
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
             rho = DensityMatrix(stack)
-            with pytest.raises(ValueError, match="semidefinite"):
-                DensityMatrix(not_x)
-            two = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        assert rows == [1, 1, 1]  # not_x in the stack, not_x alone, the 2x2 matrix
-        assert [e is None for e in rho.errors] == [False, False, True]
-        assert two.errors == (None,)
+        assert rho.errors[0] is None
+        for err, matrix in zip(rho.errors[1:], stack[1:]):
+            # the X check comes before the PSD check
+            assert str(err) == "matrix is not an X-state: an entry off the X is nonzero"
+            with pytest.raises(ValueError, match="not an X-state"):
+                DensityMatrix(matrix)
+        # the Hermiticity and trace checks come before the X check
+        upper_only[0, 2] = 0.01
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(upper_only)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(2.0 * lower)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (2, 4, 2)])
+    def test_only_4x4_matrices(self, shape):
+        entries = np.zeros(shape, dtype=complex)
+        entries[..., 0, 0] = 1.0
+        with pytest.raises(ValueError, match="4x4 matrix or a stack"):
+            DensityMatrix(entries)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcoh import (
+    DensityMatrix,
     MomentIntegrals,
     PerturbativeFactor,
     WavePacket,
@@ -19,7 +20,8 @@ from boostcoh import (
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
-from boostcoh.density import _dual_coefficient_table, _moment_matrices
+from boostcoh.core import _OFF_X
+from boostcoh.density import _dual_coefficient_table
 
 from oracles import (
     amplitudes_dual, amplitudes_single, ptrace_reference, spin_half_matrix,
@@ -92,20 +94,29 @@ class TestAmplitudesDual:
         assert sum(x * x for x in amps) == pytest.approx(1.0, abs=1e-12)
 
 
-# A discrete distribution of half-angles phi/2 for one particle: 2-6 angles
-# with positive weights, normalized below.
+# A discrete distribution of half-angles phi/2 for one particle: 1-6 angles
+# with positive weights, normalized and mirrored below.
 HALF_ANGLE_DISTRIBUTIONS = st.lists(
-    st.tuples(HALF_ANGLES, st.floats(min_value=0.01, max_value=1.0)), min_size=2, max_size=6
+    st.tuples(HALF_ANGLES, st.floats(min_value=0.01, max_value=1.0)), min_size=1, max_size=6
 )
 
 
 def _half_angles_and_moments(dist):
-    """Per angle its weight and (cos, sin) pair, and the distribution's moments."""
+    """Per angle its weight and (cos, sin) pair, and the distribution's moments.
+
+    Each angle comes with its mirror -phi/2 at the same weight, as a
+    momentum p comes with -p in the even |psi(p)|^2 of every packet, so
+    the odd moment I2 adds up to exactly zero.
+    """
     total = sum(w for _, w in dist)
-    points = [(w / total, (math.cos(a), math.sin(a))) for a, w in dist]
+    points = []
+    for a, w in dist:
+        c, s = math.cos(a), math.sin(a)
+        points += [(w / (2 * total), (c, s)), (w / (2 * total), (c, -s))]
     i1 = sum(w * c * c for w, (c, _) in points)
     i2 = sum(w * c * s for w, (c, s) in points)
     i3 = sum(w * s * s for w, (_, s) in points)
+    assert i2 == 0.0
     return points, MomentIntegrals(i1, i2, i3)
 
 
@@ -141,9 +152,19 @@ class TestAmplitudeOracle:
 
 
 def _sharp_momentum_moments(boost, x: float) -> MomentIntegrals:
-    """The moments of a packet concentrated at p/m = x."""
+    """The moments of a packet concentrated at p/m = x and -x with equal weight.
+
+    cos^2 and sin^2 of the half-angle are even in p and sin cos is odd, so
+    I2 = 0.
+    """
     trig = half_angle_perp(boost, x)
-    return MomentIntegrals(trig.cos2_half, trig.sincos_half, trig.sin2_half)
+    return MomentIntegrals(trig.cos2_half, 0.0, trig.sin2_half)
+
+
+def _mixture(theta: float, rotations) -> np.ndarray:
+    """The equal-weight mixture of the pure state turned by each of ``rotations``."""
+    vecs = [r @ pure_state_vector(theta) for r in rotations]
+    return sum(np.outer(v, v.conj()) for v in vecs) / len(vecs)
 
 
 def _spin_rotation(boost, x: float) -> np.ndarray:
@@ -165,28 +186,32 @@ BOOST_BETAS = st.floats(min_value=0.0, max_value=0.99)
 class TestSpinRotationOracle:
     """For a packet at one momentum, each boosted particle's spin turns by
     D(W), the spin-1/2 representation of its Wigner rotation, with |0> spin
-    up along z: the constructors reproduce that pure state."""
+    up along z.  For a packet at p/m = x and -x with equal weight, the
+    constructors reproduce the mixture of the two turned pure states (four
+    when both particles are boosted)."""
 
     @pytest.mark.parametrize("beta", [0.2, 0.8, 0.99])
     @pytest.mark.parametrize("x", [-3.0, 0.4, 10.0])
     def test_single_boost_rotates_the_first_spin(self, beta, x):
         theta = 0.3
         boost = boost_from_beta(beta)
-        vec = np.kron(_spin_rotation(boost, x), np.eye(2)) @ pure_state_vector(theta)
+        want = _mixture(theta, [np.kron(_spin_rotation(boost, sign * x), np.eye(2))
+                                for sign in (1.0, -1.0)])
         rho = rho_single_boost_general(theta, _sharp_momentum_moments(boost, x))
-        assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) <= _rotation_tol((boost, x))
+        assert np.max(np.abs(rho.entries - want)) <= _rotation_tol((boost, x))
 
     @given(theta=ANGLES, beta1=BOOST_BETAS, x1=SHARP_MOMENTA, beta2=BOOST_BETAS, x2=SHARP_MOMENTA)
     def test_dual_boost_rotates_both_spins(self, theta, beta1, x1, beta2, x2):
         b1, b2 = boost_from_beta(beta1), boost_from_beta(beta2)
         # m1 binds to the second spin, m2 to the first
-        rotation = np.kron(_spin_rotation(b2, x2), _spin_rotation(b1, x1))
-        vec = rotation @ pure_state_vector(theta)
+        want = _mixture(theta, [
+            np.kron(_spin_rotation(b2, s2 * x2), _spin_rotation(b1, s1 * x1))
+            for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)
+        ])
         rho = rho_dual_boost_general(
             theta, _sharp_momentum_moments(b1, x1), _sharp_momentum_moments(b2, x2)
         )
-        tol = _rotation_tol((b1, x1), (b2, x2))
-        assert np.max(np.abs(rho.entries - np.outer(vec, vec.conj()))) <= tol
+        assert np.max(np.abs(rho.entries - want)) <= _rotation_tol((b1, x1), (b2, x2))
 
 
 class TestPartialTrace:
@@ -229,7 +254,7 @@ class TestPartialTrace:
 
     @given(theta=ANGLES, dist=HALF_ANGLE_DISTRIBUTIONS)
     def test_single_boost_leaves_the_partner_alone(self, theta, dist):
-        # the boost acts on the first spin only, odd moments included
+        # the boost acts on the first spin only
         _, m = _half_angles_and_moments(dist)
         second = ptrace_reference(rho_single_boost_general(theta, m).entries, "second")
         want = np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2])
@@ -269,14 +294,24 @@ class TestRhoSingleBoostGeneral:
             assert np.max(np.abs(rho.entries - pure_state_projector(theta))) < 1e-12
 
     def test_nonzero_i2_layout(self):
-        # odd-moment weight populates exactly the off-X positions
-        theta = 0.3
+        # one half-angle's odd moment c s populates exactly the off-X
+        # positions of its pure state; the mirror angle's cancels it
+        theta, angle = 0.3, 0.2
         st_, ct = math.sin(theta), math.cos(theta)
-        m = MomentIntegrals(0.9, 0.05, 0.1)
+        points, m = _half_angles_and_moments([(angle, 1.0)])
+        states = []
+        for _, pair in points:
+            a, b, c, d = amplitudes_single(theta, pair)
+            vec = np.array([c, a, d, b])  # basis order |00>, |01>, |10>, |11>
+            states.append(np.outer(vec, vec))
+        i2 = math.cos(angle) * math.sin(angle)
+        for state, sign in zip(states, (1.0, -1.0)):
+            assert state[0, 1] == pytest.approx(sign * st_ * ct * i2, rel=1e-13)
+            assert state[0, 2] == pytest.approx(sign * ct**2 * i2, rel=1e-13)
+            assert state[1, 3] == pytest.approx(-sign * st_**2 * i2, rel=1e-13)
         rho = rho_single_boost_general(theta, m).entries.real
-        assert rho[0, 1] == pytest.approx(st_ * ct * 0.05, rel=1e-13)
-        assert rho[0, 2] == pytest.approx(ct**2 * 0.05, rel=1e-13)
-        assert rho[1, 3] == pytest.approx(-(st_**2) * 0.05, rel=1e-13)
+        assert not rho[_OFF_X].any()
+        assert np.max(np.abs(rho - (states[0] + states[1]) / 2)) <= 1e-15
 
     @given(theta=ANGLES)
     def test_matches_perturbative_by_substitution(self, theta):
@@ -381,7 +416,7 @@ class TestRhoDualBoostGeneral:
         assert np.max(np.abs(general.entries - pert.entries)) <= f1 * f2 + 1e-14
 
     def test_one_boost_limit_reduces_to_single(self):
-        m = MomentIntegrals(0.93, 0.02, 0.07)
+        m = MomentIntegrals(0.93, 0.0, 0.07)
         rest = MomentIntegrals(1.0, 0.0, 0.0)
         for theta in (0.0, 0.5, 1.2):
             dual = rho_dual_boost_general(theta, rest, m)
@@ -431,10 +466,11 @@ class TestStackedConstructors:
             assert np.array_equal(single.entries[k], lone.entries)
 
     def test_odd_moments_in_a_stack(self):
-        m = MomentIntegrals(0.93, 0.02, 0.07)
-        stack = rho_single_boost_general(0.5, np.array([[0.93, 0.02, 0.07]] * 2))
+        # the odd moments of a +/-p pair cancel, so every row has I2 = 0
+        _, m = _half_angles_and_moments([(0.3, 1.0), (-1.1, 0.5)])
+        stack = rho_single_boost_general(0.5, np.array([[m.i1, m.i2, m.i3]] * 2))
         lone = rho_single_boost_general(0.5, m)
-        assert np.allclose(stack.entries, lone.entries, rtol=0.0, atol=1e-16)
+        assert stack.entries.tobytes() == np.stack([lone.entries] * 2).tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same length"):
@@ -449,11 +485,10 @@ class TestStackedConstructors:
 
 
 def einsum_entries(theta: float, m1s: np.ndarray, m2s: np.ndarray) -> np.ndarray:
-    """The general constructor's contraction over every moment, as the reference."""
+    """The contraction over every moment that the general constructor's entries equal."""
     table = _dual_coefficient_table(theta)
-    return np.einsum(
-        "aij,bkl,pik,pjl->pab", table, table, _moment_matrices(m2s), _moment_matrices(m1s)
-    )
+    mom1, mom2 = (m[:, [0, 1, 1, 2]].reshape(-1, 2, 2) for m in (m1s, m2s))
+    return np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1)
 
 
 # I3 of an X-state's moments, with signed zeros and subnormals; I1 = 1 - I3.
@@ -491,11 +526,31 @@ class TestXStateAssembly:
             got = rho_dual_boost_general(theta, m1s, m2s).entries
             assert got.real.tobytes() == einsum_entries(theta, m1s, m2s).tobytes()
 
-    @pytest.mark.parametrize("bad", [(0.93, 0.02, 0.07), (math.nan, 0.0, 0.07), (math.inf, 0.0, 0.0)])
-    def test_odd_or_nonfinite_rows_use_the_einsum(self, bad):
+    @pytest.mark.parametrize("i2", [0.02, -5e-324, math.nan], ids=["odd", "subnormal", "nan"])
+    def test_odd_rows_are_rejected(self, i2):
+        even = np.array([[0.9, 0.0, 0.1]] * 3)
+        odd = even.copy()
+        odd[1, 1] = i2
+        for m1, m2 in ((odd, even), (even, odd)):
+            with pytest.raises(ValueError, match="I2 must be zero .* at point 1"):
+                rho_dual_boost_general(0.7, m1, m2)
+        with pytest.raises(ValueError, match="I2 must be zero"):
+            rho_single_boost_general(0.7, odd[1:2])
+
+    def test_odd_moments_alone_are_rejected(self):
+        m = MomentIntegrals(0.93, 0.02, 0.07)
+        with pytest.raises(ValueError, match="I2 must be zero for an X-state, got 0.02"):
+            rho_single_boost_general(0.5, m)
+        with pytest.raises(ValueError, match="I2 must be zero"):
+            rho_dual_boost_general(0.5, MomentIntegrals(1.0, 0.0, 0.0), m)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.07), (math.inf, 0.0, 0.0)], ids=["nan", "inf"])
+    def test_nonfinite_rows_fail_validation(self, bad):
         m1s = np.array([[0.9, 0.0, 0.1], bad])
         m2s = np.array([[0.8, 0.0, 0.2]] * 2)
-        want = einsum_entries(0.7, m1s, m2s)
         with np.errstate(invalid="ignore"):
-            got = rho_dual_boost_general(0.7, m1s, m2s).entries
-        assert got.real.tobytes() == want.tobytes()
+            stack = rho_dual_boost_general(0.7, m1s, m2s)
+            with pytest.raises(ValueError, match="Hermitian"):  # the matrix alone
+                DensityMatrix(stack.entries[1])
+        assert stack.errors[0] is None and "Hermitian" in str(stack.errors[1])
+        assert stack.entries[0].real.tobytes() == einsum_entries(0.7, m1s, m2s)[0].tobytes()

@@ -171,6 +171,18 @@ class TestMomentsQuadrature:
         with pytest.raises(ValueError, match=match):
             moments_quadrature((n, np.array(eps)), boost_from_beta(0.95))
 
+    @pytest.mark.parametrize("sigma, mass", [(1e300, 1e-10), (1e-300, 1e300)])
+    def test_packet_rejects_sigma_over_m_out_of_range(self, sigma, mass):
+        # a valid packet whose sigma/m overflows to inf or underflows to 0
+        # is rejected at once, as the block form rejects the same value
+        pkt = WavePacket(0, sigma, mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma/m must be positive and finite"):
+                moments_quadrature(pkt, boost_from_beta(0.95))
+            with pytest.raises(ValueError, match="sigma/m must be positive and finite"):
+                moments_quadrature((0, np.array([pkt.sigma_over_m])), boost_from_beta(0.95))
+
     # sigma/m from narrow to far past the closed forms, with extremes whose
     # squares underflow or whose nodes leave the double range
     HALF_NODE_EPS = np.concatenate([np.linspace(0.001, 0.99, 25), [1e-300, 5e-324, 3.0, 100.0, 1e150]])
