@@ -5,68 +5,59 @@ entangled state seen from boosted frames (one or both particles boosted,
 perpendicular to their motion) and evaluates their l1-norm and
 Frobenius-norm coherence, cross-checking exact Gauss-Hermite quadrature
 against the narrow-packet closed forms.
+
+The names below are imported from their submodule on first use, so
+``import boostcoh`` alone loads no numpy; :mod:`boostcoh.cli` relies on this
+to choose numpy's BLAS thread count before numpy loads.
 """
 
-from .core import (
-    BoostParams,
-    DensityMatrix,
-    WavePacket,
-    boost_from_beta,
-)
-from .wigner import (
-    WignerTrig,
-    half_angle_perp,
-)
-from .integrals import (
-    MomentIntegrals,
-    PerturbativeFactor,
-    QuadratureToleranceError,
-    f_factor,
-    gauss_hermite_nodes,
-    moments_quadrature,
-    n_bounds,
-)
-from .density import (
-    rho_dual_boost_general,
-    rho_dual_boost_perturbative,
-    rho_single_boost_general,
-    rho_single_boost_perturbative,
-)
-from .coherence import (
-    Spectrum,
-    c_frobenius,
-    c_frobenius_perturbative,
-    c_l1,
-    hermitian_eigenvalues,
-    spectrum_dual_boost,
-    spectrum_single_boost,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoostParams",
-    "WavePacket",
-    "DensityMatrix",
-    "boost_from_beta",
-    "WignerTrig",
-    "half_angle_perp",
-    "MomentIntegrals",
-    "PerturbativeFactor",
-    "QuadratureToleranceError",
-    "gauss_hermite_nodes",
-    "moments_quadrature",
-    "f_factor",
-    "n_bounds",
-    "rho_single_boost_general",
-    "rho_single_boost_perturbative",
-    "rho_dual_boost_general",
-    "rho_dual_boost_perturbative",
-    "Spectrum",
-    "c_l1",
-    "c_frobenius",
-    "spectrum_single_boost",
-    "spectrum_dual_boost",
-    "hermitian_eigenvalues",
-    "c_frobenius_perturbative",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "BoostParams": "core",
+    "WavePacket": "core",
+    "DensityMatrix": "core",
+    "boost_from_beta": "core",
+    "WignerTrig": "wigner",
+    "half_angle_perp": "wigner",
+    "MomentIntegrals": "integrals",
+    "PerturbativeFactor": "integrals",
+    "QuadratureToleranceError": "integrals",
+    "gauss_hermite_nodes": "integrals",
+    "moments_quadrature": "integrals",
+    "f_factor": "integrals",
+    "n_bounds": "integrals",
+    "rho_single_boost_general": "density",
+    "rho_single_boost_perturbative": "density",
+    "rho_dual_boost_general": "density",
+    "rho_dual_boost_perturbative": "density",
+    "Spectrum": "coherence",
+    "c_l1": "coherence",
+    "c_frobenius": "coherence",
+    "spectrum_single_boost": "coherence",
+    "spectrum_dual_boost": "coherence",
+    "hermitian_eigenvalues": "coherence",
+    "c_frobenius_perturbative": "coherence",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule and keep it in the package namespace.
+
+    Any other name raises AttributeError, which lets ``from boostcoh import
+    cli`` fall back to importing the submodule.
+    """
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -28,6 +28,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Literal, Sequence
 
+# OpenBLAS reads its thread count once, when numpy loads it.  The CLI's only
+# LAPACK call builds Gauss-Hermite nodes of order <= 256, where a second
+# thread adds CPU time to every process and no speed, so a process that
+# loads numpy from here uses one thread.  A thread count the user set wins,
+# and a process that already loaded numpy is left as it is.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .coherence import (
@@ -115,10 +124,12 @@ class SweepSpec:
         check_nonneg_int(self.n, "n")
         check_positive_finite(self.mass, "mass")
         lo, hi, steps = self.sigma_grid
+        if steps < 2:  # first: figure_spec derives its default sigma_min from steps
+            raise ValueError(f"sigma grid needs steps >= 2, got {steps}")
         check_positive_finite(lo, "sigma_min")
         check_positive_finite(hi, "sigma_max")
-        if hi < lo or steps < 2:
-            raise ValueError(f"sigma grid needs min <= max and steps >= 2, got {self.sigma_grid}")
+        if hi < lo:
+            raise ValueError(f"sigma grid needs sigma_min <= sigma_max, got {lo!r} > {hi!r}")
         if not self.betas:
             raise ValueError("at least one beta configuration is required")
         for cfg in self.betas:
@@ -317,7 +328,10 @@ def write_sweep_csv(
     if not direct:
         path = path.resolve()
     tmp = path if direct else path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the path the user gave, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
     try:
         with fh:
             fh.write(",".join(CSV_HEADER) + "\n")
@@ -349,7 +363,8 @@ def figure_spec(name: Literal["fig1", "fig2"], **overrides) -> SweepSpec:
     mass = overrides.get("mass", FIGURE_MASS_MEV)
     steps = overrides.get("steps", FIGURE_STEPS)
     sigma_max = overrides.get("sigma_max", FIGURE_SIGMA_FRACTION * mass)
-    sigma_min = overrides.get("sigma_min", sigma_max / steps)
+    # The grid is sigma_max * k / steps, k = 1..steps; SweepSpec rejects steps < 2.
+    sigma_min = overrides.get("sigma_min", sigma_max / steps if steps else sigma_max)
     betas = overrides.get("betas", FIGURE_BETAS)
     scenario = "single" if name == "fig1" else "dual"
     beta_cfgs = tuple(betas) if scenario == "single" else tuple((b, b) for b in betas)

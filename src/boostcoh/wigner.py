@@ -73,6 +73,7 @@ def half_angle_perp(boost: BoostParams, p_over_m: float) -> WignerTrig:
     Negative ``p_over_m`` is allowed (needed when integrating over the full
     momentum line); cos^2 and sin^2 are even in it, sin*cos is odd.
     """
-    with np.errstate(invalid="ignore"):  # WignerTrig rejects the NaN of p/m = +-inf
+    # p/m = +-inf, or a p/m whose square overflows, gives NaN, which WignerTrig rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         cos2, sin2, sincos = _perp_components(boost.sinh_alpha, boost.cosh_alpha, p_over_m)
     return WignerTrig(cos2_half=float(cos2), sin2_half=float(sin2), sincos_half=float(sincos))

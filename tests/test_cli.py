@@ -62,6 +62,19 @@ class TestWignerCommand:
             assert main(["wigner", "--beta", "0.5", f"--p-over-m={p_over_m}"]) == 2
             assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p_over_m", ["1e300", "-1e300"])
+    def test_overflowing_momentum_prints_one_error_line(self, p_over_m):
+        # numpy would print its overflow RuntimeWarning, with a source path
+        result = subprocess.run(
+            [sys.executable, "-m", "boostcoh.cli", "wigner", "--beta", "0.5",
+             f"--p-over-m={p_over_m}"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "finite" in line
+
     def test_missing_flag_exit_code(self, capsys):
         assert main(["wigner", "--beta", "0.5"]) == 2
 
@@ -387,6 +400,15 @@ class TestSweepCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_missing_directory_names_the_given_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for given in ("missing/o.csv", str(tmp_path / "missing" / "o.csv")):
+            assert main([*self.SMALL, "--out", given]) == 2
+            err = capsys.readouterr().err
+            assert f"'{given}'" in err
+            assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_partial_file_removed_on_mid_sweep_failure(self, tmp_path, capsys):
         # the grid walks sigma past the mass, where sigma/m >= 1 raises
         out = tmp_path / "sweep.csv"
@@ -613,6 +635,8 @@ class TestSweepCommand:
             dict(sigma_grid=(1.0, math.nan, 4)),
             dict(sigma_grid=(math.nan, 2.0, 4)),
             dict(sigma_grid=(1.0, math.inf, 4)),
+            dict(sigma_grid=(2.0, 1.0, 4)),
+            dict(sigma_grid=(-1.0, 2.0, 1)),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, changes):
@@ -649,6 +673,14 @@ class TestFigureCommand:
 
     def test_unknown_name_rejected(self, capsys):
         assert main(["figure", "fig3", "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-4", "1"])
+    def test_too_few_steps_rejected(self, steps, tmp_path, capsys):
+        # the preset sigma_min is sigma_max / steps; the grid check comes first
+        out = tmp_path / "fig1.csv"
+        assert main(["figure", "fig1", "--steps", steps, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: sigma grid needs steps >= 2, got {steps}\n"
+        assert not out.exists()
 
     def test_config_overrides_presets(self, tmp_path):
         cfg = tmp_path / "fig.cfg"

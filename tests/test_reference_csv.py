@@ -11,14 +11,17 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from boostcoh.cli import main
+from boostcoh.cli import THREAD_VARIABLES, main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _load_workloads():
@@ -54,3 +57,18 @@ def test_seed_zero_matches_reference(workload, tmp_path):
 @pytest.mark.parametrize("workload", ["figure-closed", "quad-narrow", "quad-wide"])
 def test_more_quadrature_seeds_match_reference(workload, seed, tmp_path):
     check_seed(workload, seed, tmp_path)
+
+
+def test_fresh_process_matches_reference(tmp_path):
+    """A CLI process of its own, as a user runs it: numpy loads with one OpenBLAS
+    thread, and quad-wide builds Gauss-Hermite nodes up to order 256 with it."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for inv in WORKLOADS["quad-wide"](0):
+        out = tmp_path / f"{inv.name}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "boostcoh.cli", *inv.argv, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == REFERENCE["quad-wide"]["0"][inv.name], inv.name
