@@ -23,8 +23,6 @@ _EXPORTS = {
     "boost_from_beta": "core",
     "WignerTrig": "wigner",
     "half_angle_perp": "wigner",
-    "MomentIntegrals": "integrals",
-    "PerturbativeFactor": "integrals",
     "QuadratureToleranceError": "integrals",
     "gauss_hermite_nodes": "integrals",
     "moments_quadrature": "integrals",
@@ -34,7 +32,6 @@ _EXPORTS = {
     "rho_single_boost_perturbative": "density",
     "rho_dual_boost_general": "density",
     "rho_dual_boost_perturbative": "density",
-    "Spectrum": "coherence",
     "c_l1": "coherence",
     "c_frobenius": "coherence",
     "spectrum_single_boost": "coherence",

@@ -40,7 +40,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in THREAD_VARIAB
 import numpy as np
 
 from .coherence import (
-    Spectrum,
+    _spectrum_faults,
     c_frobenius,
     c_frobenius_perturbative,
     c_l1,
@@ -61,13 +61,13 @@ from .density import (
 from .integrals import (
     DEFAULT_ORDER,
     MAX_ORDER,
-    PerturbativeFactor,
     QuadratureToleranceError,
     check_factor_sum,
     check_n_in_bounds,
     check_orders,
     f_factor,
     moments_quadrature,
+    n_bounds,
 )
 from .wigner import half_angle_perp
 
@@ -143,9 +143,13 @@ class SweepSpec:
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
 
-    def sigmas(self) -> list[float]:
+    def sigmas(self, start: int, stop: int) -> list[float]:
+        """The grid's sigma values with indices in [start, stop), clipped to the grid.
+
+        Only these values are built, so a long grid costs no memory.
+        """
         lo, hi, steps = self.sigma_grid
-        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+        return [lo + (hi - lo) * i / (steps - 1) for i in range(start, min(stop, steps))]
 
 
 def _block_values(
@@ -165,31 +169,33 @@ def _block_values(
     not asked for, and for f2 with one boost).  ``spectra`` holds each
     point's spectrum: Jacobi's on quadrature rows, else the closed form.
     ``failure`` is None, or ``(k, error)`` for the first point k that fails
-    a check, with the error it raises when checked alone.
+    a check, with the error of the first check it fails.
 
     Every value and check is computed once for the whole block: the domain
-    gates (n bounds, then F1 + F2 < 1/2) as masks, the quadrature moments
-    of the points that passed them with one call per boost, the density
-    matrices as one stack, and the spectra and coherences as columns.  A
-    point keeps the first failure it meets, in that order.  Only plain
-    values are returned, so no stack outlives the call.
+    gates (sigma/m in (0, 1), the n bounds, then F1 + F2 < 1/2) as masks,
+    the quadrature moments of the points that passed them with one call per
+    boost, the density matrices as one stack, and the spectra and
+    coherences as columns.  A point's checks are, in order: the gates, its
+    quadrature or matrix error, then the spectrum checks of the closed form
+    and of Jacobi's.  Only plain values are returned, so no stack outlives
+    the call.
     """
     quadrature = "quadrature" in methods
     scenario = "single_boost" if single else "dual_boost"
     count = len(eps)
     inside = check_n_in_bounds(n, eps, scenario)
     factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
-    passed = inside & check_factor_sum(*factors)
+    gated = inside & check_factor_sum(*factors)
 
     # Per point, None or its first quadrature or validation error; an
     # exception is truthy, so ``errors.astype(bool)`` marks the failures.
     errors = np.full(count, None, dtype=object)
-    stacked = np.flatnonzero(passed)
+    stacked = np.flatnonzero(gated)
     if quadrature and stacked.size:  # one call per boost covers the gated points
         moments = []
         for b in boosts:
             values, errs = moments_quadrature(
-                (n, eps[stacked]), b, quad_order, max_order=quad_max_order
+                n, b, eps[stacked], quad_order, max_order=quad_max_order
             )
             moments.append(values)
             errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
@@ -209,41 +215,52 @@ def _block_values(
             errors[stacked] = rho.errors
         if quadrature:
             eigs[stacked] = hermitian_eigenvalues(rho)
-    passed &= ~errors.astype(bool)
 
     cf_pert = cf_exact = cf_quad = None
     if "perturbative" in methods:
         cf_pert = c_frobenius_perturbative(n, boosts, eps, factors)
-    closed = "exact-eig" in methods or not quadrature
-    if closed:
+    checked = []  # the spectra whose checks apply, in order
+    if "exact-eig" in methods or not quadrature:
         spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
-        passed &= ~np.isnan(spectra[:, 0])
+        checked.append(spectra)
         if "exact-eig" in methods:
-            cf_exact = c_frobenius(spectra, 4)
+            cf_exact = c_frobenius(spectra)
     if quadrature:
         spectra = eigs
-        cf_quad = c_frobenius(eigs, 4)
-        passed &= ~np.isnan(cf_quad)
+        checked.append(eigs)
+        cf_quad = c_frobenius(eigs)
     f1, f2 = (factors[0], None) if single else factors
     columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
+
+    faults = [(rows, *_spectrum_faults(rows)) for rows in checked]
+    passed = gated & ~errors.astype(bool)
+    for _, _, off_sum, off_range in faults:
+        passed &= ~(off_sum | off_range)
     if passed.all():
         return columns, spectra, None
 
-    # The first failing point, checked alone, raises its own error.
+    # The first failing point's error: that of the first check whose mask
+    # it fails, with the point's values.
     k = int(np.argmin(passed))
-    try:
-        check_n_in_bounds(n, eps[k].item(), scenario)
-        point_factors = [PerturbativeFactor(f[k].item()) for f in factors]
-        check_factor_sum(*point_factors)
-        if errors[k] is not None:
-            raise errors[k]
-        if closed:
-            (spectrum_single_boost if single else spectrum_dual_boost)(theta, *point_factors)
-        if quadrature:
-            Spectrum(eigs[k].tolist())
-    except (ValueError, QuadratureToleranceError) as exc:
-        return columns, spectra, (k, exc)
-    raise AssertionError(f"point {k} failed a block check but passes alone")
+    if not (0.0 < eps[k] < 1.0):
+        error = ValueError(f"sigma/m must lie in (0, 1), got {eps[k].item()}")
+    elif not inside[k]:
+        lower, upper = n_bounds(eps[k:k + 1], scenario)
+        error = ValueError(
+            f"n = {n} outside the allowed range ({lower}, {upper.item():.6g}] "
+            f"for {scenario} at sigma/m = {eps[k].item():.6g}"
+        )
+    elif not gated[k]:
+        error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[k].item() for f in factors)}")
+    elif errors[k] is not None:
+        error = errors[k]
+    else:
+        rows, totals, off_sum, _ = next(f for f in faults if f[2][k] or f[3][k])
+        error = ValueError(
+            f"eigenvalues sum to {totals[k]}, expected 1 within 1e-10" if off_sum[k]
+            else f"eigenvalues must lie in [0, 1]: {tuple(rows[k].tolist())}"
+        )
+    return columns, spectra, (k, error)
 
 
 def _config_lines(
@@ -286,8 +303,9 @@ def _config_lines(
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
     """Yield the sweep's CSV lines (without the newline), sorted by sigma, then beta configuration.
 
-    The sigma grid is walked in blocks of :data:`BLOCK` points.  Per block,
-    sigma/m is one array division and each sigma is formatted once for
+    The sigma grid is walked in blocks of :data:`BLOCK` points, and each
+    block's sigma values are built when it is reached.  Per block, sigma/m
+    is one array division and each sigma is formatted once for
     every beta configuration.  Per block and configuration, the values and
     their text are columns (see :func:`_config_lines`), built when the
     first line of the block is asked for.  Lines are still yielded one per
@@ -296,9 +314,8 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
     boosts_by_cfg = [
         tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
     ]
-    sigmas = spec.sigmas()
-    for start in range(0, len(sigmas), BLOCK):
-        sigma = sigmas[start:start + BLOCK]
+    for start in range(0, spec.sigma_grid[2], BLOCK):
+        sigma = spec.sigmas(start, start + BLOCK)
         eps = np.array(sigma) / spec.mass
         sigma_text = list(map(repr, sigma))
         configs = [_config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order)

@@ -11,21 +11,22 @@ The boosted matrices are X-shaped in the product basis, so their spectra
 come in closed form (union of two 2x2 blocks).  The numerical check on
 them is a cyclic Jacobi eigensolver, which on an X-state makes one
 rotation per block.
+
+Every function takes one matrix, F or spectrum per point and returns one
+value or row per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import _X_BLOCKS, BoostParams, DensityMatrix
-from .integrals import PerturbativeFactor, check_factor_sum, check_n_in_bounds, f_factor
+from .integrals import check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
-    "Spectrum",
     "c_l1",
     "c_frobenius",
     "spectrum_single_boost",
@@ -37,35 +38,17 @@ __all__ = [
 JACOBI_OFF_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a trace-one state, sorted descending."""
-
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = _descending(np.array([self.eigenvalues], dtype=float))
-        object.__setattr__(self, "eigenvalues", tuple(values[0].tolist()))
-        (total,), (off_sum,), (off_range,) = _spectrum_faults(values)
-        if off_sum:
-            raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
-        if off_range:
-            raise ValueError(f"eigenvalues must lie in [0, 1]: {self.eigenvalues}")
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
-
-
 def _descending(values: np.ndarray) -> np.ndarray:
     """Each row of ``values`` sorted descending, as ``sorted(row, reverse=True)`` does."""
     return -np.sort(-values, axis=-1, kind="stable")
 
 
 def _spectrum_faults(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per row of descending eigenvalues: its sum, and whether it fails each Spectrum check.
+    """Per row of descending eigenvalues: its sum, and whether it fails each spectrum check.
 
-    The checks are a sum off 1 by more than 1e-10, and a value outside
-    [0, 1] by more than 1e-10.  A NaN value fails the range check.
+    The checks, in order, are a sum off 1 by more than 1e-10, and a value
+    outside [0, 1] by more than 1e-10.  A NaN value fails the range check.
+    The sum adds the values one after another from 0.
     """
     total = _fold(values)
     off_range = ~((-1e-10 <= values) & (values <= 1.0 + 1e-10)).all(axis=-1)
@@ -73,24 +56,20 @@ def _spectrum_faults(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
 
 
 def _checked_spectra(values: np.ndarray) -> np.ndarray:
-    """Rows sorted descending, NaN where a row fails a :class:`Spectrum` check."""
+    """Rows sorted descending, NaN where a row fails a :func:`_spectrum_faults` check."""
     values = _descending(values)
     _, off_sum, off_range = _spectrum_faults(values)
     values[off_sum | off_range] = np.nan
     return values
 
 
-def c_l1(rho: DensityMatrix):
-    """Sum of absolute values of the off-diagonal entries.
+def c_l1(rho: DensityMatrix) -> np.ndarray:
+    """Sum of absolute values of the off-diagonal entries, one value per matrix.
 
-    A float for one matrix; for a stack, an array with one value per
-    matrix.  Each matrix's moduli are added in the order numpy's ``sum``
-    uses for a lone 1-D array, so a value does not depend on the stack it
-    came in.
+    Each matrix's moduli are added in the order numpy's ``sum`` uses for a
+    1-D array of them, so a value does not depend on the stack it came in.
     """
-    entries = rho.entries.reshape(-1, rho.dim, rho.dim)
-    values = _sum_last_axis(np.abs(entries[:, ~np.eye(rho.dim, dtype=bool)]))
-    return float(values[0]) if rho.entries.ndim == 2 else values
+    return _sum_last_axis(np.abs(rho.entries[:, ~np.eye(4, dtype=bool)]))
 
 
 def _sum_last_axis(v: np.ndarray) -> np.ndarray:
@@ -115,32 +94,30 @@ def _fold(v: np.ndarray) -> np.ndarray:
     return total
 
 
-def c_frobenius(spec, d: int):
+def c_frobenius(spec: np.ndarray) -> np.ndarray:
     """sqrt((d/(d-1)) sum (lambda_i - 1/d)^2): distance from maximal mixing.
 
-    ``spec`` is a :class:`Spectrum`, which gives a float, or a
-    (points x d) array of eigenvalues, which gives one value per row: NaN
-    where the row holds NaN or fails a :class:`Spectrum` check.  A row is
-    sorted descending and its terms added in that order from 0, so a value
-    is bit for bit the one-value call's.
+    ``spec`` is a (points x d) array of eigenvalues, d >= 2, one row per
+    point; the result has one value per row, NaN where the row holds NaN
+    or fails a :func:`_spectrum_faults` check.  A row is sorted descending
+    and its terms added in that order from 0.
     """
-    lone = isinstance(spec, Spectrum)
-    values = np.array([spec.eigenvalues] if lone else spec, dtype=float)
-    if d != values.shape[-1]:
-        raise ValueError(f"d = {d} does not match spectrum length {values.shape[-1]}")
+    values = np.asarray(spec, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"spectra must be a (points x d) array, got shape {values.shape}")
+    d = values.shape[1]
     if d < 2:
         raise ValueError("coherence needs d >= 2")
     terms = np.float_power(_checked_spectra(values) - 1.0 / d, 2.0)
-    coherence = np.sqrt(d / (d - 1.0) * _fold(terms))
-    return coherence.item() if lone else coherence
+    return np.sqrt(d / (d - 1.0) * _fold(terms))
 
 
-def spectrum_single_boost(theta: float, f):
-    """Closed-form spectrum {1 - F, F, 0, 0}: :func:`spectrum_dual_boost` with F1 = 0."""
-    return spectrum_dual_boost(theta, PerturbativeFactor(0.0), f)
+def spectrum_single_boost(theta: float, f: np.ndarray) -> np.ndarray:
+    """Closed-form spectra {1 - F, F, 0, 0}: :func:`spectrum_dual_boost` with F1 = 0."""
+    return spectrum_dual_boost(theta, np.zeros_like(f), f)
 
 
-def spectrum_dual_boost(theta: float, f1, f2):
+def spectrum_dual_boost(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Closed-form spectrum of the dual-boost X matrix.
 
     The corner block contributes (F1 + F2)/2 +/- sqrt(disc)/2 with
@@ -150,30 +127,24 @@ def spectrum_dual_boost(theta: float, f1, f2):
     cannot round below zero, on F1, F2 exactly rescaled by a power of two
     so that the squares cannot underflow.
 
-    Two :class:`PerturbativeFactor` give a :class:`Spectrum`, and raise
-    ``ValueError`` unless F1 + F2 < 1/2.  Either factor may instead be an
-    array of F, one per point (a lone factor is shared): the result is then
-    a (points x 4) array of descending eigenvalues, a row NaN where
-    F1 + F2 >= 1/2, an F is NaN, or the row fails a :class:`Spectrum`
-    check.  The one-value call is a one-element call into the same code.
+    ``f1`` and ``f2`` are F columns, one value per point.  The result is a
+    (points x 4) array of descending eigenvalues, a row NaN where
+    F1 + F2 >= 1/2 or an F is NaN.  The rows are not checked as spectra;
+    :func:`c_frobenius` checks them.
     """
-    lone = isinstance(f1, PerturbativeFactor) and isinstance(f2, PerturbativeFactor)
-    if lone:
-        check_factor_sum(f1, f2)
-    g1, g2 = (np.array([f.f]) if isinstance(f, PerturbativeFactor) else f for f in (f1, f2))
+    g1, g2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
     s = g1 + g2
     _, e = np.frexp(np.maximum(g1, g2))
     a, b = np.ldexp(g1, -e), np.ldexp(g2, -e)
     disc = np.float_power(a - b, 2.0) + 4.0 * a * b * math.sin(2.0 * theta) ** 2
     half_gap = np.ldexp(np.sqrt(disc), e) / 2.0
     values = np.stack([1.0 - s, s / 2.0 + half_gap, s / 2.0 - half_gap, np.zeros_like(s)], axis=-1)
-    if lone:
-        return Spectrum(values[0].tolist())
+    values = _descending(values)
     values[~check_factor_sum(g1, g2)] = np.nan
-    return _checked_spectra(values)
+    return values
 
 
-def hermitian_eigenvalues(rho: DensityMatrix):
+def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
 
     Sweeps would run until the off-diagonal Frobenius norm drops below
@@ -182,15 +153,14 @@ def hermitian_eigenvalues(rho: DensityMatrix):
     those rotations alone.  Serves as the numerically independent check on
     the analytic spectra.
 
-    One matrix gives a :class:`Spectrum`.  A stack gives a (points x 4)
-    array of descending eigenvalues, NaN for a matrix that failed
-    validation; each row is bit for bit the lone matrix's.
+    The result is a (points x 4) array of descending eigenvalues, one row
+    per matrix, NaN for a matrix that failed validation.  The rows are not
+    checked as spectra; :func:`c_frobenius` checks them.
     """
-    stack = rho.entries.reshape(-1, 4, 4)
     valid = np.array([e is None for e in rho.errors], dtype=bool)
-    eigs = np.full(stack.shape[:-1], np.nan)
-    eigs[valid] = _x_eigenvalues(stack[valid])
-    return Spectrum(tuple(eigs[0].tolist())) if rho.entries.ndim == 2 else eigs
+    eigs = np.full(rho.entries.shape[:-1], np.nan)
+    eigs[valid] = _x_eigenvalues(rho.entries[valid])
+    return eigs
 
 
 def _x_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -246,35 +216,22 @@ def _rotation(apq: np.ndarray, r: np.ndarray, app: np.ndarray, aqq: np.ndarray) 
 
 
 def c_frobenius_perturbative(
-    n: int, boosts: BoostParams | Sequence[BoostParams], sigma_over_m, factors=None
-):
-    """O((sigma/m)^2) Frobenius coherence: 1 - (4/3) sum_i F_i.
+    n: int, boosts: BoostParams | Sequence[BoostParams], sigma_over_m: np.ndarray, factors=None
+) -> np.ndarray:
+    """O((sigma/m)^2) Frobenius coherence 1 - (4/3) sum_i F_i, one value per sigma/m.
 
     ``boosts`` holds one entry when a single particle is boosted and two
-    when both are.  Raises ``ValueError`` when n falls outside the allowed
-    range for the scenario, or when F1 + F2 >= 1/2, as the closed spectrum
-    does.
-
-    An array of sigma/m gives an array, NaN at the points that fail either
-    check; the one-value call is a one-element call into the same code.
-    ``factors``, the F column of each boost at those points, spares a
+    when both are.  A value is NaN where n falls outside the allowed range
+    for the scenario, or where F1 + F2 >= 1/2, as the closed spectrum's row
+    is.  ``factors``, the F column of each boost at those points, spares a
     caller that already holds them (a sweep does) a second :func:`f_factor`.
     """
     seq = (boosts,) if isinstance(boosts, BoostParams) else tuple(boosts)
     if not 1 <= len(seq) <= 2:
         raise ValueError("boosts must be one or two BoostParams")
     scenario = "single_boost" if len(seq) == 1 else "dual_boost"
-    lone = np.ndim(sigma_over_m) == 0
-    if lone:  # the point's own checks raise, in order
-        check_n_in_bounds(n, sigma_over_m, scenario)
-    eps = np.array(sigma_over_m, dtype=float, ndmin=1)
-    inside = check_n_in_bounds(n, eps, scenario)
+    inside = check_n_in_bounds(n, sigma_over_m, scenario)
     if factors is None:
-        factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in seq]
+        factors = [f_factor(n, b, np.where(inside, sigma_over_m, np.nan)) for b in seq]
     inside &= check_factor_sum(*factors)
-    values = np.where(inside, 1.0 - (4.0 / 3.0) * sum(factors), np.nan)
-    if not lone:
-        return values
-    if not inside[0]:
-        check_factor_sum(*(PerturbativeFactor(f.item()) for f in factors))
-    return values.item()
+    return np.where(inside, 1.0 - (4.0 / 3.0) * sum(factors), np.nan)

@@ -140,22 +140,20 @@ class WavePacket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Complex Hermitian trace-one 4x4 X-state, or a stack of them.
+    """A stack of complex Hermitian trace-one 4x4 X-states, one per point.
 
     An X-state is the direct sum of two 2x2 blocks, on the basis pairs
     (|00>, |11>) and (|01>, |10>): every entry off the X is exactly zero.
     Every state the package builds is one, and it is the only state a
     :class:`DensityMatrix` holds.
 
-    Construction validates, in this order, Hermiticity (1e-12 entrywise),
-    unit trace (1e-10), the X shape (each off-X entry exactly zero, in
-    both triangles) and positive semidefiniteness (least eigenvalue
-    >= -1e-10, in closed form from the two blocks).  A lone 4x4 matrix that
-    fails raises ``ValueError``, so any such instance in circulation is a
-    physical state.  A (points x 4 x 4) stack is validated in one pass and
-    never raises for a bad matrix: ``errors`` holds, per matrix, None or
-    the ``ValueError`` the matrix would raise on its own.  A lone matrix is
-    checked as a stack of one.
+    ``entries`` is a (points x 4 x 4) array.  Construction validates each
+    matrix, in this order, for Hermiticity (1e-12 entrywise), unit trace
+    (1e-10), the X shape (each off-X entry exactly zero, in both triangles)
+    and positive semidefiniteness (least eigenvalue >= -1e-10, in closed
+    form from the two blocks), all matrices in one pass.  A bad matrix
+    raises nothing: ``errors`` holds, per matrix, None or the
+    ``ValueError`` of the first check it fails.
     """
 
     entries: np.ndarray
@@ -163,18 +161,11 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex)
-        if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
-            raise ValueError(f"entries must be a 4x4 matrix or a stack of them, got {arr.shape}")
-        errors = _verdicts(arr.reshape(-1, 4, 4))
-        if arr.ndim == 2 and errors[0] is not None:
-            raise errors[0]
+        if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+            raise ValueError(f"entries must be a (points x 4 x 4) stack, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "errors", errors)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
+        object.__setattr__(self, "errors", _verdicts(arr))
 
 
 # A 4x4 X-state is the direct sum of the 2x2 blocks on these index pairs:

@@ -15,6 +15,8 @@ Two constructor families are provided:
 * perturbative (F-based): the integer-n first-order forms.
 
 Each one-boost constructor is the two-boost one with particle 1 at rest.
+Every constructor takes one F or one (I1, I3) row per point and returns
+the stack of the points' states.
 
 Basis ordering is |00>, |01>, |10>, |11> throughout.
 """
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from .core import _X_BLOCKS, DensityMatrix
-from .integrals import MomentIntegrals, PerturbativeFactor, check_factor_sum
+from .integrals import check_factor_sum
 
 __all__ = [
     "rho_single_boost_general",
@@ -35,61 +37,53 @@ __all__ = [
     "rho_dual_boost_perturbative",
 ]
 
-# Moments of a particle at rest: no Wigner rotation, cos^2(phi/2) = 1.
-REST = MomentIntegrals(i1=1.0, i2=0.0, i3=0.0)
+# The (I1, I3) row of a particle at rest: no Wigner rotation, cos^2(phi/2) = 1.
+REST = np.array([1.0, 0.0])
 
 
-def rho_single_boost_general(theta: float, m) -> DensityMatrix:
+def rho_single_boost_general(theta: float, m: np.ndarray) -> DensityMatrix:
     """One-boost reduced state: :func:`rho_dual_boost_general` with particle 1 at rest.
 
     Entries are the moment-weighted outer product of the (C, A, D, B)
     amplitudes.
     """
-    return rho_dual_boost_general(theta, REST, m)
+    m = np.asarray(m, dtype=float)
+    return rho_dual_boost_general(theta, np.broadcast_to(REST, m.shape), m)
 
 
-def rho_single_boost_perturbative(theta: float, f) -> DensityMatrix:
-    """X-shaped one-boost state at integer n (I2 = 0, I3 = F), for F in [0, 1/2)."""
-    return rho_dual_boost_perturbative(theta, PerturbativeFactor(0.0), f)
+def rho_single_boost_perturbative(theta: float, f: np.ndarray) -> DensityMatrix:
+    """X-shaped one-boost states at integer n (I3 = F), for F in [0, 1/2)."""
+    f = np.asarray(f, dtype=float)
+    return rho_dual_boost_perturbative(theta, np.zeros_like(f), f)
 
 
-def _per_point(*args) -> tuple:
-    """Whether every argument is one value, then each argument as per-point rows.
+def _checked_rows(shape: tuple, what: str, *args) -> list[np.ndarray]:
+    """Each argument as a float array of one row per point, all of the same length.
 
-    An argument is one value or an array with one row per point: F for a
-    :class:`PerturbativeFactor`, (I1, I2, I3) for a :class:`MomentIntegrals`.
-    A lone value is repeated to the length of the arrays.
+    ``shape`` is a row's shape, ``what`` names the rows in the error.
     """
-    lone = [isinstance(a, (MomentIntegrals, PerturbativeFactor)) for a in args]
-    lengths = {len(a) for a, one in zip(args, lone) if not one}
-    if len(lengths) > 1:
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    for a in arrays:
+        if a.ndim != 1 + len(shape) or a.shape[1:] != shape:
+            raise ValueError(f"{what} must have one row per point, got shape {a.shape}")
+    if len({len(a) for a in arrays}) > 1:
         raise ValueError("per-point arguments must have the same length")
-    count = lengths.pop() if lengths else 1
-    rows = [
-        np.full(count, a.f) if isinstance(a, PerturbativeFactor)
-        else np.tile([a.i1, a.i2, a.i3], (count, 1)) if isinstance(a, MomentIntegrals)
-        else np.asarray(a, dtype=float)
-        for a in args
-    ]
-    return (all(lone), *rows)
+    return arrays
 
 
-def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
-    """X-shaped reduced state with both particles boosted (integer n).
+def rho_dual_boost_perturbative(theta: float, f1: np.ndarray, f2: np.ndarray) -> DensityMatrix:
+    """X-shaped reduced states with both particles boosted (integer n).
 
     Corner block carries sin^2(theta) F1 + cos^2(theta) F2 and its swap;
-    the inner block keeps weight 1 - F1 - F2.  Requires F1 + F2 < 1/2 so
-    the first-order matrix stays positive semidefinite.
-
-    ``f1`` and ``f2`` are each a :class:`PerturbativeFactor` or an array of
-    F, one per point; with an array the result is the stack of the points'
-    states, else one state.  A lone factor is shared by all points.
+    the inner block keeps weight 1 - F1 - F2.  ``f1`` and ``f2`` are F
+    columns, one value per point.  The closed forms hold for F1 + F2 < 1/2,
+    so a point outside raises ``ValueError``, which names the first one.
     """
-    lone, g1, g2 = _per_point(f1, f2)
+    g1, g2 = _checked_rows((), "F columns", f1, f2)
     inside = check_factor_sum(g1, g2)
-    if not inside.all():  # the first point outside raises its own error
+    if not inside.all():
         k = int(np.argmin(inside))
-        check_factor_sum(PerturbativeFactor(g1[k].item()), PerturbativeFactor(g2[k].item()))
+        raise ValueError(f"F1 + F2 must be < 1/2, got {g1[k] + g2[k]} at point {k}")
     st, ct = math.sin(theta), math.cos(theta)
     # Products, not powers: they round like the entries of
     # rho_dual_boost_general, so the one-boost forms agree bit for bit.
@@ -102,7 +96,7 @@ def rho_dual_boost_perturbative(theta: float, f1, f2) -> DensityMatrix:
     rho[:, 1, 2] = rho[:, 2, 1] = sc * rest
     rho[:, 2, 2] = c2 * rest
     rho[:, 3, 3] = s2 * g2 + c2 * g1
-    return DensityMatrix(rho[0] if lone else rho)
+    return DensityMatrix(rho)
 
 
 # Coefficient tables for the bilinear expansion of the two-boost state: the
@@ -128,17 +122,16 @@ def _dual_coefficient_table(theta: float) -> np.ndarray:
 _BLOCK_SLOTS = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
 
 
-def _x_entries(table: np.ndarray, moments2: np.ndarray, moments1: np.ndarray) -> np.ndarray:
-    """The entries sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l], for rows whose I2 is zero.
+def _x_entries(table: np.ndarray, d2: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """The entries sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l] for (I1, I3) rows.
 
-    The moment matrices M = [[I1, I2], [I2, I3]] are then diag(I1, I3), so
-    entry (a, b) keeps only the terms of the slots that both states fill:
-    two on the X, none off it.  Each term is multiplied in the order
-    ((t_a t_b) M2) M1, and the pair is added to a zero start (the ``+ 0.0``
-    turns a -0.0 sum into its +0.0), which are the bits of the full
-    contraction, signed zeros included.
+    The moment matrices M = [[I1, I2], [I2, I3]] are diag(I1, I3), since
+    I2 is zero, so entry (a, b) keeps only the terms of the slots that both
+    states fill: two on the X, none off it.  Each term is multiplied in the
+    order ((t_a t_b) M2) M1, and the pair is added to a zero start (the
+    ``+ 0.0`` turns a -0.0 sum into its +0.0), which are the bits of the
+    full contraction, signed zeros included.
     """
-    d2, d1 = moments2[:, [0, 2]], moments1[:, [0, 2]]
     rho = np.zeros((len(d1), 4, 4))
     for states, ((i, j), (k, l)) in zip(_X_BLOCKS, _BLOCK_SLOTS):
         for a in states:
@@ -150,8 +143,8 @@ def _x_entries(table: np.ndarray, moments2: np.ndarray, moments1: np.ndarray) ->
     return rho
 
 
-def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
-    """Dual-boost reduced state with both moment triples retained.
+def rho_dual_boost_general(theta: float, m1: np.ndarray, m2: np.ndarray) -> DensityMatrix:
+    """Dual-boost reduced states with both particles' moments retained.
 
     Each entry is the exact bilinear polynomial in the per-particle
     moments obtained by integrating the outer product of the (P, Q, R, S)
@@ -166,22 +159,13 @@ def rho_dual_boost_general(theta: float, m1, m2) -> DensityMatrix:
     :func:`rho_single_boost_general` returns; the opposite limit is the
     same matrix conjugated by the qubit swap at theta -> pi/2 - theta.
 
-    ``m1`` and ``m2`` are each a :class:`MomentIntegrals` or a
-    (points x 3) array of (I1, I2, I3) rows, such as the block form of
-    :func:`~boostcoh.integrals.moments_quadrature` returns, as for
-    :func:`rho_dual_boost_perturbative`.  Every I2 must be zero (the
-    quadrature returns +0.0), or ``ValueError`` is raised; the state is
-    then an X-state.  The rows are not otherwise checked as triples: the
-    :class:`DensityMatrix` checks of the result apply, so a row that is not
-    finite gives a matrix that fails them.
+    ``m1`` and ``m2`` are (points x 2) arrays of (I1, I3) rows, such as
+    :func:`~boostcoh.integrals.moments_quadrature` returns.  The rows are
+    not checked as moments: the :class:`DensityMatrix` checks of the
+    result apply, so a row that is not finite gives a matrix that fails
+    them.
     """
-    lone, m1s, m2s = _per_point(m1, m2)
-    for m in (m1s, m2s):
-        odd = m[:, 1] != 0.0  # NaN is nonzero too
-        if odd.any():
-            k = int(np.argmax(odd))
-            raise ValueError(f"I2 must be zero for an X-state, got {m[k, 1]} at point {k}")
+    m1s, m2s = _checked_rows((2,), "moments", m1, m2)
     # m1 feeds the second amplitude slot (and m2 the first): that is what
     # aligns the bilinear expansion with the closed-form corner layout.
-    rho = _x_entries(_dual_coefficient_table(theta), m2s, m1s)
-    return DensityMatrix(rho[0] if lone else rho)
+    return DensityMatrix(_x_entries(_dual_coefficient_table(theta), m2s, m1s))

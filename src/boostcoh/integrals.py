@@ -1,9 +1,8 @@
 """Momentum-moment integrals of the Wigner half-angle against |psi(p)|^2.
 
-The three moments
+The moments
 
     I1 = int |psi(p)|^2 cos^2(phi/2) dp
-    I2 = int |psi(p)|^2 sin(phi/2) cos(phi/2) dp
     I3 = int |psi(p)|^2 sin^2(phi/2) dp
 
 are evaluated two ways:
@@ -12,11 +11,18 @@ are evaluated two ways:
   integrand is (kappa^2n e^{-kappa^2} / Gamma(n+1/2)) times a smooth
   bounded factor -- precisely the Gauss-Hermite weight;
 * perturbatively, by the O((sigma/m)^2) closed forms: for integer n,
-  I1 = 1 - F, I2 = 0, I3 = F with
+  I1 = 1 - F, I3 = F with
   F = ((2n+1)/8) ((cosh a - 1)/(cosh a + 1)) (sigma/m)^2.
 
+The odd moment I2 = int |psi(p)|^2 sin(phi/2) cos(phi/2) dp is zero for
+every packet, since |psi(p)|^2 is even in p and sin cos is odd, so it is
+not evaluated.
+
+Every function takes sigma/m as a 1-D array, one value per point, and
+returns one value or row per point.
+
 For a pair of boosted particles the same machinery yields the per-particle
-moments (J_i, K_i, L_i); only the boost differs between the two particles,
+moments (J_i, L_i); only the boost differs between the two particles,
 so no separate entry points are needed.
 
 The quadrature normalization 1/Gamma(n+1/2) is folded into the kappa-space
@@ -27,18 +33,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
-from .core import BoostParams, WavePacket, check_nonneg_int
+from .core import BoostParams, check_nonneg_int
 from .wigner import _perp_even
 
 __all__ = [
-    "MomentIntegrals",
-    "PerturbativeFactor",
     "QuadratureToleranceError",
     "gauss_hermite_nodes",
     "moments_quadrature",
@@ -60,13 +63,13 @@ Scenario = Literal["single_boost", "dual_boost"]
 class QuadratureToleranceError(RuntimeError):
     """Adaptive quadrature hit the order cap before meeting the tolerance.
 
-    Carries the best estimate and the last achieved delta so callers can
-    decide whether the partial result is still usable.  ``best`` is None
-    when the last estimate is too crude to be a moment triple at all (the
-    order is too low to integrate kappa^2n).
+    Carries the point's best estimate and the last achieved delta so callers
+    can decide whether the partial result is still usable.  ``best`` is the
+    (I1, I3) row, or None when it fails :func:`_moment_faults` (the order is
+    too low to integrate kappa^2n).
     """
 
-    def __init__(self, best: "MomentIntegrals | None", delta: float, rtol: float):
+    def __init__(self, best: np.ndarray | None, delta: float, rtol: float):
         self.best = best
         self.delta = delta
         self.rtol = rtol
@@ -75,49 +78,19 @@ class QuadratureToleranceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class MomentIntegrals:
-    """The (I1, I2, I3) triple."""
-
-    i1: float
-    i2: float
-    i3: float
-
-    def __post_init__(self) -> None:
-        off_sum, off_range, off_i2 = _moment_faults(np.array([[self.i1, self.i2, self.i3]]))[:, 0]
-        if off_sum:
-            raise ValueError(f"i1 + i3 = {self.i1 + self.i3}, expected 1 within 1e-10")
-        if off_range:
-            raise ValueError("i1 and i3 must lie in [0, 1]")
-        if off_i2:
-            raise ValueError(f"|i2| must not exceed 1/2, got {self.i2}")
-
-
 def _moment_faults(values: np.ndarray) -> np.ndarray:
-    """Per row (i1, i2, i3) of ``values``, whether it fails each moment check.
+    """Per row (i1, i3) of ``values``, whether it fails each moment check.
 
-    The result is a (3 x points) mask: i1 + i3 off 1 by more than 1e-10;
-    i1 or i3 outside [0, 1] by more than 1e-12; |i2| above 1/2 by more than
-    1e-12.  The comparisons are written so that NaN fails them.
+    The result is a (2 x points) mask: i1 + i3 off 1 by more than 1e-10;
+    i1 or i3 outside [0, 1] by more than 1e-12.  The comparisons are
+    written so that NaN fails them.
     """
-    i1, i2, i3 = values[:, 0], values[:, 1], values[:, 2]
+    i1, i3 = values[:, 0], values[:, 1]
     lo, hi = -1e-12, 1.0 + 1e-12
     return np.stack([
         ~(np.abs(i1 + i3 - 1.0) <= 1e-10),
         ~((lo <= i1) & (i1 <= hi) & (lo <= i3) & (i3 <= hi)),
-        ~(np.abs(i2) <= 0.5 + 1e-12),
     ])
-
-
-@dataclass(frozen=True)
-class PerturbativeFactor:
-    """The boost-induced mixing weight F (or F_i for one of two particles)."""
-
-    f: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.f) or self.f < 0.0:
-            raise ValueError(f"F must be finite and nonnegative, got {self.f}")
 
 
 @lru_cache(maxsize=32)
@@ -165,12 +138,11 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -> np.ndarray:
-    """(I1, I2, I3) at one order for every sigma/m in ``eps``, as a (3, len(eps)) array.
+    """(I1, I3) at one order for every sigma/m in ``eps``, as a (2, len(eps)) array.
 
     The nodes pair exactly and so do the weights, so each term is added to
-    its mirror and the sum halved: odd sin*cos cancels to +0.0 at every
-    node and is not evaluated, while even cos^2 and sin^2 are evaluated on
-    the nonnegative half of the nodes and mirrored into the full row.
+    its mirror and the sum halved: the even cos^2 and sin^2 are evaluated
+    on the nonnegative half of the nodes and mirrored into the full row.
     Numpy sums each row pairwise, as it sums a lone 1-D row, so a point's
     bits do not depend on the other points evaluated with it.
     """
@@ -192,69 +164,45 @@ def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -
         row[:, half:] = terms + terms  # a term plus its mirror, which has the same bits
         row[:, :half] = row[:, :order - half - 1:-1]
         sums.append(np.sum(row, axis=-1))
-    i1, i3 = sums
-    return np.stack([i1, np.zeros_like(i1), i3]) / 2.0
-
-
-def _point_error(i1: float, i2: float, i3: float, delta: float | None) -> Exception:
-    """The error a one-packet call raises for a point that failed a check.
-
-    ``delta`` is None for a fixed-order evaluation or a converged one.  An
-    estimate that is not a valid triple gives its ``ValueError``; an
-    unconverged one is a tolerance error whatever its values, with
-    ``best=None`` when they are not a triple.
-    """
-    try:
-        best = MomentIntegrals(i1=i1, i2=i2, i3=i3)
-    except ValueError as exc:  # too low an order to integrate kappa^2n exactly
-        if delta is None:
-            return exc
-        best = None
-    return QuadratureToleranceError(best=best, delta=delta, rtol=RTOL)
+    return np.stack(sums) / 2.0
 
 
 def moments_quadrature(
-    pkt: WavePacket | tuple[int, np.ndarray],
+    n: int,
     boost: BoostParams,
+    sigma_over_m: np.ndarray,
     order: int = DEFAULT_ORDER,
     *,
     max_order: int = MAX_ORDER,
     adaptive: bool = True,
-):
-    """Evaluate (I1, I2, I3) on Gauss-Hermite nodes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I1, I3) on Gauss-Hermite nodes for every sigma/m of a 1-D array.
 
-    Starting from ``order``, the order is doubled until two successive
-    evaluations agree to :data:`RTOL` (relative, floored at 1 in the
-    denominator) or ``max_order`` is exceeded, in which case
-    :class:`QuadratureToleranceError` carries the best estimate.  With
-    ``adaptive=False`` a single fixed-order evaluation is returned;
-    otherwise ``max_order`` must lie in [2 order, MAX_ORDER] (see
-    :func:`check_orders`).  I2 is +0.0: Gauss-Hermite nodes pair exactly,
-    and the odd integrand cancels term by term.
+    The moments depend on a packet only through n and sigma/m.  They are
+    evaluated for all points together, one (points x nodes) contraction per
+    order.  Starting from ``order``, the order is doubled until two
+    successive evaluations of a point agree to :data:`RTOL` (relative,
+    floored at 1 in the denominator), and the point then leaves the
+    doubling; past ``max_order`` a point has not converged.  With
+    ``adaptive=False`` one fixed-order evaluation is final; otherwise
+    ``max_order`` must lie in [2 order, MAX_ORDER] (see :func:`check_orders`).
 
-    One :class:`WavePacket` gives its :class:`MomentIntegrals`.  The moments
-    depend on a packet only through n and sigma/m, so a block of packets is
-    given as the pair ``(n, sigma_over_m)``, the second a 1-D array.  Its
-    moments are evaluated together, one (points x nodes) contraction per
-    order, and each point leaves the doubling as soon as it converges.  The
-    result is ``(values, errors)``: the (points x 3) array of (I1, I2, I3)
-    rows, and an object array holding, per point, None or the exception
-    the one-packet call would raise.  A row's bits are the one-packet
-    call's; a row with an error holds the failed estimate.  The one-packet
-    call is a one-element call into the same code.  A bad ``order``,
-    ``max_order``, n or sigma/m raises ``ValueError`` at once in both
-    forms.  The CLI passes at most ``cli.BLOCK`` points per call, which
-    bounds the size of the arrays.
+    The result is ``(values, errors)``: the (points x 2) array of (I1, I3)
+    rows, and an object array holding, per point, None or its error.  A
+    point that has not converged has a :class:`QuadratureToleranceError`;
+    a final estimate that fails :func:`_moment_faults` (too low an order to
+    integrate kappa^2n exactly) has a ``ValueError``.  A row with an error
+    holds the failed estimate.  A point's bits do not depend on the points
+    evaluated with it.  A bad ``order``, ``max_order`` or n, or a sigma/m
+    that is not a 1-D array of positive finite values, raises
+    ``ValueError`` at once.  The CLI passes at most ``cli.BLOCK`` points per
+    call, which bounds the size of the arrays.
     """
-    lone = isinstance(pkt, WavePacket)
-    if lone:
-        n, eps = pkt.n, np.array([pkt.sigma_over_m])
-    else:
-        n, eps = pkt[0], np.asarray(pkt[1], dtype=float)
     check_nonneg_int(n, "n")
-    # a valid packet's sigma/m can still overflow to inf or underflow to 0
+    eps = np.asarray(sigma_over_m, dtype=float)
+    # sigma/m can overflow to inf or underflow to 0 from a valid packet
     if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
-        raise ValueError("sigma/m must be positive and finite (a 1-D array for a block)")
+        raise ValueError("sigma/m must be a 1-D array of positive finite values")
 
     check_orders(order, max_order if adaptive else None)
     values = _moments_at_order(n, eps, boost, order)
@@ -272,29 +220,29 @@ def moments_quadrature(
 
     values = values.T.copy()
     unconverged = ~(delta < RTOL)
+    faults = _moment_faults(values)
     errors = np.full(len(eps), None, dtype=object)
-    for k in np.flatnonzero(unconverged | _moment_faults(values).any(axis=0)).tolist():
-        errors[k] = _point_error(*values[k].tolist(), delta[k].item() if unconverged[k] else None)
-    if not lone:
-        return values, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return MomentIntegrals(*values[0].tolist())
+    for k in np.flatnonzero(unconverged | faults.any(axis=0)).tolist():
+        (i1, i3), (off_sum, _) = values[k].tolist(), faults[:, k].tolist()
+        if unconverged[k]:
+            best = None if faults[:, k].any() else values[k].copy()
+            errors[k] = QuadratureToleranceError(best, delta[k].item(), RTOL)
+        elif off_sum:
+            errors[k] = ValueError(f"i1 + i3 = {i1 + i3}, expected 1 within 1e-10")
+        else:
+            errors[k] = ValueError("i1 and i3 must lie in [0, 1]")
+    return values, errors
 
 
-def f_factor(n: int, boost: BoostParams, sigma_over_m):
-    """F = ((2n+1)/8) ((cosh a - 1)/(cosh a + 1)) (sigma/m)^2.
+def f_factor(n: int, boost: BoostParams, sigma_over_m: np.ndarray) -> np.ndarray:
+    """F = ((2n+1)/8) ((cosh a - 1)/(cosh a + 1)) (sigma/m)^2 per point.
 
-    Valid for integer n >= 0 in the narrow-packet regime sigma/m < 1.
-    Emits a warning when F > 1, where the perturbative I1 = 1 - F would
-    leave [0, 1] and the expansion has manifestly broken down.
-
-    One sigma/m gives a :class:`PerturbativeFactor`.  An array of sigma/m
-    gives an array of F, NaN where sigma/m lies outside (0, 1); the
-    one-value call is a one-element call into the same code that raises
-    ``ValueError`` there instead.  The square is ``np.float_power``, which
-    rounds as Python's ``**`` does (``x * x`` need not), so both forms
-    give the same bits.
+    Valid for integer n >= 0 in the narrow-packet regime sigma/m < 1: the
+    result is NaN where sigma/m lies outside (0, 1).  Emits a warning for
+    each F > 1, where the perturbative I1 = 1 - F would leave [0, 1] and
+    the expansion has manifestly broken down.  The square is
+    ``np.float_power``, which rounds as Python's ``**`` does (``x * x``
+    need not).
     """
     check_nonneg_int(n, "n")
     eps = _inside_unit(sigma_over_m)
@@ -304,10 +252,10 @@ def f_factor(n: int, boost: BoostParams, sigma_over_m):
             f"F = {value:.4g} > 1: perturbative I1 = 1 - F leaves [0, 1]",
             stacklevel=2,
         )
-    return PerturbativeFactor(f=f.item()) if np.ndim(sigma_over_m) == 0 else f
+    return f
 
 
-def n_bounds(sigma_over_m, scenario: Scenario) -> tuple:
+def n_bounds(sigma_over_m: np.ndarray, scenario: Scenario) -> tuple[float, np.ndarray]:
     """Allowed range (lower, upper] of the generalization exponent n.
 
     The lower bound -1/2 is open; it keeps the maximal coherence at or
@@ -315,8 +263,8 @@ def n_bounds(sigma_over_m, scenario: Scenario) -> tuple:
     3 (m/sigma)^2 - 1/2 with one boosted particle, half that budget per
     particle when both are boosted.
 
-    An array of sigma/m gives an array of upper bounds, NaN where sigma/m
-    lies outside (0, 1), as for :func:`f_factor`.
+    The upper bound is a column, NaN where sigma/m lies outside (0, 1), as
+    for :func:`f_factor`.
     """
     eps = _inside_unit(sigma_over_m)
     with np.errstate(over="ignore"):  # a tiny sigma/m allows any n
@@ -327,48 +275,34 @@ def n_bounds(sigma_over_m, scenario: Scenario) -> tuple:
         upper = 1.5 * inv2 - 0.5
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
-    return (-0.5, upper.item() if np.ndim(sigma_over_m) == 0 else upper)
+    return (-0.5, upper)
 
 
-def check_n_in_bounds(n: int, sigma_over_m, scenario: Scenario):
-    """Raise ``ValueError`` when n falls outside :func:`n_bounds`.
+def check_n_in_bounds(n: int, sigma_over_m: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """The mask of the points whose :func:`n_bounds` hold n.
 
-    For an array of sigma/m nothing is raised: the result is the mask of
-    the points whose bounds hold n (False where sigma/m is outside (0, 1)).
+    It is False where sigma/m is outside (0, 1).
     """
     lower, upper = n_bounds(sigma_over_m, scenario)
-    inside = (lower < n) & (n <= upper)
-    if np.ndim(sigma_over_m) > 0:
-        return inside
-    if not inside:
-        raise ValueError(
-            f"n = {n} outside the allowed range ({lower}, {upper:.6g}] "
-            f"for {scenario} at sigma/m = {sigma_over_m:.6g}"
-        )
+    return (lower < n) & (n <= upper)
 
 
-def check_factor_sum(*factors):
-    """Raise ``ValueError`` unless F1 + F2 < 1/2, the domain of the closed forms.
+def check_factor_sum(*factors: np.ndarray) -> np.ndarray:
+    """The mask of the points where F1 + F2 < 1/2, the domain of the closed forms.
 
-    One factor is the one-boost case, F1 = 0.  Factors given as F columns
-    (arrays, a lone factor shared) raise nothing: the result is the mask of
-    the points inside the domain, False where an F is NaN.  The sum is
-    Python's left fold from 0 in both forms.
+    Each factor is an F column; one factor is the one-boost case, F1 = 0.
+    The mask is False where an F is NaN.  The sum is Python's left fold
+    from 0.
     """
-    total = sum(f.f if isinstance(f, PerturbativeFactor) else f for f in factors)
-    if any(isinstance(f, np.ndarray) for f in factors):
-        return total < 0.5
-    if total >= 0.5:
-        raise ValueError(f"F1 + F2 must be < 1/2, got {total}")
+    return sum(factors) < 0.5
 
 
-def _inside_unit(sigma_over_m) -> np.ndarray:
-    """sigma/m as a 1-D array, NaN outside (0, 1); one value there raises ``ValueError``."""
-    eps = np.array(sigma_over_m, dtype=float, ndmin=1)
-    inside = (0.0 < eps) & (eps < 1.0)
-    if np.ndim(sigma_over_m) == 0 and not inside[0]:
-        raise ValueError(f"sigma/m must lie in (0, 1), got {sigma_over_m}")
-    return np.where(inside, eps, np.nan)
+def _inside_unit(sigma_over_m: np.ndarray) -> np.ndarray:
+    """sigma/m, a 1-D array, with NaN where it lies outside (0, 1)."""
+    eps = np.asarray(sigma_over_m, dtype=float)
+    if eps.ndim != 1:
+        raise ValueError(f"sigma/m must be a 1-D array, got shape {eps.shape}")
+    return np.where((0.0 < eps) & (eps < 1.0), eps, np.nan)
 
 
 def _boost_ratio(boost: BoostParams) -> float:

@@ -32,8 +32,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from boostcoh.coherence import JACOBI_OFF_TOL, Spectrum
-from boostcoh.core import BoostParams, DensityMatrix, WavePacket, check_nonneg_int
+from boostcoh.coherence import JACOBI_OFF_TOL
+from boostcoh.core import BoostParams, WavePacket, check_nonneg_int
 from boostcoh.integrals import gauss_hermite_nodes
 from boostcoh.wigner import _perp_components
 
@@ -120,21 +120,28 @@ def hermite_weight(order: int, x: float) -> mp.mpf:
     )
 
 
-def jacobi_eigenvalues(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
+def jacobi_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one Hermitian matrix by cyclic Jacobi rotations, sorted descending.
 
     The package's one-matrix solver before it learned to rotate each X
     block once, kept verbatim (renamed) as the reference that rotation must
-    reproduce.
+    reproduce.  The result is checked as the spectrum of a state: its sum,
+    added one value after another from 0, within 1e-10 of 1, and each
+    value within 1e-10 of [0, 1]; ``ValueError`` otherwise.
     """
-    a = np.array(rho.entries, dtype=complex)
+    a = np.array(entries, dtype=complex)
     n = a.shape[0]
     off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(float(np.sum(np.abs(a[off_diagonal]) ** 2)))
         if off < JACOBI_OFF_TOL:
             eigs = np.sort(np.real(np.diagonal(a)))[::-1]
-            return Spectrum(tuple(float(v) for v in eigs))
+            total = sum(eigs.tolist())
+            if abs(total - 1.0) > 1e-10:
+                raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
+            if not all(-1e-10 <= v <= 1.0 + 1e-10 for v in eigs.tolist()):
+                raise ValueError(f"eigenvalues must lie in [0, 1]: {eigs.tolist()}")
+            return eigs
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _jacobi_rotate(a, p, q)
@@ -175,7 +182,8 @@ def moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) ->
 
     The package's contraction before it used the node symmetry, kept
     verbatim (renamed): every node, all three integrands, and each term
-    added to its mirror, so I2 is whatever that sum gives.
+    added to its mirror, so I2 is whatever that sum gives.  The package
+    evaluates only I1 and I3.
     """
     kappa, w = gauss_hermite_nodes(order)
     if n == 0:

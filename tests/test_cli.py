@@ -1,18 +1,20 @@
 """Integration tests for the command-line interface."""
 
 import csv
+import itertools
 import math
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boostcoh import (
-    WavePacket, boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
-    hermitian_eigenvalues, moments_quadrature, rho_dual_boost_general,
+    boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
+    hermitian_eigenvalues, moments_quadrature, n_bounds, rho_dual_boost_general,
     rho_dual_boost_perturbative, rho_single_boost_general, rho_single_boost_perturbative,
     spectrum_dual_boost, spectrum_single_boost,
 )
@@ -311,28 +313,31 @@ class TestSweepCommand:
 
     @staticmethod
     def one_point_line(spec, sigma, betas):
-        """A sweep's CSV line for one point, from the one-value calls alone."""
-        eps = sigma / spec.mass
+        """A sweep's CSV line for one point, from one-point calls alone."""
+        eps = np.array([sigma / spec.mass])
         boosts = [boost_from_beta(b) for b in betas]
         factors = [f_factor(spec.n, b, eps) for b in boosts]
         single = len(boosts) == 1
         values = dict.fromkeys(CSV_HEADER[5:])
         if "perturbative" in spec.methods:
-            values["c_f_perturbative"] = c_frobenius_perturbative(spec.n, boosts, eps)
+            values["c_f_perturbative"] = c_frobenius_perturbative(spec.n, boosts, eps)[0]
         if "exact-eig" in spec.methods:
             closed = (spectrum_single_boost if single else spectrum_dual_boost)
-            values["c_f_exact_eig"] = c_frobenius(closed(spec.theta, *factors), 4)
+            values["c_f_exact_eig"] = c_frobenius(closed(spec.theta, *factors))[0]
         if "quadrature" in spec.methods:
-            pkt = WavePacket(spec.n, sigma, spec.mass)
+            moments = [moments_quadrature(spec.n, b, eps) for b in boosts]
+            assert all(errors.tolist() == [None] for _, errors in moments)
             general = rho_single_boost_general if single else rho_dual_boost_general
-            rho = general(spec.theta, *(moments_quadrature(pkt, b) for b in boosts))
-            values["c_f_quadrature"] = c_frobenius(hermitian_eigenvalues(rho), 4)
+            rho = general(spec.theta, *(values for values, _ in moments))
+            values["c_f_quadrature"] = c_frobenius(hermitian_eigenvalues(rho))[0]
         else:
             closed = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
             rho = closed(spec.theta, *factors)
-        values["c_l1"] = c_l1(rho)
-        values["f1"] = factors[0].f
-        values["f2"] = None if single else factors[1].f
+        assert rho.errors == (None,)
+        values["c_l1"] = c_l1(rho)[0]
+        values["f1"] = factors[0][0]
+        values["f2"] = None if single else factors[1][0]
+        values = {k: None if v is None else v.item() for k, v in values.items()}
         fields = [sigma, *betas, *([None] if single else []), spec.theta, *values.values()]
         fields = ["" if v is None else repr(v) for v in fields]
         fields.insert(3, str(spec.n))
@@ -355,7 +360,7 @@ class TestSweepCommand:
             lines = list(run_sweep(spec))
             expected = [
                 self.one_point_line(spec, sigma, cfg)
-                for sigma in spec.sigmas()
+                for sigma in spec.sigmas(0, 5)
                 for cfg in sorted(b if scenario == "dual" else (b,) for b in betas)
             ]
             assert lines == expected
@@ -529,19 +534,20 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert len(rows) == 257 * 2
         for row in rows:
-            pkt = WavePacket(1, float(row[0]), 939.36)
-            moments = [moments_quadrature(pkt, boost_from_beta(float(b))) for b in row[1:3]]
-            rho = rho_dual_boost_general(math.pi / 4, *moments)
-            assert float(row[8]) == c_frobenius(hermitian_eigenvalues(rho), 4)
+            eps = np.array([float(row[0]) / 939.36])
+            moments = [moments_quadrature(1, boost_from_beta(float(b)), eps) for b in row[1:3]]
+            assert all(errors.tolist() == [None] for _, errors in moments)
+            rho = rho_dual_boost_general(math.pi / 4, *(values for values, _ in moments))
+            assert float(row[8]) == c_frobenius(hermitian_eigenvalues(rho))[0]
 
     def test_one_moments_call_per_block_and_boost(self, tmp_path, monkeypatch, capsys):
         # The benchmark's tracer times the moments layer at this name.
         calls = []
         original = cli.moments_quadrature
 
-        def counting(block, *args, **kwargs):
-            calls.append(len(block[1]))  # points in the sigma/m column
-            return original(block, *args, **kwargs)
+        def counting(n, boost, eps, *args, **kwargs):
+            calls.append(len(eps))  # points in the sigma/m column
+            return original(n, boost, eps, *args, **kwargs)
 
         monkeypatch.setattr(cli, "moments_quadrature", counting)
         assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
@@ -606,14 +612,12 @@ class TestSweepCommand:
             scenario="dual", theta=math.pi / 4, n=40, mass=1.0, sigma_grid=(0.01, 0.25, 400),
             betas=((0.5, 0.5), (0.3, 0.6)), methods=("perturbative", "exact-eig"),
         )
-        first = None
-        for k, sigma in enumerate(spec.sigmas()):
-            try:
-                check_n_in_bounds(40, sigma / 1.0, "dual_boost")
-            except ValueError as exc:
-                first = k, str(exc)
-                break
-        assert first is not None and cli.BLOCK < first[0] < 2 * cli.BLOCK - 1
+        eps = np.array(spec.sigmas(0, 400)) / 1.0
+        k = int(np.argmin(check_n_in_bounds(40, eps, "dual_boost")))
+        _, upper = n_bounds(eps[k:k + 1], "dual_boost")
+        first = k, (f"n = 40 outside the allowed range (-0.5, {upper[0]:.6g}] "
+                    f"for dual_boost at sigma/m = {eps[k]:.6g}")
+        assert cli.BLOCK < first[0] < 2 * cli.BLOCK - 1
         out = tmp_path / "keep.csv"
         out.write_bytes(b"earlier results\n")
         assert main([*self.N_BOUNDS_MID_BLOCK, "--out", str(out)]) == 2
@@ -626,6 +630,36 @@ class TestSweepCommand:
             for row in run_sweep(spec):
                 rows.append(row)
         assert len(rows) == first[0] * 2
+
+    def test_sigma_blocks_are_the_grid(self):
+        # each block's values are the grid's, and the last block is clipped
+        spec = SweepSpec(
+            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 2.0, 7), betas=(0.5,), methods=("perturbative",),
+        )
+        grid = [1.0 + (2.0 - 1.0) * i / 6 for i in range(7)]
+        assert spec.sigmas(0, 3) + spec.sigmas(3, 6) + spec.sigmas(6, 9) == grid
+        assert spec.sigmas(7, 10) == []
+        steps = 10**23
+        huge = SweepSpec(**{**spec.__dict__, "sigma_grid": (1.0, 2.0, steps)})
+        assert huge.sigmas(steps - 1, steps + 256) == [2.0]
+
+    def test_first_rows_of_a_long_grid_cost_little_memory(self):
+        # the grid is built block by block, not as a whole before the first row
+        spec = SweepSpec(
+            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 100.0, 10**6), betas=(0.5,), methods=("perturbative", "exact-eig"),
+        )
+        small = SweepSpec(**{**spec.__dict__, "sigma_grid": (1.0, 100.0, 4)})
+        list(run_sweep(small))  # imports and caches
+        tracemalloc.start()
+        try:
+            rows = list(itertools.islice(run_sweep(spec), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize(
         "changes",

@@ -3,6 +3,11 @@
 The package holds one X-state path per layer. Independent eigensolvers and
 contractions (``np.linalg``, ``np.einsum``) belong to the oracles in
 ``tests/oracles.py`` and ``bench/checks.py``, not to ``src/boostcoh``.
+
+It also has one calling convention: columns in, columns out. The one-value
+wrappers ``MomentIntegrals``, ``PerturbativeFactor`` and ``Spectrum`` and the
+``lone`` flag of the one-value branches are gone, and no name may bring them
+back.
 """
 
 import ast
@@ -48,9 +53,56 @@ def forbidden_calls(source: str) -> list[str]:
     return found
 
 
+ONE_VALUE_TYPES = {"MomentIntegrals", "PerturbativeFactor", "Spectrum"}
+
+
+def one_value_names(source: str) -> list[str]:
+    """Each name in ``source`` that a one-value path would bind, as ``line: name``.
+
+    That is a class, function, assignment, import or argument named after a
+    one-value type, and any use of the name ``lone``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id] if node.id == "lone" or isinstance(node.ctx, ast.Store) else []
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+            names += [a.name for a in node.names if isinstance(node, ast.ImportFrom)]
+        else:
+            continue
+        found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)
+                  if n in ONE_VALUE_TYPES or n == "lone"]
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_general_eigensolver_or_contraction(path):
     assert forbidden_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_calling_convention(path):
+    assert one_value_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("class Spectrum:\n    pass", ["1: Spectrum"]),
+    ("@dataclass\nclass MomentIntegrals:\n    i1: float", ["2: MomentIntegrals"]),
+    ("PerturbativeFactor = float", ["1: PerturbativeFactor"]),
+    ("from .integrals import PerturbativeFactor as F", ["1: PerturbativeFactor"]),
+    ("from .coherence import Spectrum", ["1: Spectrum"]),
+    ("lone = x.ndim == 0", ["1: lone"]),
+    ("def f(lone=False):\n    return lone", ["1: lone", "2: lone"]),
+    ("values = spectrum(x)\nalone = values[:1]", []),
+    ("# a lone 1-D row\nrow = 1", []),
+])
+def test_the_convention_rule_sees_each_spelling(source, want):
+    assert one_value_names(source) == want
 
 
 @pytest.mark.parametrize("source, want", [
