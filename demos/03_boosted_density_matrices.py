@@ -2,12 +2,15 @@
 """Reduced spin density matrices of the boosted entangled pair.
 
 Starting from sin(theta)|01> + cos(theta)|10>, boosting one or both
-particles and tracing momentum leaves X-shaped 4x4 spin states.  This
-demo prints them, reduces them to single-particle 2x2 states, and shows
-that a maximally entangled pair hides the boost from each marginal.
+particles and tracing momentum leaves X-shaped 4x4 spin states: two real
+2x2 blocks, on (|00>, |11>) and (|01>, |10>), and zeros elsewhere.  This
+demo prints the blocks, reduces the states to single-particle 2x2 states,
+and shows that a maximally entangled pair hides the boost from each
+marginal.
 
 The constructors take one F, or one (I1, I3) moment row, per point and
-return a stack of states; this demo builds stacks of one point.
+return a stack of states, each held as its blocks' (a, d, c) numbers for
+[[a, c], [c, d]]; this demo builds stacks of one point.
 """
 
 import math
@@ -26,11 +29,24 @@ from boostcoh import (
 )
 
 
+def print_blocks(rho):
+    """The two blocks of the first point's state, as 2x2 matrices."""
+    for name, (a, d, c) in zip(("{|00>,|11>}", "{|01>,|10>}"), rho.blocks[0]):
+        print(f"{name} block:")
+        print(np.array_str(np.array([[a, c], [c, d]]), precision=6, suppress_small=True))
+
 
 def marginal_diagonal(rho, keep):
-    """Diagonal of the 2x2 state of one spin of the first point: the other spin traced out."""
-    blocks = rho.entries[0].real.reshape(2, 2, 2, 2)  # (spin 1, spin 2) x (spin 1, spin 2)
-    return np.einsum("ikik->i" if keep == "first" else "kiki->i", blocks)
+    """Diagonal of the 2x2 state of one spin of the first point: the other spin traced out.
+
+    The diagonal of the 4x4 state is (a0, a1, d1, d0) on |00>, |01>, |10>,
+    |11>; the entries off it that a partial trace collects lie off the X,
+    so both marginals are diagonal.
+    """
+    (a0, d0, _), (a1, d1, _) = rho.blocks[0]
+    if keep == "first":
+        return np.array([a0 + a1, d1 + d0])
+    return np.array([a0 + d1, a1 + d0])
 
 
 theta = math.pi / 6
@@ -45,9 +61,8 @@ print("=" * 72)
 print(f"One boosted particle (theta = pi/6, beta = 0.95, F = {f1[0]:.6f})")
 print("=" * 72)
 rho1 = rho_single_boost_perturbative(theta, f1)
-print(np.array_str(rho1.entries[0].real, precision=6, suppress_small=True))
-print("basis order |00>, |01>, |10>, |11>; the X shape separates the")
-print("{|00>,|11>} corner block from the {|01>,|10>} inner block")
+print_blocks(rho1)
+print("every entry of the 4x4 state outside these two blocks is zero")
 
 print()
 print("=" * 72)
@@ -55,7 +70,7 @@ print("Quadrature-fed matrix (same point, no expansion)")
 print("=" * 72)
 m1, _ = moments_quadrature(pkt.n, b1, eps)
 rho1_exact = rho_single_boost_general(theta, m1)
-gap = np.max(np.abs(rho1_exact.entries - rho1.entries))
+gap = np.max(np.abs(rho1_exact.blocks - rho1.blocks))
 print(f"largest entrywise gap to the closed form: {gap:.3e}")
 print(f"(fourth-order in sigma/m = {pkt.sigma_over_m:.4f}: about {pkt.sigma_over_m**4:.1e})")
 
@@ -64,11 +79,11 @@ print("=" * 72)
 print(f"Both particles boosted (F1 = {f1[0]:.6f}, F2 = {f2[0]:.6f})")
 print("=" * 72)
 rho12 = rho_dual_boost_perturbative(theta, f1, f2)
-print(np.array_str(rho12.entries[0].real, precision=6, suppress_small=True))
+print_blocks(rho12)
 m2, _ = moments_quadrature(pkt.n, b2, eps)
 rho12_exact = rho_dual_boost_general(theta, m1, m2)
 print(f"gap to the moment-exact construction: "
-      f"{np.max(np.abs(rho12_exact.entries - rho12.entries)):.3e}")
+      f"{np.max(np.abs(rho12_exact.blocks - rho12.blocks)):.3e}")
 
 print()
 print("=" * 72)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _X_BLOCKS, BoostParams, DensityMatrix
+from .core import BoostParams, DensityMatrix
 from .integrals import check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
@@ -64,26 +64,19 @@ def _checked_spectra(values: np.ndarray) -> np.ndarray:
 
 
 def c_l1(rho: DensityMatrix) -> np.ndarray:
-    """Sum of absolute values of the off-diagonal entries, one value per matrix.
+    """Sum of absolute values of the off-diagonal entries, one value per matrix."""
+    return _off_diagonal_sum(np.abs(rho.blocks[..., 2]))
 
-    Each matrix's moduli are added in the order numpy's ``sum`` uses for a
-    1-D array of them, so a value does not depend on the stack it came in.
+
+def _off_diagonal_sum(v: np.ndarray) -> np.ndarray:
+    """Per state, the sum over the 12 off-diagonal entries of its 4x4 matrix.
+
+    ``v`` holds one term per block's pivot, each the term of both entries
+    the pivot sits at.  The terms are added as numpy sums a lone 1-D row
+    of the 12, zeros dropped: (v_0 + 2 v_1) + v_0, for the pivots of the
+    blocks on (|00>, |11>) and (|01>, |10>).
     """
-    return _sum_last_axis(np.abs(rho.entries[:, ~np.eye(4, dtype=bool)]))
-
-
-def _sum_last_axis(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` summed as numpy sums a lone 1-D row of 8 to 15 values.
-
-    That is: 8 accumulators added as a tree, then the tail one at a time.
-    Rows here hold the 12 off-diagonal entries of a 4x4 matrix.  A
-    reduction along an axis of a 2-D array need not keep that order.
-    """
-    r = [v[..., i] for i in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(8, v.shape[-1]):
-        total += v[..., i]
-    return total
+    return (v[:, 0] + 2.0 * v[:, 1]) + v[:, 0]
 
 
 def _fold(v: np.ndarray) -> np.ndarray:
@@ -145,7 +138,7 @@ def spectrum_dual_boost(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.ndar
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues by cyclic Jacobi rotations on the Hermitian entries.
+    """Eigenvalues by cyclic Jacobi rotations on the matrix entries.
 
     Sweeps would run until the off-diagonal Frobenius norm drops below
     1e-13.  On an X-state, the only state a :class:`DensityMatrix` holds,
@@ -158,61 +151,46 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     checked as spectra; :func:`c_frobenius` checks them.
     """
     valid = np.array([e is None for e in rho.errors], dtype=bool)
-    eigs = np.full(rho.entries.shape[:-1], np.nan)
-    eigs[valid] = _x_eigenvalues(rho.entries[valid])
+    eigs = np.full((len(valid), 4), np.nan)
+    eigs[valid] = _x_eigenvalues(rho.blocks[valid])
     return eigs
 
 
-def _x_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of each 4x4 X matrix of ``a``, as cyclic Jacobi sweeps give them.
+def _x_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each X-state of ``blocks``, as cyclic Jacobi sweeps give them.
 
     A sweep skips every pivot off the X, since it is zero.  Rotating the
     pivot (p, q) of one block moves only zeros and the other block's
     entries stay put, so after the first sweep every off-diagonal entry is
     zero and the second one stops.  A block is therefore rotated at most
     once, when the matrix's norm is not below the tolerance and its pivot
-    is nonzero.  Its unitary (p, q) rotation, columns and then rows, is
+    c is nonzero.  Its (p, q) rotation, columns and then rows, is
     evaluated on only the four entries that give the new (p, p) and
     (q, q), each operation in the order the full rotation makes it.
     """
-    diag = a.diagonal(axis1=1, axis2=2).copy()
-    turn = ~(_off_norm(a) < JACOBI_OFF_TOL)
-    for p, q in _X_BLOCKS:
-        r = np.abs(a[:, p, q])
-        k = turn & (r != 0.0)
-        app, apq, aqp, aqq = a[k, p, p], a[k, p, q], a[k, q, p], a[k, q, q]
-        c, s_phase, s_conj = _rotation(apq, r[k], app.real, aqq.real)
+    a, d, c = blocks[..., 0].copy(), blocks[..., 1].copy(), blocks[..., 2]
+    turn = ~(np.sqrt(_off_diagonal_sum(c * c)) < JACOBI_OFF_TOL)
+    for b in range(2):
+        k = turn & (c[:, b] != 0.0)
+        app, apq, aqq = a[k, b], c[k, b], d[k, b]
+        r = np.abs(apq)
+        with np.errstate(over="ignore"):  # a huge tau gives t = 0, as in scalar code
+            tau = (aqq - app) / (2.0 * r)
+            # 1/(tau + sqrt(1 + tau^2)), or -1/(-tau + sqrt(1 + tau^2)) for tau < 0
+            u = np.abs(tau)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (u + np.sqrt(1.0 + u * u))
+        cos = 1.0 / np.sqrt(1.0 + t * t)
+        # a real pivot's sign stands in for a complex pivot's phase
+        sin = t * cos * np.sign(apq)
         # (p, p), (p, q), (q, p), (q, q) after the column step, then the
         # diagonal after the row step
-        bpp, bpq = c * app - s_conj * apq, s_phase * app + c * apq
-        bqp, bqq = c * aqp - s_conj * aqq, s_phase * aqp + c * aqq
-        diag[k, p] = c * bpp - s_phase * bqp
-        diag[k, q] = s_conj * bpq + c * bqq
-    return np.sort(diag.real)[:, ::-1]
-
-
-def _off_norm(a: np.ndarray) -> np.ndarray:
-    """Per 4x4 matrix of ``a``, the Frobenius norm of its off-diagonal entries."""
-    return np.sqrt(_sum_last_axis(np.abs(a[:, ~np.eye(4, dtype=bool)]) ** 2))
-
-
-def _rotation(apq: np.ndarray, r: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple:
-    """The cosine c and the sines s e^{i phase}, s e^{-i phase} that zero each pivot.
-
-    ``apq`` is a nonzero pivot, ``r`` its modulus, and ``app``, ``aqq`` the
-    real diagonal entries of its block.
-    """
-    # componentwise division: the complex reciprocal overflows for
-    # subnormal pivots, float division does not
-    phase = np.empty_like(apq)
-    phase.real, phase.imag = apq.real / r, apq.imag / r
-    with np.errstate(over="ignore"):  # a huge tau gives t = 0, as in scalar code
-        tau = (aqq - app) / (2.0 * r)
-        # 1/(tau + sqrt(1 + tau^2)), or -1/(-tau + sqrt(1 + tau^2)) for tau < 0
-        u = np.abs(tau)
-        t = np.where(tau >= 0.0, 1.0, -1.0) / (u + np.sqrt(1.0 + u * u))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c * phase, t * c * phase.conj()
+        bpp, bpq = cos * app - sin * apq, sin * app + cos * apq
+        bqp, bqq = cos * apq - sin * aqq, sin * apq + cos * aqq
+        a[k, b] = cos * bpp - sin * bqp
+        d[k, b] = sin * bpq + cos * bqq
+    # the diagonal in basis order, |00>, |01>, |10>, |11>
+    diag = np.stack([a[:, 0], a[:, 1], d[:, 1], d[:, 0]], axis=-1)
+    return np.sort(diag)[:, ::-1]
 
 
 def c_frobenius_perturbative(

@@ -6,8 +6,9 @@ Conventions used throughout the package:
 * a boost is parametrized by its rapidity alpha, with cosh(alpha) = gamma
   and tanh(alpha) = beta = v/c
 * two-qubit density matrices live in the product basis
-  |00>, |01>, |10>, |11> (row/column indices 0..3), and are X-states:
-  two 2x2 blocks, on (|00>, |11>) and (|01>, |10>), zeros elsewhere
+  |00>, |01>, |10>, |11> (row/column indices 0..3), and are real X-states:
+  two 2x2 blocks, on (|00>, |11>) and (|01>, |10>), zeros elsewhere, held
+  as the blocks alone
 
 All types are immutable value objects validated at construction, so they
 can be shared freely across threads and cached without copying.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "HERMITICITY_TOL",
     "TRACE_TOL",
     "PSD_TOL",
     "BoostParams",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 # Density-matrix construction tolerances (absolute).
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -140,79 +139,61 @@ class WavePacket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A stack of complex Hermitian trace-one 4x4 X-states, one per point.
+    """A stack of real trace-one two-qubit X-states, one per point.
 
-    An X-state is the direct sum of two 2x2 blocks, on the basis pairs
-    (|00>, |11>) and (|01>, |10>): every entry off the X is exactly zero.
-    Every state the package builds is one, and it is the only state a
-    :class:`DensityMatrix` holds.
+    An X-state is the direct sum of two real symmetric 2x2 blocks, on the
+    basis pairs (|00>, |11>) and (|01>, |10>), with zeros elsewhere.  Every
+    state the package builds is one, and a block [[a, c], [c, d]] is
+    stored as its three numbers (a, d, c).
 
-    ``entries`` is a (points x 4 x 4) array.  Construction validates each
-    matrix, in this order, for Hermiticity (1e-12 entrywise), unit trace
-    (1e-10), the X shape (each off-X entry exactly zero, in both triangles)
-    and positive semidefiniteness (least eigenvalue >= -1e-10, in closed
-    form from the two blocks), all matrices in one pass.  A bad matrix
-    raises nothing: ``errors`` holds, per matrix, None or the
-    ``ValueError`` of the first check it fails.
+    ``blocks`` is a real (points x 2 x 3) array: per point, the (a, d, c)
+    of the block on (|00>, |11>), then of the block on (|01>, |10>).  The
+    4x4 matrix they stand for is Hermitian and X-shaped by construction.
+    Construction validates each state, in this order, for unit trace
+    (1e-10) and positive semidefiniteness (the least eigenvalue of either
+    block >= -1e-10), all states in one pass.  A bad state raises nothing:
+    ``errors`` holds, per state, None or the ``ValueError`` of the first
+    check it fails.
     """
 
-    entries: np.ndarray
+    blocks: np.ndarray
     errors: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-            raise ValueError(f"entries must be a (points x 4 x 4) stack, got shape {arr.shape}")
+        if np.iscomplexobj(self.blocks):  # casting would drop the imaginary parts
+            raise ValueError("blocks must be real")
+        arr = np.array(self.blocks, dtype=float)
+        if arr.ndim != 3 or arr.shape[1:] != (2, 3):
+            raise ValueError(
+                f"blocks must be a (points x 2 x 3) stack of (a, d, c) rows, got shape {arr.shape}"
+            )
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "blocks", arr)
         object.__setattr__(self, "errors", _verdicts(arr))
 
 
-# A 4x4 X-state is the direct sum of the 2x2 blocks on these index pairs:
-# every entry of the _OFF_X mask is zero.
-_X_BLOCKS = ((0, 3), (1, 2))
-_OFF_X = np.array([[not any({i, j} <= set(b) for b in _X_BLOCKS) for j in range(4)]
-                   for i in range(4)])
+def _verdicts(blocks: np.ndarray) -> tuple[ValueError | None, ...]:
+    """Per state of ``blocks``, None or the error of the first check it fails.
 
-
-def _x_least_eigenvalue(x: np.ndarray) -> np.ndarray:
-    """Per 4x4 X matrix of ``x``, the least eigenvalue of its lower triangle.
-
-    The matrix is the direct sum of the blocks on (0, 3) and (1, 2); a
-    Hermitian block [[a, c*], [c, d]] has least eigenvalue
-    (a + d)/2 - hypot((a - d)/2, |c|).  It agrees with ``eigvalsh`` to
-    rounding, about 1e-16 on a trace-one state.
+    The trace adds the diagonal in basis order, |00>, |01>, |10>, |11>.
+    A block [[a, c], [c, d]] has least eigenvalue
+    (a + d)/2 - hypot((a - d)/2, c), which agrees with ``eigvalsh`` to
+    rounding, about 1e-16 on a trace-one state.  The comparisons are
+    written so that NaN fails them; only states that pass the trace check
+    reach the PSD check.
     """
-    least = []
-    for p, q in _X_BLOCKS:
-        a, d = x[:, p, p].real, x[:, q, q].real
-        least.append((a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(x[:, q, p])))
-    return np.minimum(*least)
-
-
-def _verdicts(stack: np.ndarray) -> tuple[ValueError | None, ...]:
-    """Per 4x4 matrix of ``stack``, None or the error of the first check it fails.
-
-    The comparisons are written so that NaN fails them; only matrices that
-    pass the first three checks reach the PSD check.
-    """
-    asymmetry = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    herm_ok = asymmetry <= HERMITICITY_TOL
-    trace = np.trace(stack, axis1=-2, axis2=-1)
+    a, d, c = blocks[..., 0], blocks[..., 1], blocks[..., 2]
+    trace = ((a[:, 0] + a[:, 1]) + d[:, 1]) + d[:, 0]
     trace_ok = np.abs(trace - 1.0) <= TRACE_TOL
-    x_ok = ~stack[:, _OFF_X].any(axis=-1)  # NaN is nonzero too
-    psd_ok = herm_ok & trace_ok & x_ok
-    psd_ok[psd_ok] = _x_least_eigenvalue(stack[psd_ok]) >= -PSD_TOL
+    psd_ok = trace_ok.copy()
+    least = (a[psd_ok] + d[psd_ok]) / 2.0 - np.hypot((a[psd_ok] - d[psd_ok]) / 2.0, c[psd_ok])
+    psd_ok[psd_ok] = least.min(axis=-1) >= -PSD_TOL
     if psd_ok.all():
-        return (None,) * len(stack)
+        return (None,) * len(blocks)
     errors = []
-    for h_ok, t_ok, shape_ok, p_ok, t in zip(herm_ok, trace_ok, x_ok, psd_ok, trace.tolist()):
-        if not h_ok:
-            errors.append(ValueError("matrix is not Hermitian within 1e-12"))
-        elif not t_ok:
+    for t_ok, p_ok, t in zip(trace_ok, psd_ok, trace.tolist()):
+        if not t_ok:
             errors.append(ValueError(f"trace = {t}, expected 1 within 1e-10"))
-        elif not shape_ok:
-            errors.append(ValueError("matrix is not an X-state: an entry off the X is nonzero"))
         elif not p_ok:
             errors.append(ValueError("matrix is not positive semidefinite within 1e-10"))
         else:

@@ -4,8 +4,9 @@ Starting from sin(theta)|01> + cos(theta)|10>, boosting one particle mixes
 the spin amplitudes through the Wigner half-angle, and tracing out momentum
 leaves a 4x4 spin state whose entries are bilinear in the moment integrals.
 Boosting both particles does the same per particle.  |psi(p)|^2 is even
-in p for every packet, so the odd moment I2 vanishes and the state is an
-X-state: two 2x2 blocks, on (|00>, |11>) and (|01>, |10>).
+in p for every packet, so the odd moment I2 vanishes and the state is a
+real X-state: two 2x2 blocks, on (|00>, |11>) and (|01>, |10>), which are
+all the constructors build.
 
 Two constructor families are provided:
 
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import _X_BLOCKS, DensityMatrix
+from .core import DensityMatrix
 from .integrals import check_factor_sum
 
 __all__ = [
@@ -89,14 +90,14 @@ def rho_dual_boost_perturbative(theta: float, f1: np.ndarray, f2: np.ndarray) ->
     # rho_dual_boost_general, so the one-boost forms agree bit for bit.
     s2, c2, sc = st * st, ct * ct, st * ct
     rest = 1.0 - g1 - g2
-    rho = np.zeros((len(g1), 4, 4), dtype=complex)
-    rho[:, 0, 0] = s2 * g1 + c2 * g2
-    rho[:, 0, 3] = rho[:, 3, 0] = -sc * (g1 + g2)
-    rho[:, 1, 1] = s2 * rest
-    rho[:, 1, 2] = rho[:, 2, 1] = sc * rest
-    rho[:, 2, 2] = c2 * rest
-    rho[:, 3, 3] = s2 * g2 + c2 * g1
-    return DensityMatrix(rho)
+    blocks = np.empty((len(g1), 2, 3))
+    blocks[:, 0, 0] = s2 * g1 + c2 * g2
+    blocks[:, 0, 1] = s2 * g2 + c2 * g1
+    blocks[:, 0, 2] = -sc * (g1 + g2)
+    blocks[:, 1, 0] = s2 * rest
+    blocks[:, 1, 1] = c2 * rest
+    blocks[:, 1, 2] = sc * rest
+    return DensityMatrix(blocks)
 
 
 # Coefficient tables for the bilinear expansion of the two-boost state: the
@@ -116,14 +117,14 @@ def _dual_coefficient_table(theta: float) -> np.ndarray:
     return table
 
 
-# The two (i, j) slots of the coefficient table that the basis states of
-# each X block fill: |00> and |11> fill (0, 1) and (1, 0), |01> and |10>
-# fill (0, 0) and (1, 1).
-_BLOCK_SLOTS = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
+# Per X block, its basis states (p, q) and the two (i, j) slots of the
+# coefficient table that both fill: |00> and |11> fill (0, 1) and (1, 0),
+# |01> and |10> fill (0, 0) and (1, 1).
+_X_BLOCKS = (((0, 3), ((0, 1), (1, 0))), ((1, 2), ((0, 0), (1, 1))))
 
 
 def _x_entries(table: np.ndarray, d2: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """The entries sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l] for (I1, I3) rows.
+    """The (a, d, c) blocks of sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l] for (I1, I3) rows.
 
     The moment matrices M = [[I1, I2], [I2, I3]] are diag(I1, I3), since
     I2 is zero, so entry (a, b) keeps only the terms of the slots that both
@@ -132,15 +133,14 @@ def _x_entries(table: np.ndarray, d2: np.ndarray, d1: np.ndarray) -> np.ndarray:
     ``+ 0.0`` turns a -0.0 sum into its +0.0), which are the bits of the
     full contraction, signed zeros included.
     """
-    rho = np.zeros((len(d1), 4, 4))
-    for states, ((i, j), (k, l)) in zip(_X_BLOCKS, _BLOCK_SLOTS):
-        for a in states:
-            for b in states:
-                rho[:, a, b] = (
-                    ((table[a, i, j] * table[b, i, j]) * d2[:, i]) * d1[:, j]
-                    + ((table[a, k, l] * table[b, k, l]) * d2[:, k]) * d1[:, l]
-                ) + 0.0
-    return rho
+    blocks = np.empty((len(d1), 2, 3))
+    for k, ((p, q), ((i, j), (g, h))) in enumerate(_X_BLOCKS):
+        for col, (a, b) in enumerate(((p, p), (q, q), (q, p))):
+            blocks[:, k, col] = (
+                ((table[a, i, j] * table[b, i, j]) * d2[:, i]) * d1[:, j]
+                + ((table[a, g, h] * table[b, g, h]) * d2[:, g]) * d1[:, h]
+            ) + 0.0
+    return blocks
 
 
 def rho_dual_boost_general(theta: float, m1: np.ndarray, m2: np.ndarray) -> DensityMatrix:

@@ -17,6 +17,9 @@ from the package's own code paths:
   geometry (``half_angle_general``), the spin amplitudes of the boosted
   pair (``amplitudes_single``/``amplitudes_dual``), and an index-loop
   partial trace (``ptrace_reference``);
+* the 4x4 embedding of the package's X-state blocks (``x_matrices``) and
+  its inverse (``x_blocks``), so that the full-matrix oracles above run
+  on the states the package holds;
 * the Wigner rotation from explicit 4x4 Lorentz matrices
   (``wigner_rotation_matrix``) and its spin-1/2 representation
   (``spin_half_matrix``).
@@ -308,6 +311,35 @@ def ptrace_reference(rho: np.ndarray, keep: str) -> np.ndarray:
                 else:
                     out[i, j] += rho[2 * k + i, 2 * k + j]
     return out
+
+
+# The basis pairs (p, q) of the two X blocks, in the package's block order.
+X_PAIRS = ((0, 3), (1, 2))
+
+
+def x_matrices(blocks) -> np.ndarray:
+    """The (points x 4 x 4) real matrices of a (points x 2 x 3) stack of (a, d, c) blocks.
+
+    Block k puts a at (p, p), d at (q, q) and c at (p, q) and (q, p), for
+    the k-th pair of ``X_PAIRS``; every other entry is zero.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    out = np.zeros((len(blocks), 4, 4))
+    for k, (p, q) in enumerate(X_PAIRS):
+        out[:, p, p], out[:, q, q] = blocks[:, k, 0], blocks[:, k, 1]
+        out[:, p, q] = out[:, q, p] = blocks[:, k, 2]
+    return out
+
+
+def x_blocks(matrices) -> np.ndarray:
+    """The (points x 2 x 3) (a, d, c) blocks of a stack of real symmetric 4x4 X matrices.
+
+    c is read from the lower triangle; the entries off the X are dropped,
+    so a matrix must be checked as symmetric and X-shaped by the caller.
+    """
+    m = np.asarray(matrices, dtype=float)
+    return np.stack([np.stack([m[:, p, p], m[:, q, q], m[:, q, p]], axis=-1)
+                     for p, q in X_PAIRS], axis=1)
 
 
 def lorentz_boost(rapidity: float, axis) -> np.ndarray:

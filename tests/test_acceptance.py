@@ -30,6 +30,7 @@ from boostcoh.cli import figure_spec, main, write_sweep_csv
 
 from oracles import (
     moments_at_order, mp_frobenius_from_spectrum, ptrace_reference, trapezoid_moments,
+    x_matrices,
 )
 
 THETA_GRID = [k * math.pi / 24 for k in range(13)]  # 0, pi/12 steps.. pi/2
@@ -209,21 +210,21 @@ def test_criterion_08_single_particle_reductions():
             cos2t = math.cos(2 * theta)
             for f in (0.0, 0.01, 0.1, 0.3, 0.49):
                 rho = rho_single_boost_perturbative(theta, col(f))
-                red = ptrace_reference(rho.entries[0], "first")
+                red = ptrace_reference(x_matrices(rho.blocks)[0], "first")
                 want = np.diag([s2 + cos2t * f, c2 - cos2t * f])
                 assert np.max(np.abs(red - want)) <= 1e-12
             for f1, f2 in dual_pairs:
                 rho = rho_dual_boost_perturbative(theta, col(f1), col(f2))
-                first = ptrace_reference(rho.entries[0], "first")
+                first = ptrace_reference(x_matrices(rho.blocks)[0], "first")
                 want1 = np.diag([s2 + cos2t * f2, c2 - cos2t * f2])
                 assert np.max(np.abs(first - want1)) <= 1e-12
-                second = ptrace_reference(rho.entries[0], "second")
+                second = ptrace_reference(x_matrices(rho.blocks)[0], "second")
                 want2 = np.diag([c2 - cos2t * f1, s2 + cos2t * f1])
                 assert np.max(np.abs(second - want2)) <= 1e-12
         # maximal entanglement hides the boost entirely
         for f in (0.0, 0.1, 0.49):
             rho = rho_single_boost_perturbative(math.pi / 4, col(f))
-            red = ptrace_reference(rho.entries[0], "first")
+            red = ptrace_reference(x_matrices(rho.blocks)[0], "first")
             assert np.max(np.abs(red - np.diag([0.5, 0.5]))) <= 1e-12
 
 

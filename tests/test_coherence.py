@@ -26,7 +26,7 @@ from boostcoh import (
 from boostcoh.coherence import _descending, _spectrum_faults
 from boostcoh.integrals import check_factor_sum
 
-from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum
+from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum, x_blocks, x_matrices
 
 THETAS = [k * math.pi / 24 for k in range(13)]
 
@@ -37,27 +37,26 @@ def col(*values) -> np.ndarray:
 
 
 def states(*matrices) -> DensityMatrix:
-    """The stack of the given 4x4 matrices, each of which must pass validation."""
-    rho = DensityMatrix(np.stack(matrices))
+    """The states of the given real symmetric 4x4 X matrices, each of which must pass validation."""
+    stack = np.stack(matrices)
+    rho = DensityMatrix(x_blocks(stack))
+    assert np.array_equal(x_matrices(rho.blocks), stack)  # nothing off the X was dropped
     assert rho.errors == (None,) * len(matrices)
     return rho
 
 
-def random_x_state(rng, complex_pivots=True) -> np.ndarray:
-    """Random trace-one X-state, each block a Ginibre draw g g^H (test-only oracle input).
-
-    With ``complex_pivots`` False every entry is real.
-    """
-    m = np.zeros((4, 4), dtype=complex)
+def random_x_state(rng) -> np.ndarray:
+    """Random real trace-one 4x4 X-state, each block a Ginibre draw g g^T (test-only oracle input)."""
+    m = np.zeros((4, 4))
     for block in ((0, 3), (1, 2)):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) * complex_pivots
-        m[np.ix_(block, block)] = g @ g.conj().T
-    return states(m / m.trace().real).entries[0]
+        g = rng.normal(size=(2, 2))
+        m[np.ix_(block, block)] = g @ g.T
+    return x_matrices(states(m / m.trace()).blocks)[0]
 
 
 class TestCL1:
     def test_diagonal_state(self):
-        rho = states(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+        rho = states(np.diag([0.4, 0.3, 0.2, 0.1]))
         assert c_l1(rho).tolist() == [0.0]
 
     @pytest.mark.parametrize("theta", THETAS)
@@ -71,9 +70,9 @@ class TestCL1:
         assert c_l1(rho)[0] == pytest.approx(math.sin(math.pi / 3), abs=1e-12)
         assert c_l1(rho)[0] == pytest.approx(0.8660254037844386, abs=1e-12)
 
-    def test_complex_entries(self):
-        x = np.diag([0.25] * 4).astype(complex)
-        x[0, 3], x[3, 0] = 0.1j, -0.1j
+    def test_negative_pivot(self):
+        x = np.diag([0.25] * 4)
+        x[0, 3] = x[3, 0] = -0.1
         x[1, 2] = x[2, 1] = 0.2
         assert c_l1(states(x))[0] == pytest.approx(0.6, rel=1e-15)
 
@@ -215,7 +214,7 @@ class TestSpectrumDualBoost:
 
 class TestHermitianEigenvalues:
     def test_diagonal(self):
-        spec = hermitian_eigenvalues(states(np.diag([0.1, 0.4, 0.2, 0.3]).astype(complex)))
+        spec = hermitian_eigenvalues(states(np.diag([0.1, 0.4, 0.2, 0.3])))
         assert spec.tolist() == [[0.4, 0.3, 0.2, 0.1]]
 
     def test_known_rank_two_state(self):
@@ -225,7 +224,7 @@ class TestHermitianEigenvalues:
     def test_x_matrix_block_eigenvalues(self):
         # blocks [[0.3, 0.1], [0.1, 0.2]] on the corners and
         # [[0.3, -0.05], [-0.05, 0.2]] inside; closed-form 2x2 spectra
-        x = np.zeros((4, 4), dtype=complex)
+        x = np.zeros((4, 4))
         x[0, 0], x[3, 3], x[0, 3], x[3, 0] = 0.3, 0.2, 0.1, 0.1
         x[1, 1], x[2, 2], x[1, 2], x[2, 1] = 0.3, 0.2, -0.05, -0.05
         rho = states(x)
@@ -237,19 +236,14 @@ class TestHermitianEigenvalues:
         expected = sorted(block_eigs(0.3, 0.2, 0.1) + block_eigs(0.3, 0.2, 0.05), reverse=True)
         assert np.allclose(hermitian_eigenvalues(rho), [expected], atol=1e-13)
 
-    @pytest.mark.parametrize("complex_pivots", [False, True], ids=["real", "complex"])
-    def test_random_hermitian_against_numpy(self, complex_pivots):
+    def test_random_hermitian_against_numpy(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            matrix = random_x_state(rng, complex_pivots)
+            matrix = random_x_state(rng)
             (ours,) = hermitian_eigenvalues(states(matrix))
             ref = np.sort(np.linalg.eigvalsh(matrix))[::-1]
             assert np.allclose(ours, ref, atol=1e-12)
-            want = jacobi_eigenvalues(matrix)
-            if complex_pivots:
-                assert np.max(np.abs(np.subtract(ours, want))) <= 1e-15
-            else:
-                assert bits(ours) == bits(want)
+            assert bits(ours) == bits(jacobi_eigenvalues(matrix))
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(3)
@@ -283,7 +277,7 @@ def pipeline_state(n, theta, betas, eps, quadrature):
         if not check_factor_sum(*factors)[0]:
             return None
         rho = closed(theta, *factors)
-    return None if rho.errors[0] else rho.entries[0]
+    return None if rho.errors[0] else x_matrices(rho.blocks)[0]
 
 
 def bits(values) -> list[int]:
@@ -305,24 +299,16 @@ class TestStackedJacobi:
             assert bits(row) == bits(want)
             assert bits(hermitian_eigenvalues(states(matrix))[0]) == bits(want)
 
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
-    def test_complex_states_within_an_ulp(self, seeds):
-        matrices = [random_x_state(np.random.default_rng(seed)) for seed in seeds]
-        got = hermitian_eigenvalues(states(*matrices))
-        for matrix, row in zip(matrices, got):
-            assert np.max(np.abs(row - jacobi_eigenvalues(matrix))) <= 1e-15
-
     # The one-matrix oracle's tau overflows on subnormal pivots, as it should.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_subnormal_pivot_without_warnings(self):
         # The inner pivot puts the norm above the tolerance, so the corner
         # block is rotated too: tau = -0.1 / 2e-310 overflows to -inf, and
         # the scalar solver gives t = -0.
-        entries = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
+        entries = np.diag([0.3, 0.3, 0.2, 0.2])
         entries[0, 3] = entries[3, 0] = 1e-310
         entries[1, 2] = entries[2, 1] = 0.1
-        rho = DensityMatrix(np.stack([entries, np.diag([0.25] * 4)]))
+        rho = states(entries, np.diag([0.25] * 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = hermitian_eigenvalues(rho)
@@ -330,8 +316,8 @@ class TestStackedJacobi:
         assert got[1].tolist() == [0.25] * 4
 
     def test_invalid_matrix_left_out(self):
-        good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        stack = DensityMatrix(np.stack([good, np.diag([0.7, 0.7, 0.0, 0.0])]))
+        good = np.diag([0.4, 0.3, 0.2, 0.1])
+        stack = DensityMatrix(x_blocks(np.stack([good, np.diag([0.7, 0.7, 0.0, 0.0])])))
         got = hermitian_eigenvalues(stack)
         assert bits(got[0]) == bits(jacobi_eigenvalues(good))
         assert np.isnan(got[1]).all()
@@ -342,7 +328,7 @@ class TestStackedJacobi:
     def test_stacked_c_l1_bit_for_bit(self, points, seed):
         rng = np.random.default_rng(seed)
         matrices = [m for p in points if (m := pipeline_state(*p)) is not None]
-        matrices.append(random_x_state(rng))  # complex entries too
+        matrices.append(random_x_state(rng))
         stack = c_l1(states(*matrices))
         off_diagonal = ~np.eye(4, dtype=bool)
         for matrix, value in zip(matrices, stack):
@@ -358,19 +344,17 @@ X_PIVOT = st.sampled_from(
 ) | st.floats(-1.0, 1.0)
 
 
-def x_state(diag, pivots, negative_zero_imag=False) -> np.ndarray:
-    """A 4x4 X-state: ``diag`` scaled to trace one, each pivot times sqrt(d_p d_q).
+def x_state(diag, pivots) -> np.ndarray:
+    """A real 4x4 X-state: ``diag`` scaled to trace one, each pivot times sqrt(d_p d_q).
 
     A pivot of modulus below 1e-12 is taken as it is, so that zeros,
     subnormals and values near the Jacobi tolerance reach the solver; the
     state stays within the 1e-10 PSD tolerance.
     """
     d = np.array(diag) / sum(diag)
-    a = np.diag(d).astype(complex)
+    a = np.diag(d)
     for (p, q), v in zip(((0, 3), (1, 2)), pivots):
         a[p, q] = a[q, p] = v if abs(v) < 1e-12 else v * math.sqrt(d[p] * d[q])
-    if negative_zero_imag:
-        a.imag = -0.0
     return a
 
 
@@ -388,7 +372,6 @@ class TestXStateRotation:
         st.lists(st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
             .filter(lambda d: sum(d) > 0.1),
         st.tuples(X_PIVOT, X_PIVOT),
-        st.booleans(),
     ), min_size=1, max_size=6))
     def test_matches_the_one_matrix_solver(self, points):
         matrices = [x_state(*p) for p in points]
@@ -402,7 +385,7 @@ class TestXStateRotation:
     def test_matches_the_one_matrix_solver_on_random_rows(self):
         rng = np.random.default_rng(20261018)
         count = 4096
-        a = np.zeros((count, 4, 4), dtype=complex)
+        a = np.zeros((count, 4, 4))
         d = rng.uniform(0.0, 1.0, (count, 4)) ** rng.integers(1, 4, (count, 4))
         d /= d.sum(axis=1, keepdims=True)
         a[:, range(4), range(4)] = d
@@ -411,11 +394,8 @@ class TestXStateRotation:
             v = rng.uniform(-1.0, 1.0, count) * np.sqrt(d[:, p] * d[:, q])
             pick = rng.random(count) < 0.3
             v[pick] = rng.choice(special, pick.sum())
-            a[:, p, q] = v
-            # the lower entry may differ within the Hermiticity tolerance
-            a[:, q, p] = v + np.where(rng.random(count) < 0.3, rng.uniform(-1e-13, 1e-13, count), 0.0)
-        a.imag = np.where(rng.random(a.shape) < 0.3, -0.0, 0.0)  # real, with signed zeros
-        got = hermitian_eigenvalues(DensityMatrix(a))
+            a[:, p, q] = a[:, q, p] = v
+        got = hermitian_eigenvalues(DensityMatrix(x_blocks(a)))
         assert got.tobytes() == self.oracle_rows(a).tobytes()
 
     def test_pivots_below_the_tolerance_are_not_rotated(self):

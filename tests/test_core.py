@@ -1,6 +1,7 @@
 """Tests for the shared domain types."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from boostcoh import (
 )
 from boostcoh.core import check_theta
 
-from oracles import gamma_half_integer, mp_boost, psi_amplitude
+from oracles import X_PAIRS, gamma_half_integer, mp_boost, psi_amplitude, x_matrices
 
 
 def test_public_names_resolve():
@@ -168,101 +169,107 @@ class TestCheckTheta:
                 check_theta(bad)
 
 
-def verdict(matrix) -> ValueError | None:
-    """The error of one matrix validated in a stack of its own, or None."""
-    (error,) = DensityMatrix(np.asarray(matrix)[None]).errors
+def state(corner=(1.0, 0.0, 0.0), inner=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """One X-state's blocks: the (a, d, c) of the block on (|00>, |11>), then on (|01>, |10>)."""
+    return np.array([corner, inner], dtype=float)
+
+
+def verdict(blocks) -> ValueError | None:
+    """The error of one state validated in a stack of its own, or None."""
+    (error,) = DensityMatrix(np.asarray(blocks)[None]).errors
     return error
 
 
-def assert_rejected(matrix, message: str) -> None:
-    error = verdict(matrix)
+def assert_rejected(blocks, message: str) -> None:
+    error = verdict(blocks)
     assert type(error) is ValueError and message in str(error), error
 
 
 class TestDensityMatrix:
     def test_valid_pure_state(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)[None])
+        rho = DensityMatrix(state((1.0, 0.0, 0.0))[None])
         assert rho.errors == (None,)
-        assert not rho.entries.flags.writeable
-
-    def test_rejects_non_hermitian(self):
-        assert_rejected(x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.1, corner_lower=0.3), "Hermitian")
+        assert rho.blocks.dtype == np.float64 and not rho.blocks.flags.writeable
 
     def test_rejects_wrong_trace(self):
-        assert_rejected(np.diag([0.7, 0.7, 0.0, 0.0]).astype(complex), "trace")
+        # diag(0.7, 0.7, 0, 0): 0.7 on |00> and on |01>
+        assert_rejected(state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0)), "trace")
+
+    def test_trace_error_prints_a_real_number(self):
+        error = verdict(state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0)))
+        assert str(error) == "trace = 1.4, expected 1 within 1e-10"
 
     def test_rejects_negative_eigenvalue(self):
-        assert_rejected(x_matrix(0.6, 0.0, 0.0, 0.4, corner=0.55), "semidefinite")
+        assert_rejected(state((0.6, 0.4, 0.55)), "semidefinite")
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
-            DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex)[None])
+            DensityMatrix(np.diag([0.5, 0.3, 0.2])[None])
 
     def test_stack_reports_each_verdict(self):
-        not_x = np.diag([0.4, 0.3, 0.2, 0.1])
-        not_x[0, 1] = not_x[1, 0] = 0.01
         stack = np.stack([
-            np.diag([0.4, 0.3, 0.2, 0.1]),
-            x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.1, corner_lower=0.3),
-            np.diag([0.7, 0.7, 0.0, 0.0]),
-            not_x,
-            x_matrix(0.6, 0.0, 0.0, 0.4, corner=0.55),
-            np.full((4, 4), np.nan),
+            state((0.4, 0.1, 0.0), (0.3, 0.2, 0.0)),
+            state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0)),
+            state((0.6, 0.4, 0.55)),
+            np.full((2, 3), np.nan),
         ])
-        rho = DensityMatrix(stack)  # a stack does not raise for a bad matrix
-        assert not rho.entries.flags.writeable
+        rho = DensityMatrix(stack)  # a stack does not raise for a bad state
+        assert not rho.blocks.flags.writeable
         assert rho.errors[0] is None
-        for err, matrix in zip(rho.errors[1:], stack[1:]):
-            alone = verdict(matrix)
+        for err, blocks in zip(rho.errors[1:], stack[1:]):
+            alone = verdict(blocks)
             assert type(err) is type(alone) is ValueError and str(err) == str(alone)
-        assert "X-state" in str(rho.errors[3])
-        assert "Hermitian" in str(rho.errors[5])  # NaN fails the checks
+        assert "trace = nan" in str(rho.errors[3])  # NaN fails the checks
+
+    def test_rejects_complex_blocks(self):
+        blocks = state((0.5, 0.0, 0.0), (0.3, 0.2, 0.0)).astype(np.complex128)
+        blocks[0, 2] = 0.1j  # would validate as a zero pivot once cast to float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="blocks must be real"):
+                DensityMatrix(blocks[None])
 
     def test_rejects_bad_stack_shape(self):
-        with pytest.raises(ValueError, match="points x 4 x 4"):
+        with pytest.raises(ValueError, match=r"points x 2 x 3"):
             DensityMatrix(np.zeros((2, 2, 4, 4)))
 
-    def test_complex_off_diagonals_allowed(self):
-        assert verdict(x_matrix(0.5, 0.0, 0.0, 0.5, corner=0.5j, corner_lower=-0.5j)) is None
-
-
-def x_matrix(d0, d1, d2, d3, corner=0.0, inner=0.0, corner_lower=None) -> np.ndarray:
-    """The 4x4 X matrix with diagonal (d0, d1, d2, d3) and the given pivots.
-
-    ``corner`` is entry (0, 3) and ``inner`` entries (1, 2) and (2, 1);
-    entry (3, 0) is ``corner_lower``, the corner value when not given.
-    """
-    a = np.diag([d0, d1, d2, d3]).astype(complex)
-    a[0, 3] = corner
-    a[3, 0] = corner if corner_lower is None else corner_lower
-    a[1, 2] = a[2, 1] = inner
-    return a
+    # The first four columns are diagonal entries, which the trace check
+    # sees; a pivot only reaches the PSD check.
+    @pytest.mark.parametrize("column, message", [
+        (0, "trace"), (1, "trace"), (2, "semidefinite"),
+        (3, "trace"), (4, "trace"), (5, "semidefinite"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_entry_is_an_error(self, column, message, bad):
+        blocks = state((0.4, 0.2, 0.1), (0.3, 0.1, -0.05))
+        assert verdict(blocks) is None
+        blocks.flat[column] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected(blocks, message)
 
 
 def x_block_state(least: float, block: int, angle: float, rest=(0.3, 0.2)) -> np.ndarray:
-    """A trace-one 4x4 X-state whose least eigenvalue is ``least``.
+    """The blocks of a trace-one X-state whose least eigenvalue is ``least``.
 
-    The block on (0, 3) (``block`` 0) or (1, 2) (``block`` 1) has
-    eigenvalues ``least`` and 0.5 - least turned by ``angle``; the other
-    block is diagonal with ``rest``.
+    The block on (|00>, |11>) (``block`` 0) or on (|01>, |10>) (``block``
+    1) has eigenvalues ``least`` and 0.5 - least turned by ``angle``; the
+    other block is diagonal with ``rest``.
     """
     c, s = math.cos(angle), math.sin(angle)
     lo, hi = least, 0.5 - least
-    blocks = ((0, 3), (1, 2))
-    (p, q), (u, v) = blocks[block], blocks[1 - block]
-    a = np.zeros((4, 4), dtype=complex)
-    a[p, p], a[q, q] = c * c * lo + s * s * hi, s * s * lo + c * c * hi
-    a[p, q] = a[q, p] = c * s * (hi - lo)
-    a[u, u], a[v, v] = rest
-    return a
+    blocks = np.zeros((2, 3))
+    blocks[block] = c * c * lo + s * s * hi, s * s * lo + c * c * hi, c * s * (hi - lo)
+    blocks[1 - block, :2] = rest
+    return blocks
 
 
 class TestXStateValidation:
-    """The PSD verdict of an X-state in closed form, as eigvalsh gives it."""
+    """The PSD verdict of an X-state in closed form, as eigvalsh gives it on the 4x4 matrix."""
 
     @staticmethod
     def eigvalsh_verdicts(stack):
-        return (np.linalg.eigvalsh(stack).min(axis=-1) >= -1e-10).tolist()
+        return (np.linalg.eigvalsh(x_matrices(stack)).min(axis=-1) >= -1e-10).tolist()
 
     def test_verdicts_at_the_tolerance(self):
         stack = np.stack([
@@ -276,53 +283,30 @@ class TestXStateValidation:
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
             rho = DensityMatrix(stack)
         assert [e is None for e in rho.errors] == want
-        for err, matrix, ok in zip(rho.errors, stack, want):
+        for err, blocks, ok in zip(rho.errors, stack, want):
             if not ok:
                 assert "semidefinite" in str(err)
-                assert_rejected(matrix, "semidefinite")
+                assert_rejected(blocks, "semidefinite")
 
     def test_verdicts_on_random_states(self):
         rng = np.random.default_rng(20261018)
         count = 8192
         d = rng.uniform(0.0, 1.0, (count, 4))
         d /= d.sum(axis=1, keepdims=True)
-        stack = np.zeros((count, 4, 4), dtype=complex)
-        stack[:, range(4), range(4)] = d
-        for p, q in ((0, 3), (1, 2)):
+        stack = np.zeros((count, 2, 3))
+        for k, (p, q) in enumerate(X_PAIRS):
+            stack[:, k, 0], stack[:, k, 1] = d[:, p], d[:, q]
             # up to 1.01 of the PSD limit, so some states fail
-            v = rng.uniform(-1.01, 1.01, count) * np.sqrt(d[:, p] * d[:, q])
-            stack[:, p, q] = v
-            stack[:, q, p] = v * np.where(rng.random(count) < 0.5, 1.0, 1j)
-            stack[:, p, q] = stack[:, q, p].conj()
+            stack[:, k, 2] = rng.uniform(-1.01, 1.01, count) * np.sqrt(d[:, p] * d[:, q])
         want = self.eigvalsh_verdicts(stack)
         assert 0 < want.count(False) < count
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
             assert [e is None for e in DensityMatrix(stack).errors] == want
 
-    def test_non_x_matrices_are_rejected(self):
-        x = x_block_state(0.0, 0, 0.3)
-        lower = x.copy()
-        lower[2, 0] = lower[0, 2] = 0.01  # lower and upper off-X entries
-        upper_only = x.copy()
-        upper_only[0, 2] = 1e-13  # within the Hermiticity tolerance
-        not_psd = x_block_state(-1e-9, 0, 0.3)
-        not_psd[1, 0] = not_psd[0, 1] = 1e-3
-        stack = np.stack([x, lower, upper_only, not_psd])
-        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
-            rho = DensityMatrix(stack)
-        assert rho.errors[0] is None
-        for err, matrix in zip(rho.errors[1:], stack[1:]):
-            # the X check comes before the PSD check
-            assert str(err) == "matrix is not an X-state: an entry off the X is nonzero"
-            assert_rejected(matrix, "not an X-state")
-        # the Hermiticity and trace checks come before the X check
-        upper_only[0, 2] = 0.01
-        assert_rejected(upper_only, "Hermitian")
-        assert_rejected(2.0 * lower, "trace")
-
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (2, 4, 2), (4, 4)])
-    def test_only_4x4_matrices(self, shape):
-        entries = np.zeros(shape, dtype=complex)
-        entries[..., 0, 0] = 1.0
-        with pytest.raises(ValueError, match="points x 4 x 4"):
-            DensityMatrix(entries)
+    # a lone state, a 4x4 stack, a 2x2 stack and blocks of the wrong width
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4, 4), (3, 2, 2), (3, 3, 2)])
+    def test_only_block_stacks(self, shape):
+        blocks = np.zeros(shape)
+        blocks[..., 0, 0] = 1.0
+        with pytest.raises(ValueError, match=r"blocks must be a \(points x 2 x 3\) stack"):
+            DensityMatrix(blocks)

@@ -16,12 +16,11 @@ from boostcoh import (
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
-from boostcoh.core import _OFF_X
 from boostcoh.density import _dual_coefficient_table
 
 from oracles import (
     amplitudes_dual, amplitudes_single, ptrace_reference, spin_half_matrix,
-    wigner_matrix_tol, wigner_rotation_matrix,
+    wigner_matrix_tol, wigner_rotation_matrix, x_matrices,
 )
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi / 2)
@@ -33,9 +32,9 @@ def col(*values) -> np.ndarray:
 
 
 def one(rho) -> np.ndarray:
-    """The matrix of a one-point stack, which must have passed validation."""
-    assert rho.entries.shape == (1, 4, 4) and rho.errors == (None,)
-    return rho.entries[0]
+    """The 4x4 matrix of a one-point stack, which must have passed validation."""
+    assert rho.blocks.shape == (1, 2, 3) and rho.errors == (None,)
+    return x_matrices(rho.blocks)[0]
 
 
 HALF_ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -291,7 +290,7 @@ class TestRhoSingleBoostGeneral:
 
     def test_theta_zero_entries(self):
         rho = rho_single_boost_general(0.0, col((0.9, 0.1)))
-        e = one(rho).real
+        e = one(rho)
         assert e[0, 0] == pytest.approx(0.1)
         assert e[2, 2] == pytest.approx(0.9)
         assert e[0, 3] == 0.0 and e[1, 2] == 0.0
@@ -319,8 +318,7 @@ class TestRhoSingleBoostGeneral:
             assert state[0, 1] == pytest.approx(sign * st_ * ct * i2, rel=1e-13)
             assert state[0, 2] == pytest.approx(sign * ct**2 * i2, rel=1e-13)
             assert state[1, 3] == pytest.approx(-sign * st_**2 * i2, rel=1e-13)
-        rho = one(rho_single_boost_general(theta, m)).real
-        assert not rho[_OFF_X].any()
+        rho = one(rho_single_boost_general(theta, m))
         assert np.max(np.abs(rho - (states[0] + states[1]) / 2)) <= 1e-15
 
     @given(theta=ANGLES)
@@ -334,7 +332,7 @@ class TestRhoSingleBoostGeneral:
 class TestRhoSingleBoostPerturbative:
     def test_pure_at_zero_factor(self):
         rho = rho_single_boost_perturbative(math.pi / 4, col(0.0))
-        purity = float(np.trace(one(rho) @ one(rho)).real)
+        purity = float(np.trace(one(rho) @ one(rho)))
         assert purity == pytest.approx(1.0, abs=1e-14)
 
     @given(
@@ -343,7 +341,7 @@ class TestRhoSingleBoostPerturbative:
     )
     def test_rank_two_purity(self, theta, f):
         rho = rho_single_boost_perturbative(theta, col(f))
-        purity = float(np.trace(one(rho) @ one(rho)).real)
+        purity = float(np.trace(one(rho) @ one(rho)))
         assert purity == pytest.approx(f**2 + (1 - f) ** 2, abs=1e-12)
 
     def test_spectrum_cross_check(self):
@@ -382,7 +380,7 @@ class TestRhoDualBoostPerturbative:
         assert np.max(np.abs(one(dual) - swap @ one(single) @ swap)) < 1e-12
 
     def test_corner_entries(self):
-        rho = one(rho_dual_boost_perturbative(math.pi / 4, col(0.002), col(0.003))).real
+        rho = one(rho_dual_boost_perturbative(math.pi / 4, col(0.002), col(0.003)))
         assert rho[0, 0] == pytest.approx(0.0025, rel=1e-13)
         assert rho[3, 3] == pytest.approx(0.0025, rel=1e-13)
         assert rho[0, 3] == pytest.approx(-0.0025, rel=1e-13)
@@ -429,7 +427,7 @@ class TestRhoDualBoostGeneral:
         (m1, e1), (m2, e2) = (moments_quadrature(2, boost_from_beta(b), col(0.1)) for b in (0.95, 0.8))
         assert e1.tolist() == e2.tolist() == [None]
         rho = rho_dual_boost_general(0.6, m1, m2)
-        assert one(rho).trace().real == pytest.approx(1.0, abs=1e-12)
+        assert one(rho).trace() == pytest.approx(1.0, abs=1e-12)
 
 
 FACTORS = st.lists(st.tuples(st.floats(0.0, 0.24), st.floats(0.0, 0.24)), min_size=1, max_size=8)
@@ -442,15 +440,15 @@ class TestStackedConstructors:
     def test_perturbative_stack_matches_lone_calls(self, theta, points):
         f1s, f2s = np.array(points).T
         stack = rho_dual_boost_perturbative(theta, f1s, f2s)
-        assert stack.entries.shape == (len(points), 4, 4)
+        assert stack.blocks.shape == (len(points), 2, 3)
         assert stack.errors == (None,) * len(points)
         for k, (f1, f2) in enumerate(points):
             alone = rho_dual_boost_perturbative(theta, col(f1), col(f2))
-            assert np.array_equal(stack.entries[k], one(alone))
+            assert np.array_equal(stack.blocks[k], alone.blocks[0])
         single = rho_single_boost_perturbative(theta, f2s)
         for k, (_, f2) in enumerate(points):
             alone = rho_single_boost_perturbative(theta, col(f2))
-            assert np.array_equal(single.entries[k], one(alone))
+            assert np.array_equal(single.blocks[k], alone.blocks[0])
 
     @given(theta=ANGLES, points=FACTORS)
     def test_general_stack_matches_lone_calls(self, theta, points):
@@ -459,18 +457,18 @@ class TestStackedConstructors:
         stack = rho_dual_boost_general(theta, m1s, m2s)
         for k in range(len(points)):
             alone = rho_dual_boost_general(theta, m1s[k:k + 1], m2s[k:k + 1])
-            assert np.array_equal(stack.entries[k], one(alone))
+            assert np.array_equal(stack.blocks[k], alone.blocks[0])
         single = rho_single_boost_general(theta, m2s)
         for k in range(len(points)):
             alone = rho_single_boost_general(theta, m2s[k:k + 1])
-            assert np.array_equal(single.entries[k], one(alone))
+            assert np.array_equal(single.blocks[k], alone.blocks[0])
 
     def test_odd_moments_in_a_stack(self):
         # the odd moments of a +/-p pair cancel, so the even ones are the state
         _, m = _half_angles_and_moments([(0.3, 1.0), (-1.1, 0.5)])
         stack = rho_single_boost_general(0.5, np.concatenate([m, m]))
-        alone = one(rho_single_boost_general(0.5, m))
-        assert stack.entries.tobytes() == np.stack([alone] * 2).tobytes()
+        alone = rho_single_boost_general(0.5, m).blocks
+        assert stack.blocks.tobytes() == np.concatenate([alone] * 2).tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same length"):
@@ -521,8 +519,8 @@ class TestXStateAssembly:
 
     @staticmethod
     def build(theta, m1s, m2s) -> np.ndarray:
-        """The general constructor's entries for the (I1, I3) columns of the rows."""
-        return rho_dual_boost_general(theta, m1s[:, [0, 2]], m2s[:, [0, 2]]).entries
+        """The general constructor's 4x4 matrices for the (I1, I3) columns of the rows."""
+        return x_matrices(rho_dual_boost_general(theta, m1s[:, [0, 2]], m2s[:, [0, 2]]).blocks)
 
     @settings(max_examples=200)
     @given(
@@ -535,8 +533,7 @@ class TestXStateAssembly:
         want = einsum_entries(theta, m1s, m2s)
         with mock.patch.object(np, "einsum", side_effect=AssertionError("einsum called")):
             got = self.build(theta, m1s, m2s)
-        assert got.real.tobytes() == want.tobytes()  # signed zeros included
-        assert not np.signbit(got.imag).any() and not got.imag.any()
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
     def test_entries_match_einsum_on_random_rows(self):
         rng = np.random.default_rng(20261018)
@@ -545,7 +542,7 @@ class TestXStateAssembly:
             i3[rng.random(i3.shape) < 0.05] = 0.0
             m1s, m2s = (self.x_moments(v, rng.choice([1.0, -1.0], len(v))) for v in i3)
             got = self.build(theta, m1s, m2s)
-            assert got.real.tobytes() == einsum_entries(theta, m1s, m2s).tobytes()
+            assert got.tobytes() == einsum_entries(theta, m1s, m2s).tobytes()
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.07), (math.inf, 0.0, 0.0)], ids=["nan", "inf"])
     def test_nonfinite_rows_fail_validation(self, bad):
@@ -555,6 +552,6 @@ class TestXStateAssembly:
             stack = self.build(0.7, m1s, m2s)
             errors = rho_dual_boost_general(0.7, m1s[:, [0, 2]], m2s[:, [0, 2]]).errors
             alone = rho_dual_boost_general(0.7, m1s[1:, [0, 2]], m2s[1:, [0, 2]]).errors
-        assert errors[0] is None and "Hermitian" in str(errors[1])
-        assert "Hermitian" in str(alone[0])  # the matrix in a stack of its own
-        assert stack[0].real.tobytes() == einsum_entries(0.7, m1s, m2s)[0].tobytes()
+        assert errors[0] is None and "trace" in str(errors[1])
+        assert "trace" in str(alone[0])  # the matrix in a stack of its own
+        assert stack[0].tobytes() == einsum_entries(0.7, m1s, m2s)[0].tobytes()

@@ -4,6 +4,10 @@ The package holds one X-state path per layer. Independent eigensolvers and
 contractions (``np.linalg``, ``np.einsum``) belong to the oracles in
 ``tests/oracles.py`` and ``bench/checks.py``, not to ``src/boostcoh``.
 
+Every state it holds is a real X-state, kept as its two real 2x2 blocks, so
+no complex number appears in it: not the name ``complex``, an imaginary
+literal, nor the ``.conj`` or ``.imag`` of an array.
+
 It also has one calling convention: columns in, columns out. The one-value
 wrappers ``MomentIntegrals``, ``PerturbativeFactor`` and ``Spectrum`` and the
 ``lone`` flag of the one-value branches are gone, and no name may bring them
@@ -53,6 +57,26 @@ def forbidden_calls(source: str) -> list[str]:
     return found
 
 
+COMPLEX_ATTRIBUTES = {"conj", "conjugate", "imag"}
+
+
+def complex_uses(source: str) -> list[str]:
+    """Each use of complex arithmetic in ``source``, as ``line: what``.
+
+    That is the name ``complex``, an imaginary literal such as ``1j``, and
+    the attributes ``conj``, ``conjugate`` and ``imag``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "complex":
+            found.append(f"{node.lineno}: complex")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            found.append(f"{node.lineno}: {node.value!r}")
+        elif isinstance(node, ast.Attribute) and node.attr in COMPLEX_ATTRIBUTES:
+            found.append(f"{node.lineno}: .{node.attr}")
+    return found
+
+
 ONE_VALUE_TYPES = {"MomentIntegrals", "PerturbativeFactor", "Spectrum"}
 
 
@@ -86,8 +110,29 @@ def test_no_general_eigensolver_or_contraction(path):
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_complex_arithmetic(path):
+    assert complex_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_one_calling_convention(path):
     assert one_value_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("a = np.zeros((4, 4), dtype=complex)", ["1: complex"]),
+    ("z = complex(x, y)", ["1: complex"]),
+    ("b = a * 1j", ["1: 1j"]),
+    ("b = a + 0.5J", ["1: 0.5j"]),
+    ("b = a.conj().T", ["1: .conj"]),
+    ("b = np.conjugate(a)", ["1: .conjugate"]),
+    ("phase.real, phase.imag = x, y", ["1: .imag"]),
+    ("b = a.real + 0.0", []),
+    ("# complex pivots, a.imag and 1j in a comment\nb = 'complex'", []),
+    ("is_real = not np.iscomplexobj(a)", []),
+])
+def test_the_complex_rule_sees_each_spelling(source, want):
+    assert complex_uses(source) == want
 
 
 @pytest.mark.parametrize("source, want", [
