@@ -9,6 +9,8 @@ density-matrix pipeline integrates over momentum.
 
 import math
 
+import numpy as np
+
 from boostcoh import boost_from_beta, half_angle_perp
 
 print("=" * 72)
@@ -24,11 +26,13 @@ print("=" * 72)
 print("Half-angle quantities vs momentum (beta = 0.95, boost z, motion x)")
 print("=" * 72)
 boost = boost_from_beta(0.95)
+p_over_m = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 5.0])
+# one row (cos^2, sin^2, sin*cos) of phi/2 per p/m
+rows = half_angle_perp(boost, p_over_m)
 print(f"{'p/m':>6} {'cos^2(phi/2)':>14} {'sin^2(phi/2)':>14} {'sin*cos':>12} {'phi [rad]':>10}")
-for x in (0.0, 0.25, 0.5, 1.0, 2.0, 5.0):
-    t = half_angle_perp(boost, x)
-    phi = 2 * math.atan2(t.sincos_half / math.sqrt(t.cos2_half), math.sqrt(t.cos2_half))
-    print(f"{x:6.2f} {t.cos2_half:14.9f} {t.sin2_half:14.9f} {t.sincos_half:12.9f} {phi:10.6f}")
+for x, (cos2, sin2, sincos) in zip(p_over_m, rows):
+    phi = 2 * math.atan2(sincos / math.sqrt(cos2), math.sqrt(cos2))
+    print(f"{x:6.2f} {cos2:14.9f} {sin2:14.9f} {sincos:12.9f} {phi:10.6f}")
 
 print()
 print("The rotation never saturates: even at p/m -> infinity the angle")

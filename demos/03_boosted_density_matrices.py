@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from boostcoh import (
-    WavePacket,
     boost_from_beta,
     f_factor,
     moments_quadrature,
@@ -50,12 +49,12 @@ def marginal_diagonal(rho, keep):
 
 
 theta = math.pi / 6
-pkt = WavePacket(n=2, sigma=100.0, mass=939.36)
+n, sigma, mass = 2, 100.0, 939.36  # packet exponent, width (MeV), neutron mass (MeV)
 b1 = boost_from_beta(0.95)
 b2 = boost_from_beta(0.8)
-eps = np.array([pkt.sigma_over_m])
-f1 = f_factor(pkt.n, b1, eps)
-f2 = f_factor(pkt.n, b2, eps)
+eps = np.array([sigma / mass])
+f1 = f_factor(n, b1, eps)
+f2 = f_factor(n, b2, eps)
 
 print("=" * 72)
 print(f"One boosted particle (theta = pi/6, beta = 0.95, F = {f1[0]:.6f})")
@@ -68,11 +67,11 @@ print()
 print("=" * 72)
 print("Quadrature-fed matrix (same point, no expansion)")
 print("=" * 72)
-m1, _ = moments_quadrature(pkt.n, b1, eps)
+m1, _ = moments_quadrature(n, b1, eps)
 rho1_exact = rho_single_boost_general(theta, m1)
 gap = np.max(np.abs(rho1_exact.blocks - rho1.blocks))
 print(f"largest entrywise gap to the closed form: {gap:.3e}")
-print(f"(fourth-order in sigma/m = {pkt.sigma_over_m:.4f}: about {pkt.sigma_over_m**4:.1e})")
+print(f"(fourth-order in sigma/m = {eps[0]:.4f}: about {eps[0]**4:.1e})")
 
 print()
 print("=" * 72)
@@ -80,7 +79,7 @@ print(f"Both particles boosted (F1 = {f1[0]:.6f}, F2 = {f2[0]:.6f})")
 print("=" * 72)
 rho12 = rho_dual_boost_perturbative(theta, f1, f2)
 print_blocks(rho12)
-m2, _ = moments_quadrature(pkt.n, b2, eps)
+m2, _ = moments_quadrature(n, b2, eps)
 rho12_exact = rho_dual_boost_general(theta, m1, m2)
 print(f"gap to the moment-exact construction: "
       f"{np.max(np.abs(rho12_exact.blocks - rho12.blocks)):.3e}")

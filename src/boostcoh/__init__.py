@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "BoostParams": "core",
-    "WavePacket": "core",
     "DensityMatrix": "core",
     "boost_from_beta": "core",
-    "WignerTrig": "wigner",
     "half_angle_perp": "wigner",
     "QuadratureToleranceError": "integrals",
     "gauss_hermite_nodes": "integrals",

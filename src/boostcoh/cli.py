@@ -12,8 +12,8 @@ met.  Every subcommand accepts ``--config FILE`` with ``key = value`` lines.
 A key is one of the subcommand's long flags, written with dashes or
 underscores.  Each line is parsed as ``--key=value`` by the subcommand's own
 parser, so it is checked with the same types and choices (and argparse's
-unique-prefix rule); a key the subcommand does not have exits 2.  Flags on
-the command line win over the file.
+unique-prefix rule); a key the subcommand does not have, a key given twice
+and a ``config`` key exit 2.  Flags on the command line win over the file.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from .coherence import (
     spectrum_single_boost,
 )
 from .core import (
-    BoostParams, WavePacket, boost_from_beta,
-    check_beta, check_nonneg_int, check_positive_finite, check_theta,
+    BoostParams, boost_from_beta, check_beta, check_nonneg_int, check_positive_finite, check_theta,
 )
 from .density import (
     rho_dual_boost_general,
@@ -153,7 +152,6 @@ class SweepSpec:
 
 
 def _block_values(
-    single: bool,
     theta: float,
     boosts: Sequence[BoostParams],
     n: int,
@@ -164,10 +162,12 @@ def _block_values(
 ) -> tuple[list, np.ndarray, tuple | None]:
     """One beta configuration over a block of sigma/m values, as columns.
 
-    Returns ``(columns, spectra, failure)``.  ``columns`` holds the CSV
-    columns c_l1 to f2 as arrays, one value per point (None for a method
-    not asked for, and for f2 with one boost).  ``spectra`` holds each
-    point's spectrum: Jacobi's on quadrature rows, else the closed form.
+    ``boosts`` holds one entry when a single particle is boosted and two
+    when both are.  Returns ``(columns, spectra, failure)``.  ``columns``
+    holds the CSV columns c_l1 to f2 as arrays, one value per point (None
+    for a method not asked for, and for f2 with one boost).  ``spectra``
+    holds each point's spectrum: Jacobi's on quadrature rows, else the
+    closed form.
     ``failure`` is None, or ``(k, error)`` for the first point k that fails
     a check, with the error of the first check it fails.
 
@@ -181,6 +181,7 @@ def _block_values(
     the call.
     """
     quadrature = "quadrature" in methods
+    single = len(boosts) == 1
     scenario = "single_boost" if single else "dual_boost"
     count = len(eps)
     inside = check_n_in_bounds(n, eps, scenario)
@@ -281,8 +282,7 @@ def _config_lines(
     when its line is reached.
     """
     columns, _, failure = _block_values(
-        spec.scenario == "single", spec.theta, boosts, spec.n, eps, spec.methods,
-        quad_order, quad_max_order,
+        spec.theta, boosts, spec.n, eps, spec.methods, quad_order, quad_max_order
     )
     count = len(sigma_text) if failure is None else failure[0]
 
@@ -443,8 +443,11 @@ def load_config(path) -> list[str]:
 
     '#' starts a comment and blank lines are skipped.  Underscores in a key
     become dashes, so ``p_over_m`` and ``p-over-m`` both name ``--p-over-m``.
+    A key given twice, and a key that names ``--config`` (or a prefix of
+    it), raise ``ValueError`` rather than let one value silently win.
     """
     args = []
+    seen = {}  # each key, as a flag name, and the line that set it
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -453,7 +456,14 @@ def load_config(path) -> list[str]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+        key = key.strip()
+        flag = key.replace("_", "-")
+        if flag and "config".startswith(flag):
+            raise ValueError(f"{path}:{lineno}: key {key!r} cannot name another config file")
+        if flag in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[flag]}")
+        seen[flag] = lineno
+        args.append(f"--{flag}={value.strip()}")
     return args
 
 
@@ -558,13 +568,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_wigner(args: argparse.Namespace) -> int:
     _require(args, "beta", "p_over_m")
-    trig = half_angle_perp(boost_from_beta(args.beta), args.p_over_m)
-    cos_half = math.sqrt(trig.cos2_half)
-    sin_half = trig.sincos_half / cos_half if cos_half > 0 else math.sqrt(trig.sin2_half)
+    row = half_angle_perp(boost_from_beta(args.beta), np.array([args.p_over_m]))[0]
+    cos2, sin2, sincos = row.tolist()
+    cos_half = math.sqrt(cos2)
+    sin_half = sincos / cos_half if cos_half > 0 else math.sqrt(sin2)
     phi = 2.0 * math.atan2(sin_half, cos_half)
-    print(f"cos2_half    {trig.cos2_half!r}")
-    print(f"sin2_half    {trig.sin2_half!r}")
-    print(f"sincos_half  {trig.sincos_half!r}")
+    print(f"cos2_half    {cos2!r}")
+    print(f"sin2_half    {sin2!r}")
+    print(f"sincos_half  {sincos!r}")
     print(f"phi_rad      {phi!r}")
     return 0
 
@@ -581,13 +592,15 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         betas = (args.beta1, args.beta2)
     check_theta(args.theta)
 
-    pkt = WavePacket(args.n, args.sigma, args.mass)
+    check_positive_finite(args.sigma, "sigma")
+    check_positive_finite(args.mass, "mass")
     if args.method == "quadrature":
         _check_quad_flags(args)
     boosts = tuple(boost_from_beta(b) for b in betas)
+    sigma_over_m = args.sigma / args.mass
     columns, spectra, failure = _block_values(
-        args.scenario == "single", args.theta, boosts, pkt.n, np.array([pkt.sigma_over_m]),
-        (args.method,), args.quad_order, args.quad_max_order,
+        args.theta, boosts, args.n, np.array([sigma_over_m]), (args.method,),
+        args.quad_order, args.quad_max_order,
     )
     if failure is not None:
         raise failure[1]
@@ -600,10 +613,10 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     print(f"theta_rad     {args.theta!r}")
     for i, b in enumerate(boosts, start=1):
         print(f"beta{i}         {b.beta!r}   (alpha={b.alpha!r})")
-    print(f"sigma_mev     {pkt.sigma!r}")
-    print(f"mass_mev      {pkt.mass!r}")
-    print(f"sigma_over_m  {pkt.sigma_over_m!r}")
-    print(f"n             {pkt.n}")
+    print(f"sigma_mev     {args.sigma!r}")
+    print(f"mass_mev      {args.mass!r}")
+    print(f"sigma_over_m  {sigma_over_m!r}")
+    print(f"n             {args.n}")
     print(f"F1            {f1!r}")
     if f2 is not None:
         print(f"F2            {f2!r}")

@@ -25,7 +25,6 @@ __all__ = [
     "TRACE_TOL",
     "PSD_TOL",
     "BoostParams",
-    "WavePacket",
     "DensityMatrix",
     "check_nonneg_int",
     "check_beta",
@@ -67,74 +66,33 @@ def check_positive_finite(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Rapidity data for one boosted frame.
+    """Rapidity data for one boosted frame, derived from the speed fraction beta = v/c.
 
     ``sinh_alpha`` and ``cosh_alpha`` are stored alongside ``alpha`` because
-    every downstream formula consumes the hyperbolic pair directly.
+    every downstream formula consumes the hyperbolic pair directly.  Only
+    ``beta`` is given; the other three are computed from it, so they agree
+    with it by construction.  Raises ``ValueError`` outside the
+    massive-particle domain 0 <= beta < 1.
     """
 
     beta: float
-    alpha: float
-    sinh_alpha: float
-    cosh_alpha: float
+    alpha: float = field(init=False)
+    sinh_alpha: float = field(init=False)
+    cosh_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_beta(self.beta)
-        if self.cosh_alpha < 1.0:
-            raise ValueError(f"cosh_alpha must be >= 1, got {self.cosh_alpha}")
-        # Mass-shell identity cosh^2 - sinh^2 = 1, checked through beta:
-        # with sinh = beta cosh (validated below) it reads
-        # cosh^2 (1 - beta)(1 + beta) = 1.  The factored form stays exact
-        # for beta arbitrarily close to 1, where the literal difference of
-        # the stored squares is no longer representable in doubles.
-        hyper = self.cosh_alpha * math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
-        if abs(hyper - 1.0) > 1e-12:
-            raise ValueError(f"cosh sqrt(1 - beta^2) = {hyper}, expected 1 within 1e-12")
-        scale = max(1.0, self.cosh_alpha)
-        if abs(self.sinh_alpha - self.beta * self.cosh_alpha) > 1e-12 * scale:
-            raise ValueError("sinh_alpha inconsistent with beta * cosh_alpha")
-        if abs(self.alpha - math.atanh(self.beta)) > 1e-12 * max(1.0, abs(self.alpha)):
-            raise ValueError("alpha inconsistent with atanh(beta)")
+        # 1 - beta^2 computed in factored form: exact for beta near 1, where
+        # the naive expression loses ~5 decimal digits.
+        cosh_alpha = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
+        object.__setattr__(self, "alpha", math.atanh(self.beta))
+        object.__setattr__(self, "sinh_alpha", self.beta * cosh_alpha)
+        object.__setattr__(self, "cosh_alpha", cosh_alpha)
 
 
 def boost_from_beta(beta: float) -> BoostParams:
-    """Build :class:`BoostParams` from the speed fraction beta = v/c.
-
-    Raises ``ValueError`` outside the massive-particle domain 0 <= beta < 1.
-    """
-    check_beta(beta)
-    # 1 - beta^2 computed in factored form: exact for beta near 1, where the
-    # naive expression loses ~5 decimal digits.
-    cosh_alpha = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
-    return BoostParams(
-        beta=beta,
-        alpha=math.atanh(beta),
-        sinh_alpha=beta * cosh_alpha,
-        cosh_alpha=cosh_alpha,
-    )
-
-
-@dataclass(frozen=True)
-class WavePacket:
-    """Generalized Gaussian momentum profile ~ p^n exp(-p^2 / 2 sigma^2).
-
-    ``n`` is restricted to nonnegative integers: p^n is ill-defined for
-    negative momenta otherwise, and the closed-form moment results hold in
-    exactly that case.
-    """
-
-    n: int
-    sigma: float
-    mass: float
-
-    def __post_init__(self) -> None:
-        check_nonneg_int(self.n, "n")
-        check_positive_finite(self.sigma, "sigma")
-        check_positive_finite(self.mass, "mass")
-
-    @property
-    def sigma_over_m(self) -> float:
-        return self.sigma / self.mass
+    """Build :class:`BoostParams` from the speed fraction beta = v/c."""
+    return BoostParams(beta)
 
 
 @dataclass(frozen=True, eq=False)

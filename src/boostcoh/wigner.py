@@ -11,47 +11,11 @@ implemented in :func:`half_angle_perp`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BoostParams
 
-__all__ = ["WignerTrig", "half_angle_perp"]
-
-
-@dataclass(frozen=True)
-class WignerTrig:
-    """The three quadratic half-angle combinations cos^2, sin^2, sin*cos."""
-
-    cos2_half: float
-    sin2_half: float
-    sincos_half: float
-
-    def __post_init__(self) -> None:
-        # Every comparison below is false for NaN, so non-finite values
-        # are rejected first.
-        if not all(map(math.isfinite, (self.cos2_half, self.sin2_half, self.sincos_half))):
-            raise ValueError(
-                "half-angle terms must be finite, got "
-                f"({self.cos2_half}, {self.sin2_half}, {self.sincos_half})"
-            )
-        if self.cos2_half < -1e-15 or self.sin2_half < -1e-15:
-            raise ValueError("squared half-angle terms must be nonnegative")
-        if abs(self.cos2_half + self.sin2_half - 1.0) > 1e-10:
-            raise ValueError("cos^2(phi/2) + sin^2(phi/2) must equal 1 within 1e-10")
-        if self.sincos_half**2 > self.cos2_half * self.sin2_half + 1e-12:
-            raise ValueError("sincos_half^2 exceeds cos2_half * sin2_half")
-
-
-def _perp_components(a: float, b: float, x):
-    """cos^2, sin^2, sin*cos of phi/2 for e_hat perpendicular to f_hat.
-
-    ``x`` = p/m; accepts scalars or numpy arrays.
-    """
-    cos2, sin2, denom = _perp_even(b, x)
-    return cos2, sin2, a * x / denom
+__all__ = ["half_angle_perp"]
 
 
 def _perp_even(b: float, x):
@@ -67,13 +31,25 @@ def _perp_even(b: float, x):
     return (1.0 + b) * (1.0 + root) / denom, (1.0 - b) * (1.0 - root) / denom, denom
 
 
-def half_angle_perp(boost: BoostParams, p_over_m: float) -> WignerTrig:
-    """Quadratic half-angle combinations for e_hat = z, f_hat = x.
+def half_angle_perp(boost: BoostParams, p_over_m: np.ndarray) -> np.ndarray:
+    """Quadratic half-angle combinations for e_hat = z, f_hat = x, one row per p/m.
 
-    Negative ``p_over_m`` is allowed (needed when integrating over the full
-    momentum line); cos^2 and sin^2 are even in it, sin*cos is odd.
+    ``p_over_m`` is a 1-D column; the result is a (points x 3) array of
+    rows (cos^2, sin^2, sin*cos) of phi/2.  Negative p/m is allowed (needed
+    when integrating over the full momentum line); cos^2 and sin^2 are even
+    in it, sin*cos is odd.  cos^2 + sin^2 = 1 and (sin*cos)^2 = cos^2 sin^2
+    hold by construction, up to rounding.  Raises ``ValueError`` for the
+    first row that is not finite: p/m = +-inf or NaN, or a p/m whose square
+    overflows.
     """
-    # p/m = +-inf, or a p/m whose square overflows, gives NaN, which WignerTrig rejects
+    x = np.asarray(p_over_m, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"p/m must be a 1-D array, got shape {x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        cos2, sin2, sincos = _perp_components(boost.sinh_alpha, boost.cosh_alpha, p_over_m)
-    return WignerTrig(cos2_half=float(cos2), sin2_half=float(sin2), sincos_half=float(sincos))
+        cos2, sin2, denom = _perp_even(boost.cosh_alpha, x)
+        rows = np.stack([cos2, sin2, boost.sinh_alpha * x / denom], axis=-1)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = tuple(rows[np.argmin(finite)].tolist())
+        raise ValueError(f"half-angle terms must be finite, got {bad}")
+    return rows

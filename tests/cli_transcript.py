@@ -222,6 +222,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "figure-n-bound-later-row": (["figure", "fig2", "--steps", "8", "--n", "40", *OUT], {}),
     "figure-config": (["figure", "fig1", "--config", f"{TMP}/run.cfg", *OUT],
                       {"run.cfg": "steps = 8\nbetas = 0.3,0.8\n"}),
+    # a conflicting config file: no value may silently win
+    "config-repeated-key": (["coherence", "--config", f"{TMP}/run.cfg"],
+                            {"run.cfg": "beta = 0.5\nsigma = 100\nmass = 939.36\nbeta = 0.7\n"}),
+    "config-nested-config": (["sweep", "--config", f"{TMP}/run.cfg", *OUT],
+                             {"run.cfg": "n = 2\nmass = 939.36\nsigma_min = 10\nsigma_max = 100\n"
+                                         f"steps = 4\nbetas = 0.5\nconfig = {TMP}/other.cfg\n",
+                              "other.cfg": "betas = 0.7\n"}),
 }
 
 

@@ -36,9 +36,9 @@ import mpmath as mp
 import numpy as np
 
 from boostcoh.coherence import JACOBI_OFF_TOL
-from boostcoh.core import BoostParams, WavePacket, check_nonneg_int
+from boostcoh.core import BoostParams, check_nonneg_int
 from boostcoh.integrals import gauss_hermite_nodes
-from boostcoh.wigner import _perp_components
+from boostcoh.wigner import half_angle_perp
 
 mp.mp.dps = 50
 
@@ -197,9 +197,8 @@ def moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) ->
         with np.errstate(divide="ignore"):
             poly = np.exp(n * np.log(kappa * kappa) - math.lgamma(n + 0.5))
     base = w * poly
-    cos2, sin2, sincos = _perp_components(
-        boost.sinh_alpha, boost.cosh_alpha, eps[:, None] * kappa
-    )
+    x = eps[:, None] * kappa
+    cos2, sin2, sincos = np.moveaxis(half_angle_perp(boost, x.ravel()).reshape(*x.shape, 3), -1, 0)
     # Adding each row to its reverse makes odd integrands vanish exactly.
     # Along the last, contiguous axis numpy sums every row pairwise, exactly
     # as it sums a lone 1-D row, so a point's bits do not depend on the
@@ -227,16 +226,17 @@ def gamma_half_integer(k: int) -> float:
     return value
 
 
-def psi_amplitude(pkt: WavePacket, p):
+def psi_amplitude(n: int, sigma: float, p):
     """Momentum amplitude psi(p) = p^n exp(-p^2/2 sigma^2) / sqrt(norm).
 
-    The normalization sqrt(sigma^(2n+1) Gamma(n + 1/2)) makes
+    The generalized Gaussian wave packet of exponent ``n`` and width
+    ``sigma``.  The normalization sqrt(sigma^(2n+1) Gamma(n + 1/2)) makes
     integral |psi|^2 dp = 1 over the whole real line.  Accepts scalars or
     numpy arrays for ``p``.
     """
-    norm = math.sqrt(pkt.sigma ** (2 * pkt.n + 1) * gamma_half_integer(pkt.n))
+    norm = math.sqrt(sigma ** (2 * n + 1) * gamma_half_integer(n))
     p = np.asarray(p, dtype=float)
-    value = p**pkt.n * np.exp(-0.5 * (p / pkt.sigma) ** 2) / norm
+    value = p**n * np.exp(-0.5 * (p / sigma) ** 2) / norm
     return value if value.ndim else float(value)
 
 

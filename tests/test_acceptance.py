@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from boostcoh import (
-    WavePacket,
     boost_from_beta,
     c_frobenius,
     c_frobenius_perturbative,
@@ -197,8 +196,8 @@ def test_criterion_07_n_range_enforcement():
             assert main([*base, "--n", "300"]) == 2
             assert main([*dual, "--n", "150"]) == 2
         assert err.getvalue().count("outside the allowed range") == 2
-        with pytest.raises(ValueError):
-            WavePacket(n=-1, sigma=1.0, mass=1.0)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            f_factor(-1, single, col(0.1))
 
 
 def test_criterion_08_single_particle_reductions():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from boostcoh import (
-    boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
+    DensityMatrix, boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
     hermitian_eigenvalues, moments_quadrature, n_bounds, rho_dual_boost_general,
     rho_dual_boost_perturbative, rho_single_boost_general, rho_single_boost_perturbative,
     spectrum_dual_boost, spectrum_single_boost,
@@ -217,6 +217,33 @@ class TestCoherenceCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("velocity = 0.95\n", encoding="utf-8")
         assert main(["coherence", "--config", str(cfg)]) == 2
+
+    POINT = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (POINT + "beta = 0.7\n", "run.cfg:4: key 'beta' is already set on line 1"),
+            ("quad_order = 16\n" + POINT + "quad-order = 32\n",
+             "run.cfg:5: key 'quad-order' is already set on line 1"),
+            (POINT + "config = other.cfg\n",
+             "run.cfg:4: key 'config' cannot name another config file"),
+            ("conf = other.cfg\n" + POINT,
+             "run.cfg:1: key 'conf' cannot name another config file"),
+        ],
+        ids=["repeated-key", "repeated-after-normalisation", "nested-config",
+             "nested-config-prefix"],
+    )
+    def test_conflicting_config_rejected(self, config, message, tmp_path, capsys):
+        # Neither value may silently win: not the last of a repeated key, nor
+        # the command line's --config over a nested one.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        (tmp_path / "other.cfg").write_text("beta = 0.9\n", encoding="utf-8")
+        assert main(["coherence", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}/{message}\n"
 
     SWEEP_KEYS = "n = 2\nmass = 939.36\nsigma_min = 1\nsigma_max = 2\nsteps = 2\nbetas = 0.5\n"
     POINT_KEYS = "beta = 0.5\nbeta1 = 0.5\nbeta2 = 0.5\nsigma = 100\nmass = 939.36\n"
@@ -630,6 +657,60 @@ class TestSweepCommand:
             for row in run_sweep(spec):
                 rows.append(row)
         assert len(rows) == first[0] * 2
+
+    # Failure branches no CLI input is known to reach: a wrapped layer
+    # corrupts one row of the second block of 256 points.
+    GRID = ["--n", "2", "--mass", "939.36", "--sigma-min", "5", "--sigma-max", "300",
+            "--steps", "300"]
+    SINGLE_QUADRATURE = ["sweep", *GRID, "--betas", "0.95", "--methods", "quadrature"]
+    DUAL_CLOSED = ["sweep", "--scenario", "dual", *GRID, "--beta-pairs", "0.3:0.6",
+                   "--methods", "exact-eig"]
+    BAD_ROW = 5  # within the second block: grid row 261
+    UNREACHED = {
+        "matrix-trace": ("rho_single_boost_general", SINGLE_QUADRATURE,
+                         [[0.5, 0.5, 0.0], [0.25, 0.25, 0.0]],
+                         "trace = 1.5, expected 1 within 1e-10"),
+        "matrix-psd": ("rho_single_boost_general", SINGLE_QUADRATURE,
+                       [[0.5, 0.5, 0.9], [0.0, 0.0, 0.0]],
+                       "matrix is not positive semidefinite within 1e-10"),
+        "closed-sum": ("spectrum_dual_boost", DUAL_CLOSED, [0.5, 0.5, 0.5, 0.0],
+                       "eigenvalues sum to 1.5, expected 1 within 1e-10"),
+        "closed-range": ("spectrum_dual_boost", DUAL_CLOSED, [1.25, 0.0, 0.0, -0.25],
+                         "eigenvalues must lie in [0, 1]: (1.25, 0.0, 0.0, -0.25)"),
+        "jacobi-sum": ("hermitian_eigenvalues", SINGLE_QUADRATURE, [0.5, 0.5, 0.5, 0.0],
+                       "eigenvalues sum to 1.5, expected 1 within 1e-10"),
+        "jacobi-range": ("hermitian_eigenvalues", SINGLE_QUADRATURE, [1.25, 0.0, 0.0, -0.25],
+                         "eigenvalues must lie in [0, 1]: (1.25, 0.0, 0.0, -0.25)"),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    @pytest.mark.parametrize("case", list(UNREACHED))
+    def test_unreached_failure_in_second_block(self, case, existing, tmp_path, monkeypatch,
+                                               capsys):
+        name, argv, bad, message = self.UNREACHED[case]
+        original = getattr(cli, name)
+        calls = []
+
+        def corrupting(*args):
+            result = original(*args)
+            matrix = isinstance(result, DensityMatrix)
+            rows = (result.blocks if matrix else result).copy()
+            calls.append(len(rows))
+            if len(calls) != 2:  # only the second block fails
+                return result
+            rows[self.BAD_ROW] = bad
+            return DensityMatrix(rows) if matrix else rows
+
+        monkeypatch.setattr(cli, name, corrupting)
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_bytes(b"earlier results\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert calls == [cli.BLOCK, 300 - cli.BLOCK]
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"earlier results\n"
 
     def test_sigma_blocks_are_the_grid(self):
         # each block's values are the grid's, and the last block is clipped

@@ -6,16 +6,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import boostcoh
 from boostcoh import (
     BoostParams,
     DensityMatrix,
-    WavePacket,
     boost_from_beta,
     gauss_hermite_nodes,
 )
+from boostcoh.cli import main
 from boostcoh.core import check_theta
 
 from oracles import X_PAIRS, gamma_half_integer, mp_boost, psi_amplitude, x_matrices
@@ -71,39 +71,66 @@ class TestBoostFromBeta:
         b = boost_from_beta(math.nextafter(1.0, 0.0))
         assert b.cosh_alpha > 1e7
 
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(0.0)
+    @example(5e-324)
+    @example(math.nextafter(1.0, 0.0))
+    def test_fields_are_the_closed_expressions(self, beta):
+        # bit for bit: cosh = 1/sqrt((1 - beta)(1 + beta)), sinh = beta cosh,
+        # alpha = atanh(beta)
+        b = BoostParams(beta)
+        cosh = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+        want = (beta, math.atanh(beta), beta * cosh, cosh)
+        assert [v.hex() for v in (b.beta, b.alpha, b.sinh_alpha, b.cosh_alpha)] == [
+            v.hex() for v in want
+        ]
+
+    def test_beta_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^beta must satisfy 0 <= beta < 1, got 1.0$"):
+            BoostParams(1.0)
+
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
+        # only beta is given: the derived fields cannot be passed at all
+        with pytest.raises(TypeError, match="alpha"):
+            BoostParams(0.5, alpha=0.2)
+        with pytest.raises(TypeError):
             BoostParams(beta=0.5, alpha=0.2, sinh_alpha=1.0, cosh_alpha=1.5)
 
 
+# A wave packet p^n exp(-p^2 / 2 sigma^2) has no type of its own: the CLI
+# checks n, sigma and mass, and the momentum amplitude is a test oracle.
 class TestWavePacket:
-    def test_valid(self):
-        pkt = WavePacket(n=2, sigma=100.0, mass=939.36)
-        assert pkt.sigma_over_m == pytest.approx(100.0 / 939.36)
+    def test_valid(self, capsys):
+        assert main(["coherence", "--beta", "0.5", "--n", "2", "--sigma", "100",
+                     "--mass", "939.36"]) == 0
+        report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert float(report["sigma_over_m"]) == 100.0 / 939.36
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(n=-1, sigma=1.0, mass=1.0),
-            dict(n=0.5, sigma=1.0, mass=1.0),
-            dict(n=0, sigma=0.0, mass=1.0),
-            dict(n=0, sigma=1.0, mass=-2.0),
-            dict(n=2, sigma=math.nan, mass=1.0),
-            dict(n=2, sigma=1.0, mass=math.inf),
+            (dict(n=-1, sigma=1.0, mass=1.0), "n must be a nonnegative integer"),
+            (dict(n=0.5, sigma=1.0, mass=1.0), "expected an integer, got '0.5'"),
+            (dict(n=0, sigma=0.0, mass=1.0), "sigma must be positive and finite, got 0.0"),
+            (dict(n=0, sigma=1.0, mass=-2.0), "mass must be positive and finite, got -2.0"),
+            (dict(n=2, sigma=math.nan, mass=1.0), "sigma must be positive and finite, got nan"),
+            (dict(n=2, sigma=1.0, mass=math.inf), "mass must be positive and finite, got inf"),
         ],
+        ids=[f"kwargs{i}" for i in range(6)],
     )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            WavePacket(**kwargs)
+    def test_rejects_invalid(self, kwargs, message, capsys):
+        argv = ["coherence", "--beta", "0.5", *(f"--{k}={v}" for k, v in kwargs.items())]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,sigma,mass", [(0, 1.0, 1.0), (1, 0.5, 2.0),
                                               (3, 100.0, 939.36), (6, 7.0, 10.0)])
     def test_unit_norm(self, n, sigma, mass):
         # integral |psi|^2 dp via Gauss-Hermite in kappa = p/sigma: the
         # e^{+kappa^2} factor undoes the weight already inside |psi|^2.
-        pkt = WavePacket(n=n, sigma=sigma, mass=mass)
+        # The mass does not enter the amplitude.
         kappa, w = gauss_hermite_nodes(64)
-        values = psi_amplitude(pkt, sigma * kappa)
+        values = psi_amplitude(n, sigma, sigma * kappa)
         norm = float(np.sum(w * values**2 * sigma * np.exp(kappa**2)))
         assert norm == pytest.approx(1.0, abs=1e-10)
 
@@ -113,24 +140,20 @@ class TestWavePacket:
 class TestPsiAmplitude:
     def test_plain_gaussian_peak(self):
         # Gamma(1/2) = sqrt(pi) makes psi(0) = pi^(-1/4).
-        pkt = WavePacket(n=0, sigma=1.0, mass=1.0)
-        assert psi_amplitude(pkt, 0.0) == pytest.approx(0.7511255444649425, rel=1e-14)
+        assert psi_amplitude(0, 1.0, 0.0) == pytest.approx(0.7511255444649425, rel=1e-14)
 
     def test_zero_momentum_vanishes_for_positive_n(self):
-        assert psi_amplitude(WavePacket(n=1, sigma=1.0, mass=1.0), 0.0) == 0.0
+        assert psi_amplitude(1, 1.0, 0.0) == 0.0
 
     def test_generalized_value(self):
         # 4 e^(-1/2) / sqrt(2^5 Gamma(5/2)), evaluated with mpmath.
-        pkt = WavePacket(n=2, sigma=2.0, mass=10.0)
-        assert psi_amplitude(pkt, 2.0) == pytest.approx(0.3719800610340088, rel=1e-13)
+        assert psi_amplitude(2, 2.0, 2.0) == pytest.approx(0.3719800610340088, rel=1e-13)
 
     def test_odd_n_is_odd(self):
-        pkt = WavePacket(n=3, sigma=2.0, mass=5.0)
-        assert psi_amplitude(pkt, -1.3) == pytest.approx(-psi_amplitude(pkt, 1.3), rel=1e-15)
+        assert psi_amplitude(3, 2.0, -1.3) == pytest.approx(-psi_amplitude(3, 2.0, 1.3), rel=1e-15)
 
     def test_array_input(self):
-        pkt = WavePacket(n=2, sigma=2.0, mass=10.0)
-        values = psi_amplitude(pkt, np.array([0.0, 2.0]))
+        values = psi_amplitude(2, 2.0, np.array([0.0, 2.0]))
         assert values.shape == (2,)
         assert values[1] == pytest.approx(0.3719800610340088, rel=1e-13)
 

@@ -165,8 +165,8 @@ def _sharp_momentum_moments(boost, x: float) -> np.ndarray:
     cos^2 and sin^2 of the half-angle are even in p and sin cos is odd, so
     I2 = 0.
     """
-    trig = half_angle_perp(boost, x)
-    return col((trig.cos2_half, trig.sin2_half))
+    cos2, sin2, _ = half_angle_perp(boost, np.array([x]))[0]
+    return col((cos2, sin2))
 
 
 def _mixture(theta: float, rotations) -> np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from boostcoh import (
     QuadratureToleranceError,
-    WavePacket,
     boost_from_beta,
     f_factor,
     gauss_hermite_nodes,
@@ -180,13 +179,12 @@ class TestMomentsQuadrature:
 
     @pytest.mark.parametrize("sigma, mass", [(1e300, 1e-10), (1e-300, 1e300)])
     def test_packet_rejects_sigma_over_m_out_of_range(self, sigma, mass):
-        # a valid packet whose sigma/m overflows to inf or underflows to 0
-        # is rejected at once
-        pkt = WavePacket(0, sigma, mass)
+        # a valid sigma and mass whose sigma/m overflows to inf or
+        # underflows to 0 are rejected at once
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma/m must be a 1-D array of positive finite"):
-                moments_quadrature(0, boost_from_beta(0.95), np.array([pkt.sigma_over_m]))
+                moments_quadrature(0, boost_from_beta(0.95), np.array([sigma / mass]))
 
     # sigma/m from narrow to far past the closed forms, with extremes whose
     # squares underflow or whose nodes leave the double range

@@ -9,9 +9,9 @@ no complex number appears in it: not the name ``complex``, an imaginary
 literal, nor the ``.conj`` or ``.imag`` of an array.
 
 It also has one calling convention: columns in, columns out. The one-value
-wrappers ``MomentIntegrals``, ``PerturbativeFactor`` and ``Spectrum`` and the
-``lone`` flag of the one-value branches are gone, and no name may bring them
-back.
+wrappers ``MomentIntegrals``, ``PerturbativeFactor``, ``Spectrum``,
+``WavePacket`` and ``WignerTrig`` and the ``lone`` flag of the one-value
+branches are gone, and no name may bring them back.
 """
 
 import ast
@@ -77,7 +77,7 @@ def complex_uses(source: str) -> list[str]:
     return found
 
 
-ONE_VALUE_TYPES = {"MomentIntegrals", "PerturbativeFactor", "Spectrum"}
+ONE_VALUE_TYPES = {"MomentIntegrals", "PerturbativeFactor", "Spectrum", "WavePacket", "WignerTrig"}
 
 
 def one_value_names(source: str) -> list[str]:
@@ -145,6 +145,8 @@ def test_the_complex_rule_sees_each_spelling(source, want):
     ("def f(lone=False):\n    return lone", ["1: lone", "2: lone"]),
     ("values = spectrum(x)\nalone = values[:1]", []),
     ("# a lone 1-D row\nrow = 1", []),
+    ("from .core import BoostParams, WavePacket\nclass WignerTrig(tuple):\n    pass",
+     ["1: WavePacket", "2: WignerTrig"]),
 ])
 def test_the_convention_rule_sees_each_spelling(source, want):
     assert one_value_names(source) == want

@@ -1,12 +1,13 @@
 """Tests for the Wigner half-angle computations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from boostcoh import WignerTrig, boost_from_beta, half_angle_perp
+from boostcoh import boost_from_beta, half_angle_perp
 
 from oracles import (
     half_angle_general, mp_perp_trig, rotation_half_angles, wigner_matrix_tol,
@@ -17,76 +18,77 @@ BETAS = st.floats(min_value=0.0, max_value=0.99)
 MOMENTA = st.floats(min_value=-50.0, max_value=50.0)
 
 
+def one_row(boost, x: float) -> tuple[float, float, float]:
+    """(cos^2, sin^2, sin*cos) of phi/2 at one p/m, from a one-point column."""
+    return tuple(half_angle_perp(boost, np.array([x]))[0].tolist())
+
+
 class TestHalfAnglePerp:
     def test_zero_momentum(self):
-        trig = half_angle_perp(boost_from_beta(0.7), 0.0)
-        assert (trig.cos2_half, trig.sin2_half, trig.sincos_half) == (1.0, 0.0, 0.0)
+        assert one_row(boost_from_beta(0.7), 0.0) == (1.0, 0.0, 0.0)
 
     def test_identity_boost(self):
-        trig = half_angle_perp(boost_from_beta(0.0), 3.7)
-        assert (trig.cos2_half, trig.sin2_half, trig.sincos_half) == (1.0, 0.0, 0.0)
+        assert one_row(boost_from_beta(0.0), 3.7) == (1.0, 0.0, 0.0)
 
     def test_frozen_reference_point(self):
         # beta = 0.95, p/m = 1, evaluated with 50-digit mpmath.
-        trig = half_angle_perp(boost_from_beta(0.95), 1.0)
-        assert trig.cos2_half == pytest.approx(0.9174974086627170, rel=1e-14)
-        assert trig.sin2_half == pytest.approx(0.0825025913372830, rel=1e-13)
-        assert trig.sincos_half == pytest.approx(0.2751289038976390, rel=1e-14)
+        cos2, sin2, sincos = one_row(boost_from_beta(0.95), 1.0)
+        assert cos2 == pytest.approx(0.9174974086627170, rel=1e-14)
+        assert sin2 == pytest.approx(0.0825025913372830, rel=1e-13)
+        assert sincos == pytest.approx(0.2751289038976390, rel=1e-14)
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("x", [-4.0, -0.3, 0.7, 12.0])
     def test_matches_mpmath_oracle(self, beta, x):
-        trig = half_angle_perp(boost_from_beta(beta), x)
-        cos2, sin2, sincos = (float(v) for v in mp_perp_trig(beta, x))
-        assert trig.cos2_half == pytest.approx(cos2, rel=1e-14)
-        assert trig.sin2_half == pytest.approx(sin2, rel=1e-13, abs=1e-16)
-        assert trig.sincos_half == pytest.approx(sincos, rel=1e-13, abs=1e-16)
+        cos2, sin2, sincos = one_row(boost_from_beta(beta), x)
+        want = [float(v) for v in mp_perp_trig(beta, x)]
+        assert cos2 == pytest.approx(want[0], rel=1e-14)
+        assert sin2 == pytest.approx(want[1], rel=1e-13, abs=1e-16)
+        assert sincos == pytest.approx(want[2], rel=1e-13, abs=1e-16)
 
     @given(beta=BETAS, x=MOMENTA)
     def test_pythagorean_closure(self, beta, x):
-        trig = half_angle_perp(boost_from_beta(beta), x)
-        assert trig.cos2_half + trig.sin2_half == pytest.approx(1.0, abs=1e-12)
-        assert trig.sincos_half**2 == pytest.approx(
-            trig.cos2_half * trig.sin2_half, abs=1e-13
-        )
+        cos2, sin2, sincos = one_row(boost_from_beta(beta), x)
+        assert cos2 + sin2 == pytest.approx(1.0, abs=1e-12)
+        assert sincos**2 == pytest.approx(cos2 * sin2, abs=1e-13)
 
     @given(beta=BETAS, x=MOMENTA)
     def test_parity(self, beta, x):
-        boost = boost_from_beta(beta)
-        plus = half_angle_perp(boost, x)
-        minus = half_angle_perp(boost, -x)
+        plus, minus = half_angle_perp(boost_from_beta(beta), np.array([x, -x])).tolist()
         # even/odd structure holds exactly in floating point
-        assert plus.cos2_half == minus.cos2_half
-        assert plus.sin2_half == minus.sin2_half
-        assert plus.sincos_half == -minus.sincos_half
+        assert plus[:2] == minus[:2]
+        assert plus[2] == -minus[2]
 
     def test_sin2_nonnegative(self):
+        x = np.array([-20.0, -1.0, 0.5, 30.0])
         for beta in (0.2, 0.8, 0.999):
-            for x in (-20.0, -1.0, 0.5, 30.0):
-                assert half_angle_perp(boost_from_beta(beta), x).sin2_half >= 0.0
+            assert (half_angle_perp(boost_from_beta(beta), x)[:, 1] >= 0.0).all()
 
-
-class TestWignerTrig:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["cos2_half", "sin2_half", "sincos_half"])
-    def test_rejects_non_finite(self, field, bad):
-        fields = dict(cos2_half=1.0, sin2_half=0.0, sincos_half=0.0)
-        WignerTrig(**fields)
-        with pytest.raises(ValueError, match="finite"):
-            WignerTrig(**{**fields, field: bad})
+    @given(beta=BETAS, xs=st.lists(MOMENTA, min_size=1, max_size=8))
+    def test_rows_do_not_depend_on_the_column(self, beta, xs):
+        boost = boost_from_beta(beta)
+        rows = half_angle_perp(boost, np.array(xs))
+        assert rows.shape == (len(xs), 3)
+        assert [tuple(r) for r in rows.tolist()] == [one_row(boost, x) for x in xs]
 
     @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ((1.5, -0.5, 0.0), "nonnegative"),
-            ((0.6, 0.5, 0.0), "must equal 1"),
-            ((0.5, 0.5, 0.6), "exceeds"),
-        ],
-        ids=["negative-square", "not-closed", "sincos-too-large"],
+        "bad, row",
+        [(math.nan, "(nan, nan, nan)"), (math.inf, "(nan, nan, nan)"),
+         (-math.inf, "(nan, nan, nan)"), (1e300, "(nan, nan, 0.0)"),
+         (-1e300, "(nan, nan, -0.0)")],
+        ids=["nan", "inf", "-inf", "overflow", "-overflow"],
     )
-    def test_rejects_inconsistent_terms(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            WignerTrig(*fields)
+    def test_rejects_non_finite(self, bad, row):
+        # a bad p/m mid-column, and a later one: the first is reported
+        column = np.array([0.5, 2.0, bad, 3.0, math.nan])
+        message = f"half-angle terms must be finite, got {row}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            half_angle_perp(boost_from_beta(0.5), column)
+
+    @pytest.mark.parametrize("x", [0.5, [[0.5]]])
+    def test_rejects_non_column(self, x):
+        with pytest.raises(ValueError, match="1-D"):
+            half_angle_perp(boost_from_beta(0.5), np.array(x))
 
 
 Z_HAT, X_HAT = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
@@ -124,9 +126,9 @@ class TestHalfAngleGeneral:
     def test_agrees_with_perp_specialization(self, beta, x):
         boost = boost_from_beta(beta)
         cos_half, axis = half_angle_general(boost, math.asinh(x), Z_HAT, X_HAT)
-        trig = half_angle_perp(boost, x)
-        assert cos_half**2 == pytest.approx(trig.cos2_half, abs=1e-12)
-        assert float(axis @ axis) == pytest.approx(trig.sin2_half, abs=1e-12)
+        cos2, sin2, _ = one_row(boost, x)
+        assert cos_half**2 == pytest.approx(cos2, abs=1e-12)
+        assert float(axis @ axis) == pytest.approx(sin2, abs=1e-12)
 
     @given(
         beta=BETAS,
@@ -172,10 +174,7 @@ class TestLorentzMatrixOracle:
         # the rotation axis is y = z cross x
         assert sincos[0] == pytest.approx(0.0, abs=tol)
         assert sincos[2] == pytest.approx(0.0, abs=tol)
-        trig = half_angle_perp(boost, x)
-        assert trig.cos2_half == pytest.approx(cos2, abs=tol)
-        assert trig.sin2_half == pytest.approx(sin2, abs=tol)
-        assert trig.sincos_half == pytest.approx(sincos[1], abs=tol)
+        assert one_row(boost, x) == pytest.approx((cos2, sin2, sincos[1]), abs=tol)
 
     @given(
         beta=BETAS,
