@@ -48,6 +48,11 @@ def half_angle_perp(boost: BoostParams, p_over_m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cos2, sin2, denom = _perp_even(boost.cosh_alpha, x)
         rows = np.stack([cos2, sin2, boost.sinh_alpha * x / denom], axis=-1)
+    return _require_finite(rows)
+
+
+def _require_finite(rows: np.ndarray) -> np.ndarray:
+    """``rows`` unchanged, or ``ValueError`` naming the first row with a non-finite term."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         bad = tuple(rows[np.argmin(finite)].tolist())

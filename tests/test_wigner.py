@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boostcoh import boost_from_beta, half_angle_perp
+from boostcoh.wigner import _require_finite
 
 from oracles import (
     half_angle_general, mp_perp_trig, rotation_half_angles, wigner_matrix_tol,
@@ -89,6 +90,19 @@ class TestHalfAnglePerp:
     def test_rejects_non_column(self, x):
         with pytest.raises(ValueError, match="1-D"):
             half_angle_perp(boost_from_beta(0.5), np.array(x))
+
+
+class TestWignerTrig:
+    """The finiteness check on each term of a (cos^2, sin^2, sin*cos) row."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cos2_half", "sin2_half", "sincos_half"])
+    def test_rejects_non_finite(self, field, bad):
+        rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        assert _require_finite(rows) is rows
+        rows[1, ["cos2_half", "sin2_half", "sincos_half"].index(field)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _require_finite(rows)
 
 
 Z_HAT, X_HAT = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
