@@ -167,18 +167,17 @@ def _block_values(
     holds the CSV columns c_l1 to f2 as arrays, one value per point (None
     for a method not asked for, and for f2 with one boost).  ``spectra``
     holds each point's spectrum: Jacobi's on quadrature rows, else the
-    closed form.
-    ``failure`` is None, or ``(k, error)`` for the first point k that fails
-    a check, with the error of the first check it fails.
+    closed form.  ``failure`` is None, or ``(k, error)`` for the first
+    point k that fails a check, with the error of the first check it fails.
 
     Every value and check is computed once for the whole block: the domain
     gates (sigma/m in (0, 1), the n bounds, then F1 + F2 < 1/2) as masks,
     the quadrature moments of the points that passed them with one call per
     boost, the density matrices as one stack, and the spectra and
     coherences as columns.  A point's checks are, in order: the gates, its
-    quadrature or matrix error, then the spectrum checks of the closed form
-    and of Jacobi's.  Only plain values are returned, so no stack outlives
-    the call.
+    quadrature or matrix error, then the spectrum checks of Jacobi's
+    spectrum; a gated point's closed spectrum cannot fail them.  Only plain
+    values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
     single = len(boosts) == 1
@@ -220,23 +219,18 @@ def _block_values(
     cf_pert = cf_exact = cf_quad = None
     if "perturbative" in methods:
         cf_pert = c_frobenius_perturbative(n, boosts, eps, factors)
-    checked = []  # the spectra whose checks apply, in order
     if "exact-eig" in methods or not quadrature:
         spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
-        checked.append(spectra)
         if "exact-eig" in methods:
             cf_exact = c_frobenius(spectra)
+    passed = gated & ~errors.astype(bool)
     if quadrature:
         spectra = eigs
-        checked.append(eigs)
         cf_quad = c_frobenius(eigs)
+        totals, off_sum, off_range = _spectrum_faults(eigs)
+        passed &= ~(off_sum | off_range)
     f1, f2 = (factors[0], None) if single else factors
     columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
-
-    faults = [(rows, *_spectrum_faults(rows)) for rows in checked]
-    passed = gated & ~errors.astype(bool)
-    for _, _, off_sum, off_range in faults:
-        passed &= ~(off_sum | off_range)
     if passed.all():
         return columns, spectra, None
 
@@ -256,10 +250,9 @@ def _block_values(
     elif errors[k] is not None:
         error = errors[k]
     else:
-        rows, totals, off_sum, _ = next(f for f in faults if f[2][k] or f[3][k])
         error = ValueError(
             f"eigenvalues sum to {totals[k]}, expected 1 within 1e-10" if off_sum[k]
-            else f"eigenvalues must lie in [0, 1]: {tuple(rows[k].tolist())}"
+            else f"eigenvalues must lie in [0, 1]: {tuple(eigs[k].tolist())}"
         )
     return columns, spectra, (k, error)
 
@@ -438,16 +431,18 @@ def _method_list(text: str) -> tuple[str, ...]:
     return methods
 
 
-def load_config(path) -> list[str]:
+def load_config(path, options) -> list[str]:
     """Turn a ``key = value`` file into ``--key=value`` arguments.
 
     '#' starts a comment and blank lines are skipped.  Underscores in a key
     become dashes, so ``p_over_m`` and ``p-over-m`` both name ``--p-over-m``.
-    A key given twice, and a key that names ``--config`` (or a prefix of
-    it), raise ``ValueError`` rather than let one value silently win.
+    A key names the option of ``options`` that argparse gives it, its exact
+    name or else the one option it is a prefix of.  Two keys that name one
+    option, and a key that names ``--config`` (or a prefix of it), raise
+    ``ValueError`` rather than let one value silently win.
     """
     args = []
-    seen = {}  # each key, as a flag name, and the line that set it
+    seen = {}  # each key, as the option it names, and the line that set it
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -460,9 +455,11 @@ def load_config(path) -> list[str]:
         flag = key.replace("_", "-")
         if flag and "config".startswith(flag):
             raise ValueError(f"{path}:{lineno}: key {key!r} cannot name another config file")
-        if flag in seen:
-            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[flag]}")
-        seen[flag] = lineno
+        matches = [o for o in options if o.startswith(f"--{flag}")]
+        option = matches[0] if len(matches) == 1 else f"--{flag}"
+        if option in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[option]}")
+        seen[option] = lineno
         args.append(f"--{flag}={value.strip()}")
     return args
 
@@ -504,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key = value file of long flags; flags given here win")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, options=p._option_string_actions)  # filled as flags are added
         return p
 
     # Flag groups shared by several subcommands; the figure presets live in
@@ -670,7 +667,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:
             # argv[0] is the subcommand; config arguments go ahead of the
             # command line's, and argparse keeps a flag's last occurrence.
-            args = parser.parse_args(argv[:1] + load_config(args.config) + argv[1:])
+            args = parser.parse_args(argv[:1] + load_config(args.config, args.options) + argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -100,56 +100,16 @@ def rho_dual_boost_perturbative(theta: float, f1: np.ndarray, f2: np.ndarray) ->
     return DensityMatrix(blocks)
 
 
-# Coefficient tables for the bilinear expansion of the two-boost state: the
-# amplitude of each basis state is sum_ij C[state, i, j] u_i v_j with
-# u = (cos(phi1/2), sin(phi1/2)) and v = (cos(phi2/2), sin(phi2/2)).
-def _dual_coefficient_table(theta: float) -> np.ndarray:
-    st, ct = math.sin(theta), math.cos(theta)
-    table = np.zeros((4, 2, 2))
-    table[0, 0, 1] = st  # P
-    table[0, 1, 0] = ct
-    table[1, 0, 0] = st  # Q
-    table[1, 1, 1] = -ct
-    table[2, 1, 1] = -st  # R
-    table[2, 0, 0] = ct
-    table[3, 1, 0] = -st  # S
-    table[3, 0, 1] = -ct
-    return table
-
-
-# Per X block, its basis states (p, q) and the two (i, j) slots of the
-# coefficient table that both fill: |00> and |11> fill (0, 1) and (1, 0),
-# |01> and |10> fill (0, 0) and (1, 1).
-_X_BLOCKS = (((0, 3), ((0, 1), (1, 0))), ((1, 2), ((0, 0), (1, 1))))
-
-
-def _x_entries(table: np.ndarray, d2: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """The (a, d, c) blocks of sum_ijkl t_a[i, j] t_b[k, l] M2[i, k] M1[j, l] for (I1, I3) rows.
-
-    The moment matrices M = [[I1, I2], [I2, I3]] are diag(I1, I3), since
-    I2 is zero, so entry (a, b) keeps only the terms of the slots that both
-    states fill: two on the X, none off it.  Each term is multiplied in the
-    order ((t_a t_b) M2) M1, and the pair is added to a zero start (the
-    ``+ 0.0`` turns a -0.0 sum into its +0.0), which are the bits of the
-    full contraction, signed zeros included.
-    """
-    blocks = np.empty((len(d1), 2, 3))
-    for k, ((p, q), ((i, j), (g, h))) in enumerate(_X_BLOCKS):
-        for col, (a, b) in enumerate(((p, p), (q, q), (q, p))):
-            blocks[:, k, col] = (
-                ((table[a, i, j] * table[b, i, j]) * d2[:, i]) * d1[:, j]
-                + ((table[a, g, h] * table[b, g, h]) * d2[:, g]) * d1[:, h]
-            ) + 0.0
-    return blocks
-
-
 def rho_dual_boost_general(theta: float, m1: np.ndarray, m2: np.ndarray) -> DensityMatrix:
     """Dual-boost reduced states with both particles' moments retained.
 
     Each entry is the exact bilinear polynomial in the per-particle
     moments obtained by integrating the outer product of the (P, Q, R, S)
-    amplitudes.  Products like (1 - F1) F2 are kept instead of their
-    first-order truncations.
+    amplitudes; products like (1 - F1) F2 are kept instead of their
+    first-order truncations.  I2 is zero, so an entry is two terms
+    ((coef J) I), coef one of s^2, c^2, +/-sc (s, c = sin, cos theta), J
+    a moment of ``m2`` and I of ``m1``, added to a zero start (a -0.0 sum
+    becomes +0.0): the bits of the full contraction, signed zeros included.
 
     The argument order follows the corner convention of
     :func:`rho_dual_boost_perturbative` -- ``m1`` weights sin^2(theta) in
@@ -166,6 +126,14 @@ def rho_dual_boost_general(theta: float, m1: np.ndarray, m2: np.ndarray) -> Dens
     them.
     """
     m1s, m2s = _checked_rows((2,), "moments", m1, m2)
-    # m1 feeds the second amplitude slot (and m2 the first): that is what
-    # aligns the bilinear expansion with the closed-form corner layout.
-    return DensityMatrix(_x_entries(_dual_coefficient_table(theta), m2s, m1s))
+    st, ct = math.sin(theta), math.cos(theta)
+    s2, c2, sc = st * st, ct * ct, st * ct
+    (i1, i3), (j1, j3) = m1s.T, m2s.T
+    blocks = np.empty((len(m1s), 2, 3))
+    blocks[:, 0, 0] = ((s2 * j1) * i3 + (c2 * j3) * i1) + 0.0
+    blocks[:, 0, 1] = ((c2 * j1) * i3 + (s2 * j3) * i1) + 0.0
+    blocks[:, 0, 2] = ((-sc * j1) * i3 + (-sc * j3) * i1) + 0.0
+    blocks[:, 1, 0] = ((s2 * j1) * i1 + (c2 * j3) * i3) + 0.0
+    blocks[:, 1, 1] = ((c2 * j1) * i1 + (s2 * j3) * i3) + 0.0
+    blocks[:, 1, 2] = ((sc * j1) * i1 + (sc * j3) * i3) + 0.0
+    return DensityMatrix(blocks)

@@ -32,7 +32,6 @@ sum in log space, which keeps large n from overflowing sigma^(2n+1).
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 from typing import Literal
 
@@ -238,21 +237,15 @@ def f_factor(n: int, boost: BoostParams, sigma_over_m: np.ndarray) -> np.ndarray
     """F = ((2n+1)/8) ((cosh a - 1)/(cosh a + 1)) (sigma/m)^2 per point.
 
     Valid for integer n >= 0 in the narrow-packet regime sigma/m < 1: the
-    result is NaN where sigma/m lies outside (0, 1).  Emits a warning for
-    each F > 1, where the perturbative I1 = 1 - F would leave [0, 1] and
-    the expansion has manifestly broken down.  The square is
+    result is NaN where sigma/m lies outside (0, 1).  Inside the
+    :func:`n_bounds`, F <= (3/4) (cosh a - 1)/(cosh a + 1) < 3/4 with one
+    boost and < 3/8 per particle with two.  The square is
     ``np.float_power``, which rounds as Python's ``**`` does (``x * x``
     need not).
     """
     check_nonneg_int(n, "n")
     eps = _inside_unit(sigma_over_m)
-    f = ((2 * n + 1) / 8.0) * _boost_ratio(boost) * np.float_power(eps, 2.0)
-    for value in f[f > 1.0].tolist():
-        warnings.warn(
-            f"F = {value:.4g} > 1: perturbative I1 = 1 - F leaves [0, 1]",
-            stacklevel=2,
-        )
-    return f
+    return ((2 * n + 1) / 8.0) * _boost_ratio(boost) * np.float_power(eps, 2.0)
 
 
 def n_bounds(sigma_over_m: np.ndarray, scenario: Scenario) -> tuple[float, np.ndarray]:

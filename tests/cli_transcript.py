@@ -11,10 +11,12 @@ written as ``{tmp}`` in the argv, in the input files and in the output.
 ``tests/cli_transcript.json``.  To re-record it, run from the repository
 root:
 
-    PYTHONPATH=src python3 tests/cli_transcript.py --record
+    PYTHONPATH=src python3 tests/cli_transcript.py --record [NAME ...]
 
-Re-record only in a change that is meant to alter what the CLI prints or
-writes, and say so where the change is described.
+Named cases are recorded alone and the other records kept as they are;
+with no name, every case is recorded.  Re-record only in a change that is
+meant to alter what the CLI prints or writes, or to record a new case, and
+say so where the change is described.
 """
 
 from __future__ import annotations
@@ -229,6 +231,23 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                              {"run.cfg": "n = 2\nmass = 939.36\nsigma_min = 10\nsigma_max = 100\n"
                                          f"steps = 4\nbetas = 0.5\nconfig = {TMP}/other.cfg\n",
                               "other.cfg": "betas = 0.7\n"}),
+    "config-repeated-key-through-prefix": (
+        ["coherence", "--config", f"{TMP}/run.cfg", "--beta", "0.5", *NEUTRON],
+        {"run.cfg": "sigma = 100\nsig = 200\n"}),
+    # branches that only these inputs reach
+    "coherence-quadrature-n-zero": (
+        ["coherence", *QUAD, "--n", "0", "--beta", "0.9", "--sigma", "100", *NEUTRON], {}),
+    "config-blank-and-comment-lines": (["wigner", "--config", f"{TMP}/run.cfg"],
+                                       {"run.cfg": "# a point\n\nbeta = 0.95\n\np_over_m = 1\n"}),
+    "coherence-non-integer-n": (
+        ["coherence", "--n", "1.5", "--beta", "0.5", "--sigma", "100", *NEUTRON], {}),
+    "sweep-empty-beta-pair": (
+        ["sweep", "--scenario", "dual", "--n", "2", *NEUTRON, "--sigma-min", "1",
+         "--sigma-max", "2", "--steps", "2", "--beta-pairs", "0.5:0.5,,0.3:0.6", *OUT], {}),
+    "sweep-no-betas": ([*SMALL[:-1], ",", *OUT], {}),  # "--betas ," lists no beta
+    "coherence-negative-quad-order": (
+        ["coherence", "--beta", "0.9", "--sigma", "100", *NEUTRON, *QUAD, "--quad-order", "-1"],
+        {}),
 }
 
 
@@ -266,16 +285,19 @@ def run_case(argv: list[str], files: dict[str, str]) -> dict:
     return record
 
 
-def record() -> dict:
-    return {name: run_case(argv, files) for name, (argv, files) in CASES.items()}
+def record(names=CASES) -> dict:
+    return {name: run_case(*CASES[name]) for name in names}
 
 
 def main(argv: list[str]) -> int:
-    if argv != ["--record"]:
+    if argv[:1] != ["--record"] or not set(argv[1:]) <= set(CASES):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    TRANSCRIPT.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(CASES)} cases to {TRANSCRIPT.name}")
+    records = json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if argv[1:] else {}
+    records.update(record(argv[1:] or CASES))
+    records = {name: records[name] for name in CASES}
+    TRANSCRIPT.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(argv[1:] or CASES)} cases to {TRANSCRIPT.name}")
     return 0
 
 

@@ -15,8 +15,9 @@ from the package's own code paths:
 * the paper's formulas the pipeline never evaluates directly: the
   momentum amplitude ``psi_amplitude``, the Wigner half-angle for any
   geometry (``half_angle_general``), the spin amplitudes of the boosted
-  pair (``amplitudes_single``/``amplitudes_dual``), and an index-loop
-  partial trace (``ptrace_reference``);
+  pair (``amplitudes_single``/``amplitudes_dual``) and their coefficient
+  table (``dual_coefficient_table``), and an index-loop partial trace
+  (``ptrace_reference``);
 * the 4x4 embedding of the package's X-state blocks (``x_matrices``) and
   its inverse (``x_blocks``), so that the full-matrix oracles above run
   on the states the package holds;
@@ -297,6 +298,28 @@ def amplitudes_dual(theta: float, phi1_half, phi2_half) -> tuple[float, float, f
         -(st * s1 * s2 - ct * c1 * c2),
         -(st * s1 * c2 + ct * c1 * s2),
     )
+
+
+def dual_coefficient_table(theta: float) -> np.ndarray:
+    """The (4 x 2 x 2) coefficients of the two-boost amplitudes, bilinear in the half-angles.
+
+    The amplitude of basis state a is sum_ij C[a, i, j] u_i v_j, with
+    u = (cos(phi1/2), sin(phi1/2)) and v = (cos(phi2/2), sin(phi2/2)); it
+    equals ``amplitudes_dual``.  Contracted twice with the moment matrices,
+    it gives every entry of the two-boost state (``einsum_entries`` in
+    ``tests/test_density.py``).
+    """
+    st, ct = math.sin(theta), math.cos(theta)
+    table = np.zeros((4, 2, 2))
+    table[0, 0, 1] = st  # P
+    table[0, 1, 0] = ct
+    table[1, 0, 0] = st  # Q
+    table[1, 1, 1] = -ct
+    table[2, 1, 1] = -st  # R
+    table[2, 0, 0] = ct
+    table[3, 1, 0] = -st  # S
+    table[3, 0, 1] = -ct
+    return table
 
 
 def ptrace_reference(rho: np.ndarray, keep: str) -> np.ndarray:

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostcoh import (
     DensityMatrix, boost_from_beta, c_frobenius, c_frobenius_perturbative, c_l1, f_factor,
@@ -20,7 +21,8 @@ from boostcoh import (
 )
 from boostcoh import cli, density, integrals
 from boostcoh.cli import CSV_HEADER, SweepSpec, build_parser, figure_spec, main, run_sweep
-from boostcoh.integrals import check_n_in_bounds
+from boostcoh.coherence import _spectrum_faults
+from boostcoh.integrals import check_factor_sum, check_n_in_bounds
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -230,9 +232,13 @@ class TestCoherenceCommand:
              "run.cfg:4: key 'config' cannot name another config file"),
             ("conf = other.cfg\n" + POINT,
              "run.cfg:1: key 'conf' cannot name another config file"),
+            ("sigma = 100\nsig = 200\nbeta = 0.5\nmass = 939.36\n",
+             "run.cfg:2: key 'sig' is already set on line 1"),
+            ("sig = 200\nbeta = 0.5\nmass = 939.36\nsigma = 100\n",
+             "run.cfg:4: key 'sigma' is already set on line 1"),
         ],
         ids=["repeated-key", "repeated-after-normalisation", "nested-config",
-             "nested-config-prefix"],
+             "nested-config-prefix", "repeated-through-prefix", "prefix-then-full-name"],
     )
     def test_conflicting_config_rejected(self, config, message, tmp_path, capsys):
         # Neither value may silently win: not the last of a repeated key, nor
@@ -663,8 +669,6 @@ class TestSweepCommand:
     GRID = ["--n", "2", "--mass", "939.36", "--sigma-min", "5", "--sigma-max", "300",
             "--steps", "300"]
     SINGLE_QUADRATURE = ["sweep", *GRID, "--betas", "0.95", "--methods", "quadrature"]
-    DUAL_CLOSED = ["sweep", "--scenario", "dual", *GRID, "--beta-pairs", "0.3:0.6",
-                   "--methods", "exact-eig"]
     BAD_ROW = 5  # within the second block: grid row 261
     UNREACHED = {
         "matrix-trace": ("rho_single_boost_general", SINGLE_QUADRATURE,
@@ -673,10 +677,6 @@ class TestSweepCommand:
         "matrix-psd": ("rho_single_boost_general", SINGLE_QUADRATURE,
                        [[0.5, 0.5, 0.9], [0.0, 0.0, 0.0]],
                        "matrix is not positive semidefinite within 1e-10"),
-        "closed-sum": ("spectrum_dual_boost", DUAL_CLOSED, [0.5, 0.5, 0.5, 0.0],
-                       "eigenvalues sum to 1.5, expected 1 within 1e-10"),
-        "closed-range": ("spectrum_dual_boost", DUAL_CLOSED, [1.25, 0.0, 0.0, -0.25],
-                         "eigenvalues must lie in [0, 1]: (1.25, 0.0, 0.0, -0.25)"),
         "jacobi-sum": ("hermitian_eigenvalues", SINGLE_QUADRATURE, [0.5, 0.5, 0.5, 0.0],
                        "eigenvalues sum to 1.5, expected 1 within 1e-10"),
         "jacobi-range": ("hermitian_eigenvalues", SINGLE_QUADRATURE, [1.25, 0.0, 0.0, -0.25],
@@ -711,6 +711,34 @@ class TestSweepCommand:
         assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
         if existing:
             assert out.read_bytes() == b"earlier results\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi / 2),
+        n=st.integers(0, 300),
+        betas=st.lists(st.sampled_from([0.0, 0.999999]) | st.floats(0.0, 0.999999),
+                       min_size=1, max_size=2),
+        fractions=st.lists(st.sampled_from([1.0, math.nextafter(1.0, 0.0)])
+                           | st.floats(0.0, 1.01, exclude_min=True), min_size=1, max_size=16),
+    )
+    def test_gated_closed_rows_cannot_fail(self, theta, n, betas, fractions):
+        # The F columns and closed spectra of a block, with sigma/m drawn as
+        # fractions of the n bound's edge: on every gated point F stays below
+        # 3/4 (one boost) or 3/8 per particle (two), and the closed spectrum
+        # passes the spectrum checks, so no failure can come from it.
+        edge = math.sqrt((3.0 if len(betas) == 1 else 1.5) / (n + 0.5))
+        eps = np.minimum(np.array(fractions) * edge, math.nextafter(1.0, 0.0))
+        boosts = [boost_from_beta(b) for b in betas]
+        columns, spectra, failure = cli._block_values(
+            theta, boosts, n, eps, ("exact-eig",), cli.DEFAULT_ORDER, cli.MAX_ORDER
+        )
+        factors = [f for f in columns[-2:] if f is not None]
+        bound = 0.75 if len(betas) == 1 else 0.375
+        assert all((f[~np.isnan(f)] < bound).all() for f in factors)
+        gated = check_factor_sum(*factors)
+        _, off_sum, off_range = _spectrum_faults(spectra[gated])
+        assert not (off_sum | off_range).any()
+        assert failure is None or not gated[failure[0]]
 
     def test_sigma_blocks_are_the_grid(self):
         # each block's values are the grid's, and the last block is clipped

@@ -212,6 +212,50 @@ class TestSpectrumDualBoost:
         assert tuple(spec) == pytest.approx((1.0, 2e-160, 0.0, 0.0), rel=1e-15, abs=0.0)
 
 
+# F columns of gated rows: F >= 0, drawn near the edges too (zero,
+# subnormal, and a sum just below 1/2).
+GATED_F = st.sampled_from([0.0, 5e-324, 1e-300, 0.25, math.nextafter(0.5, 0.0)]) | st.floats(
+    0.0, 0.5, exclude_max=True
+)
+
+
+class TestGatedClosedSpectra:
+    """The closed spectrum of a row that passes the gates cannot fail the spectrum checks.
+
+    With F1, F2 >= 0 and s = F1 + F2 < 1/2, the corner pair is s/2 +/- g
+    with 0 <= g <= s/2, so all four values lie in [0, 1] and add up to 1
+    within rounding, at any theta.  This is why the CLI checks only the
+    Jacobi spectrum.
+    """
+
+    @staticmethod
+    def assert_pass(spectra):
+        _, off_sum, off_range = _spectrum_faults(spectra)
+        assert not (off_sum | off_range).any()
+
+    @settings(max_examples=300)
+    @given(
+        theta=st.sampled_from([0.0, math.pi / 8, math.pi / 4, math.pi / 2]) | st.floats(-10.0, 10.0),
+        rows=st.lists(st.tuples(GATED_F, GATED_F), min_size=1, max_size=8),
+    )
+    def test_gated_rows_pass(self, theta, rows):
+        f1, f2 = np.array(rows).T
+        gated = check_factor_sum(f1, f2)
+        assume(gated.any())
+        self.assert_pass(spectrum_dual_boost(theta, f1[gated], f2[gated]))
+        self.assert_pass(spectrum_single_boost(theta, f2[check_factor_sum(f2)]))
+
+    def test_gated_rows_pass_on_a_scan(self):
+        rng = np.random.default_rng(20261019)
+        for theta in (0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi / 2, 13)):
+            s = 0.5 * (1.0 - rng.random(65536) ** 8)  # crowded near 1/2
+            f1 = s * rng.random(len(s))
+            f2 = s - f1
+            gated = check_factor_sum(f1, f2)
+            self.assert_pass(spectrum_dual_boost(theta, f1[gated], f2[gated]))
+            self.assert_pass(spectrum_single_boost(theta, s[check_factor_sum(s)]))
+
+
 class TestHermitianEigenvalues:
     def test_diagonal(self):
         spec = hermitian_eigenvalues(states(np.diag([0.1, 0.4, 0.2, 0.3])))
@@ -289,7 +333,6 @@ class TestStackedJacobi:
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PIPELINE_STATE, min_size=1, max_size=6))
-    @pytest.mark.filterwarnings("ignore:F = .* > 1")
     def test_pipeline_states_bit_for_bit(self, points):
         matrices = [m for p in points if (m := pipeline_state(*p)) is not None]
         assume(matrices)
@@ -324,7 +367,6 @@ class TestStackedJacobi:
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PIPELINE_STATE, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
-    @pytest.mark.filterwarnings("ignore:F = .* > 1")
     def test_stacked_c_l1_bit_for_bit(self, points, seed):
         rng = np.random.default_rng(seed)
         matrices = [m for p in points if (m := pipeline_state(*p)) is not None]
@@ -418,7 +460,6 @@ class TestColumnForms:
         eps=st.lists(st.floats(0.0, 0.95, exclude_min=True, exclude_max=True),
                      min_size=1, max_size=8),
     )
-    @pytest.mark.filterwarnings("ignore:F = .* > 1")
     def test_factors_and_perturbative_coherence(self, n, betas, eps):
         boosts = [boost_from_beta(b) for b in betas]
         for b in boosts:

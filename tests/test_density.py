@@ -16,10 +16,9 @@ from boostcoh import (
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
-from boostcoh.density import _dual_coefficient_table
 
 from oracles import (
-    amplitudes_dual, amplitudes_single, ptrace_reference, spin_half_matrix,
+    amplitudes_dual, amplitudes_single, dual_coefficient_table, ptrace_reference, spin_half_matrix,
     wigner_matrix_tol, wigner_rotation_matrix, x_matrices,
 )
 
@@ -100,6 +99,14 @@ class TestAmplitudesDual:
             theta, (math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2))
         )
         assert sum(x * x for x in amps) == pytest.approx(1.0, abs=1e-12)
+
+    @given(theta=ANGLES, phi1=HALF_ANGLES, phi2=HALF_ANGLES)
+    def test_coefficient_table_contracts_to_amplitudes(self, theta, phi1, phi2):
+        # The table the einsum oracle contracts, checked against the
+        # amplitudes written out term by term.
+        u, v = (math.cos(phi1), math.sin(phi1)), (math.cos(phi2), math.sin(phi2))
+        got = np.einsum("aij,i,j->a", dual_coefficient_table(theta), u, v)
+        assert got == pytest.approx(amplitudes_dual(theta, u, v), abs=1e-15)
 
 
 # A discrete distribution of half-angles phi/2 for one particle: 1-6 angles
@@ -498,7 +505,7 @@ def einsum_entries(theta: float, m1s: np.ndarray, m2s: np.ndarray) -> np.ndarray
 
     ``m1s`` and ``m2s`` are (points x 3) arrays of (I1, I2, I3) rows.
     """
-    table = _dual_coefficient_table(theta)
+    table = dual_coefficient_table(theta)
     mom1, mom2 = (m[:, [0, 1, 1, 2]].reshape(-1, 2, 2) for m in (m1s, m2s))
     return np.einsum("aij,bkl,pik,pjl->pab", table, table, mom2, mom1)
 

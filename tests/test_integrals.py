@@ -341,9 +341,7 @@ class TestFFactor:
     @pytest.mark.parametrize("beta", [0.1, 0.6, 0.99])
     @pytest.mark.parametrize("eps", [0.02, 0.3, 0.9])
     def test_matches_mpmath_oracle(self, n, beta, eps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # widest grid corner has F > 1
-            value = factor(n, beta, eps)
+        value = factor(n, beta, eps)
         assert value == pytest.approx(float(mp_f_factor(n, beta, eps)), rel=1e-14)
 
     def test_monotonicity(self):
@@ -352,10 +350,43 @@ class TestFFactor:
         assert factor(3, 0.8, 0.1) > base
         assert factor(2, 0.8, 0.2) > base
 
-    def test_validity_warning(self):
-        # F > 1 means the first-order I1 = 1 - F leaves [0, 1]
-        with pytest.warns(UserWarning, match="1 - F"):
-            factor(150, 0.99, 0.5)
+    def test_no_warning_outside_the_n_bounds(self):
+        # F > 1 leaves the first-order I1 = 1 - F outside [0, 1]; the column
+        # still holds it, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor(150, 0.99, 0.5) > 1.0
+
+    # F = ((2n + 1)/8) r (sigma/m)^2 with r = (cosh a - 1)/(cosh a + 1) < 1,
+    # and the n bounds give 2n + 1 <= 6 (m/sigma)^2 with one boost and
+    # 3 (m/sigma)^2 with two.
+    F_BOUND = {"single_boost": 0.75, "dual_boost": 0.375}
+
+    @settings(max_examples=500)
+    @given(
+        scenario=st.sampled_from(list(F_BOUND)),
+        beta=st.sampled_from([0.0, 0.999999, math.nextafter(1.0, 0.0)])
+        | st.floats(0.0, 1.0, exclude_max=True),
+        eps=st.sampled_from([1e-300, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        below=st.integers(0, 3),
+    )
+    def test_below_three_quarters_inside_the_n_bounds(self, scenario, beta, eps, below):
+        # Every F the package forms is masked to the n bounds first
+        # (cli._block_values, c_frobenius_perturbative): there it cannot
+        # reach 1, where the first-order I1 = 1 - F would leave [0, 1].
+        _, upper = n_bounds(np.array([eps]), scenario)
+        n = max(0, int(min(upper[0], 2.0**62)) - below)
+        assert check_n_in_bounds(n, np.array([eps]), scenario)[0]
+        assert factor(n, beta, eps) < self.F_BOUND[scenario]
+
+    def test_largest_f_inside_the_n_bounds(self):
+        # the largest n the bounds allow, at the fastest boost
+        eps = np.linspace(0.001, 0.999, 999)
+        for scenario, bound in self.F_BOUND.items():
+            _, upper = n_bounds(eps, scenario)
+            largest = max(factor(int(u), math.nextafter(1.0, 0.0), e) for u, e in zip(upper, eps))
+            assert 0.99 * bound < largest < bound
 
     def test_domain(self):
         # NaN outside (0, 1); a bad n or a sigma/m that is not a column raises
