@@ -40,7 +40,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in THREAD_VARIAB
 import numpy as np
 
 from .coherence import (
-    _spectrum_faults,
     c_frobenius,
     c_frobenius_perturbative,
     c_l1,
@@ -174,10 +173,11 @@ def _block_values(
     gates (sigma/m in (0, 1), the n bounds, then F1 + F2 < 1/2) as masks,
     the quadrature moments of the points that passed them with one call per
     boost, the density matrices as one stack, and the spectra and
-    coherences as columns.  A point's checks are, in order: the gates, its
-    quadrature or matrix error, then the spectrum checks of Jacobi's
-    spectrum; a gated point's closed spectrum cannot fail them.  Only plain
-    values are returned, so no stack outlives the call.
+    coherences as columns.  A point's checks are, in order: the gates, then
+    its quadrature error.  The tolerances of :mod:`boostcoh.core` compose,
+    so the states of the points that pass them pass the
+    :class:`DensityMatrix` checks, and their spectra the spectrum checks.
+    Only plain values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
     single = len(boosts) == 1
@@ -187,11 +187,10 @@ def _block_values(
     factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
     gated = inside & check_factor_sum(*factors)
 
-    # Per point, None or its first quadrature or validation error; an
-    # exception is truthy, so ``errors.astype(bool)`` marks the failures.
-    errors = np.full(count, None, dtype=object)
+    passed = gated
     stacked = np.flatnonzero(gated)
     if quadrature and stacked.size:  # one call per boost covers the gated points
+        errors = np.full(count, None, dtype=object)  # None or a point's first error
         moments = []
         for b in boosts:
             values, errs = moments_quadrature(
@@ -199,7 +198,8 @@ def _block_values(
             )
             moments.append(values)
             errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
-        converged = ~errors[stacked].astype(bool)
+        passed = gated & ~errors.astype(bool)
+        converged = passed[stacked]
         stacked, moments = stacked[converged], [m[converged] for m in moments]
     l1 = np.full(count, np.nan)
     eigs = np.full((count, 4), np.nan)
@@ -211,8 +211,6 @@ def _block_values(
             build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
             rho = build(theta, *(f[stacked] for f in factors))
         l1[stacked] = c_l1(rho)
-        if any(rho.errors):
-            errors[stacked] = rho.errors
         if quadrature:
             eigs[stacked] = hermitian_eigenvalues(rho)
 
@@ -223,12 +221,9 @@ def _block_values(
         spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
         if "exact-eig" in methods:
             cf_exact = c_frobenius(spectra)
-    passed = gated & ~errors.astype(bool)
     if quadrature:
         spectra = eigs
         cf_quad = c_frobenius(eigs)
-        totals, off_sum, off_range = _spectrum_faults(eigs)
-        passed &= ~(off_sum | off_range)
     f1, f2 = (factors[0], None) if single else factors
     columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
     if passed.all():
@@ -247,13 +242,8 @@ def _block_values(
         )
     elif not gated[k]:
         error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[k].item() for f in factors)}")
-    elif errors[k] is not None:
+    else:  # only a quadrature error is left, so quadrature ran
         error = errors[k]
-    else:
-        error = ValueError(
-            f"eigenvalues sum to {totals[k]}, expected 1 within 1e-10" if off_sum[k]
-            else f"eigenvalues must lie in [0, 1]: {tuple(eigs[k].tolist())}"
-        )
     return columns, spectra, (k, error)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoostParams, DensityMatrix
+from .core import SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, BoostParams, DensityMatrix
 from .integrals import check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
@@ -43,22 +43,23 @@ def _descending(values: np.ndarray) -> np.ndarray:
     return -np.sort(-values, axis=-1, kind="stable")
 
 
-def _spectrum_faults(values: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Per row of descending eigenvalues: its sum, and whether it fails each spectrum check.
+def _spectrum_faults(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of descending eigenvalues, whether it fails each spectrum check.
 
-    The checks, in order, are a sum off 1 by more than 1e-10, and a value
-    outside [0, 1] by more than 1e-10.  A NaN value fails the range check.
-    The sum adds the values one after another from 0.
+    The checks, in order, are a sum off 1 by more than
+    :data:`~boostcoh.core.SPECTRUM_SUM_TOL`, and a value outside [0, 1] by
+    more than :data:`~boostcoh.core.SPECTRUM_RANGE_TOL`.  A NaN value fails
+    the range check.  The sum adds the values one after another from 0.
     """
-    total = _fold(values)
-    off_range = ~((-1e-10 <= values) & (values <= 1.0 + 1e-10)).all(axis=-1)
-    return total.tolist(), np.abs(total - 1.0) > 1e-10, off_range
+    lo, hi = -SPECTRUM_RANGE_TOL, 1.0 + SPECTRUM_RANGE_TOL
+    off_range = ~((lo <= values) & (values <= hi)).all(axis=-1)
+    return np.abs(_fold(values) - 1.0) > SPECTRUM_SUM_TOL, off_range
 
 
 def _checked_spectra(values: np.ndarray) -> np.ndarray:
     """Rows sorted descending, NaN where a row fails a :func:`_spectrum_faults` check."""
     values = _descending(values)
-    _, off_sum, off_range = _spectrum_faults(values)
+    off_sum, off_range = _spectrum_faults(values)
     values[off_sum | off_range] = np.nan
     return values
 
@@ -140,26 +141,15 @@ def spectrum_dual_boost(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.ndar
 def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues by cyclic Jacobi rotations on the matrix entries.
 
-    Sweeps would run until the off-diagonal Frobenius norm drops below
-    1e-13.  On an X-state, the only state a :class:`DensityMatrix` holds,
-    they rotate each block at most once, and :func:`_x_eigenvalues` makes
-    those rotations alone.  Serves as the numerically independent check on
-    the analytic spectra.
-
+    Serves as the numerically independent check on the analytic spectra.
     The result is a (points x 4) array of descending eigenvalues, one row
-    per matrix, NaN for a matrix that failed validation.  The rows are not
-    checked as spectra; :func:`c_frobenius` checks them.
-    """
-    valid = np.array([e is None for e in rho.errors], dtype=bool)
-    eigs = np.full((len(valid), 4), np.nan)
-    eigs[valid] = _x_eigenvalues(rho.blocks[valid])
-    return eigs
+    per matrix.  The rows are not checked as spectra; :func:`c_frobenius`
+    checks them.  The tolerances of :mod:`boostcoh.core` make the spectrum
+    of a state built from checked moments or gated F values pass.
 
-
-def _x_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of each X-state of ``blocks``, as cyclic Jacobi sweeps give them.
-
-    A sweep skips every pivot off the X, since it is zero.  Rotating the
+    Sweeps would run until the off-diagonal Frobenius norm drops below
+    1e-13.  On an X-state, the only state a :class:`DensityMatrix` holds, a
+    sweep skips every pivot off the X, since it is zero.  Rotating the
     pivot (p, q) of one block moves only zeros and the other block's
     entries stay put, so after the first sweep every off-diagonal entry is
     zero and the second one stops.  A block is therefore rotated at most
@@ -168,7 +158,7 @@ def _x_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     evaluated on only the four entries that give the new (p, p) and
     (q, q), each operation in the order the full rotation makes it.
     """
-    a, d, c = blocks[..., 0].copy(), blocks[..., 1].copy(), blocks[..., 2]
+    a, d, c = rho.blocks[..., 0].copy(), rho.blocks[..., 1].copy(), rho.blocks[..., 2]
     turn = ~(np.sqrt(_off_diagonal_sum(c * c)) < JACOBI_OFF_TOL)
     for b in range(2):
         k = turn & (c[:, b] != 0.0)

@@ -22,8 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "NORM_TOL",
+    "MOMENT_TOL",
     "TRACE_TOL",
     "PSD_TOL",
+    "SPECTRUM_SUM_TOL",
+    "SPECTRUM_RANGE_TOL",
     "BoostParams",
     "DensityMatrix",
     "check_nonneg_int",
@@ -33,9 +37,23 @@ __all__ = [
     "boost_from_beta",
 ]
 
-# Density-matrix construction tolerances (absolute).
-TRACE_TOL = 1e-10
+# The package's tolerances, all absolute.  Each is derived from the checks
+# upstream of it, so that a state built from inputs that pass those passes it.
+U = 2.0**-53  # unit roundoff: one operation's relative error is at most U
+NORM_TOL = 1e-10  # |i1 + i3 - 1| of one particle's moment row
+MOMENT_TOL = 1e-12  # how far i1 and i3 may each lie outside [0, 1]
+# The trace is (i1 + i3)(j1 + j3), each within NORM_TOL + U, and a term meets
+# <= 11 U of rounding: 4 from sin (< 1 ulp, squared), 1 + 2 from the square and
+# the products, 4 from the sums.
+TRACE_TOL = (1.0 + NORM_TOL) ** 2 - 1.0 + 16 * U
+# A block is two unit projectors weighted by products of moments, so checked
+# rows give a least eigenvalue >= -2 MOMENT_TOL (1 + MOMENT_TOL).
 PSD_TOL = 1e-10
+# A Jacobi rotation keeps its block's trace to < 20 U; the sums add 6 U more.
+SPECTRUM_SUM_TOL = TRACE_TOL + 32 * U
+# Low end: PSD_TOL and the rotation's rounding; checked rows give no
+# eigenvalue above 1 + 2.1 MOMENT_TOL.
+SPECTRUM_RANGE_TOL = PSD_TOL + 32 * U
 
 
 def check_nonneg_int(value, name: str) -> None:
@@ -107,15 +125,15 @@ class DensityMatrix:
     ``blocks`` is a real (points x 2 x 3) array: per point, the (a, d, c)
     of the block on (|00>, |11>), then of the block on (|01>, |10>).  The
     4x4 matrix they stand for is Hermitian and X-shaped by construction.
-    Construction validates each state, in this order, for unit trace
-    (1e-10) and positive semidefiniteness (the least eigenvalue of either
-    block >= -1e-10), all states in one pass.  A bad state raises nothing:
-    ``errors`` holds, per state, None or the ``ValueError`` of the first
-    check it fails.
+    Construction checks each state, in this order, for unit trace (within
+    :data:`TRACE_TOL`; the diagonal added in basis order) and positive
+    semidefiniteness (each block's least eigenvalue, in closed form
+    (a + d)/2 - hypot((a - d)/2, c), at least -:data:`PSD_TOL`), all states
+    in one pass.  NaN fails the checks.  The first state that fails raises
+    ``ValueError``, naming the value, the tolerance and the point.
     """
 
     blocks: np.ndarray
-    errors: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.blocks):  # casting would drop the imaginary parts
@@ -127,33 +145,19 @@ class DensityMatrix:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "blocks", arr)
-        object.__setattr__(self, "errors", _verdicts(arr))
-
-
-def _verdicts(blocks: np.ndarray) -> tuple[ValueError | None, ...]:
-    """Per state of ``blocks``, None or the error of the first check it fails.
-
-    The trace adds the diagonal in basis order, |00>, |01>, |10>, |11>.
-    A block [[a, c], [c, d]] has least eigenvalue
-    (a + d)/2 - hypot((a - d)/2, c), which agrees with ``eigvalsh`` to
-    rounding, about 1e-16 on a trace-one state.  The comparisons are
-    written so that NaN fails them; only states that pass the trace check
-    reach the PSD check.
-    """
-    a, d, c = blocks[..., 0], blocks[..., 1], blocks[..., 2]
-    trace = ((a[:, 0] + a[:, 1]) + d[:, 1]) + d[:, 0]
-    trace_ok = np.abs(trace - 1.0) <= TRACE_TOL
-    psd_ok = trace_ok.copy()
-    least = (a[psd_ok] + d[psd_ok]) / 2.0 - np.hypot((a[psd_ok] - d[psd_ok]) / 2.0, c[psd_ok])
-    psd_ok[psd_ok] = least.min(axis=-1) >= -PSD_TOL
-    if psd_ok.all():
-        return (None,) * len(blocks)
-    errors = []
-    for t_ok, p_ok, t in zip(trace_ok, psd_ok, trace.tolist()):
-        if not t_ok:
-            errors.append(ValueError(f"trace = {t}, expected 1 within 1e-10"))
-        elif not p_ok:
-            errors.append(ValueError("matrix is not positive semidefinite within 1e-10"))
-        else:
-            errors.append(None)
-    return tuple(errors)
+        a, d, c = arr[..., 0], arr[..., 1], arr[..., 2]
+        trace = ((a[:, 0] + a[:, 1]) + d[:, 1]) + d[:, 0]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf entries give NaN, which fails
+            least = ((a + d) / 2.0 - np.hypot((a - d) / 2.0, c)).min(axis=-1)
+        trace_ok = np.abs(trace - 1.0) <= TRACE_TOL
+        ok = trace_ok & (least >= -PSD_TOL)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            if not trace_ok[k]:
+                raise ValueError(
+                    f"trace = {trace[k].item()}, expected 1 within {TRACE_TOL:.3g} at point {k}"
+                )
+            raise ValueError(
+                f"matrix is not positive semidefinite: least eigenvalue {least[k].item()}, "
+                f"expected >= -{PSD_TOL:g} at point {k}"
+            )

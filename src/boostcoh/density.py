@@ -122,8 +122,7 @@ def rho_dual_boost_general(theta: float, m1: np.ndarray, m2: np.ndarray) -> Dens
     ``m1`` and ``m2`` are (points x 2) arrays of (I1, I3) rows, such as
     :func:`~boostcoh.integrals.moments_quadrature` returns.  The rows are
     not checked as moments: the :class:`DensityMatrix` checks of the
-    result apply, so a row that is not finite gives a matrix that fails
-    them.
+    result apply, so a row that is not finite raises ``ValueError``.
     """
     m1s, m2s = _checked_rows((2,), "moments", m1, m2)
     st, ct = math.sin(theta), math.cos(theta)

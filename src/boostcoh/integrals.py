@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import BoostParams, check_nonneg_int
+from .core import MOMENT_TOL, NORM_TOL, BoostParams, check_nonneg_int
 from .wigner import _perp_even
 
 __all__ = [
@@ -80,14 +80,15 @@ class QuadratureToleranceError(RuntimeError):
 def _moment_faults(values: np.ndarray) -> np.ndarray:
     """Per row (i1, i3) of ``values``, whether it fails each moment check.
 
-    The result is a (2 x points) mask: i1 + i3 off 1 by more than 1e-10;
-    i1 or i3 outside [0, 1] by more than 1e-12.  The comparisons are
-    written so that NaN fails them.
+    The result is a (2 x points) mask: i1 + i3 off 1 by more than
+    :data:`~boostcoh.core.NORM_TOL`; i1 or i3 outside [0, 1] by more than
+    :data:`~boostcoh.core.MOMENT_TOL`.  The comparisons are written so that
+    NaN fails them.
     """
     i1, i3 = values[:, 0], values[:, 1]
-    lo, hi = -1e-12, 1.0 + 1e-12
+    lo, hi = -MOMENT_TOL, 1.0 + MOMENT_TOL
     return np.stack([
-        ~(np.abs(i1 + i3 - 1.0) <= 1e-10),
+        ~(np.abs(i1 + i3 - 1.0) <= NORM_TOL),
         ~((lo <= i1) & (i1 <= hi) & (lo <= i3) & (i3 <= hi)),
     ])
 
@@ -227,7 +228,7 @@ def moments_quadrature(
             best = None if faults[:, k].any() else values[k].copy()
             errors[k] = QuadratureToleranceError(best, delta[k].item(), RTOL)
         elif off_sum:
-            errors[k] = ValueError(f"i1 + i3 = {i1 + i3}, expected 1 within 1e-10")
+            errors[k] = ValueError(f"i1 + i3 = {i1 + i3}, expected 1 within {NORM_TOL:g}")
         else:
             errors[k] = ValueError("i1 and i3 must lie in [0, 1]")
     return values, errors

@@ -5,7 +5,9 @@ from the package's own code paths:
 
 * ``trapezoid_moments``: wide-window composite trapezoid rule for the
   moment integrals (kappa in [-12, 12], 1e6 points);
-* mpmath evaluations at 50 significant digits for closed-form targets;
+* mpmath evaluations at 50 significant digits for closed-form targets,
+  among them ``mp_i3_ultrarelativistic``, the exact beta -> 1 limit of I3
+  through Tricomi's U, with its own quadrature self-check;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
   a time with Python scalars, in full sweeps, the reference for the
   package's one rotation per X block;
@@ -96,6 +98,30 @@ def mp_perp_trig(beta: float, x: float):
 def mp_f_factor(n: int, beta: float, sigma_over_m: float):
     _, _, b = mp_boost(beta)
     return (mp.mpf(2 * n + 1) / 8) * ((b - 1) / (b + 1)) * mp.mpf(sigma_over_m) ** 2
+
+
+def mp_i3_ultrarelativistic(n: int, eps: float) -> mp.mpf:
+    """I3 in the limit beta -> 1, in closed form, at 50 digits.
+
+    There sin^2(phi/2) -> (r - 1)/(2r) with r = sqrt(1 + eps^2 kappa^2), and
+    I3 = 1/2 - U(n + 1/2, n + 1, 1/eps^2) / (2 eps^(2n+1)), where U is
+    Tricomi's confluent hypergeometric function and eps = sigma/m.  It holds
+    at every eps, broad packets included.
+    """
+    eps, half = mp.mpf(eps), mp.mpf(1) / 2
+    return half - mp.hyperu(n + half, n + 1, 1 / eps**2) / (2 * eps ** (2 * n + 1))
+
+
+def mp_i3_ultrarelativistic_quad(n: int, eps: float) -> mp.mpf:
+    """The same limit as :func:`mp_i3_ultrarelativistic`, by mpmath quadrature of its integral."""
+    eps, half = mp.mpf(eps), mp.mpf(1) / 2
+
+    def integrand(kappa):
+        r = mp.sqrt(1 + (eps * kappa) ** 2)
+        return kappa ** (2 * n) * mp.exp(-kappa * kappa) * (r - 1) / (2 * r)
+
+    # the integrand is even in kappa
+    return 2 * mp.quad(integrand, [0, 1, mp.inf]) / mp.gamma(n + half)
 
 
 def mp_frobenius_from_spectrum(eigenvalues) -> mp.mpf:

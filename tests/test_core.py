@@ -199,19 +199,22 @@ def state(corner=(1.0, 0.0, 0.0), inner=(0.0, 0.0, 0.0)) -> np.ndarray:
 
 def verdict(blocks) -> ValueError | None:
     """The error of one state validated in a stack of its own, or None."""
-    (error,) = DensityMatrix(np.asarray(blocks)[None]).errors
-    return error
+    try:
+        DensityMatrix(np.asarray(blocks)[None])
+    except ValueError as error:
+        return error
+    return None
 
 
 def assert_rejected(blocks, message: str) -> None:
-    error = verdict(blocks)
-    assert type(error) is ValueError and message in str(error), error
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(np.asarray(blocks)[None])
 
 
 class TestDensityMatrix:
     def test_valid_pure_state(self):
         rho = DensityMatrix(state((1.0, 0.0, 0.0))[None])
-        assert rho.errors == (None,)
+        assert rho.blocks.shape == (1, 2, 3)
         assert rho.blocks.dtype == np.float64 and not rho.blocks.flags.writeable
 
     def test_rejects_wrong_trace(self):
@@ -219,8 +222,9 @@ class TestDensityMatrix:
         assert_rejected(state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0)), "trace")
 
     def test_trace_error_prints_a_real_number(self):
-        error = verdict(state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0)))
-        assert str(error) == "trace = 1.4, expected 1 within 1e-10"
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(state((0.7, 0.0, 0.0), (0.7, 0.0, 0.0))[None])
+        assert str(info.value) == "trace = 1.4, expected 1 within 2e-10 at point 0"
 
     def test_rejects_negative_eigenvalue(self):
         assert_rejected(state((0.6, 0.4, 0.55)), "semidefinite")
@@ -236,13 +240,17 @@ class TestDensityMatrix:
             state((0.6, 0.4, 0.55)),
             np.full((2, 3), np.nan),
         ])
-        rho = DensityMatrix(stack)  # a stack does not raise for a bad state
-        assert not rho.blocks.flags.writeable
-        assert rho.errors[0] is None
-        for err, blocks in zip(rho.errors[1:], stack[1:]):
-            alone = verdict(blocks)
-            assert type(err) is type(alone) is ValueError and str(err) == str(alone)
-        assert "trace = nan" in str(rho.errors[3])  # NaN fails the checks
+        assert verdict(stack[0]) is None
+        # the first bad state raises, with its own error and its point
+        for k in range(1, len(stack)):
+            alone = str(verdict(stack[k]))
+            assert alone.endswith(" at point 0")
+            with pytest.raises(ValueError) as info:
+                DensityMatrix(stack[[0, k, *range(k + 1, len(stack))]])
+            assert str(info.value) == alone.replace(" at point 0", " at point 1")
+        assert "trace = nan" in str(verdict(stack[3]))  # NaN fails the checks
+        with pytest.raises(ValueError, match="trace = 1.4, .* at point 1"):
+            DensityMatrix(stack)
 
     def test_rejects_complex_blocks(self):
         blocks = state((0.5, 0.0, 0.0), (0.3, 0.2, 0.0)).astype(np.complex128)
@@ -265,7 +273,7 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_entry_is_an_error(self, column, message, bad):
         blocks = state((0.4, 0.2, 0.1), (0.3, 0.1, -0.05))
-        assert verdict(blocks) is None
+        DensityMatrix(blocks[None])  # valid until one entry is spoiled
         blocks.flat[column] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -304,11 +312,11 @@ class TestXStateValidation:
         want = self.eigvalsh_verdicts(stack)
         assert want.count(False) == 2 * 2 * 4  # -1e-10 - 1e-12 and -1e-9 fail
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
-            rho = DensityMatrix(stack)
-        assert [e is None for e in rho.errors] == want
-        for err, blocks, ok in zip(rho.errors, stack, want):
+            assert [verdict(blocks) is None for blocks in stack] == want
+            with pytest.raises(ValueError, match=f"at point {want.index(False)}$"):
+                DensityMatrix(stack)
+        for blocks, ok in zip(stack, want):
             if not ok:
-                assert "semidefinite" in str(err)
                 assert_rejected(blocks, "semidefinite")
 
     def test_verdicts_on_random_states(self):
@@ -324,7 +332,9 @@ class TestXStateValidation:
         want = self.eigvalsh_verdicts(stack)
         assert 0 < want.count(False) < count
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
-            assert [e is None for e in DensityMatrix(stack).errors] == want
+            assert [verdict(blocks) is None for blocks in stack] == want
+            with pytest.raises(ValueError, match=f"at point {want.index(False)}$"):
+                DensityMatrix(stack)
 
     # a lone state, a 4x4 stack, a 2x2 stack and blocks of the wrong width
     @pytest.mark.parametrize("shape", [(2, 3), (3, 4, 4), (3, 2, 2), (3, 3, 2)])

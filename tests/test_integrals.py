@@ -21,7 +21,8 @@ from boostcoh.integrals import (
 )
 
 from oracles import (
-    hermite_value, hermite_weight, moments_at_order, mp_f_factor, trapezoid_moments,
+    hermite_value, hermite_weight, moments_at_order, mp_f_factor, mp_i3_ultrarelativistic,
+    mp_i3_ultrarelativistic_quad, trapezoid_moments,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -321,6 +322,29 @@ class TestMomentsQuadrature:
         assert _moment_faults(rows).tolist() == [[True, False, False], [False, True, False]]
 
 
+class TestUltrarelativisticLimit:
+    """I3 as beta -> 1, exactly, against its integral and the quadrature route."""
+
+    @pytest.mark.parametrize("n", [0, 2, 8])
+    @pytest.mark.parametrize("eps", [0.05, 1.0, 30.0])
+    def test_closed_form_matches_its_integral(self, n, eps):
+        limit = mp_i3_ultrarelativistic(n, eps)
+        assert 0 < limit < 0.5
+        assert abs(limit - mp_i3_ultrarelativistic_quad(n, eps)) < 1e-40
+
+    def test_quadrature_approaches_the_limit_as_one_over_b(self):
+        # b (I3 - I3_inf) settles to a constant as b = cosh alpha grows 10x
+        # per step, so its change shrinks about 10x per step.
+        limit = float(mp_i3_ultrarelativistic(2, 0.05))
+        scaled = []
+        for beta in (0.9999, 0.999999, 0.99999999):
+            _, i3 = converged(2, beta, 0.05)
+            scaled.append(boost_from_beta(beta).cosh_alpha * (i3 - limit))
+        assert scaled == pytest.approx([-0.0030549, -0.0030936, -0.0030975], abs=2e-7)
+        steps = np.diff(scaled)
+        assert 5.0 < steps[0] / steps[1] < 20.0
+
+
 class TestFFactor:
     def test_identity_boost(self):
         assert factor(3, 0.0, 0.1) == 0.0
@@ -401,8 +425,8 @@ class TestFFactor:
         # f_factor gives no negative F; a negative one puts a negative weight
         # on the corner block's diagonal, and the state fails validation
         assert (f_factor(2, boost_from_beta(0.9), np.array([1e-300, 0.1, 0.9])) >= 0.0).all()
-        rho = rho_single_boost_perturbative(0.3, np.array([-0.01]))
-        assert "semidefinite" in str(rho.errors[0])
+        with pytest.raises(ValueError, match="semidefinite"):
+            rho_single_boost_perturbative(0.3, np.array([-0.01]))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     @pytest.mark.parametrize("beta", [0.3, 0.8, 0.95])

@@ -12,6 +12,11 @@ It also has one calling convention: columns in, columns out. The one-value
 wrappers ``MomentIntegrals``, ``PerturbativeFactor``, ``Spectrum``,
 ``WavePacket`` and ``WignerTrig`` and the ``lone`` flag of the one-value
 branches are gone, and no name may bring them back.
+
+Its check tolerances live in one table in ``core``, each derived from the
+checks upstream of it, so the float literals 1e-10 and 1e-12 appear nowhere
+else. The one exception is ``integrals.RTOL``, the adaptive quadrature's
+stopping rule, which is not a check and stays beside its loop.
 """
 
 import ast
@@ -102,6 +107,57 @@ def one_value_names(source: str) -> list[str]:
         found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)
                   if n in ONE_VALUE_TYPES or n == "lone"]
     return found
+
+
+TOLERANCE_LITERALS = {1e-10, 1e-12}
+# Per module, the module-level names whose value may hold such a literal.
+TOLERANCE_TABLES = {"core.py": {"NORM_TOL", "MOMENT_TOL", "PSD_TOL"}, "integrals.py": {"RTOL"}}
+
+
+def tolerance_literals(source: str, table=frozenset()) -> list[str]:
+    """Each float literal 1e-10 or 1e-12 in ``source``, as ``line: value``.
+
+    A literal in the value of a module-level assignment to a name in
+    ``table`` is left out.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and all(
+            isinstance(t, ast.Name) and t.id in table for t in node.targets
+        ):
+            allowed.update(map(id, ast.walk(node.value)))
+    return [
+        f"{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and node.value in TOLERANCE_LITERALS and id(node) not in allowed
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_tolerances_come_from_the_table(path):
+    table = TOLERANCE_TABLES.get(path.name, frozenset())
+    assert tolerance_literals(path.read_text(encoding="utf-8"), table) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("tol = 1e-10", ["1: 1e-10"]),
+    ("tol = 1E-10", ["1: 1e-10"]),
+    ("tol = 1.0e-10", ["1: 1e-10"]),
+    ("tol = 0.0000000001", ["1: 1e-10"]),
+    ("tol = 10e-11", ["1: 1e-10"]),
+    ("tol = 1_0e-13", ["1: 1e-12"]),
+    ("lo, hi = -1e-12, 1.0 + 1e-12", ["1: 1e-12", "1: 1e-12"]),
+    ("ok = abs(x - 1.0) <= 1e-10", ["1: 1e-10"]),
+    ("f(x, tol=1e-12)", ["1: 1e-12"]),
+    ("def f():\n    NORM_TOL = 1e-10", ["2: 1e-10"]),
+    ("NORM_TOL = OTHER = 1e-10", ["1: 1e-10"]),
+    ("NORM_TOL = 1e-10\nPSD_TOL = 2 * 1e-10", []),
+    ("tol = 2e-10\nsmall = 1e-13\nu = 2.0**-53", []),
+    ("# 1e-10 in a comment\nmessage = 'within 1e-10'", []),
+])
+def test_the_tolerance_rule_sees_each_spelling(source, want):
+    assert tolerance_literals(source, {"NORM_TOL", "PSD_TOL"}) == want
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
