@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 # OpenBLAS reads its thread count once, when numpy loads it.  The CLI's only
 # LAPACK call builds Gauss-Hermite nodes of order <= 256, where a second
@@ -152,135 +153,123 @@ class SweepSpec:
 
 def _block_values(
     theta: float,
-    boosts: Sequence[BoostParams],
+    configs: Sequence[Sequence[BoostParams]],
     n: int,
     eps: np.ndarray,
     methods: Sequence[str],
     quad_order: int,
     quad_max_order: int,
 ) -> tuple[list, np.ndarray, tuple | None]:
-    """One beta configuration over a block of sigma/m values, as columns.
+    """Every beta configuration over a block of sigma/m values, as columns.
 
-    ``boosts`` holds one entry when a single particle is boosted and two
-    when both are.  Returns ``(columns, spectra, failure)``.  ``columns``
-    holds the CSV columns c_l1 to f2 as arrays, one value per point (None
-    for a method not asked for, and for f2 with one boost).  ``spectra``
-    holds each point's spectrum: Jacobi's on quadrature rows, else the
-    closed form.  ``failure`` is None, or ``(k, error)`` for the first
-    point k that fails a check, with the error of the first check it fails.
+    Each configuration holds one boost when a single particle is boosted
+    and two when both are, the same number for all.  A row is a (point,
+    configuration) pair, and rows are in row order: by point, then by
+    configuration.  Returns ``(columns, spectra, failure)``.  ``columns``
+    holds the CSV columns c_l1 to f2 as arrays, one value per row (None for
+    a method not asked for, and for f2 with one boost).  ``spectra`` holds
+    each row's spectrum: Jacobi's with quadrature, else the closed form.
+    ``failure`` is None, or ``(k, error)`` for the first row k that fails a
+    check, with the error of the first check it fails.
 
-    Every value and check is computed once for the whole block: the domain
-    gates (sigma/m in (0, 1), the n bounds, then F1 + F2 < 1/2) as masks,
-    the quadrature moments of the points that passed them with one call per
-    boost, the density matrices as one stack, and the spectra and
-    coherences as columns.  A point's checks are, in order: the gates, then
-    its quadrature error.  The tolerances of :mod:`boostcoh.core` compose,
-    so the states of the points that pass them pass the
+    Every value and check is computed once for the whole block: F with one
+    :func:`f_factor` call per distinct boost, the domain gates (sigma/m in
+    (0, 1), the n bounds, then F1 + F2 < 1/2) as masks, the quadrature
+    moments with one :func:`moments_quadrature` call per distinct boost
+    over the points some configuration using it has gated (a point's bits
+    do not depend on the points evaluated with it), the density matrices
+    as one stack, and the spectra and coherences as columns.  A row's
+    checks are, in order: the gates, then the quadrature error of its first
+    boost, then of its second.  The tolerances of :mod:`boostcoh.core`
+    compose, so the states of the rows that pass them pass the
     :class:`DensityMatrix` checks, and their spectra the spectrum checks.
     Only plain values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
-    single = len(boosts) == 1
+    single = len(configs[0]) == 1
     scenario = "single_boost" if single else "dual_boost"
-    count = len(eps)
+    boosts = list(dict.fromkeys(b for cfg in configs for b in cfg))
+    slot = np.array([[boosts.index(b) for b in cfg] for cfg in configs])  # configs x particles
     inside = check_n_in_bounds(n, eps, scenario)
-    factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
-    gated = inside & check_factor_sum(*factors)
+    gated_eps = np.where(inside, eps, np.nan)
+    per_boost = np.array([f_factor(n, b, gated_eps) for b in boosts])
+    factors = [per_boost[s].T for s in slot.T]  # per particle, points x configs
+    gated = inside[:, None] & check_factor_sum(*factors)
 
     passed = gated
-    stacked = np.flatnonzero(gated)
-    if quadrature and stacked.size:  # one call per boost covers the gated points
-        errors = np.full(count, None, dtype=object)  # None or a point's first error
-        moments = []
-        for b in boosts:
-            values, errs = moments_quadrature(
-                n, b, eps[stacked], quad_order, max_order=quad_max_order
-            )
-            moments.append(values)
-            errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
-        passed = gated & ~errors.astype(bool)
-        converged = passed[stacked]
-        stacked, moments = stacked[converged], [m[converged] for m in moments]
-    l1 = np.full(count, np.nan)
-    eigs = np.full((count, 4), np.nan)
-    if stacked.size:
+    if quadrature:
+        moments = np.empty((len(boosts), len(eps), 2))
+        errors = np.full((len(boosts), len(eps)), None, dtype=object)  # None or a point's error
+        for j, b in enumerate(boosts):
+            need = np.flatnonzero(gated[:, (slot == j).any(axis=1)].any(axis=1))
+            if need.size:
+                moments[j, need], errors[j, need] = moments_quadrature(
+                    n, b, eps[need], quad_order, max_order=quad_max_order
+                )
+        failed = errors.astype(bool)
+        passed = gated & ~failed[slot].any(axis=1).T
+    ok = passed.ravel()
+    points, cfgs = np.nonzero(passed)
+    l1 = np.full(passed.size, np.nan)
+    eigs = np.full((passed.size, 4), np.nan)
+    if points.size:
         if quadrature:
             build = rho_single_boost_general if single else rho_dual_boost_general
-            rho = build(theta, *moments)
+            rho = build(theta, *(moments[s[cfgs], points] for s in slot.T))
         else:
             build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
-            rho = build(theta, *(f[stacked] for f in factors))
-        l1[stacked] = c_l1(rho)
+            rho = build(theta, *(f[passed] for f in factors))
+        l1[ok] = c_l1(rho)
         if quadrature:
-            eigs[stacked] = hermitian_eigenvalues(rho)
+            eigs[ok] = hermitian_eigenvalues(rho)
 
-    cf_pert = cf_exact = cf_quad = None
+    f_rows = [f.ravel() for f in factors]
+    cf_pert = None
     if "perturbative" in methods:
-        cf_pert = c_frobenius_perturbative(n, boosts, eps, factors)
+        # the F columns fix the values; the first configuration fixes the scenario
+        cf_pert = c_frobenius_perturbative(n, configs[0], np.repeat(eps, len(configs)), f_rows)
+    closed = None
     if "exact-eig" in methods or not quadrature:
-        spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
-        if "exact-eig" in methods:
-            cf_exact = c_frobenius(spectra)
-    if quadrature:
-        spectra = eigs
-        cf_quad = c_frobenius(eigs)
-    f1, f2 = (factors[0], None) if single else factors
-    columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
-    if passed.all():
+        closed = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *f_rows)
+    spectra = eigs if quadrature else closed
+    # one c_frobenius call: the closed rows, then Jacobi's
+    asked = {m: s for m, s in (("exact-eig", closed), ("quadrature", eigs)) if m in methods}
+    cf = np.split(c_frobenius(np.concatenate([*asked.values()])), len(asked)) if asked else []
+    cf = dict(zip(asked, cf))
+    # f2 is None with one boost
+    columns = [l1, cf_pert, cf.get("exact-eig"), cf.get("quadrature"), *f_rows, None][:6]
+    if ok.all():
         return columns, spectra, None
 
-    # The first failing point's error: that of the first check whose mask
-    # it fails, with the point's values.
-    k = int(np.argmin(passed))
-    if not (0.0 < eps[k] < 1.0):
-        error = ValueError(f"sigma/m must lie in (0, 1), got {eps[k].item()}")
-    elif not inside[k]:
-        lower, upper = n_bounds(eps[k:k + 1], scenario)
+    # The first failing row's error: that of the first check whose mask it
+    # fails, with the row's values.
+    k = int(np.argmin(ok))
+    p, c = divmod(k, len(configs))
+    if not (0.0 < eps[p] < 1.0):
+        error = ValueError(f"sigma/m must lie in (0, 1), got {eps[p].item()}")
+    elif not inside[p]:
+        lower, upper = n_bounds(eps[p:p + 1], scenario)
         error = ValueError(
             f"n = {n} outside the allowed range ({lower}, {upper.item():.6g}] "
-            f"for {scenario} at sigma/m = {eps[k].item():.6g}"
+            f"for {scenario} at sigma/m = {eps[p].item():.6g}"
         )
-    elif not gated[k]:
-        error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[k].item() for f in factors)}")
+    elif not gated[p, c]:
+        error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[p, c].item() for f in factors)}")
     else:  # only a quadrature error is left, so quadrature ran
-        error = errors[k]
+        error = next(errors[j, p] for j in slot[c] if failed[j, p])
     return columns, spectra, (k, error)
 
 
-def _config_lines(
-    spec: SweepSpec,
-    boosts: Sequence[BoostParams],
-    sigma_text: Sequence[str],
-    eps: np.ndarray,
-    quad_order: int,
-    quad_max_order: int,
-) -> Iterator[str]:
-    """Yield the CSV lines of one beta configuration over a block.
+def _value_text(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``values``, as an object array of the same shape.
 
-    The block's values are computed as columns (see :func:`_block_values`)
-    when the first line is asked for, and its text is built by column:
-    each value column goes through one ``map(repr, ...)``, f2 shares f1's
-    text when the two F columns hold the same bits (a symmetric pair), and
-    a column not asked for is empty.  A failing point's own error is raised
-    when its line is reached.
+    ``repr`` is called once per distinct bit pattern, so a value that
+    repeats is formatted once.  Bits, not values, are compared: 0.0 and
+    -0.0 keep their own texts, and every NaN is found.
     """
-    columns, _, failure = _block_values(
-        spec.theta, boosts, spec.n, eps, spec.methods, quad_order, quad_max_order
-    )
-    count = len(sigma_text) if failure is None else failure[0]
-
-    def text(column) -> list[str]:
-        return [""] * count if column is None else list(map(repr, column[:count].tolist()))
-
-    *values, f1, f2 = columns
-    f1_text = text(f1)
-    # a symmetric pair has the same F columns: format them once
-    f2_text = f1_text if f2 is not None and f2.tobytes() == f1.tobytes() else text(f2)
-    beta2 = repr(boosts[1].beta) if len(boosts) == 2 else ""
-    head = [f"{boosts[0].beta!r},{beta2},{spec.n},{spec.theta!r}"] * count
-    yield from map(",".join, zip(sigma_text, head, *map(text, values), f1_text, f2_text))
-    if failure is not None:
-        raise failure[1]
+    bits, where = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[where].reshape(values.shape)
 
 
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
@@ -288,24 +277,34 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
 
     The sigma grid is walked in blocks of :data:`BLOCK` points, and each
     block's sigma values are built when it is reached.  Per block, sigma/m
-    is one array division and each sigma is formatted once for
-    every beta configuration.  Per block and configuration, the values and
-    their text are columns (see :func:`_config_lines`), built when the
-    first line of the block is asked for.  Lines are still yielded one per
-    row.
+    is one array division, every beta configuration's values are one set
+    of columns (see :func:`_block_values`), and their text comes from one
+    table of the block's distinct values (see :func:`_value_text`), sigma
+    included.  beta1, beta2, n and theta are formatted once per
+    configuration, and a column not asked for is empty.  Lines are still
+    yielded one per row.  The first failing row's error is raised after
+    every row before it.
     """
-    boosts_by_cfg = [
+    configs = [
         tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
     ]
+    heads = [
+        f"{cfg[0].beta!r},{repr(cfg[1].beta) if len(cfg) == 2 else ''},{spec.n},{spec.theta!r}"
+        for cfg in configs
+    ]
     for start in range(0, spec.sigma_grid[2], BLOCK):
-        sigma = spec.sigmas(start, start + BLOCK)
-        eps = np.array(sigma) / spec.mass
-        sigma_text = list(map(repr, sigma))
-        configs = [_config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order)
-                   for boosts in boosts_by_cfg]
-        for _ in sigma:
-            for lines in configs:
-                yield next(lines)
+        sigma = np.array(spec.sigmas(start, start + BLOCK))
+        columns, _, failure = _block_values(
+            spec.theta, configs, spec.n, sigma / spec.mass, spec.methods, quad_order,
+            quad_max_order,
+        )
+        rows = len(sigma) * len(configs) if failure is None else failure[0]
+        values = [np.repeat(sigma, len(configs)), *columns]
+        text = iter(_value_text(np.stack([v[:rows] for v in values if v is not None])).tolist())
+        sigma_text, *fields = (itertools.repeat("") if v is None else next(text) for v in values)
+        yield from map(",".join, zip(sigma_text, heads * len(sigma), *fields))
+        if failure is not None:
+            raise failure[1]
 
 
 def write_sweep_csv(
@@ -586,7 +585,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     boosts = tuple(boost_from_beta(b) for b in betas)
     sigma_over_m = args.sigma / args.mass
     columns, spectra, failure = _block_values(
-        args.theta, boosts, args.n, np.array([sigma_over_m]), (args.method,),
+        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method,),
         args.quad_order, args.quad_max_order,
     )
     if failure is not None:

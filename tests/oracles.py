@@ -25,7 +25,10 @@ from the package's own code paths:
   on the states the package holds;
 * the Wigner rotation from explicit 4x4 Lorentz matrices
   (``wigner_rotation_matrix``) and its spin-1/2 representation
-  (``spin_half_matrix``).
+  (``spin_half_matrix``);
+* the sweep evaluated one beta configuration at a time
+  (``config_block_values``, ``sweep_lines_per_config``), the reference
+  for the CLI's one stack per block of every configuration.
 
 Tests freeze the resulting values as literals and, where cheap, recompute
 them at run time.
@@ -38,9 +41,19 @@ import math
 import mpmath as mp
 import numpy as np
 
-from boostcoh.coherence import JACOBI_OFF_TOL
-from boostcoh.core import BoostParams, check_nonneg_int
-from boostcoh.integrals import gauss_hermite_nodes
+from boostcoh.coherence import (
+    JACOBI_OFF_TOL, c_frobenius, c_frobenius_perturbative, c_l1, hermitian_eigenvalues,
+    spectrum_dual_boost, spectrum_single_boost,
+)
+from boostcoh.core import SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, BoostParams, check_nonneg_int
+from boostcoh.density import (
+    rho_dual_boost_general, rho_dual_boost_perturbative, rho_single_boost_general,
+    rho_single_boost_perturbative,
+)
+from boostcoh.integrals import (
+    check_factor_sum, check_n_in_bounds, f_factor, gauss_hermite_nodes, moments_quadrature,
+    n_bounds,
+)
 from boostcoh.wigner import half_angle_perp
 
 mp.mp.dps = 50
@@ -155,9 +168,11 @@ def jacobi_eigenvalues(entries: np.ndarray) -> np.ndarray:
 
     The package's one-matrix solver before it learned to rotate each X
     block once, kept verbatim (renamed) as the reference that rotation must
-    reproduce.  The result is checked as the spectrum of a state: its sum,
-    added one value after another from 0, within 1e-10 of 1, and each
-    value within 1e-10 of [0, 1]; ``ValueError`` otherwise.
+    reproduce.  The result is checked as the spectrum of a state, with the
+    package's tolerances: its sum, added one value after another from 0,
+    within :data:`~boostcoh.core.SPECTRUM_SUM_TOL` of 1, and each value
+    within :data:`~boostcoh.core.SPECTRUM_RANGE_TOL` of [0, 1];
+    ``ValueError`` otherwise.
     """
     a = np.array(entries, dtype=complex)
     n = a.shape[0]
@@ -167,9 +182,12 @@ def jacobi_eigenvalues(entries: np.ndarray) -> np.ndarray:
         if off < JACOBI_OFF_TOL:
             eigs = np.sort(np.real(np.diagonal(a)))[::-1]
             total = sum(eigs.tolist())
-            if abs(total - 1.0) > 1e-10:
-                raise ValueError(f"eigenvalues sum to {total}, expected 1 within 1e-10")
-            if not all(-1e-10 <= v <= 1.0 + 1e-10 for v in eigs.tolist()):
+            if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+                raise ValueError(
+                    f"eigenvalues sum to {total}, expected 1 within {SPECTRUM_SUM_TOL:.3g}"
+                )
+            lo, hi = -SPECTRUM_RANGE_TOL, 1.0 + SPECTRUM_RANGE_TOL
+            if not all(lo <= v <= hi for v in eigs.tolist()):
                 raise ValueError(f"eigenvalues must lie in [0, 1]: {eigs.tolist()}")
             return eigs
         for p in range(n - 1):
@@ -450,3 +468,122 @@ def spin_half_matrix(w: np.ndarray) -> np.ndarray:
     c = math.sqrt(cos2)
     nx, ny, nz = sincos_axis / c  # sin(psi/2) n_hat
     return np.array([[c - 1j * nz, -ny - 1j * nx], [ny - 1j * nx, c + 1j * nz]])
+
+
+def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_order):
+    """One beta configuration over a block of sigma/m values, as columns.
+
+    The sweep's block evaluation before it stacked every configuration,
+    kept verbatim (renamed) as the reference for ``cli._block_values``.
+    Returns ``(columns, spectra, failure)``: the CSV columns c_l1 to f2,
+    one value per point (None for a method not asked for, and for f2 with
+    one boost), each point's spectrum, and None or ``(k, error)`` for the
+    first failing point k.
+    """
+    quadrature = "quadrature" in methods
+    single = len(boosts) == 1
+    scenario = "single_boost" if single else "dual_boost"
+    count = len(eps)
+    inside = check_n_in_bounds(n, eps, scenario)
+    factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
+    gated = inside & check_factor_sum(*factors)
+
+    passed = gated
+    stacked = np.flatnonzero(gated)
+    if quadrature and stacked.size:  # one call per boost covers the gated points
+        errors = np.full(count, None, dtype=object)  # None or a point's first error
+        moments = []
+        for b in boosts:
+            values, errs = moments_quadrature(
+                n, b, eps[stacked], quad_order, max_order=quad_max_order
+            )
+            moments.append(values)
+            errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
+        passed = gated & ~errors.astype(bool)
+        converged = passed[stacked]
+        stacked, moments = stacked[converged], [m[converged] for m in moments]
+    l1 = np.full(count, np.nan)
+    eigs = np.full((count, 4), np.nan)
+    if stacked.size:
+        if quadrature:
+            build = rho_single_boost_general if single else rho_dual_boost_general
+            rho = build(theta, *moments)
+        else:
+            build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
+            rho = build(theta, *(f[stacked] for f in factors))
+        l1[stacked] = c_l1(rho)
+        if quadrature:
+            eigs[stacked] = hermitian_eigenvalues(rho)
+
+    cf_pert = cf_exact = cf_quad = None
+    if "perturbative" in methods:
+        cf_pert = c_frobenius_perturbative(n, boosts, eps, factors)
+    if "exact-eig" in methods or not quadrature:
+        spectra = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *factors)
+        if "exact-eig" in methods:
+            cf_exact = c_frobenius(spectra)
+    if quadrature:
+        spectra = eigs
+        cf_quad = c_frobenius(eigs)
+    f1, f2 = (factors[0], None) if single else factors
+    columns = [l1, cf_pert, cf_exact, cf_quad, f1, f2]
+    if passed.all():
+        return columns, spectra, None
+
+    k = int(np.argmin(passed))
+    if not (0.0 < eps[k] < 1.0):
+        error = ValueError(f"sigma/m must lie in (0, 1), got {eps[k].item()}")
+    elif not inside[k]:
+        lower, upper = n_bounds(eps[k:k + 1], scenario)
+        error = ValueError(
+            f"n = {n} outside the allowed range ({lower}, {upper.item():.6g}] "
+            f"for {scenario} at sigma/m = {eps[k].item():.6g}"
+        )
+    elif not gated[k]:
+        error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[k].item() for f in factors)}")
+    else:
+        error = errors[k]
+    return columns, spectra, (k, error)
+
+
+def _config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order):
+    """Yield one configuration's CSV lines over a block; a failing point raises at its line."""
+    columns, _, failure = config_block_values(
+        spec.theta, boosts, spec.n, eps, spec.methods, quad_order, quad_max_order
+    )
+    count = len(sigma_text) if failure is None else failure[0]
+
+    def text(column) -> list[str]:
+        return [""] * count if column is None else list(map(repr, column[:count].tolist()))
+
+    *values, f1, f2 = columns
+    f1_text = text(f1)
+    f2_text = f1_text if f2 is not None and f2.tobytes() == f1.tobytes() else text(f2)
+    beta2 = repr(boosts[1].beta) if len(boosts) == 2 else ""
+    head = [f"{boosts[0].beta!r},{beta2},{spec.n},{spec.theta!r}"] * count
+    yield from map(",".join, zip(sigma_text, head, *map(text, values), f1_text, f2_text))
+    if failure is not None:
+        raise failure[1]
+
+
+def sweep_lines_per_config(spec, quad_order, quad_max_order, block=256):
+    """Yield a sweep's CSV lines, each block evaluated one configuration at a time.
+
+    The sweep before it stacked every configuration, kept verbatim
+    (renamed) as the reference for ``cli.run_sweep``: per block, one
+    :func:`config_block_values` per configuration, and the rows
+    interleaved one at a time, by sigma and then by configuration.
+    """
+    boosts_by_cfg = [
+        tuple(BoostParams(b) for b in cfg)
+        for cfg in sorted(c if isinstance(c, tuple) else (c,) for c in spec.betas)
+    ]
+    for start in range(0, spec.sigma_grid[2], block):
+        sigma = spec.sigmas(start, start + block)
+        eps = np.array(sigma) / spec.mass
+        sigma_text = list(map(repr, sigma))
+        configs = [_config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order)
+                   for boosts in boosts_by_cfg]
+        for _ in sigma:
+            for lines in configs:
+                yield next(lines)

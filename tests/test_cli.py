@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import builtins
 import contextlib
 import csv
 import io
@@ -27,6 +28,8 @@ from boostcoh import cli, density, integrals
 from boostcoh.cli import CSV_HEADER, SweepSpec, build_parser, figure_spec, main, run_sweep
 from boostcoh.coherence import _spectrum_faults
 from boostcoh.integrals import check_factor_sum, check_n_in_bounds
+
+import oracles
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -380,7 +383,7 @@ class TestSweepCommand:
         return ",".join(fields)
 
     ROUND_TRIP_CASES = [
-        # an asymmetric and a symmetric pair: f2 shares f1's text on the latter
+        # an asymmetric and a symmetric pair: f1 and f2 share their text on the latter
         ("dual", ((0.95, 0.8), (0.3, 0.3)), ("perturbative", "exact-eig", "quadrature")),
         ("dual", ((0.5, 0.5), (0.0, 0.9)), ("exact-eig",)),
         # f2 empty, and the exact-eig column with it
@@ -576,24 +579,24 @@ class TestSweepCommand:
             rho = rho_dual_boost_general(math.pi / 4, *(values for values, _ in moments))
             assert float(row[8]) == c_frobenius(hermitian_eigenvalues(rho))[0]
 
-    def test_one_moments_call_per_block_and_boost(self, tmp_path, monkeypatch, capsys):
+    def test_one_moments_call_per_block_and_distinct_boost(self, tmp_path, monkeypatch, capsys):
         # The benchmark's tracer times the moments layer at this name.
         calls = []
         original = cli.moments_quadrature
 
         def counting(n, boost, eps, *args, **kwargs):
-            calls.append(len(eps))  # points in the sigma/m column
+            calls.append((boost.beta, len(eps)))  # points in the sigma/m column
             return original(n, boost, eps, *args, **kwargs)
 
         monkeypatch.setattr(cli, "moments_quadrature", counting)
         assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
-        # 2 blocks x 2 beta pairs x 2 boosts
-        assert calls == [256] * 4 + [1] * 4
+        # 2 blocks x 3 distinct boosts: the pair 0.9:0.9 shares one call
+        assert calls == [(0.3, 256), (0.95, 256), (0.9, 256), (0.3, 1), (0.95, 1), (0.9, 1)]
 
-    def test_one_stack_per_block_and_beta_pair(self, tmp_path, monkeypatch, capsys):
+    def test_one_stack_per_block(self, tmp_path, monkeypatch, capsys):
         # The benchmark's tracer counts the density-matrix and Jacobi layers
         # at these names.
-        calls = {"DensityMatrix": [], "hermitian_eigenvalues": []}
+        calls = {"DensityMatrix": [], "hermitian_eigenvalues": [], "c_l1": []}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -607,33 +610,38 @@ class TestSweepCommand:
 
         counting(density, "DensityMatrix")
         counting(cli, "hermitian_eigenvalues")
+        counting(cli, "c_l1")
         assert main([*self.TWO_BLOCKS, "--out", str(tmp_path / "sweep.csv")]) == 0
-        # 2 blocks x 2 beta pairs
-        assert calls["DensityMatrix"] == [256, 256, 1, 1]
-        assert calls["hermitian_eigenvalues"] == [256, 256, 1, 1]
+        # 2 blocks, each of 2 beta pairs
+        for name in calls:
+            assert calls[name] == [256 * 2, 1 * 2], name
 
-    def test_one_closed_call_per_block_and_configuration(self, tmp_path, monkeypatch, capsys):
-        # The benchmark's tracer counts the F and closed-spectrum layers at
-        # these names.
-        calls = {"f_factor": [], "spectrum_dual_boost": []}
+    def test_one_closed_call_per_block(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's tracer counts the F, closed-spectrum and coherence
+        # layers at these names.
+        names = ("f_factor", "spectrum_dual_boost", "c_frobenius", "c_frobenius_perturbative")
+        calls = {name: [] for name in names}
 
         def counting(name):
             original = getattr(cli, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(len(args[-1]))  # points in the sigma/m or F column
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                calls[name].append(len(result))  # rows of the result
+                return result
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        counting("f_factor")
-        counting("spectrum_dual_boost")
+        for name in names:
+            counting(name)
         out = tmp_path / "fig2.csv"
         assert main(["figure", "fig2", "--steps", "257", "--out", str(out)]) == 0
         assert len(read_csv(out)[1]) == 257 * 4
-        # 2 blocks x 4 beta pairs x 2 boosts, and one spectrum per pair
-        assert calls["f_factor"] == [256] * 8 + [1] * 8
-        assert calls["spectrum_dual_boost"] == [256] * 4 + [1] * 4
+        # 2 blocks: one F column per distinct boost (4 betas, each as the
+        # pair (b, b)), and one call over the 4 pairs' rows for the rest
+        assert calls["f_factor"] == [256] * 4 + [1] * 4
+        for name in names[1:]:
+            assert calls[name] == [256 * 4, 1 * 4], name
 
     # n = 40 leaves the dual n bounds at sigma/m = sqrt(1.5 / 40.5) ~ 0.1925,
     # at grid index 304 of 400: mid-way through the second block.
@@ -726,7 +734,7 @@ class TestSweepCommand:
         eps = np.minimum(np.array(fractions) * edge, math.nextafter(1.0, 0.0))
         boosts = [boost_from_beta(b) for b in betas]
         columns, spectra, failure = cli._block_values(
-            theta, boosts, n, eps, ("exact-eig",), cli.DEFAULT_ORDER, cli.MAX_ORDER
+            theta, [boosts], n, eps, ("exact-eig",), cli.DEFAULT_ORDER, cli.MAX_ORDER
         )
         factors = [f for f in columns[-2:] if f is not None]
         bound = 0.75 if len(betas) == 1 else 0.375
@@ -786,6 +794,94 @@ class TestSweepCommand:
         SweepSpec(**fields)
         with pytest.raises(ValueError):
             SweepSpec(**{**fields, **changes})
+
+
+# Betas that reach the F1 + F2 gate inside the n bounds (beta >= 0.98), or
+# stay far from it; symmetric pairs and repeated betas share boosts.
+BETA = st.sampled_from([0.0, 0.3, 0.9, 0.999, 0.999999]) | st.floats(0.0, 0.999999)
+# (order, max_order): low orders fail the moment checks or stop converging
+ORDERS = (st.just(16) | st.sampled_from([2, 4, 8])).flatmap(
+    lambda order: st.tuples(st.just(order), st.sampled_from(sorted({2 * order, 64, 256}))))
+
+
+@st.composite
+def sweep_specs(draw) -> SweepSpec:
+    """A sweep of 1-4 beta configurations whose sigma/m grid may cross every gate."""
+    scenario = draw(st.sampled_from(["single", "dual"]))
+    if scenario == "single":
+        betas = draw(st.lists(BETA, min_size=1, max_size=4))
+    else:
+        pair = st.tuples(BETA, BETA) | BETA.map(lambda b: (b, b))
+        betas = draw(st.lists(pair, min_size=1, max_size=4))
+    n = draw(st.sampled_from([0, 2, 40]) | st.integers(0, 60))
+    # sigma/m as fractions of the n bound's edge, where F1 + F2 reaches 1/2
+    # from ~0.82 of it at high beta; the edge passes sigma/m = 1 for small n
+    edge = math.sqrt((3.0 if scenario == "single" else 1.5) / (n + 0.5))
+    lo = draw(st.floats(0.01, 1.05)) * edge
+    hi = lo + draw(st.floats(0.0, 0.6)) * edge
+    return SweepSpec(
+        scenario=scenario, theta=draw(st.floats(0.0, math.pi / 2)), n=n, mass=1.0,
+        sigma_grid=(lo, hi, draw(st.integers(2, 24))), betas=tuple(betas),
+        methods=tuple(draw(st.sets(st.sampled_from(cli.METHODS), min_size=1))),
+    )
+
+
+def lines_and_error(lines) -> tuple[list[str], Exception | None]:
+    """The lines a sweep yields, and the error it raises after them, if any."""
+    rows = []
+    try:
+        for line in lines:
+            rows.append(line)
+    except (ValueError, integrals.QuadratureToleranceError) as exc:
+        return rows, exc
+    return rows, None
+
+
+class TestBlockStack:
+    """One stack per block gives every line and error of the per-configuration sweep."""
+
+    # The blocks of the stack are small, to cross block edges; the oracle's
+    # are 256 points, so its rows do not depend on the blocking either.
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_specs(), ORDERS, st.sampled_from([3, 7, cli.BLOCK]))
+    def test_matches_the_per_configuration_sweep(self, spec, orders, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK", block)
+            rows, error = lines_and_error(run_sweep(spec, *orders))
+        want_rows, want_error = lines_and_error(oracles.sweep_lines_per_config(spec, *orders))
+        assert rows == want_rows
+        assert type(error) is type(want_error)
+        assert str(error) == str(want_error)
+
+
+class TestValueText:
+    """The block's text table: one repr per distinct float64 bit pattern."""
+
+    def test_signed_zeros_keep_their_texts(self):
+        assert cli._value_text(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == [
+            "0.0", "-0.0", "0.0", "-0.0"]
+
+    def test_nonfinite_values_format_as_repr(self):
+        payload_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        values = np.array([np.nan, -np.nan, payload_nan, np.inf, -np.inf, 1e308, 5e-324])
+        assert cli._value_text(values).tolist() == [repr(v) for v in values.tolist()]
+        assert cli._value_text(values).tolist()[:5] == ["nan", "nan", "nan", "inf", "-inf"]
+
+    def test_a_shared_value_is_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return builtins.repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting, raising=False)
+        # columns f1 and f2 of two configurations, a symmetric pair twice
+        f = [0.25, 0.25, 0.125, 0.125]
+        values = np.array([f, f, [1.0, 0.5, 1.0, 0.5]])
+        text = cli._value_text(values)
+        assert text.shape == values.shape
+        assert text.tolist() == [[repr(v) for v in row] for row in values.tolist()]
+        assert sorted(calls) == [0.125, 0.25, 0.5, 1.0]
 
 
 class TestFigureCommand:

@@ -31,6 +31,7 @@ from boostcoh.core import (
 )
 from boostcoh.integrals import _moment_faults
 
+from oracles import jacobi_eigenvalues, x_matrices
 from test_coherence import GATED_F
 
 THETAS = st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(0.0, math.pi / 2)
@@ -102,6 +103,15 @@ class TestRegression:
         assert 1e-10 < trace - 1.0 <= TRACE_TOL
         assert math.isfinite(c_frobenius(hermitian_eigenvalues(rho))[0])
         assert_spectra_pass(rho)
+
+    def test_dual_boost_row_passes_the_jacobi_oracle(self):
+        # The oracle checks its spectrum against the same table, so it
+        # accepts this state too, and gives the package's bits.
+        m = np.array([[0.9 + 0.9e-10, 0.1]])
+        rho = rho_dual_boost_general(math.pi / 4, m, m)
+        want = jacobi_eigenvalues(x_matrices(rho.blocks)[0])
+        assert 1e-10 < sum(want.tolist()) - 1.0 <= SPECTRUM_SUM_TOL
+        assert hermitian_eigenvalues(rho)[0].tobytes() == want.tobytes()
 
     def test_single_boost_row_below_zero(self):
         m = np.array([[0.9999999999010001, -1e-12]])
