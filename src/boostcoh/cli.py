@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import shutil
@@ -232,12 +231,9 @@ def _block_values(
     if "exact-eig" in methods or not quadrature:
         closed = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *f_rows)
     spectra = eigs if quadrature else closed
-    # one c_frobenius call: the closed rows, then Jacobi's
-    asked = {m: s for m, s in (("exact-eig", closed), ("quadrature", eigs)) if m in methods}
-    cf = np.split(c_frobenius(np.concatenate([*asked.values()])), len(asked)) if asked else []
-    cf = dict(zip(asked, cf))
-    # f2 is None with one boost
-    columns = [l1, cf_pert, cf.get("exact-eig"), cf.get("quadrature"), *f_rows, None][:6]
+    cf_exact = c_frobenius(closed) if "exact-eig" in methods else None
+    cf_quad = c_frobenius(eigs) if quadrature else None
+    columns = [l1, cf_pert, cf_exact, cf_quad, f_rows[0], None if single else f_rows[1]]
     if ok.all():
         return columns, spectra, None
 
@@ -260,29 +256,18 @@ def _block_values(
     return columns, spectra, (k, error)
 
 
-def _value_text(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64 of ``values``, as an object array of the same shape.
-
-    ``repr`` is called once per distinct bit pattern, so a value that
-    repeats is formatted once.  Bits, not values, are compared: 0.0 and
-    -0.0 keep their own texts, and every NaN is found.
-    """
-    bits, where = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[where].reshape(values.shape)
-
-
 def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
     """Yield the sweep's CSV lines (without the newline), sorted by sigma, then beta configuration.
 
     The sigma grid is walked in blocks of :data:`BLOCK` points, and each
     block's sigma values are built when it is reached.  Per block, sigma/m
     is one array division, every beta configuration's values are one set
-    of columns (see :func:`_block_values`), and their text comes from one
-    table of the block's distinct values (see :func:`_value_text`), sigma
-    included.  beta1, beta2, n and theta are formatted once per
-    configuration, and a column not asked for is empty.  Lines are still
-    yielded one per row.  The first failing row's error is raised after
+    of columns (see :func:`_block_values`), and each column's text is one
+    ``map(repr, ...)``.  Each sigma is formatted once for every
+    configuration, f2 reuses f1's text on rows where the two hold the same
+    bits (a symmetric pair), and beta1, beta2, n and theta are formatted
+    once per configuration.  A column not asked for is empty.  Lines are
+    still yielded one per row.  The first failing row's error is raised after
     every row before it.
     """
     configs = [
@@ -299,10 +284,19 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
             quad_max_order,
         )
         rows = len(sigma) * len(configs) if failure is None else failure[0]
-        values = [np.repeat(sigma, len(configs)), *columns]
-        text = iter(_value_text(np.stack([v[:rows] for v in values if v is not None])).tolist())
-        sigma_text, *fields = (itertools.repeat("") if v is None else next(text) for v in values)
-        yield from map(",".join, zip(sigma_text, heads * len(sigma), *fields))
+
+        def text(column) -> list[str]:
+            return [""] * rows if column is None else list(map(repr, column[:rows].tolist()))
+
+        *values, f1, f2 = columns
+        f1_text = text(f1)
+        f2_text = text(None)
+        if f2 is not None:  # a symmetric pair's F columns hold the same bits: reuse f1's text
+            same = (f1.view(np.uint64) == f2.view(np.uint64))[:rows].tolist()
+            f2_text = [t if s else repr(v) for t, v, s in zip(f1_text, f2[:rows].tolist(), same)]
+        sigma_text = [t for t in map(repr, sigma.tolist()) for _ in configs]
+        fields = zip(sigma_text, heads * len(sigma), *map(text, values), f1_text, f2_text)
+        yield from map(",".join, fields)
         if failure is not None:
             raise failure[1]
 

@@ -854,34 +854,35 @@ class TestBlockStack:
         assert str(error) == str(want_error)
 
 
-class TestValueText:
-    """The block's text table: one repr per distinct float64 bit pattern."""
+class TestColumnText:
+    """A block's text: one repr per value, f2 reusing f1's text where the bits match."""
 
-    def test_signed_zeros_keep_their_texts(self):
-        assert cli._value_text(np.array([0.0, -0.0, 0.0, -0.0])).tolist() == [
-            "0.0", "-0.0", "0.0", "-0.0"]
+    def test_f2_reuses_f1_text_only_on_equal_bits(self, monkeypatch):
+        f1 = np.array([0.0, 0.25, np.nan, np.inf, 0.125])
+        f2 = np.array([-0.0, 0.25, np.nan, -np.inf, 0.125])
 
-    def test_nonfinite_values_format_as_repr(self):
-        payload_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
-        values = np.array([np.nan, -np.nan, payload_nan, np.inf, -np.inf, 1e308, 5e-324])
-        assert cli._value_text(values).tolist() == [repr(v) for v in values.tolist()]
-        assert cli._value_text(values).tolist()[:5] == ["nan", "nan", "nan", "inf", "-inf"]
+        def block(theta, configs, n, eps, *rest):
+            return [np.full(5, 0.75), None, None, None, f1, f2], None, None
 
-    def test_a_shared_value_is_formatted_once(self, monkeypatch):
-        calls = []
+        texts = []
 
-        def counting(value):
-            calls.append(value)
-            return builtins.repr(value)
+        def recording(value):
+            texts.append(builtins.repr(value))
+            return texts[-1]
 
-        monkeypatch.setattr(cli, "repr", counting, raising=False)
-        # columns f1 and f2 of two configurations, a symmetric pair twice
-        f = [0.25, 0.25, 0.125, 0.125]
-        values = np.array([f, f, [1.0, 0.5, 1.0, 0.5]])
-        text = cli._value_text(values)
-        assert text.shape == values.shape
-        assert text.tolist() == [[repr(v) for v in row] for row in values.tolist()]
-        assert sorted(calls) == [0.125, 0.25, 0.5, 1.0]
+        monkeypatch.setattr(cli, "_block_values", block)
+        monkeypatch.setattr(cli, "repr", recording, raising=False)
+        spec = SweepSpec(
+            scenario="dual", theta=math.pi / 4, n=2, mass=1.0, sigma_grid=(1.0, 5.0, 5),
+            betas=((0.5, 0.5),), methods=("perturbative",),
+        )
+        fields = [line.split(",") for line in run_sweep(spec)]
+        assert [f[9] for f in fields] == ["0.0", "0.25", "nan", "inf", "0.125"]
+        assert [f[10] for f in fields] == ["-0.0", "0.25", "nan", "-inf", "0.125"]
+        # 0.0 and -0.0 compare equal and NaN does not, so bits decide: f2 is
+        # formatted only where its bits differ from f1's
+        f_texts = {"0.0", "-0.0", "0.25", "nan", "inf", "-inf", "0.125"}
+        assert sorted(t for t in texts if t in f_texts) == sorted(f_texts)
 
 
 class TestFigureCommand:
