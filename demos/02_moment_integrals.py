@@ -20,6 +20,7 @@ from boostcoh import (
     moments_quadrature,
     n_bounds,
 )
+from boostcoh.integrals import N_LOWER
 
 boost = boost_from_beta(0.95)
 
@@ -66,8 +67,7 @@ print("=" * 72)
 print("Allowed exponent range (keeps 0 <= coherence <= 1)")
 print("=" * 72)
 eps = np.array([0.05, 0.1, 0.3])
-lo_s, hi_s = n_bounds(eps, "single_boost")
-lo_d, hi_d = n_bounds(eps, "dual_boost")
-for e, up_s, up_d in zip(eps, hi_s, hi_d):
-    print(f"sigma/m = {e:4.2f}:  one boost  n in ({lo_s}, {up_s:.1f}]   "
-          f"two boosts  n in ({lo_d}, {up_d:.1f}]")
+# n_bounds takes the number of boosted particles; the lower bound is open
+for e, up_s, up_d in zip(eps, n_bounds(eps, 1), n_bounds(eps, 2)):
+    print(f"sigma/m = {e:4.2f}:  one boost  n in ({N_LOWER}, {up_s:.1f}]   "
+          f"two boosts  n in ({N_LOWER}, {up_d:.1f}]")

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
-# OpenBLAS reads its thread count once, when numpy loads it.  The CLI's only
-# LAPACK call builds Gauss-Hermite nodes of order <= 256, where a second
-# thread adds CPU time to every process and no speed, so a process that
-# loads numpy from here uses one thread.  A thread count the user set wins,
-# and a process that already loaded numpy is left as it is.
+# OpenBLAS reads its thread count once, when numpy loads it, and starts its
+# threads then.  A fresh ``import numpy`` took 0.06-0.09 s with one thread
+# and 0.13-0.16 s with the default (7 processes each, 2 cores, numpy 2.4.6),
+# and a CLI run is mostly start-up, so a process that loads numpy from here
+# uses one thread.  A thread count the user set wins, and a process that
+# already loaded numpy is left as it is.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -59,6 +60,7 @@ from .density import (
 from .integrals import (
     DEFAULT_ORDER,
     MAX_ORDER,
+    N_LOWER,
     QuadratureToleranceError,
     check_factor_sum,
     check_n_in_bounds,
@@ -98,26 +100,23 @@ FIGURE_SIGMA_FRACTION = 0.3  # sweep sigma/m over (0, 0.3]
 BLOCK = 256
 
 
-def _beta_tuple(cfg) -> tuple:
-    """A sweep's beta configuration as a tuple: a single sweep's float becomes (beta,)."""
-    return cfg if isinstance(cfg, tuple) else (cfg,)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated description of one CSV sweep."""
+    """Validated description of one CSV sweep.
 
-    scenario: Literal["single", "dual"]
+    ``betas`` holds one tuple per beta configuration: ``(beta,)`` when one
+    particle is boosted, ``(beta1, beta2)`` when both are, the same length
+    for all.
+    """
+
     theta: float
     n: int
     mass: float
     sigma_grid: tuple[float, float, int]  # (min, max, steps)
-    betas: tuple  # floats (single) or (beta1, beta2) pairs (dual)
+    betas: tuple[tuple[float, ...], ...]
     methods: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("single", "dual"):
-            raise ValueError(f"scenario must be 'single' or 'dual', got {self.scenario!r}")
         check_theta(self.theta)
         check_nonneg_int(self.n, "n")
         check_positive_finite(self.mass, "mass")
@@ -130,12 +129,11 @@ class SweepSpec:
             raise ValueError(f"sigma grid needs sigma_min <= sigma_max, got {lo!r} > {hi!r}")
         if not self.betas:
             raise ValueError("at least one beta configuration is required")
+        lengths = {len(cfg) if isinstance(cfg, tuple) else 0 for cfg in self.betas}
+        if lengths not in ({1}, {2}):
+            raise ValueError(f"betas must hold all 1-tuples or all 2-tuples, got {self.betas!r}")
         for cfg in self.betas:
-            values = _beta_tuple(cfg)
-            expected = 2 if self.scenario == "dual" else 1
-            if len(values) != expected:
-                raise ValueError(f"{self.scenario} sweep needs {expected} beta value(s) per entry")
-            for b in values:
+            for b in cfg:
                 check_beta(b)
         unknown = set(self.methods) - set(METHODS)
         if unknown or not self.methods:
@@ -167,7 +165,8 @@ def _block_values(
     configuration.  Returns ``(columns, spectra, failure)``.  ``columns``
     holds the CSV columns c_l1 to f2 as arrays, one value per row (None for
     a method not asked for, and for f2 with one boost).  ``spectra`` holds
-    each row's spectrum: Jacobi's with quadrature, else the closed form.
+    each row's spectrum: Jacobi's with quadrature, else the closed form
+    when exact-eig is asked for, else None.
     ``failure`` is None, or ``(k, error)`` for the first row k that fails a
     check, with the error of the first check it fails.
 
@@ -185,11 +184,11 @@ def _block_values(
     Only plain values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
-    single = len(configs[0]) == 1
-    scenario = "single_boost" if single else "dual_boost"
+    boosted = len(configs[0])  # boosted particles
+    single = boosted == 1
     boosts = list(dict.fromkeys(b for cfg in configs for b in cfg))
     slot = np.array([[boosts.index(b) for b in cfg] for cfg in configs])  # configs x particles
-    inside = check_n_in_bounds(n, eps, scenario)
+    inside = check_n_in_bounds(n, eps, boosted)
     gated_eps = np.where(inside, eps, np.nan)
     per_boost = np.array([f_factor(n, b, gated_eps) for b in boosts])
     factors = [per_boost[s].T for s in slot.T]  # per particle, points x configs
@@ -225,13 +224,13 @@ def _block_values(
     f_rows = [f.ravel() for f in factors]
     cf_pert = None
     if "perturbative" in methods:
-        # the F columns fix the values; the first configuration fixes the scenario
+        # the F columns fix the values; the first configuration, the number of boosts
         cf_pert = c_frobenius_perturbative(n, configs[0], np.repeat(eps, len(configs)), f_rows)
-    closed = None
-    if "exact-eig" in methods or not quadrature:
+    closed = cf_exact = None
+    if "exact-eig" in methods:
         closed = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *f_rows)
+        cf_exact = c_frobenius(closed)
     spectra = eigs if quadrature else closed
-    cf_exact = c_frobenius(closed) if "exact-eig" in methods else None
     cf_quad = c_frobenius(eigs) if quadrature else None
     columns = [l1, cf_pert, cf_exact, cf_quad, f_rows[0], None if single else f_rows[1]]
     if ok.all():
@@ -244,10 +243,10 @@ def _block_values(
     if not (0.0 < eps[p] < 1.0):
         error = ValueError(f"sigma/m must lie in (0, 1), got {eps[p].item()}")
     elif not inside[p]:
-        lower, upper = n_bounds(eps[p:p + 1], scenario)
+        upper = n_bounds(eps[p:p + 1], boosted).item()
         error = ValueError(
-            f"n = {n} outside the allowed range ({lower}, {upper.item():.6g}] "
-            f"for {scenario} at sigma/m = {eps[p].item():.6g}"
+            f"n = {n} outside the allowed range ({N_LOWER}, {upper:.6g}] for "
+            f"{'single_boost' if single else 'dual_boost'} at sigma/m = {eps[p].item():.6g}"
         )
     elif not gated[p, c]:
         error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[p, c].item() for f in factors)}")
@@ -270,9 +269,7 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
     still yielded one per row.  The first failing row's error is raised after
     every row before it.
     """
-    configs = [
-        tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(map(_beta_tuple, spec.betas))
-    ]
+    configs = [tuple(boost_from_beta(b) for b in cfg) for cfg in sorted(spec.betas)]
     heads = [
         f"{cfg[0].beta!r},{repr(cfg[1].beta) if len(cfg) == 2 else ''},{spec.n},{spec.theta!r}"
         for cfg in configs
@@ -359,15 +356,12 @@ def figure_spec(name: Literal["fig1", "fig2"], **overrides) -> SweepSpec:
     # The grid is sigma_max * k / steps, k = 1..steps; SweepSpec rejects steps < 2.
     sigma_min = overrides.get("sigma_min", sigma_max / steps if steps else sigma_max)
     betas = overrides.get("betas", FIGURE_BETAS)
-    scenario = "single" if name == "fig1" else "dual"
-    beta_cfgs = tuple(betas) if scenario == "single" else tuple((b, b) for b in betas)
     return SweepSpec(
-        scenario=scenario,
         theta=overrides.get("theta", math.pi / 4),
         n=overrides.get("n", FIGURE_N),
         mass=mass,
         sigma_grid=(sigma_min, sigma_max, steps),
-        betas=beta_cfgs,
+        betas=tuple((b,) if name == "fig1" else (b, b) for b in betas),
         methods=("perturbative", "exact-eig"),
     )
 
@@ -578,8 +572,9 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         _check_quad_flags(args)
     boosts = tuple(boost_from_beta(b) for b in betas)
     sigma_over_m = args.sigma / args.mass
+    # exact-eig gives the closed spectrum that the perturbative method prints
     columns, spectra, failure = _block_values(
-        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method,),
+        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method, "exact-eig"),
         args.quad_order, args.quad_max_order,
     )
     if failure is not None:
@@ -613,13 +608,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         beta_key, other_key = other_key, beta_key
     _require(args, "out", "n", "mass", "sigma_min", "sigma_max", "steps", beta_key)
     _forbid(args, args.scenario, other_key)
+    betas = getattr(args, beta_key)
     spec = SweepSpec(
-        scenario=args.scenario,
         theta=args.theta,
         n=args.n,
         mass=args.mass,
         sigma_grid=(args.sigma_min, args.sigma_max, args.steps),
-        betas=getattr(args, beta_key),
+        betas=betas if args.scenario == "dual" else tuple((b,) for b in betas),
         methods=args.methods,
     )
     if "quadrature" in spec.methods:

@@ -184,22 +184,19 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 
 def c_frobenius_perturbative(
-    n: int, boosts: BoostParams | Sequence[BoostParams], sigma_over_m: np.ndarray, factors=None
+    n: int, boosts: Sequence[BoostParams], sigma_over_m: np.ndarray, factors=None
 ) -> np.ndarray:
     """O((sigma/m)^2) Frobenius coherence 1 - (4/3) sum_i F_i, one value per sigma/m.
 
-    ``boosts`` holds one entry when a single particle is boosted and two
-    when both are.  A value is NaN where n falls outside the allowed range
-    for the scenario, or where F1 + F2 >= 1/2, as the closed spectrum's row
-    is.  ``factors``, the F column of each boost at those points, spares a
-    caller that already holds them (a sweep does) a second :func:`f_factor`.
+    ``boosts`` holds one :class:`BoostParams` when a single particle is
+    boosted and two when both are.  A value is NaN where n falls outside
+    the n bounds for that many boosts, or where F1 + F2 >= 1/2, as the
+    closed spectrum's row is.  ``factors``, the F column of each boost at
+    those points, spares a caller that already holds them (a sweep does) a
+    second :func:`f_factor`.
     """
-    seq = (boosts,) if isinstance(boosts, BoostParams) else tuple(boosts)
-    if not 1 <= len(seq) <= 2:
-        raise ValueError("boosts must be one or two BoostParams")
-    scenario = "single_boost" if len(seq) == 1 else "dual_boost"
-    inside = check_n_in_bounds(n, sigma_over_m, scenario)
+    inside = check_n_in_bounds(n, sigma_over_m, len(boosts))
     if factors is None:
-        factors = [f_factor(n, b, np.where(inside, sigma_over_m, np.nan)) for b in seq]
+        factors = [f_factor(n, b, np.where(inside, sigma_over_m, np.nan)) for b in boosts]
     inside &= check_factor_sum(*factors)
     return np.where(inside, 1.0 - (4.0 / 3.0) * sum(factors), np.nan)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Literal
 
 import numpy as np
 
@@ -55,8 +54,8 @@ MIN_ORDER = 2
 DEFAULT_ORDER = 16
 MAX_ORDER = 256
 RTOL = 1e-12  # adaptive stopping tolerance on successive moment estimates
-
-Scenario = Literal["single_boost", "dual_boost"]
+# The open lower bound of n: it keeps the maximal coherence at or below unity.
+N_LOWER = -0.5
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -249,36 +248,28 @@ def f_factor(n: int, boost: BoostParams, sigma_over_m: np.ndarray) -> np.ndarray
     return ((2 * n + 1) / 8.0) * _boost_ratio(boost) * np.float_power(eps, 2.0)
 
 
-def n_bounds(sigma_over_m: np.ndarray, scenario: Scenario) -> tuple[float, np.ndarray]:
-    """Allowed range (lower, upper] of the generalization exponent n.
+def n_bounds(sigma_over_m: np.ndarray, boosted: int) -> np.ndarray:
+    """The upper bound of the generalization exponent n, per point.
 
-    The lower bound -1/2 is open; it keeps the maximal coherence at or
-    below unity.  The upper bound keeps the limiting coherence nonnegative:
-    3 (m/sigma)^2 - 1/2 with one boosted particle, half that budget per
-    particle when both are boosted.
-
-    The upper bound is a column, NaN where sigma/m lies outside (0, 1), as
-    for :func:`f_factor`.
+    n lies in (:data:`N_LOWER`, upper].  The upper bound keeps the limiting
+    coherence nonnegative: 3 (m/sigma)^2 - 1/2 when ``boosted`` is 1, half
+    that budget per particle when both are boosted (``boosted`` 2).  It is
+    NaN where sigma/m lies outside (0, 1), as for :func:`f_factor`.
     """
+    if boosted not in (1, 2):
+        raise ValueError(f"boosted must be 1 or 2 particles, got {boosted!r}")
     eps = _inside_unit(sigma_over_m)
     with np.errstate(over="ignore"):  # a tiny sigma/m allows any n
         inv2 = np.float_power(1.0 / eps, 2.0)
-    if scenario == "single_boost":
-        upper = 3.0 * inv2 - 0.5
-    elif scenario == "dual_boost":
-        upper = 1.5 * inv2 - 0.5
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return (-0.5, upper)
+    return (3.0 / boosted) * inv2 - 0.5
 
 
-def check_n_in_bounds(n: int, sigma_over_m: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """The mask of the points whose :func:`n_bounds` hold n.
+def check_n_in_bounds(n: int, sigma_over_m: np.ndarray, boosted: int) -> np.ndarray:
+    """The mask of the points where n lies in (:data:`N_LOWER`, :func:`n_bounds`].
 
     It is False where sigma/m is outside (0, 1).
     """
-    lower, upper = n_bounds(sigma_over_m, scenario)
-    return (lower < n) & (n <= upper)
+    return (N_LOWER < n) & (n <= n_bounds(sigma_over_m, boosted))
 
 
 def check_factor_sum(*factors: np.ndarray) -> np.ndarray:

@@ -474,7 +474,8 @@ def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_ord
     """One beta configuration over a block of sigma/m values, as columns.
 
     The sweep's block evaluation before it stacked every configuration,
-    kept verbatim (renamed) as the reference for ``cli._block_values``.
+    kept (renamed, and calling the n bounds by the number of boosts) as the
+    reference for ``cli._block_values``.
     Returns ``(columns, spectra, failure)``: the CSV columns c_l1 to f2,
     one value per point (None for a method not asked for, and for f2 with
     one boost), each point's spectrum, and None or ``(k, error)`` for the
@@ -482,9 +483,8 @@ def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_ord
     """
     quadrature = "quadrature" in methods
     single = len(boosts) == 1
-    scenario = "single_boost" if single else "dual_boost"
     count = len(eps)
-    inside = check_n_in_bounds(n, eps, scenario)
+    inside = check_n_in_bounds(n, eps, len(boosts))
     factors = [f_factor(n, b, np.where(inside, eps, np.nan)) for b in boosts]
     gated = inside & check_factor_sum(*factors)
 
@@ -534,9 +534,10 @@ def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_ord
     if not (0.0 < eps[k] < 1.0):
         error = ValueError(f"sigma/m must lie in (0, 1), got {eps[k].item()}")
     elif not inside[k]:
-        lower, upper = n_bounds(eps[k:k + 1], scenario)
+        upper = n_bounds(eps[k:k + 1], len(boosts))
+        scenario = "single_boost" if single else "dual_boost"
         error = ValueError(
-            f"n = {n} outside the allowed range ({lower}, {upper.item():.6g}] "
+            f"n = {n} outside the allowed range (-0.5, {upper.item():.6g}] "
             f"for {scenario} at sigma/m = {eps[k].item():.6g}"
         )
     elif not gated[k]:
@@ -574,10 +575,7 @@ def sweep_lines_per_config(spec, quad_order, quad_max_order, block=256):
     :func:`config_block_values` per configuration, and the rows
     interleaved one at a time, by sigma and then by configuration.
     """
-    boosts_by_cfg = [
-        tuple(BoostParams(b) for b in cfg)
-        for cfg in sorted(c if isinstance(c, tuple) else (c,) for c in spec.betas)
-    ]
+    boosts_by_cfg = [tuple(BoostParams(b) for b in cfg) for cfg in sorted(spec.betas)]
     for start in range(0, spec.sigma_grid[2], block):
         sigma = spec.sigmas(start, start + block)
         eps = np.array(sigma) / spec.mass

@@ -136,7 +136,7 @@ def test_criterion_04_perturbative_vs_exact_moments():
 def test_criterion_05_frobenius_closed_form():
     with criterion(5, "Frobenius closed form and exact spectrum at the reference point"):
         neutron_eps = 100.0 / 939.36
-        pert = c_frobenius_perturbative(2, boost_from_beta(0.95), col(neutron_eps))[0]
+        pert = c_frobenius_perturbative(2, (boost_from_beta(0.95),), col(neutron_eps))[0]
         assert pert == pytest.approx(0.995051, abs=1e-6)
 
         # exact-spectrum value at the matching mixing weight for
@@ -163,12 +163,12 @@ def test_criterion_05_frobenius_closed_form():
 def test_criterion_06_limiting_cases():
     with criterion(6, "rest-frame coherence is exactly 1; v -> c hits the printed limits"):
         rest = boost_from_beta(0.0)
-        assert c_frobenius_perturbative(2, rest, col(0.1)).tolist() == [1.0]
+        assert c_frobenius_perturbative(2, (rest,), col(0.1)).tolist() == [1.0]
         assert c_frobenius_perturbative(2, (rest, rest), col(0.1)).tolist() == [1.0]
 
         light = boost_from_beta(1.0 - 1e-12)
         for n, eps in ((0, 0.05), (2, 0.1), (4, 0.1)):
-            single = c_frobenius_perturbative(n, light, col(eps))[0]
+            single = c_frobenius_perturbative(n, (light,), col(eps))[0]
             assert abs(single - (1 - (2 * n + 1) / 6 * eps**2)) <= 1e-6
             dual = c_frobenius_perturbative(n, (light, light), col(eps))[0]
             assert abs(dual - (1 - (2 * n + 1) / 3 * eps**2)) <= 1e-6
@@ -178,8 +178,8 @@ def test_criterion_07_n_range_enforcement():
     with criterion(7, "generalization exponent range: accept 299/149, reject 300/150/-1"):
         single = boost_from_beta(0.5)
         # the library gives NaN outside the range, the CLI exits 2
-        assert 0.0 < c_frobenius_perturbative(299, single, col(0.1))[0] < 1.0
-        assert np.isnan(c_frobenius_perturbative(300, single, col(0.1))).all()
+        assert 0.0 < c_frobenius_perturbative(299, (single,), col(0.1))[0] < 1.0
+        assert np.isnan(c_frobenius_perturbative(300, (single,), col(0.1))).all()
         assert 0.0 < c_frobenius_perturbative(149, (single, single), col(0.1))[0] < 1.0
         assert np.isnan(c_frobenius_perturbative(150, (single, single), col(0.1))).all()
 

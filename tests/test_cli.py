@@ -384,27 +384,28 @@ class TestSweepCommand:
 
     ROUND_TRIP_CASES = [
         # an asymmetric and a symmetric pair: f1 and f2 share their text on the latter
-        ("dual", ((0.95, 0.8), (0.3, 0.3)), ("perturbative", "exact-eig", "quadrature")),
-        ("dual", ((0.5, 0.5), (0.0, 0.9)), ("exact-eig",)),
+        (((0.95, 0.8), (0.3, 0.3)), ("perturbative", "exact-eig", "quadrature")),
+        (((0.5, 0.5), (0.0, 0.9)), ("exact-eig",)),
         # f2 empty, and the exact-eig column with it
-        ("single", (0.6, 0.0), ("perturbative", "quadrature")),
+        (((0.6,), (0.0,)), ("perturbative", "quadrature")),
     ]
 
     def test_round_trip_bit_for_bit(self, tmp_path, capsys):
-        for scenario, betas, methods in self.ROUND_TRIP_CASES:
+        for betas, methods in self.ROUND_TRIP_CASES:
             spec = SweepSpec(
-                scenario=scenario, theta=0.6, n=2, mass=939.36, sigma_grid=(10.0, 250.0, 5),
+                theta=0.6, n=2, mass=939.36, sigma_grid=(10.0, 250.0, 5),
                 betas=betas, methods=methods,
             )
             lines = list(run_sweep(spec))
             expected = [
                 self.one_point_line(spec, sigma, cfg)
                 for sigma in spec.sigmas(0, 5)
-                for cfg in sorted(b if scenario == "dual" else (b,) for b in betas)
+                for cfg in sorted(betas)
             ]
             assert lines == expected
+            scenario = "single" if len(betas[0]) == 1 else "dual"
             out = tmp_path / f"{scenario}-{len(methods)}.csv"
-            flags = ["--betas", ",".join(map(str, betas))] if scenario == "single" else [
+            flags = ["--betas", ",".join(str(b) for b, in betas)] if scenario == "single" else [
                 "--beta-pairs", ",".join(f"{a}:{b}" for a, b in betas)]
             assert main([
                 "sweep", "--scenario", scenario, "--theta", "0.6", "--n", "2",
@@ -643,6 +644,33 @@ class TestSweepCommand:
         for name in names[1:]:
             assert calls[name] == [256 * 4, 1 * 4], name
 
+    # 300 sigma points: blocks of 256 and 44, each of 2 beta configurations
+    PERTURBATIVE = [
+        "sweep", "--betas", "0.3,0.9", "--steps", "300", "--n", "2", "--mass", "939.36",
+        "--sigma-min", "1", "--sigma-max", "280",
+    ]
+
+    @pytest.mark.parametrize("methods, want", [
+        ("perturbative", []),
+        ("perturbative,exact-eig", [256 * 2, 44 * 2]),
+    ])
+    def test_closed_spectra_only_for_exact_eig(self, methods, want, tmp_path, monkeypatch,
+                                               capsys):
+        # Only the exact-eig column reads the closed spectrum; the benchmark's
+        # tracer counts the closed-spectrum layer at this name.
+        rows = []
+        original = cli.spectrum_single_boost
+
+        def counting(theta, f):
+            rows.append(len(f))
+            return original(theta, f)
+
+        monkeypatch.setattr(cli, "spectrum_single_boost", counting)
+        out = tmp_path / "sweep.csv"
+        assert main([*self.PERTURBATIVE, "--methods", methods, "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 300 * 2
+        assert rows == want
+
     # n = 40 leaves the dual n bounds at sigma/m = sqrt(1.5 / 40.5) ~ 0.1925,
     # at grid index 304 of 400: mid-way through the second block.
     N_BOUNDS_MID_BLOCK = [
@@ -653,12 +681,12 @@ class TestSweepCommand:
 
     def test_n_bounds_failure_mid_block(self, tmp_path, capsys):
         spec = SweepSpec(
-            scenario="dual", theta=math.pi / 4, n=40, mass=1.0, sigma_grid=(0.01, 0.25, 400),
+            theta=math.pi / 4, n=40, mass=1.0, sigma_grid=(0.01, 0.25, 400),
             betas=((0.5, 0.5), (0.3, 0.6)), methods=("perturbative", "exact-eig"),
         )
         eps = np.array(spec.sigmas(0, 400)) / 1.0
-        k = int(np.argmin(check_n_in_bounds(40, eps, "dual_boost")))
-        _, upper = n_bounds(eps[k:k + 1], "dual_boost")
+        k = int(np.argmin(check_n_in_bounds(40, eps, 2)))
+        upper = n_bounds(eps[k:k + 1], 2)
         first = k, (f"n = 40 outside the allowed range (-0.5, {upper[0]:.6g}] "
                     f"for dual_boost at sigma/m = {eps[k]:.6g}")
         assert cli.BLOCK < first[0] < 2 * cli.BLOCK - 1
@@ -747,8 +775,8 @@ class TestSweepCommand:
     def test_sigma_blocks_are_the_grid(self):
         # each block's values are the grid's, and the last block is clipped
         spec = SweepSpec(
-            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
-            sigma_grid=(1.0, 2.0, 7), betas=(0.5,), methods=("perturbative",),
+            theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 2.0, 7), betas=((0.5,),), methods=("perturbative",),
         )
         grid = [1.0 + (2.0 - 1.0) * i / 6 for i in range(7)]
         assert spec.sigmas(0, 3) + spec.sigmas(3, 6) + spec.sigmas(6, 9) == grid
@@ -760,8 +788,8 @@ class TestSweepCommand:
     def test_first_rows_of_a_long_grid_cost_little_memory(self):
         # the grid is built block by block, not as a whole before the first row
         spec = SweepSpec(
-            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
-            sigma_grid=(1.0, 100.0, 10**6), betas=(0.5,), methods=("perturbative", "exact-eig"),
+            theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 100.0, 10**6), betas=((0.5,),), methods=("perturbative", "exact-eig"),
         )
         small = SweepSpec(**{**spec.__dict__, "sigma_grid": (1.0, 100.0, 4)})
         list(run_sweep(small))  # imports and caches
@@ -784,12 +812,21 @@ class TestSweepCommand:
             dict(sigma_grid=(1.0, math.inf, 4)),
             dict(sigma_grid=(2.0, 1.0, 4)),
             dict(sigma_grid=(-1.0, 2.0, 1)),
+            # one tuple per configuration, all of length 1 or all of length 2
+            dict(betas=((0.5,), (0.3, 0.4))),
+            dict(betas=((0.3, 0.4), (0.5,))),
+            dict(betas=((0.1, 0.2, 0.3),)),
+            dict(betas=((),)),
+            dict(betas=(0.5,)),
+            dict(betas=()),
+            dict(betas=((1.0,),)),
+            dict(betas=((0.5, 1.0),)),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, changes):
         fields = dict(
-            scenario="single", theta=math.pi / 4, n=2, mass=939.36,
-            sigma_grid=(1.0, 2.0, 4), betas=(0.5,), methods=("perturbative",),
+            theta=math.pi / 4, n=2, mass=939.36,
+            sigma_grid=(1.0, 2.0, 4), betas=((0.5,),), methods=("perturbative",),
         )
         SweepSpec(**fields)
         with pytest.raises(ValueError):
@@ -807,20 +844,20 @@ ORDERS = (st.just(16) | st.sampled_from([2, 4, 8])).flatmap(
 @st.composite
 def sweep_specs(draw) -> SweepSpec:
     """A sweep of 1-4 beta configurations whose sigma/m grid may cross every gate."""
-    scenario = draw(st.sampled_from(["single", "dual"]))
-    if scenario == "single":
-        betas = draw(st.lists(BETA, min_size=1, max_size=4))
+    boosted = draw(st.sampled_from([1, 2]))
+    if boosted == 1:
+        betas = draw(st.lists(st.tuples(BETA), min_size=1, max_size=4))
     else:
         pair = st.tuples(BETA, BETA) | BETA.map(lambda b: (b, b))
         betas = draw(st.lists(pair, min_size=1, max_size=4))
     n = draw(st.sampled_from([0, 2, 40]) | st.integers(0, 60))
     # sigma/m as fractions of the n bound's edge, where F1 + F2 reaches 1/2
     # from ~0.82 of it at high beta; the edge passes sigma/m = 1 for small n
-    edge = math.sqrt((3.0 if scenario == "single" else 1.5) / (n + 0.5))
+    edge = math.sqrt((3.0 / boosted) / (n + 0.5))
     lo = draw(st.floats(0.01, 1.05)) * edge
     hi = lo + draw(st.floats(0.0, 0.6)) * edge
     return SweepSpec(
-        scenario=scenario, theta=draw(st.floats(0.0, math.pi / 2)), n=n, mass=1.0,
+        theta=draw(st.floats(0.0, math.pi / 2)), n=n, mass=1.0,
         sigma_grid=(lo, hi, draw(st.integers(2, 24))), betas=tuple(betas),
         methods=tuple(draw(st.sets(st.sampled_from(cli.METHODS), min_size=1))),
     )
@@ -873,7 +910,7 @@ class TestColumnText:
         monkeypatch.setattr(cli, "_block_values", block)
         monkeypatch.setattr(cli, "repr", recording, raising=False)
         spec = SweepSpec(
-            scenario="dual", theta=math.pi / 4, n=2, mass=1.0, sigma_grid=(1.0, 5.0, 5),
+            theta=math.pi / 4, n=2, mass=1.0, sigma_grid=(1.0, 5.0, 5),
             betas=((0.5, 0.5),), methods=("perturbative",),
         )
         fields = [line.split(",") for line in run_sweep(spec)]
@@ -1100,6 +1137,11 @@ class TestContractProperty:
             if code == 0:
                 header, rows = read_csv(out)
                 assert header == CSV_HEADER and stdout == f"wrote {len(rows)} rows to {out}\n"
+                # one row per grid point and beta configuration
+                flags = dict(arg[2:].split("=", 1) for arg in argv[1:])
+                configs = flags["beta-pairs" if flags.get("scenario") == "dual" else "betas"]
+                assert len(rows) == int(flags["steps"]) * len(
+                    [part for part in configs.split(",") if part.strip()])
             elif existing:
                 assert out.read_bytes() == b"earlier results\n"
             assert os.listdir(tmp) == (["out.csv"] if code == 0 or existing else [])

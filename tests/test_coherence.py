@@ -535,51 +535,54 @@ def perturbative(n, boosts, eps) -> float:
 
 class TestCFrobeniusPerturbative:
     def test_rest_frame_is_exact_unity(self):
-        assert perturbative(2, boost_from_beta(0.0), 0.1) == 1.0
+        assert perturbative(2, (boost_from_beta(0.0),), 0.1) == 1.0
         both = (boost_from_beta(0.0), boost_from_beta(0.0))
         assert perturbative(2, both, 0.1) == 1.0
 
     def test_neutron_reference_point(self):
         # 1 - (4/3) F at n = 2, beta = 0.95, sigma = 100 MeV, m = 939.36 MeV
-        value = perturbative(2, boost_from_beta(0.95), 100.0 / 939.36)
+        value = perturbative(2, (boost_from_beta(0.95),), 100.0 / 939.36)
         assert value == pytest.approx(0.9950504155132379, rel=1e-13)
 
     def test_ultrarelativistic_limit(self):
         # cosh -> infinity turns the boost ratio into 1
         boost = boost_from_beta(1 - 1e-12)
         for n, eps in ((0, 0.1), (2, 0.1), (4, 0.05)):
-            single = perturbative(n, boost, eps)
+            single = perturbative(n, (boost,), eps)
             assert single == pytest.approx(1 - (2 * n + 1) / 6 * eps**2, abs=1e-6)
             dual = perturbative(n, (boost, boost), eps)
             assert dual == pytest.approx(1 - (2 * n + 1) / 3 * eps**2, abs=1e-6)
 
     def test_dual_is_sum_of_deficits(self):
         b1, b2 = boost_from_beta(0.9), boost_from_beta(0.5)
-        d1 = 1 - perturbative(3, b1, 0.1)
-        d2 = 1 - perturbative(3, b2, 0.1)
+        d1 = 1 - perturbative(3, (b1,), 0.1)
+        d2 = 1 - perturbative(3, (b2,), 0.1)
         both = perturbative(3, (b1, b2), 0.1)
         assert both == pytest.approx(1 - d1 - d2, abs=1e-15)
 
     def test_n_bounds_enforced(self):
         boost = boost_from_beta(0.5)
-        assert perturbative(299, boost, 0.1) < 1.0
-        assert math.isnan(perturbative(300, boost, 0.1))
+        assert perturbative(299, (boost,), 0.1) < 1.0
+        assert math.isnan(perturbative(300, (boost,), 0.1))
         assert perturbative(149, (boost, boost), 0.1) < 1.0
         assert math.isnan(perturbative(150, (boost, boost), 0.1))
+        for count in (0, 3):  # the n bounds take the number of boosts, and check it
+            with pytest.raises(ValueError, match="boosted must be 1 or 2"):
+                perturbative(2, (boost,) * count, 0.1)
 
     def test_factor_sum_gate(self):
         # n = 299 (149 for two boosts) is inside the n bounds at
         # sigma/m = 0.1, but F1 + F2 is about 3/4
         boost = boost_from_beta(0.999999)
-        assert math.isnan(perturbative(299, boost, 0.1))
+        assert math.isnan(perturbative(299, (boost,), 0.1))
         assert math.isnan(perturbative(149, (boost, boost), 0.1))
-        assert perturbative(149, boost, 0.1) < 1.0  # F is about 3/8
+        assert perturbative(149, (boost,), 0.1) < 1.0  # F is about 3/8
 
     def test_monotone_decreasing(self):
-        base = perturbative(2, boost_from_beta(0.8), 0.1)
-        assert perturbative(2, boost_from_beta(0.9), 0.1) < base
-        assert perturbative(3, boost_from_beta(0.8), 0.1) < base
-        assert perturbative(2, boost_from_beta(0.8), 0.12) < base
+        base = perturbative(2, (boost_from_beta(0.8),), 0.1)
+        assert perturbative(2, (boost_from_beta(0.9),), 0.1) < base
+        assert perturbative(3, (boost_from_beta(0.8),), 0.1) < base
+        assert perturbative(2, (boost_from_beta(0.8),), 0.12) < base
 
 
 class TestTruncationQuality:

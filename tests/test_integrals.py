@@ -17,7 +17,8 @@ from boostcoh import (
     rho_single_boost_perturbative,
 )
 from boostcoh.integrals import (
-    MAX_ORDER, MIN_ORDER, _moment_faults, _moments_at_order, check_factor_sum, check_n_in_bounds,
+    MAX_ORDER, MIN_ORDER, N_LOWER, _moment_faults, _moments_at_order, check_factor_sum,
+    check_n_in_bounds,
 )
 
 from oracles import (
@@ -384,31 +385,31 @@ class TestFFactor:
     # F = ((2n + 1)/8) r (sigma/m)^2 with r = (cosh a - 1)/(cosh a + 1) < 1,
     # and the n bounds give 2n + 1 <= 6 (m/sigma)^2 with one boost and
     # 3 (m/sigma)^2 with two.
-    F_BOUND = {"single_boost": 0.75, "dual_boost": 0.375}
+    F_BOUND = {1: 0.75, 2: 0.375}  # per number of boosted particles
 
     @settings(max_examples=500)
     @given(
-        scenario=st.sampled_from(list(F_BOUND)),
+        boosted=st.sampled_from(list(F_BOUND)),
         beta=st.sampled_from([0.0, 0.999999, math.nextafter(1.0, 0.0)])
         | st.floats(0.0, 1.0, exclude_max=True),
         eps=st.sampled_from([1e-300, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
         | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         below=st.integers(0, 3),
     )
-    def test_below_three_quarters_inside_the_n_bounds(self, scenario, beta, eps, below):
+    def test_below_three_quarters_inside_the_n_bounds(self, boosted, beta, eps, below):
         # Every F the package forms is masked to the n bounds first
         # (cli._block_values, c_frobenius_perturbative): there it cannot
         # reach 1, where the first-order I1 = 1 - F would leave [0, 1].
-        _, upper = n_bounds(np.array([eps]), scenario)
+        upper = n_bounds(np.array([eps]), boosted)
         n = max(0, int(min(upper[0], 2.0**62)) - below)
-        assert check_n_in_bounds(n, np.array([eps]), scenario)[0]
-        assert factor(n, beta, eps) < self.F_BOUND[scenario]
+        assert check_n_in_bounds(n, np.array([eps]), boosted)[0]
+        assert factor(n, beta, eps) < self.F_BOUND[boosted]
 
     def test_largest_f_inside_the_n_bounds(self):
         # the largest n the bounds allow, at the fastest boost
         eps = np.linspace(0.001, 0.999, 999)
-        for scenario, bound in self.F_BOUND.items():
-            _, upper = n_bounds(eps, scenario)
+        for boosted, bound in self.F_BOUND.items():
+            upper = n_bounds(eps, boosted)
             largest = max(factor(int(u), math.nextafter(1.0, 0.0), e) for u, e in zip(upper, eps))
             assert 0.99 * bound < largest < bound
 
@@ -439,31 +440,41 @@ class TestFFactor:
 
 class TestNBounds:
     def test_single(self):
-        lower, upper = n_bounds(np.array([0.1]), "single_boost")
-        assert lower == -0.5
+        assert N_LOWER == -0.5
+        upper = n_bounds(np.array([0.1]), 1)
         assert upper[0] == pytest.approx(299.5, abs=1e-9)
 
     def test_dual(self):
-        lower, upper = n_bounds(np.array([0.1]), "dual_boost")
-        assert lower == -0.5
+        upper = n_bounds(np.array([0.1]), 2)
         assert upper[0] == pytest.approx(149.5, abs=1e-9)
+        # 3.0 / 2 is exactly 1.5: the budget per particle is halved bit for bit
+        eps = np.array([1e-3, 0.1, 0.3, 0.7, math.nextafter(1.0, 0.0)])
+        inv2 = np.float_power(1.0 / eps, 2.0)
+        assert n_bounds(eps, 1).tobytes() == (3.0 * inv2 - 0.5).tobytes()
+        assert n_bounds(eps, 2).tobytes() == (1.5 * inv2 - 0.5).tobytes()
 
     def test_wide_packet_limit(self):
-        _, upper = n_bounds(np.array([1.0 - 1e-12]), "single_boost")
+        upper = n_bounds(np.array([1.0 - 1e-12]), 1)
         assert upper[0] == pytest.approx(2.5, abs=1e-9)
 
     def test_domain(self):
-        _, upper = n_bounds(np.array([0.0, 1.0, 1.2, -0.3, 0.5]), "single_boost")
+        upper = n_bounds(np.array([0.0, 1.0, 1.2, -0.3, 0.5]), 1)
         assert np.isnan(upper).tolist() == [True, True, True, True, False]
-        with pytest.raises(ValueError):
-            n_bounds(np.array([0.1]), "both")
+        for boosted in (0, 3):  # one or two boosted particles
+            with pytest.raises(ValueError, match="boosted must be 1 or 2"):
+                n_bounds(np.array([0.1]), boosted)
+            with pytest.raises(ValueError, match="boosted must be 1 or 2"):
+                check_n_in_bounds(2, np.array([0.1]), boosted)
         with pytest.raises(ValueError, match="1-D"):
-            n_bounds(0.1, "single_boost")
+            n_bounds(0.1, 1)
 
     def test_masks(self):
         eps = np.array([0.1, 0.1, 1.5])
-        assert check_n_in_bounds(299, eps, "single_boost").tolist() == [True, True, False]
-        assert check_n_in_bounds(300, eps, "single_boost").tolist() == [False, False, False]
+        assert check_n_in_bounds(299, eps, 1).tolist() == [True, True, False]
+        assert check_n_in_bounds(300, eps, 1).tolist() == [False, False, False]
+        # the lower bound -1/2 is open
+        assert check_n_in_bounds(-0.5, eps, 1).tolist() == [False, False, False]
+        assert check_n_in_bounds(-0.25, eps, 1).tolist() == [True, True, False]
         assert check_factor_sum(np.array([0.2, 0.3, math.nan])).tolist() == [True, True, False]
         sums = check_factor_sum(np.array([0.2, 0.3, 0.1]), np.array([0.2, 0.2, math.nan]))
         assert sums.tolist() == [True, False, False]

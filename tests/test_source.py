@@ -13,6 +13,12 @@ wrappers ``MomentIntegrals``, ``PerturbativeFactor``, ``Spectrum``,
 ``WavePacket`` and ``WignerTrig`` and the ``lone`` flag of the one-value
 branches are gone, and no name may bring them back.
 
+It counts the boosted particles one way: a beta configuration is a tuple of
+one or two betas, and the n bounds take its length. No ``Scenario`` type or
+``_beta_tuple`` converter comes back, and the strings ``"single_boost"`` and
+``"dual_boost"`` appear only in the n-bound error message, whose text the CLI
+transcript pins.
+
 Its check tolerances live in one table in ``core``, each derived from the
 checks upstream of it, so the float literals 1e-10 and 1e-12 appear nowhere
 else. The one exception is ``integrals.RTOL``, the adaptive quadrature's
@@ -85,6 +91,20 @@ def complex_uses(source: str) -> list[str]:
 ONE_VALUE_TYPES = {"MomentIntegrals", "PerturbativeFactor", "Spectrum", "WavePacket", "WignerTrig"}
 
 
+def _bound_names(node: ast.AST) -> list[str]:
+    """The names ``node`` binds: a class, function, assignment target, import or argument."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.Name):
+        return [node.id] if isinstance(node.ctx, ast.Store) else []
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [a.asname or a.name.split(".")[0] for a in node.names]
+        return names + [a.name for a in node.names if isinstance(node, ast.ImportFrom)]
+    return []
+
+
 def one_value_names(source: str) -> list[str]:
     """Each name in ``source`` that a one-value path would bind, as ``line: name``.
 
@@ -93,19 +113,40 @@ def one_value_names(source: str) -> list[str]:
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Name):
-            names = [node.id] if node.id == "lone" or isinstance(node.ctx, ast.Store) else []
-        elif isinstance(node, ast.arg):
-            names = [node.arg]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [a.asname or a.name.split(".")[0] for a in node.names]
-            names += [a.name for a in node.names if isinstance(node, ast.ImportFrom)]
-        else:
-            continue
+        names = _bound_names(node)
+        if isinstance(node, ast.Name) and node.id == "lone":
+            names = ["lone"]
         found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)
                   if n in ONE_VALUE_TYPES or n == "lone"]
+    return found
+
+
+SCENARIO_NAMES = {"Scenario", "_beta_tuple"}
+SCENARIO_STRINGS = {"single_boost", "dual_boost"}
+N_BOUND_MESSAGE = "outside the allowed range"
+
+
+def scenario_forms(source: str) -> list[str]:
+    """Each second form of the boosted-particle count in ``source``, as ``line: what``.
+
+    That is a class, function, assignment, import or argument named
+    ``Scenario`` or ``_beta_tuple``, and the string ``"single_boost"`` or
+    ``"dual_boost"`` outside the f-string of the n-bound message.
+    """
+    tree = ast.parse(source)
+    message = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr) and any(
+            isinstance(v, ast.Constant) and N_BOUND_MESSAGE in v.value for v in node.values
+        ):
+            message.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        names = [n for n in _bound_names(node) if n in SCENARIO_NAMES]
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in SCENARIO_STRINGS and id(node) not in message):
+            names.append(repr(node.value))
+        found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
     return found
 
 
@@ -189,6 +230,27 @@ def test_one_calling_convention(path):
 ])
 def test_the_complex_rule_sees_each_spelling(source, want):
     assert complex_uses(source) == want
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_form_of_the_boost_count(path):
+    assert scenario_forms(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ('Scenario = Literal["single_boost", "dual_boost"]',
+     ["1: Scenario", "1: 'single_boost'", "1: 'dual_boost'"]),
+    ("from .integrals import Scenario, n_bounds", ["1: Scenario"]),
+    ("def _beta_tuple(cfg):\n    return cfg", ["1: _beta_tuple"]),
+    ("def f(_beta_tuple=None):\n    pass", ["1: _beta_tuple"]),
+    ('kind = "single_boost" if single else "dual_boost"', ["1: 'single_boost'", "1: 'dual_boost'"]),
+    ('error = f"n = {n} outside the allowed range (-0.5, {u}] "\\\n'
+     '    f"for {\'single_boost\' if single else \'dual_boost\'}"', []),
+    ('note = f"not the message: {\'dual_boost\'}"', ["1: 'dual_boost'"]),
+    ('# single_boost in a comment\nname = "spectrum_single_boost"\nboosted = len(cfg)', []),
+])
+def test_the_boost_count_rule_sees_each_spelling(source, want):
+    assert scenario_forms(source) == want
 
 
 @pytest.mark.parametrize("source, want", [
