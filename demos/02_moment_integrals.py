@@ -26,7 +26,9 @@ boost = boost_from_beta(0.95)
 
 # Every function takes a column of sigma/m values and returns one value or
 # row per point: moments_quadrature gives (I1, I3) rows and, per point,
-# None or the error of a point that failed.
+# None or the QuadratureToleranceError of a point whose estimates did not
+# converge by the largest order.  It picks the order itself, doubling it
+# until two successive estimates agree and the later one is a moment pair.
 print("=" * 72)
 print("Quadrature moments vs closed form (beta = 0.95, mass = 1)")
 print("=" * 72)

@@ -7,13 +7,14 @@ coherence   evaluate both coherence measures for one parameter point
 sweep       write a CSV of coherence values over a sigma grid
 figure      run the fig1/fig2 preset sweeps (neutron mass, n = 2)
 
-Exit codes: 0 success, 2 usage or domain error, 3 quadrature tolerance not
-met.  Every subcommand accepts ``--config FILE`` with ``key = value`` lines.
-A key is one of the subcommand's long flags, written with dashes or
-underscores.  Each line is parsed as ``--key=value`` by the subcommand's own
-parser, so it is checked with the same types and choices (and argparse's
-unique-prefix rule); a key the subcommand does not have, a key given twice
-and a ``config`` key exit 2.  Flags on the command line win over the file.
+Exit codes: 0 success, 2 usage or domain error, 3 quadrature not converged
+by its largest order.  Every subcommand accepts ``--config FILE`` with
+``key = value`` lines.  A key is one of the subcommand's long flags, written
+with dashes or underscores.  Each line is parsed as ``--key=value`` by the
+subcommand's own parser, so it is checked with the same types and choices
+(and argparse's unique-prefix rule); a key the subcommand does not have, a
+key given twice and a ``config`` key exit 2.  Flags on the command line win
+over the file.
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ from .density import (
     rho_single_boost_perturbative,
 )
 from .integrals import (
-    DEFAULT_ORDER,
-    MAX_ORDER,
     N_LOWER,
     QuadratureToleranceError,
     check_factor_sum,
     check_n_in_bounds,
-    check_orders,
     f_factor,
     moments_quadrature,
     n_bounds,
@@ -154,8 +152,6 @@ def _block_values(
     n: int,
     eps: np.ndarray,
     methods: Sequence[str],
-    quad_order: int,
-    quad_max_order: int,
 ) -> tuple[list, np.ndarray, tuple | None]:
     """Every beta configuration over a block of sigma/m values, as columns.
 
@@ -177,8 +173,9 @@ def _block_values(
     over the points some configuration using it has gated (a point's bits
     do not depend on the points evaluated with it), the density matrices
     as one stack, and the spectra and coherences as columns.  A row's
-    checks are, in order: the gates, then the quadrature error of its first
-    boost, then of its second.  The tolerances of :mod:`boostcoh.core`
+    checks are, in order: the gates, then the convergence of its first
+    boost's moments, then of its second's, each failing with the point's
+    :class:`QuadratureToleranceError`.  The tolerances of :mod:`boostcoh.core`
     compose, so the states of the rows that pass them pass the
     :class:`DensityMatrix` checks, and their spectra the spectrum checks.
     Only plain values are returned, so no stack outlives the call.
@@ -201,9 +198,7 @@ def _block_values(
         for j, b in enumerate(boosts):
             need = np.flatnonzero(gated[:, (slot == j).any(axis=1)].any(axis=1))
             if need.size:
-                moments[j, need], errors[j, need] = moments_quadrature(
-                    n, b, eps[need], quad_order, max_order=quad_max_order
-                )
+                moments[j, need], errors[j, need] = moments_quadrature(n, b, eps[need])
         failed = errors.astype(bool)
         passed = gated & ~failed[slot].any(axis=1).T
     ok = passed.ravel()
@@ -255,7 +250,7 @@ def _block_values(
     return columns, spectra, (k, error)
 
 
-def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER):
+def run_sweep(spec: SweepSpec):
     """Yield the sweep's CSV lines (without the newline), sorted by sigma, then beta configuration.
 
     The sigma grid is walked in blocks of :data:`BLOCK` points, and each
@@ -277,8 +272,7 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
     for start in range(0, spec.sigma_grid[2], BLOCK):
         sigma = np.array(spec.sigmas(start, start + BLOCK))
         columns, _, failure = _block_values(
-            spec.theta, configs, spec.n, sigma / spec.mass, spec.methods, quad_order,
-            quad_max_order,
+            spec.theta, configs, spec.n, sigma / spec.mass, spec.methods
         )
         rows = len(sigma) * len(configs) if failure is None else failure[0]
 
@@ -298,9 +292,7 @@ def run_sweep(spec: SweepSpec, quad_order: int = DEFAULT_ORDER, quad_max_order: 
             raise failure[1]
 
 
-def write_sweep_csv(
-    spec: SweepSpec, out_path, quad_order: int = DEFAULT_ORDER, quad_max_order: int = MAX_ORDER
-) -> int:
+def write_sweep_csv(spec: SweepSpec, out_path) -> int:
     """Write the sweep to ``out_path``, replacing it only when every row succeeded.
 
     A new or regular target (symlinks resolved) is written as a temporary
@@ -326,7 +318,7 @@ def write_sweep_csv(
         with fh:
             fh.write(",".join(CSV_HEADER) + "\n")
             count = 0
-            for line in run_sweep(spec, quad_order, quad_max_order):
+            for line in run_sweep(spec):
                 fh.write(line + "\n")
                 count += 1
         if not direct:
@@ -451,16 +443,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise ValueError(f"missing required option(s): {_flags(missing)}")
 
 
-def _check_quad_flags(args: argparse.Namespace) -> None:
-    """Reject quadrature orders :func:`check_orders` refuses, naming both flags."""
-    try:
-        check_orders(args.quad_order, args.quad_max_order)
-    except ValueError as exc:
-        raise ValueError(
-            f"--quad-order {args.quad_order}, --quad-max-order {args.quad_max_order}: {exc}"
-        ) from None
-
-
 def _forbid(args: argparse.Namespace, scenario: str, *names: str) -> None:
     """Reject the other scenario's beta flags rather than ignore them."""
     given = [n for n in names if getattr(args, n, None) is not None]
@@ -488,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_nonneg_int, default=n, help="wave-packet generalization exponent")
         p.add_argument("--mass", type=float, help="particle rest mass (MeV)")
 
-    def add_route(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", choices=("single", "dual"), default="single")
-        p.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--quad-max-order", type=int, default=MAX_ORDER)
-
     def add_grid(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sigma-min", type=float)
         p.add_argument("--sigma-max", type=float)
@@ -506,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--p-over-m", type=float, help="particle momentum over mass")
 
     p_coh = command("coherence", cmd_coherence, "coherence measures at one parameter point")
-    add_route(p_coh)
+    p_coh.add_argument("--scenario", choices=("single", "dual"), default="single")
     add_packet(p_coh, theta=math.pi / 4, n=2)
     p_coh.add_argument("--beta", type=float, help="boost for the single scenario")
     p_coh.add_argument("--beta1", type=float, help="first boost for the dual scenario")
@@ -515,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--method", choices=METHODS, default="perturbative")
 
     p_sweep = command("sweep", cmd_sweep, "CSV sweep over a sigma grid")
-    add_route(p_sweep)
+    p_sweep.add_argument("--scenario", choices=("single", "dual"), default="single")
     add_packet(p_sweep, theta=math.pi / 4)
     add_grid(p_sweep)
     p_sweep.add_argument("--beta-pairs", type=_pair_list,
@@ -568,14 +545,11 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
     check_positive_finite(args.sigma, "sigma")
     check_positive_finite(args.mass, "mass")
-    if args.method == "quadrature":
-        _check_quad_flags(args)
     boosts = tuple(boost_from_beta(b) for b in betas)
     sigma_over_m = args.sigma / args.mass
     # exact-eig gives the closed spectrum that the perturbative method prints
     columns, spectra, failure = _block_values(
-        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method, "exact-eig"),
-        args.quad_order, args.quad_max_order,
+        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method, "exact-eig")
     )
     if failure is not None:
         raise failure[1]
@@ -617,9 +591,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         betas=betas if args.scenario == "dual" else tuple((b,) for b in betas),
         methods=args.methods,
     )
-    if "quadrature" in spec.methods:
-        _check_quad_flags(args)
-    count = write_sweep_csv(spec, args.out, args.quad_order, args.quad_max_order)
+    count = write_sweep_csv(spec, args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0
 

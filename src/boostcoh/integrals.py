@@ -47,49 +47,44 @@ __all__ = [
     "n_bounds",
     "check_n_in_bounds",
     "check_factor_sum",
-    "check_orders",
 ]
 
 MIN_ORDER = 2
 DEFAULT_ORDER = 16
 MAX_ORDER = 256
-RTOL = 1e-12  # adaptive stopping tolerance on successive moment estimates
+RTOL = 1e-12  # stopping tolerance on successive moment estimates
 # The open lower bound of n: it keeps the maximal coherence at or below unity.
 N_LOWER = -0.5
 
 
 class QuadratureToleranceError(RuntimeError):
-    """Adaptive quadrature hit the order cap before meeting the tolerance.
+    """A point's estimates did not converge by :data:`MAX_ORDER`.
 
-    Carries the point's best estimate and the last achieved delta so callers
-    can decide whether the partial result is still usable.  ``best`` is the
-    (I1, I3) row, or None when it fails :func:`_moment_faults` (the order is
-    too low to integrate kappa^2n).
+    ``delta`` is the relative difference of its last two estimates; the
+    message also gives the last estimate's i1 + i3.
     """
 
-    def __init__(self, best: np.ndarray | None, delta: float, rtol: float):
-        self.best = best
+    def __init__(self, delta: float, total: float):
         self.delta = delta
-        self.rtol = rtol
         super().__init__(
-            f"quadrature did not converge: delta {delta:.3e} > rtol {rtol:.3e}"
+            f"quadrature did not converge by order {MAX_ORDER}: delta {delta:.3e}, "
+            f"i1 + i3 = {total!r}"
         )
 
 
 def _moment_faults(values: np.ndarray) -> np.ndarray:
-    """Per row (i1, i3) of ``values``, whether it fails each moment check.
+    """Per row (i1, i3) of ``values``, whether it fails a moment check.
 
-    The result is a (2 x points) mask: i1 + i3 off 1 by more than
-    :data:`~boostcoh.core.NORM_TOL`; i1 or i3 outside [0, 1] by more than
-    :data:`~boostcoh.core.MOMENT_TOL`.  The comparisons are written so that
-    NaN fails them.
+    The checks: i1 + i3 within :data:`~boostcoh.core.NORM_TOL` of 1, and i1
+    and i3 within :data:`~boostcoh.core.MOMENT_TOL` of [0, 1].  The
+    comparisons are written so that NaN fails them.
     """
     i1, i3 = values[:, 0], values[:, 1]
-    lo, hi = -MOMENT_TOL, 1.0 + MOMENT_TOL
-    return np.stack([
-        ~(np.abs(i1 + i3 - 1.0) <= NORM_TOL),
-        ~((lo <= i1) & (i1 <= hi) & (lo <= i3) & (i3 <= hi)),
-    ])
+    return ~(
+        (np.abs(i1 + i3 - 1.0) <= NORM_TOL)
+        & (-MOMENT_TOL <= np.minimum(i1, i3))
+        & (np.maximum(i1, i3) <= 1.0 + MOMENT_TOL)
+    )
 
 
 @lru_cache(maxsize=32)
@@ -106,33 +101,17 @@ def _gh_cached(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def check_orders(order: int, max_order: int | None = None) -> None:
-    """Raise ``ValueError`` unless the quadrature can run at these orders.
-
-    ``order`` must be an integer in [MIN_ORDER, MAX_ORDER].  ``max_order``
-    is an adaptive run's cap (None for one fixed order) and must lie in
-    [2 order, MAX_ORDER]: the first delta compares ``order`` with
-    ``2 order``, so a lower cap could never converge.
-    """
-    check_nonneg_int(order, "order")
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
-    if max_order is not None and not 2 * order <= max_order <= MAX_ORDER:
-        raise ValueError(
-            f"max_order must lie in [2 * order, {MAX_ORDER}] = [{2 * order}, {MAX_ORDER}], "
-            f"got {max_order}"
-        )
-
-
 def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for int f(k) e^{-k^2} dk =~ sum w_i f(k_i).
 
     Built from the symmetric-tridiagonal (Golub-Welsch) eigenvalue
     construction; sum of weights equals sqrt(pi).  The nodes are exactly
     antisymmetric and the weights exactly symmetric.  Arrays are cached and
-    read-only.
+    read-only.  ``order`` must be an integer in [MIN_ORDER, MAX_ORDER].
     """
-    check_orders(order)
+    check_nonneg_int(order, "order")
+    if not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
     return _gh_cached(int(order))
 
 
@@ -167,35 +146,27 @@ def _moments_at_order(n: int, eps: np.ndarray, boost: BoostParams, order: int) -
 
 
 def moments_quadrature(
-    n: int,
-    boost: BoostParams,
-    sigma_over_m: np.ndarray,
-    order: int = DEFAULT_ORDER,
-    *,
-    max_order: int = MAX_ORDER,
-    adaptive: bool = True,
+    n: int, boost: BoostParams, sigma_over_m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(I1, I3) on Gauss-Hermite nodes for every sigma/m of a 1-D array.
 
     The moments depend on a packet only through n and sigma/m.  They are
     evaluated for all points together, one (points x nodes) contraction per
-    order.  Starting from ``order``, the order is doubled until two
-    successive evaluations of a point agree to :data:`RTOL` (relative,
-    floored at 1 in the denominator), and the point then leaves the
-    doubling; past ``max_order`` a point has not converged.  With
-    ``adaptive=False`` one fixed-order evaluation is final; otherwise
-    ``max_order`` must lie in [2 order, MAX_ORDER] (see :func:`check_orders`).
+    order.  Starting from :data:`DEFAULT_ORDER`, the order is doubled until
+    a point's two successive estimates agree to :data:`RTOL` (relative,
+    floored at 1 in the denominator) and the later one passes the moment
+    checks of :func:`_moment_faults`; the point then leaves the doubling.
+    The checks keep two near-zero estimates, from orders too low to reach
+    the weight's peak at kappa ~ sqrt(n), from counting as converged.
 
     The result is ``(values, errors)``: the (points x 2) array of (I1, I3)
-    rows, and an object array holding, per point, None or its error.  A
-    point that has not converged has a :class:`QuadratureToleranceError`;
-    a final estimate that fails :func:`_moment_faults` (too low an order to
-    integrate kappa^2n exactly) has a ``ValueError``.  A row with an error
-    holds the failed estimate.  A point's bits do not depend on the points
-    evaluated with it.  A bad ``order``, ``max_order`` or n, or a sigma/m
+    rows, and an object array holding, per point, None or the
+    :class:`QuadratureToleranceError` of a point that has not converged by
+    :data:`MAX_ORDER`, whose row holds its last estimate.  A point's bits
+    do not depend on the points evaluated with it.  A bad n, or a sigma/m
     that is not a 1-D array of positive finite values, raises
-    ``ValueError`` at once.  The CLI passes at most ``cli.BLOCK`` points per
-    call, which bounds the size of the arrays.
+    ``ValueError`` at once.  The CLI passes at most ``cli.BLOCK`` points
+    per call, which bounds the size of the arrays.
     """
     check_nonneg_int(n, "n")
     eps = np.asarray(sigma_over_m, dtype=float)
@@ -203,33 +174,26 @@ def moments_quadrature(
     if eps.ndim != 1 or not np.all((0.0 < eps) & (eps < math.inf)):
         raise ValueError("sigma/m must be a 1-D array of positive finite values")
 
-    check_orders(order, max_order if adaptive else None)
+    order = DEFAULT_ORDER
     values = _moments_at_order(n, eps, boost, order)
-    # A fixed-order estimate is final; an adaptive one once it has converged.
-    delta = np.full(len(eps), math.inf if adaptive else 0.0)
-    if adaptive:
-        todo = np.arange(len(eps))  # points that have not converged yet
-        while todo.size and order * 2 <= max_order:
-            order *= 2
-            new = _moments_at_order(n, eps[todo], boost, order)
-            step = np.max(np.abs(new - values[:, todo]) / np.maximum(1.0, np.abs(new)), axis=0)
-            values[:, todo] = new
-            delta[todo] = step
-            todo = todo[~(step < RTOL)]
+    delta = np.full(len(eps), math.inf)
+    todo = np.arange(len(eps))  # points that have not converged yet
+    while todo.size and order < MAX_ORDER:
+        order *= 2
+        new = _moments_at_order(n, eps[todo], boost, order)
+        step = np.max(np.abs(new - values[:, todo]) / np.maximum(1.0, np.abs(new)), axis=0)
+        values[:, todo] = new
+        delta[todo] = step
+        done = step < RTOL
+        if done.any():  # the moment checks, only where the estimates agree
+            done[done] = ~_moment_faults(new[:, done].T)
+        todo = todo[~done]
 
     values = values.T.copy()
-    unconverged = ~(delta < RTOL)
-    faults = _moment_faults(values)
     errors = np.full(len(eps), None, dtype=object)
-    for k in np.flatnonzero(unconverged | faults.any(axis=0)).tolist():
-        (i1, i3), (off_sum, _) = values[k].tolist(), faults[:, k].tolist()
-        if unconverged[k]:
-            best = None if faults[:, k].any() else values[k].copy()
-            errors[k] = QuadratureToleranceError(best, delta[k].item(), RTOL)
-        elif off_sum:
-            errors[k] = ValueError(f"i1 + i3 = {i1 + i3}, expected 1 within {NORM_TOL:g}")
-        else:
-            errors[k] = ValueError("i1 and i3 must lie in [0, 1]")
+    for k in todo.tolist():
+        i1, i3 = values[k].tolist()
+        errors[k] = QuadratureToleranceError(delta[k].item(), i1 + i3)
     return values, errors
 
 

@@ -102,6 +102,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-beta-one": (["coherence", "--beta", "1", "--sigma", "10", *NEUTRON], {}),
     "coherence-theta-out-of-range": (
         ["coherence", "--theta", "2", "--beta", "0.5", "--sigma", "10", *NEUTRON], {}),
+    # the quadrature picks its own order: the removed order flags, on the
+    # command line or as config keys, exit 2 as unrecognized arguments
     "coherence-quad-order-zero": (
         ["coherence", "--beta", "0.95", "--sigma", "100", *NEUTRON, *QUAD, "--quad-order", "0"],
         {}),
@@ -116,6 +118,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
          "--quad-max-order", "512"], {}),
     "coherence-bad-orders-ignored-off-quadrature": (
         ["coherence", "--beta", "0.9", "--sigma", "100", *NEUTRON, "--quad-order", "0"], {}),
+    "coherence-config-quad-order": (["coherence", "--config", f"{TMP}/run.cfg"],
+                                    {"run.cfg": "beta = 0.9\nsigma = 100\nmass = 939.36\n"
+                                                "method = quadrature\nquad_order = 32\n"}),
     # the first failing row's checks, in order
     "coherence-sigma-over-m-above-one": (
         ["coherence", "--beta", "0.5", "--sigma", "200", "--mass", "100"], {}),
@@ -141,11 +146,10 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-factor-sum-dual-quadrature": (
         ["coherence", "--scenario", "dual", "--beta1", "0.9999", "--beta2", "0.9999",
          "--sigma", "798.456", *NEUTRON, "--n", "1", *QUAD], {}),
-    "coherence-moments-off-normalization": (
+    "coherence-quadrature-n-149": (
         ["coherence", *QUAD, "--n", "149", "--beta", "0.95", "--sigma", "93.936", *NEUTRON], {}),
     "coherence-quadrature-tolerance": (
-        ["coherence", *QUAD, "--n", "8", "--quad-order", "2", "--quad-max-order", "4",
-         "--beta", "0.5", "--sigma", "10", *NEUTRON], {}),
+        ["coherence", *QUAD, "--n", "200", "--beta", "0.3", "--sigma", "0.9", *NEUTRON], {}),
     "coherence-quadrature-tolerance-capped": (
         ["coherence", "--beta", "0.999", "--sigma", "0.5", "--mass", "1", "--n", "1", *QUAD,
          "--quad-max-order", "32"], {}),
@@ -193,13 +197,12 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "sweep-factor-sum-later-row": (
         ["sweep", "--n", "2", *NEUTRON, "--sigma-min", "800", "--sigma-max", "900", "--steps",
          "5", "--betas", "0.3,0.999999", "--methods", "exact-eig", *OUT], {}),
-    "sweep-moments-off-normalization": (
+    "sweep-quadrature-n-149": (
         ["sweep", "--n", "149", *NEUTRON, "--sigma-min", "50", "--sigma-max", "93.936",
          "--steps", "3", "--betas", "0.95", "--methods", "perturbative,quadrature", *OUT], {}),
     "sweep-quadrature-tolerance": (
-        ["sweep", "--n", "8", *NEUTRON, "--sigma-min", "10", "--sigma-max", "20", "--steps",
-         "2", "--betas", "0.5", "--methods", "quadrature", "--quad-order", "2",
-         "--quad-max-order", "4", *OUT], {}),
+        ["sweep", "--n", "200", *NEUTRON, "--sigma-min", "0.9", "--sigma-max", "1.8", "--steps",
+         "2", "--betas", "0.3", "--methods", "quadrature", *OUT], {}),
     # failures on a row of the second block of 256
     "sweep-sigma-over-m-second-block": (
         ["sweep", "--n", "2", *NEUTRON, "--sigma-min", "10", "--sigma-max", "1000", "--steps",

@@ -7,7 +7,8 @@ from the package's own code paths:
   moment integrals (kappa in [-12, 12], 1e6 points);
 * mpmath evaluations at 50 significant digits for closed-form targets,
   among them ``mp_i3_ultrarelativistic``, the exact beta -> 1 limit of I3
-  through Tricomi's U, with its own quadrature self-check;
+  through Tricomi's U, with its own quadrature self-check, and ``mp_i3``,
+  the moment I3 at any beta by mpmath quadrature;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
   a time with Python scalars, in full sweeps, the reference for the
   package's one rotation per X block;
@@ -23,6 +24,8 @@ from the package's own code paths:
 * the 4x4 embedding of the package's X-state blocks (``x_matrices``) and
   its inverse (``x_blocks``), so that the full-matrix oracles above run
   on the states the package holds;
+* the relative entropy of coherence ``c_re``, in closed form on the
+  blocks, with ``c_re_eigvalsh`` on the 4x4 embedding as its check;
 * the Wigner rotation from explicit 4x4 Lorentz matrices
   (``wigner_rotation_matrix``) and its spin-1/2 representation
   (``spin_half_matrix``);
@@ -135,6 +138,22 @@ def mp_i3_ultrarelativistic_quad(n: int, eps: float) -> mp.mpf:
 
     # the integrand is even in kappa
     return 2 * mp.quad(integrand, [0, 1, mp.inf]) / mp.gamma(n + half)
+
+
+def mp_i3(n: int, beta: float, eps: float) -> mp.mpf:
+    """I3 at 50 digits, by mpmath quadrature of its integral in kappa = p/sigma.
+
+    The weight kappa^2n e^(-kappa^2) / Gamma(n + 1/2) peaks at sqrt(n) with
+    width ~1, so the half line is split around the peak.
+    """
+    peak = math.sqrt(n)
+
+    def integrand(kappa):
+        return kappa ** (2 * n) * mp.exp(-kappa * kappa) * mp_perp_trig(beta, eps * kappa)[1]
+
+    cuts = sorted({0.0, max(0.0, peak - 6.0), peak, peak + 6.0})
+    # the integrand is even in kappa
+    return 2 * mp.quad(integrand, [*cuts, mp.inf]) / mp.gamma(n + mp.mpf(1) / 2)
 
 
 def mp_frobenius_from_spectrum(eigenvalues) -> mp.mpf:
@@ -409,6 +428,49 @@ def x_blocks(matrices) -> np.ndarray:
                      for p, q in X_PAIRS], axis=1)
 
 
+def entropy_bits(p) -> np.ndarray:
+    """The Shannon entropy in bits of each row of ``p``, with 0 log 0 = 0.
+
+    A value at or below zero, such as an eigenvalue that rounds to -1e-17,
+    adds nothing.
+    """
+    p = np.asarray(p, dtype=float)
+    positive = p > 0.0
+    return -np.sum(np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0), axis=-1)
+
+
+def c_re(blocks) -> np.ndarray:
+    """The relative entropy of coherence S(diag rho) - S(rho), in bits, per X-state.
+
+    In closed form on the (points x 2 x 3) stack of (a, d, c) blocks
+    (Baumgratz, Cramer & Plenio, PRL 113 (2014) 140401): the diagonal is
+    the (a, d) of both blocks, and the spectrum is each block's roots: the
+    larger (a + d)/2 + hypot((a - d)/2, c), and the smaller the determinant
+    a d - c^2 over it.  That quotient keeps the smaller root of a rank-1
+    block near its own rounding, not an ulp of the larger root, which the
+    entropy's slope |log2 x| at zero would amplify 50-fold.
+    """
+    b = np.asarray(blocks, dtype=float)
+    a, d, c = b[..., 0], b[..., 1], b[..., 2]
+    large = (a + d) / 2.0 + np.hypot((a - d) / 2.0, c)
+    small = (a * d - c * c) / np.where(large > 0.0, large, 1.0)
+    diagonal = np.concatenate([a, d], axis=-1)
+    spectrum = np.concatenate([large, small], axis=-1)
+    return entropy_bits(diagonal) - entropy_bits(spectrum)
+
+
+def c_re_eigvalsh(blocks) -> np.ndarray:
+    """:func:`c_re` from the 4x4 embedding: its diagonal, and ``eigvalsh`` for the spectrum."""
+    m = x_matrices(blocks)
+    return entropy_bits(np.diagonal(m, axis1=-2, axis2=-1)) - entropy_bits(np.linalg.eigvalsh(m))
+
+
+def mp_binary_entropy(p: float) -> mp.mpf:
+    """H2(p) = -p log2 p - (1 - p) log2 (1 - p) at 50 digits, with 0 log 0 = 0."""
+    p = mp.mpf(p)
+    return -sum(q * mp.log(q, 2) for q in (p, 1 - p) if q > 0)
+
+
 def lorentz_boost(rapidity: float, axis) -> np.ndarray:
     """4x4 pure boost of the given rapidity along the unit 3-vector ``axis``,
     acting on (t, x, y, z) components."""
@@ -470,7 +532,7 @@ def spin_half_matrix(w: np.ndarray) -> np.ndarray:
     return np.array([[c - 1j * nz, -ny - 1j * nx], [ny - 1j * nx, c + 1j * nz]])
 
 
-def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_order):
+def config_block_values(theta, boosts, n, eps, methods):
     """One beta configuration over a block of sigma/m values, as columns.
 
     The sweep's block evaluation before it stacked every configuration,
@@ -494,9 +556,7 @@ def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_ord
         errors = np.full(count, None, dtype=object)  # None or a point's first error
         moments = []
         for b in boosts:
-            values, errs = moments_quadrature(
-                n, b, eps[stacked], quad_order, max_order=quad_max_order
-            )
+            values, errs = moments_quadrature(n, b, eps[stacked])
             moments.append(values)
             errors[stacked] = np.where(errors[stacked].astype(bool), errors[stacked], errs)
         passed = gated & ~errors.astype(bool)
@@ -547,11 +607,9 @@ def config_block_values(theta, boosts, n, eps, methods, quad_order, quad_max_ord
     return columns, spectra, (k, error)
 
 
-def _config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order):
+def _config_lines(spec, boosts, sigma_text, eps):
     """Yield one configuration's CSV lines over a block; a failing point raises at its line."""
-    columns, _, failure = config_block_values(
-        spec.theta, boosts, spec.n, eps, spec.methods, quad_order, quad_max_order
-    )
+    columns, _, failure = config_block_values(spec.theta, boosts, spec.n, eps, spec.methods)
     count = len(sigma_text) if failure is None else failure[0]
 
     def text(column) -> list[str]:
@@ -567,7 +625,7 @@ def _config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order):
         raise failure[1]
 
 
-def sweep_lines_per_config(spec, quad_order, quad_max_order, block=256):
+def sweep_lines_per_config(spec, block=256):
     """Yield a sweep's CSV lines, each block evaluated one configuration at a time.
 
     The sweep before it stacked every configuration, kept verbatim
@@ -580,8 +638,7 @@ def sweep_lines_per_config(spec, quad_order, quad_max_order, block=256):
         sigma = spec.sigmas(start, start + block)
         eps = np.array(sigma) / spec.mass
         sigma_text = list(map(repr, sigma))
-        configs = [_config_lines(spec, boosts, sigma_text, eps, quad_order, quad_max_order)
-                   for boosts in boosts_by_cfg]
+        configs = [_config_lines(spec, boosts, sigma_text, eps) for boosts in boosts_by_cfg]
         for _ in sigma:
             for lines in configs:
                 yield next(lines)

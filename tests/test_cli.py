@@ -141,6 +141,8 @@ class TestCoherenceCommand:
         assert code == 2
         assert "n > -1/2" in capsys.readouterr().err
 
+    # The quadrature picks its own order, so the order flags are gone: each
+    # exits 2 as an unrecognized argument, whatever its value.
     def test_zero_quad_order_rejected(self, capsys):
         code = main([
             "coherence", "--scenario", "single", "--beta", "0.95",
@@ -148,7 +150,7 @@ class TestCoherenceCommand:
             "--method", "quadrature", "--quad-order", "0",
         ])
         assert code == 2
-        assert "order" in capsys.readouterr().err
+        assert "unrecognized arguments: --quad-order 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_order", ["0", "8", "1000"])
     def test_quad_max_order_out_of_range_rejected(self, max_order, capsys):
@@ -157,36 +159,33 @@ class TestCoherenceCommand:
             "--method", "quadrature", "--quad-max-order", max_order,
         ])
         assert code == 2
-        assert "max_order" in capsys.readouterr().err
+        assert f"unrecognized arguments: --quad-max-order {max_order}" in capsys.readouterr().err
 
     def test_quadrature_tolerance_exit_code(self, capsys):
-        # orders 16 and 32 differ by 1.75e-8 on this broad packet at beta 0.999
+        # at n = 200 orders 128 and 256 differ by 2.9e-4
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.999",
-            "--sigma", "0.5", "--mass", "1", "--n", "1",
-            "--method", "quadrature", "--quad-max-order", "32",
+            "coherence", "--scenario", "single", "--beta", "0.3",
+            "--sigma", "0.9", "--mass", "939.36", "--n", "200", "--method", "quadrature",
         ])
         assert code == 3
-        assert "did not converge: delta 1.750e-08" in capsys.readouterr().err
+        assert "did not converge by order 256: delta 2.928e-04" in capsys.readouterr().err
 
     @pytest.mark.parametrize("orders", [["--quad-order", "256"], ["--quad-max-order", "16"],
                                         ["--quad-order", "64", "--quad-max-order", "64"]])
     def test_max_order_below_twice_order_rejected(self, orders, capsys):
-        # Without a doubling there is no delta: this used to exit 3 with delta inf.
         code = main([
             "coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36",
             "--method", "quadrature", *orders,
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "--quad-order" in err and "--quad-max-order" in err and "2 * order" in err
+        assert f"unrecognized arguments: {' '.join(orders)}" in capsys.readouterr().err
 
     def test_crude_estimate_exit_code(self, capsys):
-        # The order-4 estimate is not even a moment triple; it is still an
+        # Orders up to 256 cannot integrate kappa^598; it is still an
         # unconverged quadrature, not a usage error.
         code = main([
-            "coherence", "--method", "quadrature", "--n", "8", "--quad-order", "2",
-            "--quad-max-order", "4", "--beta", "0.5", "--sigma", "10", "--mass", "939.36",
+            "coherence", "--method", "quadrature", "--n", "299", "--beta", "0.5",
+            "--sigma", "10", "--mass", "939.36",
         ])
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
@@ -532,11 +531,14 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_first_failing_row_sets_exit_code(self, tmp_path, capsys):
-        # The first row, sigma/m = 0.5, fails to converge by order 32, before
-        # the second row's sigma/m gate fails.
+        # At n = 200 the first row, sigma/m = 0.1, fails to converge by order
+        # 256, before the second row's n bound fails.
         out = tmp_path / "sweep.csv"
-        assert main([*self.CROSSING, "--quad-max-order", "32", "--out", str(out)]) == 3
-        assert "did not converge: delta 1.750e-08" in capsys.readouterr().err
+        assert main([
+            "sweep", "--methods", "quadrature", "--n", "200", "--mass", "1", "--sigma-min", "0.1",
+            "--sigma-max", "0.6", "--steps", "6", "--betas", "0.3", "--out", str(out),
+        ]) == 3
+        assert "did not converge by order 256: delta" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quadrature_skips_points_that_failed_the_gates(self, tmp_path, monkeypatch, capsys):
@@ -553,12 +555,13 @@ class TestSweepCommand:
         assert seen and all(eps == [0.5] for eps in seen)
 
     def test_equal_quad_orders_rejected_before_writing(self, tmp_path, capsys):
+        # the removed order flags are unrecognized arguments
         out = tmp_path / "sweep.csv"
         out.write_text("keep\n")
         assert main([*self.CROSSING, "--quad-order", "32", "--quad-max-order", "32",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "--quad-order 32, --quad-max-order 32" in err
+        assert "unrecognized arguments: --quad-order 32 --quad-max-order 32" in err
         assert out.read_text() == "keep\n"
 
     # 257 sigma points: one full block of 256 and a block of one.
@@ -761,9 +764,7 @@ class TestSweepCommand:
         edge = math.sqrt((3.0 if len(betas) == 1 else 1.5) / (n + 0.5))
         eps = np.minimum(np.array(fractions) * edge, math.nextafter(1.0, 0.0))
         boosts = [boost_from_beta(b) for b in betas]
-        columns, spectra, failure = cli._block_values(
-            theta, [boosts], n, eps, ("exact-eig",), cli.DEFAULT_ORDER, cli.MAX_ORDER
-        )
+        columns, spectra, failure = cli._block_values(theta, [boosts], n, eps, ("exact-eig",))
         factors = [f for f in columns[-2:] if f is not None]
         bound = 0.75 if len(betas) == 1 else 0.375
         assert all((f[~np.isnan(f)] < bound).all() for f in factors)
@@ -836,9 +837,6 @@ class TestSweepCommand:
 # Betas that reach the F1 + F2 gate inside the n bounds (beta >= 0.98), or
 # stay far from it; symmetric pairs and repeated betas share boosts.
 BETA = st.sampled_from([0.0, 0.3, 0.9, 0.999, 0.999999]) | st.floats(0.0, 0.999999)
-# (order, max_order): low orders fail the moment checks or stop converging
-ORDERS = (st.just(16) | st.sampled_from([2, 4, 8])).flatmap(
-    lambda order: st.tuples(st.just(order), st.sampled_from(sorted({2 * order, 64, 256}))))
 
 
 @st.composite
@@ -850,7 +848,8 @@ def sweep_specs(draw) -> SweepSpec:
     else:
         pair = st.tuples(BETA, BETA) | BETA.map(lambda b: (b, b))
         betas = draw(st.lists(pair, min_size=1, max_size=4))
-    n = draw(st.sampled_from([0, 2, 40]) | st.integers(0, 60))
+    # past n ~ 163 the quadrature does not converge by its largest order
+    n = draw(st.sampled_from([0, 2, 40, 200]) | st.integers(0, 60) | st.integers(100, 220))
     # sigma/m as fractions of the n bound's edge, where F1 + F2 reaches 1/2
     # from ~0.82 of it at high beta; the edge passes sigma/m = 1 for small n
     edge = math.sqrt((3.0 / boosted) / (n + 0.5))
@@ -880,12 +879,12 @@ class TestBlockStack:
     # The blocks of the stack are small, to cross block edges; the oracle's
     # are 256 points, so its rows do not depend on the blocking either.
     @settings(max_examples=150, deadline=None)
-    @given(sweep_specs(), ORDERS, st.sampled_from([3, 7, cli.BLOCK]))
-    def test_matches_the_per_configuration_sweep(self, spec, orders, block):
+    @given(sweep_specs(), st.sampled_from([3, 7, cli.BLOCK]))
+    def test_matches_the_per_configuration_sweep(self, spec, block):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "BLOCK", block)
-            rows, error = lines_and_error(run_sweep(spec, *orders))
-        want_rows, want_error = lines_and_error(oracles.sweep_lines_per_config(spec, *orders))
+            rows, error = lines_and_error(run_sweep(spec))
+        want_rows, want_error = lines_and_error(oracles.sweep_lines_per_config(spec))
         assert rows == want_rows
         assert type(error) is type(want_error)
         assert str(error) == str(want_error)
@@ -1033,20 +1032,19 @@ class TestClosedFormPaths:
 
 
 # The CLI contract as a property.  Each example starts from valid flags for
-# one scenario, then gives up to three flags an odd value or drops them:
-# NaN, +/-inf, huge, negative, zero, empty and non-numeric values, and
-# values outside a flag's domain.  A sweep has at most 64 steps, so each
-# example stays small.
+# one command (and scenario), then gives up to three flags an odd value or
+# drops them: NaN, +/-inf, huge, negative, zero, empty and non-numeric
+# values, and values outside a flag's domain.  A sweep or figure has at most
+# 64 steps, so each example stays small.
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1", "0", "abc", ""]
 VALID = {
     "theta": ["0", "0.3", "0.7853981633974483", "1.5707963267948966"],
     "n": ["0", "1", "2", "8", "40"],
     "mass": ["939.36", "1000"],
-    "quad-order": ["2", "8", "16", "32"],
-    "quad-max-order": ["16", "64", "256"],
     "beta": ["0", "0.3", "0.95", "0.999999"],
     "beta1": ["0", "0.5", "0.999999"],
     "beta2": ["0.3", "0.95"],
+    "p-over-m": ["0", "0.5", "1", "5"],
     "sigma": ["5", "50", "100", "280", "600", "845.424"],
     "method": ["perturbative", "exact-eig", "quadrature"],
     "sigma-min": ["1", "5", "50"],
@@ -1061,9 +1059,8 @@ ODD = {flag: BAD_NUMBERS for flag in VALID} | {
     "theta": ["2", "-0.1", *BAD_NUMBERS],
     "n": ["1.5", "149", "300", "100000", *BAD_NUMBERS],
     "mass": ["1e-300", "1e300", *BAD_NUMBERS],
-    "quad-order": ["1", "256", "300", *BAD_NUMBERS],
-    "quad-max-order": ["2", "512", *BAD_NUMBERS],
     "beta": ["1", "1.5", *BAD_NUMBERS],
+    "p-over-m": ["1e200", *BAD_NUMBERS],
     "sigma": ["1e-300", "1e300", "939.36", *BAD_NUMBERS],
     "method": ["foo", ""],
     "steps": ["1", "0", "-1", "-5", "2.5", "nan", "inf", "1e308", "abc", ""],  # none above 64
@@ -1071,29 +1068,44 @@ ODD = {flag: BAD_NUMBERS for flag in VALID} | {
     "beta-pairs": ["", "0.5", "1:0", "nan:0.5", "a:b", "0.5:inf"],
     "methods": ["foo", "", "quadrature,foo"],
 }
+# The flags drawn valid, per command and scenario (None: the command has no
+# scenario).  A figure always gets --steps, since its preset has 256.
 FLAGS = {
-    ("coherence", "single"): ["theta", "n", "mass", "quad-order", "quad-max-order", "beta",
-                              "sigma", "method"],
-    ("coherence", "dual"): ["theta", "n", "mass", "quad-order", "quad-max-order", "beta1",
-                            "beta2", "sigma", "method"],
-    ("sweep", "single"): ["theta", "n", "mass", "quad-order", "quad-max-order", "sigma-min",
-                          "sigma-max", "steps", "betas", "methods"],
-    ("sweep", "dual"): ["theta", "n", "mass", "quad-order", "quad-max-order", "sigma-min",
-                        "sigma-max", "steps", "beta-pairs", "methods"],
+    ("wigner", None): ["beta", "p-over-m"],
+    ("coherence", "single"): ["theta", "n", "mass", "beta", "sigma", "method"],
+    ("coherence", "dual"): ["theta", "n", "mass", "beta1", "beta2", "sigma", "method"],
+    ("sweep", "single"): ["theta", "n", "mass", "sigma-min", "sigma-max", "steps", "betas",
+                          "methods"],
+    ("sweep", "dual"): ["theta", "n", "mass", "sigma-min", "sigma-max", "steps", "beta-pairs",
+                        "methods"],
+    ("figure", None): ["theta", "n", "mass", "sigma-min", "sigma-max", "betas"],
 }
 
 
 @st.composite
 def cli_argv(draw, command: str) -> list[str]:
     """Argv for ``command``: valid flags for a scenario, up to three of them odd or dropped."""
-    scenario = draw(st.sampled_from(["single", "dual"]))
-    values = {"scenario": scenario}
+    scenarios = [scenario for name, scenario in FLAGS if name == command]
+    scenario = draw(st.sampled_from(scenarios))
+    values = {} if scenario is None else {"scenario": scenario}
     values |= {flag: draw(st.sampled_from(VALID[flag])) for flag in FLAGS[command, scenario]}
     # any flag of the command, the other scenario's beta flags included
-    names = sorted({"scenario", *FLAGS[command, "single"], *FLAGS[command, "dual"]})
+    names = sorted({*values, *(flag for s in scenarios for flag in FLAGS[command, s])})
     for flag in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
         values[flag] = draw(st.none() | st.sampled_from(ODD[flag]))  # None drops the flag
-    return [command] + [f"--{f}={v}" for f, v in values.items() if v is not None]
+    head = [command]
+    if command == "figure":
+        steps = draw(st.sampled_from(VALID["steps"]) | st.sampled_from(ODD["steps"]))
+        head += [draw(st.sampled_from(["fig1", "fig2", "fig3"])), f"--steps={steps}"]
+    return head + [f"--{f}={v}" for f, v in values.items() if v is not None]
+
+
+def csv_configs(flags: dict) -> int:
+    """The number of beta configurations a successful sweep or figure writes rows for."""
+    configs = flags.get("beta-pairs" if flags.get("scenario") == "dual" else "betas")
+    if configs is None:  # a figure's preset betas
+        return len(cli.FIGURE_BETAS)
+    return len([part for part in configs.split(",") if part.strip()])
 
 
 class TestContractProperty:
@@ -1114,6 +1126,33 @@ class TestContractProperty:
         elif code == 3:
             assert err.startswith("error: quadrature did not converge"), err
 
+    def check_csv_run(self, argv, existing) -> None:
+        """Run a sweep or figure: exit 0 writes one row per grid point and
+        configuration, anything else leaves an earlier file as it was."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            if existing:
+                out.write_bytes(b"earlier results\n")
+            code, stdout, err = self.run([*argv, f"--out={out}"])
+            self.assert_contract(code, err)
+            if code == 0:
+                header, rows = read_csv(out)
+                assert header == CSV_HEADER and stdout == f"wrote {len(rows)} rows to {out}\n"
+                flags = dict(arg[2:].split("=", 1) for arg in argv[1:] if arg.startswith("--"))
+                assert len(rows) == int(flags["steps"]) * csv_configs(flags)
+            elif existing:
+                assert out.read_bytes() == b"earlier results\n"
+            assert os.listdir(tmp) == (["out.csv"] if code == 0 or existing else [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argv("wigner"))
+    def test_wigner(self, argv):
+        code, out, err = self.run(argv)
+        self.assert_contract(code, err)
+        assert code != 3
+        if code == 0:
+            assert out.startswith("cos2_half ") and err == ""
+
     @settings(max_examples=200, deadline=None)
     @given(cli_argv("coherence"))
     def test_coherence(self, argv):
@@ -1128,20 +1167,10 @@ class TestContractProperty:
     @settings(max_examples=200, deadline=None)
     @given(cli_argv("sweep"), st.booleans())
     def test_sweep(self, argv, existing):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out.csv"
-            if existing:
-                out.write_bytes(b"earlier results\n")
-            code, stdout, err = self.run([*argv, f"--out={out}"])
-            self.assert_contract(code, err)
-            if code == 0:
-                header, rows = read_csv(out)
-                assert header == CSV_HEADER and stdout == f"wrote {len(rows)} rows to {out}\n"
-                # one row per grid point and beta configuration
-                flags = dict(arg[2:].split("=", 1) for arg in argv[1:])
-                configs = flags["beta-pairs" if flags.get("scenario") == "dual" else "betas"]
-                assert len(rows) == int(flags["steps"]) * len(
-                    [part for part in configs.split(",") if part.strip()])
-            elif existing:
-                assert out.read_bytes() == b"earlier results\n"
-            assert os.listdir(tmp) == (["out.csv"] if code == 0 or existing else [])
+        self.check_csv_run(argv, existing)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argv("figure"), st.booleans())
+    def test_figure(self, argv, existing):
+        self.check_csv_run(argv, existing)

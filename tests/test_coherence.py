@@ -26,7 +26,10 @@ from boostcoh import (
 from boostcoh.coherence import _descending, _spectrum_faults
 from boostcoh.integrals import check_factor_sum
 
-from oracles import jacobi_eigenvalues, mp_frobenius_from_spectrum, x_blocks, x_matrices
+from oracles import (
+    c_re, c_re_eigvalsh, entropy_bits, jacobi_eigenvalues, mp_binary_entropy,
+    mp_frobenius_from_spectrum, x_blocks, x_matrices,
+)
 
 THETAS = [k * math.pi / 24 for k in range(13)]
 
@@ -607,3 +610,86 @@ class TestTruncationQuality:
             rho_single_boost_perturbative(0.3, col(0.51))
         spectra = spectrum_dual_boost(0.3, col(0.26), col(0.25))
         assert np.isnan(spectra).all() and np.isnan(c_frobenius(spectra)).all()
+
+
+def quadrature_rows(n, beta, eps) -> np.ndarray:
+    """The converged (I1, I3) rows of a 1-D array of sigma/m."""
+    values, errors = moments_quadrature(n, boost_from_beta(beta), np.asarray(eps, dtype=float))
+    assert not errors.any()
+    return values
+
+
+class TestRelativeEntropyOfCoherence:
+    """C_re = S(diag rho) - S(rho) (the ``c_re`` oracle) and its invariance theorems.
+
+    Each block's a d - c^2 is cos^2(2 theta) I1 I3 J1 J3, so with one boost
+    (J3 = 0), or at theta = pi/4, both blocks have rank 1 and C_re is the
+    trace times H2(sin^2 theta) exactly.  The entries are rounded, so a
+    rank-1 block keeps a smaller root near 1e-17, and its entropy term
+    -x log2 x reaches ~20 ulp: 32 ulp is the bound (21 seen in 1500
+    random draws).
+    """
+
+    ULPS = 32 * 2.0**-52
+    THETA = st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(0.0, math.pi / 2)
+    BETA = st.sampled_from([0.0, 0.999999]) | st.floats(0.0, 0.999999)
+    EPS = st.sampled_from([1e-6, 0.99]) | st.floats(1e-6, 0.99)
+
+    @staticmethod
+    def trace(rho: DensityMatrix) -> np.ndarray:
+        return rho.blocks[:, :, :2].sum(axis=(1, 2))
+
+    def test_zero_log_zero(self):
+        assert entropy_bits(np.array([[0.0, 1.0, 0.0, -1e-17]])).tolist() == [0.0]
+        assert entropy_bits(np.array([[0.5, 0.5, 0.0, 0.0]])).tolist() == [1.0]
+        # theta = 0 at rest is the product state |10>: no coherence, zeros on the diagonal
+        rho = rho_single_boost_general(0.0, np.array([[1.0, 0.0]]))
+        assert c_re(rho.blocks).tolist() == c_re_eigvalsh(rho.blocks).tolist() == [0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=THETA, i3=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           j3=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    def test_closed_form_matches_eigvalsh_entropy(self, theta, i3, j3):
+        # any pair of moment rows summing to one, not only the ones a packet gives
+        rho = rho_dual_boost_general(theta, col([1.0 - i3, i3]), col([1.0 - j3, j3]))
+        assert abs(c_re(rho.blocks)[0] - c_re_eigvalsh(rho.blocks)[0]) <= 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(theta=THETA, beta=BETA, eps=EPS, n=st.integers(0, 40))
+    def test_one_boost_is_the_binary_entropy_of_sin2_theta(self, theta, beta, eps, n):
+        want = float(mp_binary_entropy(math.sin(theta) ** 2))
+        rho = rho_single_boost_general(theta, quadrature_rows(n, beta, [eps]))
+        assert abs(c_re(rho.blocks)[0] - self.trace(rho)[0] * want) <= self.ULPS
+        f = f_factor(n, boost_from_beta(beta), col(eps))
+        assume(f[0] < 0.5)
+        rho = rho_single_boost_perturbative(theta, f)
+        assert abs(c_re(rho.blocks)[0] - self.trace(rho)[0] * want) <= self.ULPS
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta1=BETA, beta2=BETA, eps=EPS, n=st.integers(0, 40))
+    def test_two_boosts_at_quarter_pi_give_one(self, beta1, beta2, eps, n):
+        rows = [quadrature_rows(n, b, [eps]) for b in (beta1, beta2)]
+        rho = rho_dual_boost_general(math.pi / 4, *rows)
+        assert abs(c_re(rho.blocks)[0] - self.trace(rho)[0]) <= self.ULPS
+        factors = [f_factor(n, boost_from_beta(b), col(eps)) for b in (beta1, beta2)]
+        assume(check_factor_sum(*factors)[0])
+        rho = rho_dual_boost_perturbative(math.pi / 4, *factors)
+        assert abs(c_re(rho.blocks)[0] - self.trace(rho)[0]) <= self.ULPS
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3, 0.6, 1.0, 1.3])
+    def test_two_boosts_decay_off_quarter_pi(self, theta):
+        # both particles boosted with one beta: C_re falls as the packet
+        # widens and as the boost grows, from H2(sin^2 theta) at rest
+        def c_re_dual(beta, eps):
+            rows = quadrature_rows(2, beta, eps)
+            return c_re(rho_dual_boost_general(theta, rows, rows).blocks)
+
+        eps = np.linspace(0.01, 0.95, 24)
+        for beta in (0.3, 0.8, 0.999):
+            assert (np.diff(c_re_dual(beta, eps)) < 0.0).all()
+        betas = np.linspace(0.0, 0.999999, 16)
+        for e in (0.05, 0.3, 0.9):
+            decay = [c_re_dual(beta, [e])[0] for beta in betas]
+            assert decay[0] == pytest.approx(float(mp_binary_entropy(math.sin(theta) ** 2)),
+                                             abs=self.ULPS)
+            assert (np.diff(decay) < 0.0).all()

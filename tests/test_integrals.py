@@ -16,29 +16,30 @@ from boostcoh import (
     n_bounds,
     rho_single_boost_perturbative,
 )
+from boostcoh import integrals
 from boostcoh.integrals import (
     MAX_ORDER, MIN_ORDER, N_LOWER, _moment_faults, _moments_at_order, check_factor_sum,
     check_n_in_bounds,
 )
 
 from oracles import (
-    hermite_value, hermite_weight, moments_at_order, mp_f_factor, mp_i3_ultrarelativistic,
+    hermite_value, hermite_weight, moments_at_order, mp_f_factor, mp_i3, mp_i3_ultrarelativistic,
     mp_i3_ultrarelativistic_quad, trapezoid_moments,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-def moments(n, beta, eps, *args, **kwargs):
+def moments(n, beta, eps):
     """The (I1, I3) row of one sigma/m, and its error."""
-    values, errors = moments_quadrature(n, boost_from_beta(beta), np.array([eps]), *args, **kwargs)
+    values, errors = moments_quadrature(n, boost_from_beta(beta), np.array([eps]))
     assert values.shape == (1, 2) and errors.shape == (1,)
     return values[0], errors[0]
 
 
-def converged(n, beta, eps, *args, **kwargs):
+def converged(n, beta, eps):
     """(I1, I3) of one sigma/m, which must have converged."""
-    (i1, i3), error = moments(n, beta, eps, *args, **kwargs)
+    (i1, i3), error = moments(n, beta, eps)
     assert error is None
     return i1, i3
 
@@ -130,38 +131,51 @@ class TestMomentsQuadrature:
         assert i1 + i3 == pytest.approx(1.0, abs=1e-12)
 
     def test_order_invariance_beyond_convergence(self):
-        a = converged(2, 0.95, 0.1, 96, adaptive=False)
-        b = converged(2, 0.95, 0.1, 128, adaptive=False)
+        eps, boost = np.array([0.1]), boost_from_beta(0.95)
+        a, b = (_moments_at_order(2, eps, boost, order) for order in (96, 128))
         assert a[0] == pytest.approx(b[0], rel=1e-12)
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
-    def test_tolerance_error_carries_best_estimate(self):
-        # A broad packet at beta 0.999: orders 16 and 32 still differ by 1.75e-8.
-        row, err = moments(1, 0.999, 0.5, 16, max_order=32)
+    # Past n ~ 110 the orders below 128 miss the weight's peak at kappa ~
+    # sqrt(n), and their estimates are near zero: two of them agree to
+    # RTOL, yet are no moment pair (i1 + i3 = 6.5e-28 at n = 149).
+    @pytest.mark.parametrize("n", [112, 130, 163])
+    def test_large_n_matches_mpmath(self, n):
+        # inside the two-boost n bounds at sigma/m = 0.09 (n <= 184)
+        assert check_n_in_bounds(n, np.array([0.09]), 2)[0]
+        _, i3 = converged(n, 0.95, 0.09)
+        assert i3 == pytest.approx(float(mp_i3(n, 0.95, 0.09)), rel=1e-12)
+
+    def test_near_zero_estimates_are_not_converged(self):
+        # orders 16 and 32 agree to RTOL at n = 149, and fail the moment checks
+        eps, boost = np.array([0.1]), boost_from_beta(0.95)
+        low = [_moments_at_order(149, eps, boost, order) for order in (16, 32)]
+        assert np.all(np.abs(low[1] - low[0]) < integrals.RTOL)
+        assert _moment_faults(low[1].T).any()
+        i1, i3 = converged(149, 0.95, 0.1)
+        assert i1 + i3 == pytest.approx(1.0, abs=1e-13)
+
+    def test_tolerance_error_names_delta_and_sum(self):
+        # At n = 200 only order 256 reaches the weight: orders 128 and 256
+        # differ by 2.9e-4, and the row holds the order-256 estimate.
+        eps, boost = np.array([0.9 / 939.36]), boost_from_beta(0.3)
+        row, err = moments(200, 0.3, eps[0])
         assert isinstance(err, QuadratureToleranceError)
-        assert isinstance(err.best, np.ndarray) and err.best.tobytes() == row.tobytes()
-        # the order-32 estimate, within its delta of the trapezoid oracle's 0.0616716449206
-        assert err.best[1] == pytest.approx(0.0616716449192, rel=1e-11)
-        assert err.delta == pytest.approx(1.7496e-8, rel=1e-4)
-        assert err.delta > err.rtol
+        assert row.tobytes() == _moments_at_order(200, eps, boost, MAX_ORDER).T[0].tobytes()
+        last = _moments_at_order(200, eps, boost, MAX_ORDER // 2).T[0]
+        assert err.delta == np.max(np.abs(row - last) / np.maximum(1.0, np.abs(row)))
+        assert err.delta == pytest.approx(2.928e-4, rel=1e-3)
+        i1, i3 = row.tolist()
+        assert str(err) == (
+            f"quadrature did not converge by order {MAX_ORDER}: delta {err.delta:.3e}, "
+            f"i1 + i3 = {i1 + i3!r}"
+        )
 
     def test_crude_unconverged_estimate_is_a_tolerance_error(self):
-        # At orders 2 and 4, n = 8 leaves i1 + i3 far from 1: not a moment pair.
-        _, err = moments(8, 0.5, 10.0 / 939.36, 2, max_order=4)
-        assert isinstance(err, QuadratureToleranceError) and err.best is None
-        _, err = moments(8, 0.5, 10.0 / 939.36, 2, adaptive=False)
-        assert type(err) is ValueError and str(err).startswith("i1 + i3 = ")
-
-    @pytest.mark.parametrize(
-        "order, max_order", [(16, 0), (16, 8), (16, 512), (32, 16), (16, 16), (256, 256)]
-    )
-    def test_max_order_out_of_range_rejected(self, order, max_order):
-        # An adaptive run needs max_order >= 2 order: its first delta compares the two.
-        for eps in ([0.1], [0.1, 0.1]):
-            with pytest.raises(ValueError, match="max_order"):
-                moments_quadrature(
-                    2, boost_from_beta(0.95), np.array(eps), order, max_order=max_order
-                )
+        # Orders up to 128 cannot integrate kappa^400, and order 256 has no
+        # successor to agree with: a tolerance error, never a ValueError.
+        _, err = moments(200, 0.3, 0.9 / 939.36)
+        assert type(err) is QuadratureToleranceError
 
     @pytest.mark.parametrize(
         "n, eps, match",
@@ -219,67 +233,50 @@ class TestMomentsQuadrature:
         assert i2.tobytes() == np.zeros(len(eps)).tobytes()
 
     @staticmethod
-    def check_block_against_one_point_calls(n, eps, beta, order, max_order, adaptive):
+    def check_block_against_one_point_calls(n, eps, beta):
         """Each point's moments and error are bit for bit those of its one-element call.
 
-        Returns the kind of each point: "ok", "ValueError", or
-        "tolerance" / "crude" for a tolerance error with / without a
-        moment pair.
+        Returns the kind of each point: "ok" or "tolerance".
         """
         boost = boost_from_beta(beta)
-        values, errors = moments_quadrature(
-            n, boost, np.array(eps, dtype=float), order, max_order=max_order, adaptive=adaptive
-        )
+        values, errors = moments_quadrature(n, boost, np.array(eps, dtype=float))
         assert values.shape == (len(eps), 2) and errors.shape == (len(eps),)
         kinds = []
         for e, row, entry in zip(eps, values, errors):
-            (want,), (alone,) = moments_quadrature(
-                n, boost, np.array([e]), order, max_order=max_order, adaptive=adaptive
-            )
+            (want,), (alone,) = moments_quadrature(n, boost, np.array([e]))
             assert row.tobytes() == want.tobytes()
             assert type(entry) is type(alone) and str(entry) == str(alone)
-            if isinstance(alone, QuadratureToleranceError):
-                assert entry.delta == alone.delta
-                if alone.best is None:
-                    assert entry.best is None
-                else:
-                    assert entry.best.tobytes() == alone.best.tobytes() == row.tobytes()
-                kinds.append("crude" if alone.best is None else "tolerance")
-            elif alone is None:
+            if alone is None:
                 kinds.append("ok")
-            else:  # too low an order to integrate kappa^2n exactly
-                assert type(alone) is ValueError
-                kinds.append("ValueError")
+            else:
+                assert type(alone) is QuadratureToleranceError and entry.delta == alone.delta
+                kinds.append("tolerance")
         return kinds
 
     @pytest.mark.parametrize(
-        "n, eps, beta, order, max_order, adaptive, kinds",
+        "n, eps, beta, kinds",
         [
-            # orders 2 and 4 cannot integrate kappa^16: no estimate is a moment pair
-            (8, [0.001, 0.3, 0.9], 0.5, 2, 4, True, {"crude"}),
-            (8, [0.001, 0.3, 0.9], 0.5, 2, 4, False, {"ValueError"}),
-            # broad packets at beta 0.999 miss RTOL by order 64
-            (2, [0.01, 0.1, 0.5, 0.9, 0.95], 0.999, 16, 64, True, {"ok", "tolerance"}),
+            # order 256 cannot agree with a lower order on kappa^400
+            pytest.param(200, [0.001, 0.05, 0.09], 0.3, {"tolerance"}, id="large-n"),
+            # broad packets at beta 0.999 miss RTOL by order 256
+            pytest.param(1, [0.5, 1.0, 1.5, 2.0, 3.0], 0.999, {"ok", "tolerance"},
+                         id="broad-packets"),
         ],
     )
-    def test_block_covers_failing_points(self, n, eps, beta, order, max_order, adaptive, kinds):
-        got = self.check_block_against_one_point_calls(n, eps, beta, order, max_order, adaptive)
+    def test_block_covers_failing_points(self, n, eps, beta, kinds):
+        got = self.check_block_against_one_point_calls(n, eps, beta)
         assert set(got) == kinds
 
     @settings(deadline=None)
     @given(
-        n=st.integers(0, 8),
+        n=st.integers(0, 8) | st.integers(100, 220),
         eps=st.lists(st.floats(0.0, 0.99, exclude_min=True), max_size=12),
         beta=st.floats(0.0, 0.999),
-        order=st.integers(MIN_ORDER, 64),
-        adaptive=st.booleans(),
-        data=st.data(),
     )
-    def test_block_matches_one_packet_calls(self, n, eps, beta, order, adaptive, data):
+    def test_block_matches_one_packet_calls(self, n, eps, beta):
         # Each point's bits must not depend on the points evaluated with it,
         # nor on when they leave the order doubling.
-        max_order = data.draw(st.integers(2 * order, MAX_ORDER))
-        self.check_block_against_one_point_calls(n, eps, beta, order, max_order, adaptive)
+        self.check_block_against_one_point_calls(n, eps, beta)
 
     @staticmethod
     def reference_faults(i1, i3):
@@ -291,8 +288,8 @@ class TestMomentsQuadrature:
 
     def test_block_rule_agrees_with_triple_at_boundaries(self):
         # For each check, pairs on either side of its bound: the rule flags
-        # what the scalar comparisons flag, and each check flags some pair
-        # and passes another.
+        # a pair where a scalar comparison does, and each check flags some
+        # pair and passes another.
         def around(x):  # one ulp below, x itself, one ulp above
             return np.nextafter(x, [-math.inf, x, math.inf]).tolist()
 
@@ -310,8 +307,8 @@ class TestMomentsQuadrature:
         for check, pairs in groups.items():
             flagged = []
             for pair in pairs:
-                flags = _moment_faults(np.array([pair]))[:, 0].tolist()
-                assert flags == self.reference_faults(*pair), pair
+                flags = self.reference_faults(*pair)
+                assert _moment_faults(np.array([pair])).tolist() == [any(flags)], pair
                 flagged.append(next((name for name, flag in zip(groups, flags) if flag), None))
             assert check in flagged and None in flagged, check
         # NaN fails the rule wherever it appears
@@ -320,7 +317,8 @@ class TestMomentsQuadrature:
 
     def test_moment_triple_validation(self):
         rows = np.array([[0.9, 0.2], [1.2, -0.2], [0.4, 0.6]])
-        assert _moment_faults(rows).tolist() == [[True, False, False], [False, True, False]]
+        # off the sum, off the range, a moment pair
+        assert _moment_faults(rows).tolist() == [True, True, False]
 
 
 class TestUltrarelativisticLimit:

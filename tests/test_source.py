@@ -21,8 +21,12 @@ transcript pins.
 
 Its check tolerances live in one table in ``core``, each derived from the
 checks upstream of it, so the float literals 1e-10 and 1e-12 appear nowhere
-else. The one exception is ``integrals.RTOL``, the adaptive quadrature's
-stopping rule, which is not a check and stays beside its loop.
+else. The one exception is ``integrals.RTOL``, the quadrature's stopping
+rule, which is not a check and stays beside its loop.
+
+The quadrature picks its own order by one convergence rule, so no caller
+chooses one: no name ``quad_order``, ``quad_max_order``, ``max_order`` or
+``adaptive`` comes back, and no string spells a ``--quad-`` flag.
 """
 
 import ast
@@ -148,6 +152,56 @@ def scenario_forms(source: str) -> list[str]:
             names.append(repr(node.value))
         found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
     return found
+
+
+ORDER_NAMES = {"quad_order", "quad_max_order", "max_order", "adaptive"}
+ORDER_FLAG = "--quad-"
+
+
+def order_settings(source: str) -> list[str]:
+    """Each setting of a caller-chosen quadrature order in ``source``, as ``line: what``.
+
+    That is a name, argument, keyword argument or attribute named
+    ``quad_order``, ``quad_max_order``, ``max_order`` or ``adaptive``, bound
+    or read, and a string, f-string parts included, that spells a
+    ``--quad-`` flag.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = _bound_names(node)
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.keyword) and node.arg:
+            names = [node.arg]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        names = [n for n in names if n in ORDER_NAMES]
+        if isinstance(node, ast.Constant) and ORDER_FLAG in str(node.value):
+            names.append(repr(node.value))
+        found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_caller_chosen_order(path):
+    assert order_settings(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(n, order, *, max_order=256, adaptive=True):\n    pass",
+     ["1: max_order", "1: adaptive"]),
+    ("values = moments_quadrature(n, b, eps, 16, max_order=quad_max_order)",
+     ["1: max_order", "1: quad_max_order"]),
+    ("adaptive = True", ["1: adaptive"]),
+    ("write_sweep_csv(spec, path, args.quad_order)", ["1: quad_order"]),
+    ("from .integrals import check_orders as adaptive", ["1: adaptive"]),
+    ("p.add_argument('--quad-order', type=int)", ["1: '--quad-order'"]),
+    ('raise ValueError(f"--quad-max-order {m}: too low")', ["1: '--quad-max-order '"]),
+    ('"""From DEFAULT_ORDER; see --quad-order."""', ["1: 'From DEFAULT_ORDER; see --quad-order.'"]),
+    ("# --quad-order and max_order in a comment\norder = DEFAULT_ORDER\nrule = 'quad order'", []),
+])
+def test_the_order_rule_sees_each_spelling(source, want):
+    assert order_settings(source) == want
 
 
 TOLERANCE_LITERALS = {1e-10, 1e-12}

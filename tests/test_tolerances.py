@@ -56,7 +56,7 @@ EDGE_I3 = [-MOMENT_TOL, 0.0, 5e-324, 1e-12, 0.1, 0.5, 1.0 - 1e-12, 1.0, 1.0 + MO
 def checked(rows) -> np.ndarray:
     """The (I1, I3) rows that pass the moment checks."""
     rows = np.array(rows, dtype=float).reshape(-1, 2)
-    return rows[~_moment_faults(rows).any(axis=0)]
+    return rows[~_moment_faults(rows)]
 
 
 def moment_row(total: float, i3: float) -> tuple[float, float]:
@@ -172,7 +172,7 @@ class TestCheckedInputsGiveValidStates:
         inside = rng.random((2, count)) < 0.5
         i3[inside] = rng.uniform(-MOMENT_TOL, 1.0 + MOMENT_TOL, inside.sum())
         m1, m2 = (np.stack([total[k] - i3[k], i3[k]], axis=1) for k in range(2))
-        keep = ~(_moment_faults(m1).any(axis=0) | _moment_faults(m2).any(axis=0))
+        keep = ~(_moment_faults(m1) | _moment_faults(m2))
         assert keep.mean() > 0.3
         for theta in (0.0, math.pi / 4, math.pi / 2, rng.uniform(0.0, math.pi / 2)):
             assert_spectra_pass(rho_single_boost_general(theta, m2[keep]))
