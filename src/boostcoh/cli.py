@@ -7,6 +7,10 @@ coherence   evaluate both coherence measures for one parameter point
 sweep       write a CSV of coherence values over a sigma grid
 figure      run the fig1/fig2 preset sweeps (neutron mass, n = 2)
 
+A beta configuration is ``b`` when one particle is boosted and ``b1:b2``
+when both are: ``coherence --beta 0.95:0.8`` takes one, and ``sweep --betas
+0.3:0.95,0.8:0.8`` a list of one form.
+
 Exit codes: 0 success, 2 usage or domain error, 3 quadrature not converged
 by its largest order.  Every subcommand accepts ``--config FILE`` with
 ``key = value`` lines.  A key is one of the subcommand's long flags, written
@@ -377,18 +381,27 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _pair_list(text: str) -> tuple[tuple[float, float], ...]:
-    pairs = []
+def _beta_config(text: str) -> tuple[float, ...]:
+    """One beta configuration: ``b`` when one particle is boosted, ``b1:b2`` when both are."""
+    try:
+        config = tuple(float(part) for part in text.split(":"))
+    except ValueError:
+        config = ()
+    if len(config) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"a beta configuration is b or b1:b2, got {text!r}")
+    return config
+
+
+def _beta_list(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_beta_config(part) for part in text.split(",") if part.strip())
+
+
+def _beta_pairs(text: str) -> tuple[tuple[float, ...], ...]:
+    """``sweep --betas`` under its old name, which takes b1:b2 items only."""
     for part in text.split(","):
-        if not part.strip():
-            continue
-        left, _, right = part.partition(":")
-        if not right:
-            raise argparse.ArgumentTypeError(
-                f"beta pairs use the form b1:b2, got {part!r}"
-            )
-        pairs.append((float(left), float(right)))
-    return tuple(pairs)
+        if part.strip() and ":" not in part:
+            raise argparse.ArgumentTypeError(f"beta pairs use the form b1:b2, got {part!r}")
+    return _beta_list(text)
 
 
 def _method_list(text: str) -> tuple[str, ...]:
@@ -418,11 +431,11 @@ def load_config(path, options) -> list[str]:
         if not line:
             continue
         key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
+        if not eq or not key:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         flag = key.replace("_", "-")
-        if flag and "config".startswith(flag):
+        if "config".startswith(flag):
             raise ValueError(f"{path}:{lineno}: key {key!r} cannot name another config file")
         matches = [o for o in options if o.startswith(f"--{flag}")]
         option = matches[0] if len(matches) == 1 else f"--{flag}"
@@ -433,21 +446,10 @@ def load_config(path, options) -> list[str]:
     return args
 
 
-def _flags(names: Sequence[str]) -> str:
-    return ", ".join("--" + n.replace("_", "-") for n in names)
-
-
 def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n, None) is None]
     if missing:
-        raise ValueError(f"missing required option(s): {_flags(missing)}")
-
-
-def _forbid(args: argparse.Namespace, scenario: str, *names: str) -> None:
-    """Reject the other scenario's beta flags rather than ignore them."""
-    given = [n for n in names if getattr(args, n, None) is not None]
-    if given:
-        raise ValueError(f"{_flags(given)} cannot be used with --scenario {scenario}")
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,40 +472,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_nonneg_int, default=n, help="wave-packet generalization exponent")
         p.add_argument("--mass", type=float, help="particle rest mass (MeV)")
 
-    def add_grid(p: argparse.ArgumentParser) -> None:
+    def add_grid(p: argparse.ArgumentParser, betas, betas_help: str):
+        """Add the sigma grid, --betas and --out; return the group that holds --betas."""
         p.add_argument("--sigma-min", type=float)
         p.add_argument("--sigma-max", type=float)
         p.add_argument("--steps", type=int)
-        p.add_argument("--betas", type=_float_list,
-                       help="comma-separated list, e.g. 0.0,0.3,0.95 (single scenario)")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--betas", type=betas, help=betas_help)
         p.add_argument("--out", help="CSV output path")
+        return group
 
     p_wig = command("wigner", cmd_wigner, "half-angle quantities for e_hat perpendicular to f_hat")
     p_wig.add_argument("--beta", type=float, help="boost speed fraction v/c")
     p_wig.add_argument("--p-over-m", type=float, help="particle momentum over mass")
 
     p_coh = command("coherence", cmd_coherence, "coherence measures at one parameter point")
-    p_coh.add_argument("--scenario", choices=("single", "dual"), default="single")
     add_packet(p_coh, theta=math.pi / 4, n=2)
-    p_coh.add_argument("--beta", type=float, help="boost for the single scenario")
-    p_coh.add_argument("--beta1", type=float, help="first boost for the dual scenario")
-    p_coh.add_argument("--beta2", type=float, help="second boost for the dual scenario")
+    p_coh.add_argument("--beta", type=_beta_config, help="b (one boosted particle) or b1:b2 (both)")
     p_coh.add_argument("--sigma", type=float, help="Gaussian width (MeV)")
     p_coh.add_argument("--method", choices=METHODS, default="perturbative")
 
     p_sweep = command("sweep", cmd_sweep, "CSV sweep over a sigma grid")
-    p_sweep.add_argument("--scenario", choices=("single", "dual"), default="single")
+    # --scenario and --beta-pairs remain only because the benchmark's workload
+    # argv (bench/workloads.py) still spell them; they go once that argv is
+    # written with --betas items alone.
+    p_sweep.add_argument("--scenario", choices=("single", "dual"),
+                         help="optional; must match the form of the --betas items")
     add_packet(p_sweep, theta=math.pi / 4)
-    add_grid(p_sweep)
-    p_sweep.add_argument("--beta-pairs", type=_pair_list,
-                         help="comma-separated b1:b2 pairs (dual scenario)")
+    betas = add_grid(p_sweep, _beta_list, "comma-separated beta configurations, all b (one "
+                     "boosted particle) or all b1:b2 (both), e.g. 0.3:0.95,0.8:0.8")
+    betas.add_argument("--beta-pairs", type=_beta_pairs, dest="betas", metavar="BETA_PAIRS",
+                       help="old name of --betas, for b1:b2 items only")
     p_sweep.add_argument("--methods", type=_method_list, default="perturbative,exact-eig",
                          help=f"comma-separated subset of {METHODS}")
 
     p_fig = command("figure", cmd_figure, "preset sweeps for the two coherence-decay figures")
     p_fig.add_argument("name", choices=("fig1", "fig2"))
     add_packet(p_fig)
-    add_grid(p_fig)
+    add_grid(p_fig, _float_list, "comma-separated list, e.g. 0.0,0.3,0.95")
 
     return parser
 
@@ -532,20 +538,12 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def cmd_coherence(args: argparse.Namespace) -> int:
-    _require(args, "sigma", "mass")
-    if args.scenario == "single":
-        _require(args, "beta")
-        _forbid(args, "single", "beta1", "beta2")
-        betas = (args.beta,)
-    else:
-        _require(args, "beta1", "beta2")
-        _forbid(args, "dual", "beta")
-        betas = (args.beta1, args.beta2)
+    _require(args, "sigma", "mass", "beta")
     check_theta(args.theta)
 
     check_positive_finite(args.sigma, "sigma")
     check_positive_finite(args.mass, "mass")
-    boosts = tuple(boost_from_beta(b) for b in betas)
+    boosts = tuple(boost_from_beta(b) for b in args.beta)
     sigma_over_m = args.sigma / args.mass
     # exact-eig gives the closed spectrum that the perturbative method prints
     columns, spectra, failure = _block_values(
@@ -557,7 +555,7 @@ def cmd_coherence(args: argparse.Namespace) -> int:
         None if column is None else column[0].item() for column in columns
     )
 
-    print(f"scenario      {args.scenario}")
+    print(f"scenario      {'single' if len(boosts) == 1 else 'dual'}")
     print(f"method        {args.method}")
     print(f"theta_rad     {args.theta!r}")
     for i, b in enumerate(boosts, start=1):
@@ -577,18 +575,17 @@ def cmd_coherence(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    beta_key, other_key = "betas", "beta_pairs"
-    if args.scenario == "dual":
-        beta_key, other_key = other_key, beta_key
-    _require(args, "out", "n", "mass", "sigma_min", "sigma_max", "steps", beta_key)
-    _forbid(args, args.scenario, other_key)
-    betas = getattr(args, beta_key)
+    _require(args, "out", "n", "mass", "sigma_min", "sigma_max", "steps", "betas")
+    boosted = {"single": 1, "dual": 2}.get(args.scenario)
+    if boosted and any(len(cfg) != boosted for cfg in args.betas):
+        form = "b" if boosted == 1 else "b1:b2"
+        raise ValueError(f"--scenario {args.scenario} needs every --betas item in the form {form}")
     spec = SweepSpec(
         theta=args.theta,
         n=args.n,
         mass=args.mass,
         sigma_grid=(args.sigma_min, args.sigma_max, args.steps),
-        betas=betas if args.scenario == "dual" else tuple((b,) for b in betas),
+        betas=args.betas,
         methods=args.methods,
     )
     count = write_sweep_csv(spec, args.out)

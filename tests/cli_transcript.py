@@ -14,9 +14,11 @@ root:
     PYTHONPATH=src python3 tests/cli_transcript.py --record [NAME ...]
 
 Named cases are recorded alone and the other records kept as they are;
-with no name, every case is recorded.  Re-record only in a change that is
-meant to alter what the CLI prints or writes, or to record a new case, and
-say so where the change is described.
+with no name, every case is recorded.  Each recorded case is printed with
+the fields of its record that changed (argv, exit, stdout, stderr,
+warnings, csv), so a re-record shows exactly what moved.  Re-record only in
+a change that is meant to alter what the CLI prints or writes, or to record
+a new case, and say so where the change is described.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ COLUMNS = "80"
 
 NEUTRON = ["--mass", "939.36"]
 QUAD = ["--method", "quadrature"]
-SMALL = ["sweep", "--scenario", "single", "--n", "2", *NEUTRON, "--sigma-min", "1",
+SMALL = ["sweep", "--n", "2", *NEUTRON, "--sigma-min", "1",
          "--sigma-max", "2", "--steps", "2", "--betas", "0.0,0.3"]
 CROSSING = ["sweep", "--methods", "quadrature", "--n", "1", "--mass", "1", "--sigma-min",
             "0.5", "--sigma-max", "3", "--steps", "6", "--betas", "0.999"]
-TWO_BLOCKS = ["sweep", "--scenario", "dual", "--n", "1", *NEUTRON, "--sigma-min", "5",
-              "--sigma-max", "560", "--steps", "257", "--beta-pairs", "0.3:0.95,0.9:0.9",
+TWO_BLOCKS = ["sweep", "--n", "1", *NEUTRON, "--sigma-min", "5",
+              "--sigma-max", "560", "--steps", "257", "--betas", "0.3:0.95,0.9:0.9",
               "--methods", "quadrature"]
 
 # name -> (argv, input files as {name: text}); every failure message the
@@ -71,6 +73,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                                   {"run.cfg": "beta = 0.5\nsigma = 1\n"}),
     "wigner-config-bad-line": (["wigner", "--config", f"{TMP}/run.cfg"],
                                {"run.cfg": "beta 0.5\n"}),
+    "wigner-config-empty-key": (["wigner", "--config", f"{TMP}/run.cfg"],
+                                {"run.cfg": "beta = 0.5\n = 5\n"}),
     # coherence: one point
     "coherence-single-perturbative": (
         ["coherence", "--theta", "0.7853982", "--beta", "0.95", "--sigma", "100", *NEUTRON], {}),
@@ -81,22 +85,26 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-rest": (
         ["coherence", "--theta", "0.5", "--beta", "0", "--sigma", "50", *NEUTRON], {}),
     "coherence-dual-perturbative": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.95", "--beta2", "0.8",
-         "--sigma", "100", *NEUTRON], {}),
+        ["coherence", "--beta", "0.95:0.8", "--sigma", "100", *NEUTRON], {}),
     "coherence-dual-exact-eig": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.95", "--beta2", "0.8",
-         "--sigma", "100", *NEUTRON, "--method", "exact-eig"], {}),
+        ["coherence", "--beta", "0.95:0.8", "--sigma", "100", *NEUTRON, "--method", "exact-eig"],
+        {}),
     "coherence-dual-quadrature": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.95", "--beta2", "0.8",
-         "--sigma", "100", *NEUTRON, *QUAD], {}),
+        ["coherence", "--beta", "0.95:0.8", "--sigma", "100", *NEUTRON, *QUAD], {}),
     "coherence-negative-n": (
         ["coherence", "--beta", "0.5", "--sigma", "10", "--mass", "100", "--n", "-1"], {}),
     "coherence-missing-sigma": (["coherence", "--beta", "0.5", *NEUTRON], {}),
+    # one spelling of a beta configuration: the removed flags and config keys
+    # exit 2 as unrecognized arguments, and a third beta is not a configuration
     "coherence-single-with-beta1": (
         ["coherence", "--beta", "0.5", "--beta1", "0.5", "--sigma", "10", *NEUTRON], {}),
     "coherence-dual-with-beta": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.5", "--beta2", "0.5", "--beta", "0.9",
-         "--sigma", "10", *NEUTRON], {}),
+        ["coherence", "--beta", "0.5:0.5:0.9", "--sigma", "10", *NEUTRON], {}),
+    "coherence-config-scenario": (["coherence", "--config", f"{TMP}/run.cfg"],
+                                  {"run.cfg": "scenario = dual\nbeta1 = 0.5\nbeta2 = 0.5\n"
+                                              "sigma = 10\nmass = 939.36\n"}),
+    "coherence-beta-not-a-number": (
+        ["coherence", "--beta", "0.5:abc", "--sigma", "10", *NEUTRON], {}),
     "coherence-nan-sigma": (["coherence", "--beta", "0.5", "--sigma=nan", *NEUTRON], {}),
     "coherence-zero-mass": (["coherence", "--beta", "0.5", "--sigma", "10", "--mass", "0"], {}),
     "coherence-beta-one": (["coherence", "--beta", "1", "--sigma", "10", *NEUTRON], {}),
@@ -136,16 +144,15 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-n-above-bound": (
         ["coherence", "--beta", "0.5", "--sigma", "100", *NEUTRON, "--n", "300"], {}),
     "coherence-n-above-bound-dual-quadrature": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.5", "--beta2", "0.9",
-         "--sigma", "100", *NEUTRON, "--n", "150", *QUAD], {}),
+        ["coherence", "--beta", "0.5:0.9", "--sigma", "100", *NEUTRON, "--n", "150", *QUAD], {}),
     "coherence-factor-sum": (
         ["coherence", "--beta", "0.999999", "--sigma", "845.424", *NEUTRON], {}),
     "coherence-factor-sum-exact-eig": (
         ["coherence", "--beta", "0.999999", "--sigma", "845.424", *NEUTRON, "--method",
          "exact-eig"], {}),
     "coherence-factor-sum-dual-quadrature": (
-        ["coherence", "--scenario", "dual", "--beta1", "0.9999", "--beta2", "0.9999",
-         "--sigma", "798.456", *NEUTRON, "--n", "1", *QUAD], {}),
+        ["coherence", "--beta", "0.9999:0.9999", "--sigma", "798.456", *NEUTRON, "--n", "1",
+         *QUAD], {}),
     "coherence-quadrature-n-149": (
         ["coherence", *QUAD, "--n", "149", "--beta", "0.95", "--sigma", "93.936", *NEUTRON], {}),
     "coherence-quadrature-tolerance": (
@@ -168,8 +175,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
          "250", "--steps", "5", "--betas", "0.95,0.0,0.3",
          "--methods", "perturbative,exact-eig,quadrature", *OUT], {}),
     "sweep-dual-all-methods": (
-        ["sweep", "--scenario", "dual", "--theta", "0.6", "--n", "2", *NEUTRON, "--sigma-min",
-         "10", "--sigma-max", "250", "--steps", "5", "--beta-pairs", "0.3:0.95,0.8:0.8",
+        ["sweep", "--theta", "0.6", "--n", "2", *NEUTRON, "--sigma-min", "10", "--sigma-max",
+         "250", "--steps", "5", "--betas", "0.3:0.95,0.8:0.8",
          "--methods", "perturbative,exact-eig,quadrature", *OUT], {}),
     "sweep-replaces-file": ([*SMALL, *OUT], {"out.csv": "an older file\n"}),
     "sweep-two-blocks-quadrature": ([*TWO_BLOCKS, *OUT], {}),
@@ -186,7 +193,15 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
          "--betas", "0.5", *OUT], {}),
     "sweep-missing-out": (SMALL, {}),
     "sweep-missing-directory": ([*SMALL, "--out", f"{TMP}/absent/out.csv"], {}),
+    # both forms, or both spellings, of the beta configurations
     "sweep-single-with-beta-pairs": ([*SMALL, "--beta-pairs", "0.5:0.5", *OUT], {}),
+    "sweep-mixed-forms": ([*SMALL[:-1], "0.5,0.3:0.6", *OUT], {}),
+    # the two old spellings the benchmark's workload argv still use
+    "sweep-dual-all-methods-old-spelling": (
+        ["sweep", "--scenario", "dual", "--theta", "0.6", "--n", "2", *NEUTRON, "--sigma-min",
+         "10", "--sigma-max", "250", "--steps", "5", "--beta-pairs", "0.3:0.95,0.8:0.8",
+         "--methods", "perturbative,exact-eig,quadrature", *OUT], {}),
+    "sweep-scenario-mismatch": (["sweep", "--scenario", "dual", *SMALL[1:], *OUT], {}),
     "sweep-bad-beta-pair": (
         ["sweep", "--scenario", "dual", "--n", "2", *NEUTRON, "--sigma-min", "1",
          "--sigma-max", "2", "--steps", "2", "--beta-pairs", "0.5", *OUT], {}),
@@ -208,8 +223,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["sweep", "--n", "2", *NEUTRON, "--sigma-min", "10", "--sigma-max", "1000", "--steps",
          "300", "--betas", "0.0,0.5", *OUT], {"out.csv": "kept\n"}),
     "sweep-n-bound-second-block": (
-        ["sweep", "--scenario", "dual", "--n", "40", "--mass", "1", "--sigma-min", "0.01",
-         "--sigma-max", "0.25", "--steps", "400", "--beta-pairs", "0.5:0.5,0.3:0.6",
+        ["sweep", "--n", "40", "--mass", "1", "--sigma-min", "0.01",
+         "--sigma-max", "0.25", "--steps", "400", "--betas", "0.5:0.5,0.3:0.6",
          "--methods", "perturbative,exact-eig", *OUT], {}),
     "sweep-sigma-over-m-overflows": (
         ["sweep", "--n", "2", "--mass", "1e-10", "--sigma-min", "1e290", "--sigma-max", "1e300",
@@ -245,8 +260,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-non-integer-n": (
         ["coherence", "--n", "1.5", "--beta", "0.5", "--sigma", "100", *NEUTRON], {}),
     "sweep-empty-beta-pair": (
-        ["sweep", "--scenario", "dual", "--n", "2", *NEUTRON, "--sigma-min", "1",
-         "--sigma-max", "2", "--steps", "2", "--beta-pairs", "0.5:0.5,,0.3:0.6", *OUT], {}),
+        ["sweep", "--n", "2", *NEUTRON, "--sigma-min", "1",
+         "--sigma-max", "2", "--steps", "2", "--betas", "0.5:0.5,,0.3:0.6", *OUT], {}),
     "sweep-no-betas": ([*SMALL[:-1], ",", *OUT], {}),  # "--betas ," lists no beta
     "coherence-negative-quad-order": (
         ["coherence", "--beta", "0.9", "--sigma", "100", *NEUTRON, *QUAD, "--quad-order", "-1"],
@@ -296,11 +311,18 @@ def main(argv: list[str]) -> int:
     if argv[:1] != ["--record"] or not set(argv[1:]) <= set(CASES):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    records = json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if argv[1:] else {}
-    records.update(record(argv[1:] or CASES))
-    records = {name: records[name] for name in CASES}
+    old = json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if TRANSCRIPT.exists() else {}
+    new = record(argv[1:] or CASES)
+    for name, fields in new.items():
+        if name not in old:
+            print(f"{name}: new case")
+            continue
+        keys = dict.fromkeys([*old[name], *fields])
+        changed = [key for key in keys if old[name].get(key) != fields.get(key)]
+        print(f"{name}: {', '.join(changed) or 'unchanged'}")
+    records = {name: new[name] if name in new else old[name] for name in CASES}
     TRANSCRIPT.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(argv[1:] or CASES)} cases to {TRANSCRIPT.name}")
+    print(f"recorded {len(new)} cases to {TRANSCRIPT.name}")
     return 0
 
 

@@ -184,9 +184,9 @@ def test_criterion_07_n_range_enforcement():
         assert 0.0 < c_frobenius_perturbative(149, (single, single), col(0.1))[0] < 1.0
         assert np.isnan(c_frobenius_perturbative(150, (single, single), col(0.1))).all()
 
-        base = ["coherence", "--scenario", "single", "--beta", "0.5",
+        base = ["coherence", "--beta", "0.5",
                 "--sigma", "0.1", "--mass", "1.0", "--method", "perturbative"]
-        dual = ["coherence", "--scenario", "dual", "--beta1", "0.5", "--beta2", "0.5",
+        dual = ["coherence", "--beta", "0.5:0.5",
                 "--sigma", "0.1", "--mass", "1.0", "--method", "perturbative"]
         sink, err = io.StringIO(), io.StringIO()
         with redirect_stdout(sink), redirect_stderr(sink):

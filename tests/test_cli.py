@@ -101,7 +101,7 @@ class TestWignerCommand:
 class TestCoherenceCommand:
     def test_reference_point(self, capsys):
         code = main([
-            "coherence", "--scenario", "single", "--theta", "0.7853982",
+            "coherence", "--theta", "0.7853982",
             "--beta", "0.95", "--sigma", "100", "--mass", "939.36",
             "--n", "2", "--method", "perturbative",
         ])
@@ -113,7 +113,7 @@ class TestCoherenceCommand:
 
     def test_rest_frame(self, capsys):
         code = main([
-            "coherence", "--scenario", "single", "--theta", "0.5",
+            "coherence", "--theta", "0.5",
             "--beta", "0", "--sigma", "50", "--mass", "939.36", "--n", "2",
         ])
         assert code == 0
@@ -124,8 +124,7 @@ class TestCoherenceCommand:
     def test_dual_scenario_all_methods(self, capsys):
         for method in ("perturbative", "exact-eig", "quadrature"):
             code = main([
-                "coherence", "--scenario", "dual", "--beta1", "0.95",
-                "--beta2", "0.8", "--sigma", "100", "--mass", "939.36",
+                "coherence", "--beta", "0.95:0.8", "--sigma", "100", "--mass", "939.36",
                 "--n", "2", "--method", method,
             ])
             assert code == 0
@@ -135,7 +134,7 @@ class TestCoherenceCommand:
 
     def test_negative_n_rejected_at_parse(self, capsys):
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.5",
+            "coherence", "--beta", "0.5",
             "--sigma", "10", "--mass", "100", "--n", "-1",
         ])
         assert code == 2
@@ -145,7 +144,7 @@ class TestCoherenceCommand:
     # exits 2 as an unrecognized argument, whatever its value.
     def test_zero_quad_order_rejected(self, capsys):
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.95",
+            "coherence", "--beta", "0.95",
             "--sigma", "100", "--mass", "939.36", "--n", "2",
             "--method", "quadrature", "--quad-order", "0",
         ])
@@ -164,7 +163,7 @@ class TestCoherenceCommand:
     def test_quadrature_tolerance_exit_code(self, capsys):
         # at n = 200 orders 128 and 256 differ by 2.9e-4
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.3",
+            "coherence", "--beta", "0.3",
             "--sigma", "0.9", "--mass", "939.36", "--n", "200", "--method", "quadrature",
         ])
         assert code == 3
@@ -193,7 +192,7 @@ class TestCoherenceCommand:
     def test_perturbative_validity_rejected(self, capsys):
         # sigma/m >= 1 is outside the expansion's domain
         code = main([
-            "coherence", "--scenario", "single", "--beta", "0.5",
+            "coherence", "--beta", "0.5",
             "--sigma", "200", "--mass", "100", "--n", "2",
         ])
         assert code == 2
@@ -202,7 +201,6 @@ class TestCoherenceCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "# reference point\n"
-            "scenario = single\n"
             "beta = 0.95\n"
             "sigma = 100\n"
             "mass = 939.36\n"
@@ -258,12 +256,12 @@ class TestCoherenceCommand:
         assert captured.err == f"error: {tmp_path}/{message}\n"
 
     SWEEP_KEYS = "n = 2\nmass = 939.36\nsigma_min = 1\nsigma_max = 2\nsteps = 2\nbetas = 0.5\n"
-    POINT_KEYS = "beta = 0.5\nbeta1 = 0.5\nbeta2 = 0.5\nsigma = 100\nmass = 939.36\n"
+    POINT_KEYS = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
 
     @pytest.mark.parametrize(
         "argv, config",
         [
-            (["coherence"], POINT_KEYS + "scenario = triple\n"),
+            (["sweep"], SWEEP_KEYS + "scenario = triple\n"),
             (["coherence"], POINT_KEYS + "method = foo\n"),
             (["sweep"], SWEEP_KEYS + "sigma = 100\n"),
             (["figure", "fig1"], "quad_order = 16\n"),
@@ -290,21 +288,24 @@ class TestCoherenceCommand:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
-        "argv, key, value",
+        "argv, key, value, message",
         [
-            (["coherence", "--scenario", "dual", "--beta1", "0.5", "--beta2", "0.5",
-              "--sigma", "100", "--mass", "939.36"], "beta", "0.9"),
+            (["coherence", "--beta", "0.5:0.5", "--sigma", "100", "--mass", "939.36"],
+             "beta1", "0.9", "unrecognized arguments: --beta1"),
             (["coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36"],
-             "beta1", "0.5"),
-            (["sweep", "--scenario", "dual", "--beta-pairs", "0.5:0.5", *GRID], "betas", "0.9"),
-            (["sweep", "--scenario", "single", "--betas", "0.9", *GRID],
-             "beta-pairs", "0.5:0.5"),
+             "scenario", "single", "unrecognized arguments: --scenario"),
+            (["sweep", "--betas", "0.5:0.5", *GRID], "beta-pairs", "0.3:0.6",
+             "not allowed with argument --b"),
+            (["sweep", "--betas", "0.9", *GRID], "scenario", "dual",
+             "--scenario dual needs every --betas item in the form b1:b2"),
         ],
         ids=["coherence-dual", "coherence-single", "sweep-dual", "sweep-single"],
     )
-    def test_other_scenario_betas_rejected(self, argv, key, value, source, tmp_path, capsys):
-        # A beta flag of the other scenario would be ignored; it is an error,
-        # whether it comes from the command line or from a config file.
+    def test_other_scenario_betas_rejected(self, argv, key, value, message, source, tmp_path,
+                                           capsys):
+        # A beta configuration has one spelling.  Coherence's old scenario flags
+        # are unrecognized, and sweep's two old spellings may not contradict
+        # it, whether they come from the command line or from a config file.
         if source == "flag":
             argv = [*argv, f"--{key}", value]
         else:
@@ -315,20 +316,20 @@ class TestCoherenceCommand:
         if argv[0] == "sweep":
             argv += ["--out", str(out)]
         assert main(argv) == 2
-        assert f"--{key} cannot be used" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestSweepCommand:
     SMALL = [
-        "sweep", "--scenario", "single", "--n", "2", "--mass", "939.36",
+        "sweep", "--n", "2", "--mass", "939.36",
         "--sigma-min", "1", "--sigma-max", "2", "--steps", "2", "--betas", "0.0,0.3",
     ]
 
     def test_row_count_and_schema(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([
-            "sweep", "--scenario", "single", "--n", "2", "--mass", "939.36",
+            "sweep", "--n", "2", "--mass", "939.36",
             "--sigma-min", "1", "--sigma-max", "2", "--steps", "2",
             "--betas", "0.0,0.3,0.95", "--out", str(out),
         ])
@@ -342,7 +343,7 @@ class TestSweepCommand:
     def test_rows_sorted_by_sigma_then_beta(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main([
-            "sweep", "--scenario", "single", "--n", "1", "--mass", "100",
+            "sweep", "--n", "1", "--mass", "100",
             "--sigma-min", "1", "--sigma-max", "3", "--steps", "3",
             "--betas", "0.8,0.0,0.3", "--out", str(out),
         ])
@@ -402,23 +403,36 @@ class TestSweepCommand:
                 for cfg in sorted(betas)
             ]
             assert lines == expected
-            scenario = "single" if len(betas[0]) == 1 else "dual"
-            out = tmp_path / f"{scenario}-{len(methods)}.csv"
-            flags = ["--betas", ",".join(str(b) for b, in betas)] if scenario == "single" else [
-                "--beta-pairs", ",".join(f"{a}:{b}" for a, b in betas)]
+            out = tmp_path / f"{len(betas[0])}-{len(methods)}.csv"
             assert main([
-                "sweep", "--scenario", scenario, "--theta", "0.6", "--n", "2",
+                "sweep", "--theta", "0.6", "--n", "2",
                 "--mass", "939.36", "--sigma-min", "10", "--sigma-max", "250", "--steps", "5",
-                *flags, "--methods", ",".join(methods), "--out", str(out),
+                "--betas", ",".join(":".join(map(str, cfg)) for cfg in betas),
+                "--methods", ",".join(methods), "--out", str(out),
             ]) == 0
             assert out.read_text(encoding="utf-8") == "".join(
                 line + "\n" for line in [",".join(CSV_HEADER), *lines]
             )
 
+    @pytest.mark.parametrize("spelling", [
+        ["--beta-pairs", "0.3:0.95,0.8:0.8"],
+        ["--scenario", "dual", "--beta-pairs", "0.3:0.95,0.8:0.8"],
+        ["--scenario", "dual", "--betas", "0.3:0.95,0.8:0.8"],
+    ], ids=["beta-pairs", "dual-beta-pairs", "dual-betas"])
+    def test_old_spellings_write_the_same_bytes(self, spelling, tmp_path, capsys):
+        # --beta-pairs is the old name of --betas, and --scenario only checks
+        # the form of the items
+        grid = ["sweep", "--n", "2", "--mass", "939.36", "--sigma-min", "10", "--sigma-max",
+                "250", "--steps", "5", "--methods", "perturbative,exact-eig,quadrature"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        assert main([*grid, "--betas", "0.3:0.95,0.8:0.8", "--out", str(new)]) == 0
+        assert main([*grid, *spelling, "--out", str(old)]) == 0
+        assert old.read_bytes() == new.read_bytes()
+
     def test_truncation_gap_between_methods(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main([
-            "sweep", "--scenario", "single", "--n", "2", "--mass", "939.36",
+            "sweep", "--n", "2", "--mass", "939.36",
             "--sigma-min", "10", "--sigma-max", "150", "--steps", "8",
             "--betas", "0.3,0.95", "--methods", "perturbative,exact-eig",
             "--out", str(out),
@@ -437,7 +451,7 @@ class TestSweepCommand:
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([
-            "sweep", "--scenario", "single", "--n", "2", "--mass", "939.36",
+            "sweep", "--n", "2", "--mass", "939.36",
             "--sigma-min", "0", "--sigma-max", "2", "--steps", "2",
             "--betas", "0.5", "--out", str(out),
         ])
@@ -457,7 +471,7 @@ class TestSweepCommand:
         # the grid walks sigma past the mass, where sigma/m >= 1 raises
         out = tmp_path / "sweep.csv"
         code = main([
-            "sweep", "--scenario", "single", "--n", "2", "--mass", "10",
+            "sweep", "--n", "2", "--mass", "10",
             "--sigma-min", "1", "--sigma-max", "15", "--steps", "8",
             "--betas", "0.5", "--out", str(out),
         ])
@@ -468,7 +482,7 @@ class TestSweepCommand:
         out = tmp_path / "keep.csv"
         out.write_bytes(b"earlier results\n")
         code = main([
-            "sweep", "--scenario", "single", "--n", "2", "--mass", "10",
+            "sweep", "--n", "2", "--mass", "10",
             "--sigma-min", "1", "--sigma-max", "15", "--steps", "8",
             "--betas", "0.5", "--out", str(out),
         ])
@@ -566,9 +580,9 @@ class TestSweepCommand:
 
     # 257 sigma points: one full block of 256 and a block of one.
     TWO_BLOCKS = [
-        "sweep", "--scenario", "dual", "--n", "1", "--mass", "939.36",
+        "sweep", "--n", "1", "--mass", "939.36",
         "--sigma-min", "5", "--sigma-max", "560", "--steps", "257",
-        "--beta-pairs", "0.3:0.95,0.9:0.9", "--methods", "quadrature",
+        "--betas", "0.3:0.95,0.9:0.9", "--methods", "quadrature",
     ]
 
     def test_rows_across_blocks_match_one_point_calls(self, tmp_path, capsys):
@@ -677,8 +691,8 @@ class TestSweepCommand:
     # n = 40 leaves the dual n bounds at sigma/m = sqrt(1.5 / 40.5) ~ 0.1925,
     # at grid index 304 of 400: mid-way through the second block.
     N_BOUNDS_MID_BLOCK = [
-        "sweep", "--scenario", "dual", "--n", "40", "--mass", "1", "--sigma-min", "0.01",
-        "--sigma-max", "0.25", "--steps", "400", "--beta-pairs", "0.5:0.5,0.3:0.6",
+        "sweep", "--n", "40", "--mass", "1", "--sigma-min", "0.01",
+        "--sigma-max", "0.25", "--steps", "400", "--betas", "0.5:0.5,0.3:0.6",
         "--methods", "perturbative,exact-eig",
     ]
 
@@ -1021,9 +1035,9 @@ class TestClosedFormPaths:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert main(["figure", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
         assert main([
-            "sweep", "--scenario", "dual", "--n", "2", "--mass", "939.36",
+            "sweep", "--n", "2", "--mass", "939.36",
             "--sigma-min", "5", "--sigma-max", "280", "--steps", "64",
-            "--beta-pairs", "0.3:0.95,0.8:0.8", "--methods", "perturbative,exact-eig,quadrature",
+            "--betas", "0.3:0.95,0.8:0.8", "--methods", "perturbative,exact-eig,quadrature",
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
         assert calls == []
@@ -1032,18 +1046,17 @@ class TestClosedFormPaths:
 
 
 # The CLI contract as a property.  Each example starts from valid flags for
-# one command (and scenario), then gives up to three flags an odd value or
-# drops them: NaN, +/-inf, huge, negative, zero, empty and non-numeric
-# values, and values outside a flag's domain.  A sweep or figure has at most
-# 64 steps, so each example stays small.
+# one command, then gives up to three flags an odd value or drops them: NaN,
+# +/-inf, huge, negative, zero, empty and non-numeric values, and values
+# outside a flag's domain.  A drawn subset of the flags then goes into a
+# --config file, which must give the record of the command line alone.  A
+# sweep or figure has at most 64 steps, so each example stays small.
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1", "0", "abc", ""]
 VALID = {
     "theta": ["0", "0.3", "0.7853981633974483", "1.5707963267948966"],
     "n": ["0", "1", "2", "8", "40"],
     "mass": ["939.36", "1000"],
     "beta": ["0", "0.3", "0.95", "0.999999"],
-    "beta1": ["0", "0.5", "0.999999"],
-    "beta2": ["0.3", "0.95"],
     "p-over-m": ["0", "0.5", "1", "5"],
     "sigma": ["5", "50", "100", "280", "600", "845.424"],
     "method": ["perturbative", "exact-eig", "quadrature"],
@@ -1051,46 +1064,45 @@ VALID = {
     "sigma-max": ["100", "280", "845.424"],
     "steps": ["2", "3", "17", "64"],
     "betas": ["0", "0.5,0.95", "0.3,0.999999"],
-    "beta-pairs": ["0.5:0.5", "0.3:0.95,0.9:0.9", "0:0.999999"],
     "methods": ["perturbative", "exact-eig", "quadrature", "perturbative,exact-eig,quadrature"],
 }
+# coherence --beta and sweep --betas also take b1:b2 items, both particles boosted
+TWO_BOOSTS = {
+    "beta": ["0.5:0.5", "0:0.999999", "0.95:0.8"],
+    "betas": ["0.5:0.5", "0.3:0.95,0.9:0.9", "0:0.999999"],
+}
 ODD = {flag: BAD_NUMBERS for flag in VALID} | {
-    "scenario": ["triple", ""],
     "theta": ["2", "-0.1", *BAD_NUMBERS],
     "n": ["1.5", "149", "300", "100000", *BAD_NUMBERS],
     "mass": ["1e-300", "1e300", *BAD_NUMBERS],
-    "beta": ["1", "1.5", *BAD_NUMBERS],
+    "beta": ["1", "1.5", "0.5:", "1:0", "nan:0.5", "0.5:0.5:0.5", *BAD_NUMBERS],
     "p-over-m": ["1e200", *BAD_NUMBERS],
     "sigma": ["1e-300", "1e300", "939.36", *BAD_NUMBERS],
     "method": ["foo", ""],
     "steps": ["1", "0", "-1", "-5", "2.5", "nan", "inf", "1e308", "abc", ""],  # none above 64
-    "betas": ["", "nan", "0.5,abc", "1", "-0.1", "inf"],
-    "beta-pairs": ["", "0.5", "1:0", "nan:0.5", "a:b", "0.5:inf"],
+    "betas": ["", "nan", "0.5,abc", "1", "-0.1", "inf", "0.5,0.3:0.6", "1:0", "a:b",
+              "0.5:inf", "0.1:0.2:0.3"],
     "methods": ["foo", "", "quadrature,foo"],
+    # sweep's old --scenario, drawn only here: it must match the --betas items
+    "scenario": ["single", "dual", "triple", ""],
 }
-# The flags drawn valid, per command and scenario (None: the command has no
-# scenario).  A figure always gets --steps, since its preset has 256.
+# The flags drawn valid, per command.  A figure always gets --steps, since
+# its preset has 256.
 FLAGS = {
-    ("wigner", None): ["beta", "p-over-m"],
-    ("coherence", "single"): ["theta", "n", "mass", "beta", "sigma", "method"],
-    ("coherence", "dual"): ["theta", "n", "mass", "beta1", "beta2", "sigma", "method"],
-    ("sweep", "single"): ["theta", "n", "mass", "sigma-min", "sigma-max", "steps", "betas",
-                          "methods"],
-    ("sweep", "dual"): ["theta", "n", "mass", "sigma-min", "sigma-max", "steps", "beta-pairs",
-                        "methods"],
-    ("figure", None): ["theta", "n", "mass", "sigma-min", "sigma-max", "betas"],
+    "wigner": ["beta", "p-over-m"],
+    "coherence": ["theta", "n", "mass", "beta", "sigma", "method"],
+    "sweep": ["theta", "n", "mass", "sigma-min", "sigma-max", "steps", "betas", "methods"],
+    "figure": ["theta", "n", "mass", "sigma-min", "sigma-max", "betas"],
 }
 
 
 @st.composite
 def cli_argv(draw, command: str) -> list[str]:
-    """Argv for ``command``: valid flags for a scenario, up to three of them odd or dropped."""
-    scenarios = [scenario for name, scenario in FLAGS if name == command]
-    scenario = draw(st.sampled_from(scenarios))
-    values = {} if scenario is None else {"scenario": scenario}
-    values |= {flag: draw(st.sampled_from(VALID[flag])) for flag in FLAGS[command, scenario]}
-    # any flag of the command, the other scenario's beta flags included
-    names = sorted({*values, *(flag for s in scenarios for flag in FLAGS[command, s])})
+    """Argv for ``command``: valid flags, up to three of them odd or dropped."""
+    two = TWO_BOOSTS if command in ("coherence", "sweep") else {}
+    values = {flag: draw(st.sampled_from(VALID[flag] + two.get(flag, [])))
+              for flag in FLAGS[command]}
+    names = FLAGS[command] + (["scenario"] if command == "sweep" else [])
     for flag in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
         values[flag] = draw(st.none() | st.sampled_from(ODD[flag]))  # None drops the flag
     head = [command]
@@ -1102,14 +1114,15 @@ def cli_argv(draw, command: str) -> list[str]:
 
 def csv_configs(flags: dict) -> int:
     """The number of beta configurations a successful sweep or figure writes rows for."""
-    configs = flags.get("beta-pairs" if flags.get("scenario") == "dual" else "betas")
+    configs = flags.get("betas")
     if configs is None:  # a figure's preset betas
         return len(cli.FIGURE_BETAS)
     return len([part for part in configs.split(",") if part.strip()])
 
 
 class TestContractProperty:
-    """Whatever the flags, the CLI exits 0, 2 or 3 with a message, and keeps an existing file."""
+    """Whatever the flags, the CLI exits 0, 2 or 3 with a message, and keeps an
+    existing file; flags read from a config file act as on the command line."""
 
     @staticmethod
     def run(argv) -> tuple[int, str, str]:
@@ -1126,23 +1139,55 @@ class TestContractProperty:
         elif code == 3:
             assert err.startswith("error: quadrature did not converge"), err
 
-    def check_csv_run(self, argv, existing) -> None:
-        """Run a sweep or figure: exit 0 writes one row per grid point and
-        configuration, anything else leaves an earlier file as it was."""
+    @staticmethod
+    def two_ways(argv, data, cfg: Path) -> tuple[list[str], list[str]]:
+        """``argv`` with every flag on the command line, and with a drawn subset
+        of its flags moved into the config file ``cfg``.
+
+        The command line puts the moved flags last: the flags left on it are
+        parsed before the file is read, so a bad value among them is the one
+        reported, and then the file's flags are parsed first.
+        """
+        head = [arg for arg in argv if not arg.startswith("--")]
+        flags = [arg for arg in argv if arg.startswith("--")]
+        moved = data.draw(st.lists(st.booleans(), min_size=len(flags), max_size=len(flags)))
+        kept = [flag for flag, m in zip(flags, moved) if not m]
+        into = [flag[2:].split("=", 1) for flag, m in zip(flags, moved) if m]
+        cfg.write_text("".join(f"{key.replace('-', '_')} = {value}\n" for key, value in into),
+                       encoding="utf-8")
+        flat = [*head, *kept, *(f"--{key}={value}" for key, value in into)]
+        return flat, [*head, *kept, f"--config={cfg}"]
+
+    def csv_record(self, argv, out: Path, existing) -> tuple:
+        """Run a sweep or figure into ``out``: its exit code, stdout, stderr, the
+        file's text (None if there is none) and the names in its directory."""
+        if existing:
+            out.write_bytes(b"earlier results\n")
+        record = (*self.run([*argv, f"--out={out}"]),
+                  out.read_text(encoding="utf-8") if out.exists() else None,
+                  sorted(os.listdir(out.parent)))
+        out.unlink(missing_ok=True)
+        return record
+
+    def check_csv_run(self, argv, existing, data) -> None:
+        """Run a sweep or figure both ways: exit 0 writes one row per grid point
+        and configuration, anything else leaves an earlier file as it was."""
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out.csv"
-            if existing:
-                out.write_bytes(b"earlier results\n")
-            code, stdout, err = self.run([*argv, f"--out={out}"])
-            self.assert_contract(code, err)
-            if code == 0:
-                header, rows = read_csv(out)
-                assert header == CSV_HEADER and stdout == f"wrote {len(rows)} rows to {out}\n"
-                flags = dict(arg[2:].split("=", 1) for arg in argv[1:] if arg.startswith("--"))
-                assert len(rows) == int(flags["steps"]) * csv_configs(flags)
-            elif existing:
-                assert out.read_bytes() == b"earlier results\n"
-            assert os.listdir(tmp) == (["out.csv"] if code == 0 or existing else [])
+            flat, through_config = self.two_ways(argv, data, Path(tmp, "run.cfg"))
+            out = Path(tmp, "out", "out.csv")
+            out.parent.mkdir()
+            record = self.csv_record(flat, out, existing)
+            assert self.csv_record(through_config, out, existing) == record
+        code, stdout, err, text, names = record
+        self.assert_contract(code, err)
+        if code == 0:
+            header, *rows = csv.reader(io.StringIO(text))
+            assert header == CSV_HEADER and stdout == f"wrote {len(rows)} rows to {out}\n"
+            flags = dict(arg[2:].split("=", 1) for arg in flat if arg.startswith("--"))
+            assert len(rows) == int(flags["steps"]) * csv_configs(flags)
+        elif existing:
+            assert text == "earlier results\n"
+        assert names == (["out.csv"] if code == 0 or existing else [])
 
     @settings(max_examples=100, deadline=None)
     @given(cli_argv("wigner"))
@@ -1154,23 +1199,28 @@ class TestContractProperty:
             assert out.startswith("cos2_half ") and err == ""
 
     @settings(max_examples=200, deadline=None)
-    @given(cli_argv("coherence"))
-    def test_coherence(self, argv):
-        code, out, err = self.run(argv)
+    @given(cli_argv("coherence"), st.data())
+    def test_coherence(self, argv, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            flat, through_config = self.two_ways(argv, data, Path(tmp, "run.cfg"))
+            code, out, err = self.run(flat)
+            assert self.run(through_config) == (code, out, err)
         self.assert_contract(code, err)
         if code == 0:
-            assert out.startswith("scenario ") and err == ""
+            beta = dict(arg[2:].split("=", 1) for arg in flat[1:])["beta"]
+            assert out.startswith(f"scenario      {'dual' if ':' in beta else 'single'}\n")
+            assert err == ""
 
     # A huge sigma over a tiny mass overflows sigma/m with numpy's warning
     # before the domain gate rejects it, as the transcript records.
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
-    @given(cli_argv("sweep"), st.booleans())
-    def test_sweep(self, argv, existing):
-        self.check_csv_run(argv, existing)
+    @given(cli_argv("sweep"), st.booleans(), st.data())
+    def test_sweep(self, argv, existing, data):
+        self.check_csv_run(argv, existing, data)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
-    @given(cli_argv("figure"), st.booleans())
-    def test_figure(self, argv, existing):
-        self.check_csv_run(argv, existing)
+    @given(cli_argv("figure"), st.booleans(), st.data())
+    def test_figure(self, argv, existing, data):
+        self.check_csv_run(argv, existing, data)

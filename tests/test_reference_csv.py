@@ -3,7 +3,9 @@
 Seeds 0-3 of every workload in ``bench/workloads.py`` are run through
 :func:`boostcoh.cli.main`, and each CSV's SHA-256 is compared with
 ``bench/reference.json``, so a change that alters output bytes fails here
-and not only in the benchmark.
+and not only in the benchmark.  The quadrature workloads' argv still use
+``sweep``'s two old spellings, ``--scenario`` and ``--beta-pairs``; the same
+argv without them give the same bytes.
 """
 
 import contextlib
@@ -36,11 +38,11 @@ WORKLOADS = _load_workloads()
 REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
 
 
-def check_seed(workload, seed, tmp_path):
+def check_seed(workload, seed, tmp_path, spell=list):
     for inv in WORKLOADS[workload](seed):
         out = tmp_path / f"{inv.name}.csv"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main([*inv.argv, "--out", str(out)]) == 0
+            assert main([*spell(inv.argv), "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == REFERENCE[workload][str(seed)][inv.name], inv.name
 
@@ -57,6 +59,21 @@ def test_seed_zero_matches_reference(workload, tmp_path):
 @pytest.mark.parametrize("workload", ["figure-closed", "quad-narrow", "quad-wide"])
 def test_more_quadrature_seeds_match_reference(workload, seed, tmp_path):
     check_seed(workload, seed, tmp_path)
+
+
+def one_spelling(argv) -> list[str]:
+    """``argv`` without ``--scenario X``, and with ``--beta-pairs`` written ``--betas``."""
+    argv = list(argv)
+    if "--scenario" in argv:
+        at = argv.index("--scenario")
+        del argv[at:at + 2]
+    return ["--betas" if arg == "--beta-pairs" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("workload", ["quad-narrow", "quad-wide"])
+def test_one_spelling_matches_reference(workload, seed, tmp_path):
+    check_seed(workload, seed, tmp_path, spell=one_spelling)
 
 
 def test_fresh_process_matches_reference(tmp_path):

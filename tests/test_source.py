@@ -19,6 +19,12 @@ one or two betas, and the n bounds take its length. No ``Scenario`` type or
 ``"dual_boost"`` appear only in the n-bound error message, whose text the CLI
 transcript pins.
 
+On the command line a beta configuration is spelled one way, ``b`` or
+``b1:b2``: ``cli`` binds no ``_forbid`` or ``_pair_list`` and registers no
+``--beta1`` or ``--beta2``.  ``--scenario`` and ``--beta-pairs``, the old
+spellings the benchmark's workload argv still use, are registered on the
+``sweep`` parser alone.
+
 Its check tolerances live in one table in ``core``, each derived from the
 checks upstream of it, so the float literals 1e-10 and 1e-12 appear nowhere
 else. The one exception is ``integrals.RTOL``, the quadrature's stopping
@@ -152,6 +158,69 @@ def scenario_forms(source: str) -> list[str]:
             names.append(repr(node.value))
         found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
     return found
+
+
+GONE_BETA_NAMES = {"_forbid", "_pair_list"}
+GONE_BETA_FLAGS = {"--beta1", "--beta2"}
+SWEEP_ONLY_FLAGS = {"--scenario", "--beta-pairs"}
+
+
+def beta_spellings(source: str) -> list[str]:
+    """Each second spelling of a beta configuration in ``source``, as ``line: what``.
+
+    That is a class, function, assignment, import or argument named
+    ``_forbid`` or ``_pair_list``, an ``add_argument`` of ``--beta1`` or
+    ``--beta2``, and an ``add_argument`` of ``--scenario`` or
+    ``--beta-pairs`` on anything but the sweep parser.  The sweep parser is
+    the name bound to ``command("sweep", ...)``, and any name bound to a call
+    on it or with it as the first argument, such as an argument group.
+    """
+    tree = ast.parse(source)
+    sweep = set()
+    assigns = [n for n in ast.walk(tree) if isinstance(n, ast.Assign)]
+    for node in sorted(assigns, key=lambda n: n.lineno):  # a name is bound before its use
+        if not isinstance(call := node.value, ast.Call):
+            continue
+        first = call.args[0] if call.args else None
+        receiver = call.func.value if isinstance(call.func, ast.Attribute) else None
+        if (_dotted(call.func) == "command" and isinstance(first, ast.Constant)
+                and first.value == "sweep") or any(
+                    isinstance(n, ast.Name) and n.id in sweep for n in (first, receiver)):
+            sweep.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        names = [n for n in _bound_names(node) if n in GONE_BETA_NAMES]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            on_sweep = _dotted(node.func.value) in sweep
+            names += [arg.value for arg in node.args if isinstance(arg, ast.Constant) and (
+                arg.value in GONE_BETA_FLAGS or arg.value in SWEEP_ONLY_FLAGS and not on_sweep)]
+        found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
+    return found
+
+
+def test_one_spelling_of_a_beta_configuration():
+    assert beta_spellings((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def _forbid(args, scenario, *names):\n    pass", ["1: _forbid"]),
+    ("_pair_list = _beta_list", ["1: _pair_list"]),
+    ("p_coh.add_argument('--beta1', type=float)", ["1: --beta1"]),
+    ("p = command('sweep', cmd_sweep, 's')\np.add_argument('--beta2')", ["2: --beta2"]),
+    ("p_coh = command('coherence', f, 's')\np_coh.add_argument('--scenario')", ["2: --scenario"]),
+    ("def add(p):\n    p.add_argument('--beta-pairs')", ["2: --beta-pairs"]),
+    ("p = command('sweep', f, 's')\np.add_argument('--scenario')\n"
+     "g = add_grid(p, f, 'h')\ng.add_argument('--beta-pairs')", []),
+    ("p = command('sweep', f, 's')\ng = p.add_mutually_exclusive_group()\n"
+     "g.add_argument('--beta-pairs')", []),
+    ("q = command('figure', f, 's')\ng = add_grid(q, f, 'h')\ng.add_argument('--beta-pairs')",
+     ["3: --beta-pairs"]),
+    ("# --beta1 and _forbid in a comment\nhelp = 'b1:b2, not --beta1'\np.add_argument('--beta')",
+     []),
+])
+def test_the_beta_spelling_rule_sees_each_spelling(source, want):
+    assert beta_spellings(source) == want
 
 
 ORDER_NAMES = {"quad_order", "quad_max_order", "max_order", "adaptive"}
