@@ -8,17 +8,18 @@ sweep       write a CSV of coherence values over a sigma grid
 figure      run the fig1/fig2 preset sweeps (neutron mass, n = 2)
 
 A beta configuration is ``b`` when one particle is boosted and ``b1:b2``
-when both are: ``coherence --beta 0.95:0.8`` takes one, and ``sweep --betas
-0.3:0.95,0.8:0.8`` a list of one form.
+when both are: ``coherence --beta 0.95:0.8`` takes one, ``sweep --betas
+0.3:0.95,0.8:0.8`` a list of one form, and ``figure --betas 0.3,0.8`` a
+list of ``b`` items, since the preset sets the boost count.
 
 Exit codes: 0 success, 2 usage or domain error, 3 quadrature not converged
-by its largest order.  Every subcommand accepts ``--config FILE`` with
-``key = value`` lines.  A key is one of the subcommand's long flags, written
-with dashes or underscores.  Each line is parsed as ``--key=value`` by the
-subcommand's own parser, so it is checked with the same types and choices
-(and argparse's unique-prefix rule); a key the subcommand does not have, a
-key given twice and a ``config`` key exit 2.  Flags on the command line win
-over the file.
+by its largest order.  Argparse only reads each input, by its exact long
+name, and the library (``core``'s checks, :class:`SweepSpec`) checks it.
+Every subcommand accepts ``--config FILE`` with ``key = value`` lines, a key
+being a long flag's exact name, with dashes or underscores.  Each line is
+parsed as ``--key=value`` by the subcommand's own parser; a key it does not
+have (a prefix of a flag, say), a key given twice and a ``config`` key exit
+2.  Flags on the command line win over the file.
 """
 
 from __future__ import annotations
@@ -131,15 +132,14 @@ class SweepSpec:
             raise ValueError(f"sigma grid needs sigma_min <= sigma_max, got {lo!r} > {hi!r}")
         if not self.betas:
             raise ValueError("at least one beta configuration is required")
-        lengths = {len(cfg) if isinstance(cfg, tuple) else 0 for cfg in self.betas}
-        if lengths not in ({1}, {2}):
-            raise ValueError(f"betas must hold all 1-tuples or all 2-tuples, got {self.betas!r}")
+        if {len(cfg) if isinstance(cfg, tuple) else 0 for cfg in self.betas} not in ({1}, {2}):
+            raise ValueError(f"betas must be all b or all b1:b2 items, got {_items(self.betas)}")
         for cfg in self.betas:
             for b in cfg:
                 check_beta(b)
-        unknown = set(self.methods) - set(METHODS)
-        if unknown or not self.methods:
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        if not self.methods or set(self.methods) - set(METHODS):
+            raise ValueError(f"methods must be a nonempty subset of {','.join(METHODS)}, "
+                             f"got {','.join(map(str, self.methods))!r}")
 
     def sigmas(self, start: int, stop: int) -> list[float]:
         """The grid's sigma values with indices in [start, stop), clipped to the grid.
@@ -336,27 +336,27 @@ def write_sweep_csv(spec: SweepSpec, out_path) -> int:
     return count
 
 
-def figure_spec(name: Literal["fig1", "fig2"], **overrides) -> SweepSpec:
+def figure_spec(
+    name: Literal["fig1", "fig2"], *, theta: float = math.pi / 4, n: int = FIGURE_N,
+    mass: float = FIGURE_MASS_MEV, sigma_min: float | None = None, sigma_max: float | None = None,
+    steps: int = FIGURE_STEPS, betas: Sequence[float] = FIGURE_BETAS,
+) -> SweepSpec:
     """Preset sweeps behind the two published coherence-decay figures.
 
     fig1: one boosted particle, fig2: both boosted with beta1 = beta2; both
     use the neutron mass, n = 2, theta = pi/4, and a sigma grid covering
     sigma/m in (0, 0.3] (the sigma axis range is a preset choice, not a
-    published number; override with the sweep flags if needed).
+    published number; override with the sweep flags if needed).  An
+    unknown keyword raises ``TypeError``.
     """
     if name not in ("fig1", "fig2"):
         raise ValueError(f"figure name must be 'fig1' or 'fig2', got {name!r}")
-    mass = overrides.get("mass", FIGURE_MASS_MEV)
-    steps = overrides.get("steps", FIGURE_STEPS)
-    sigma_max = overrides.get("sigma_max", FIGURE_SIGMA_FRACTION * mass)
-    # The grid is sigma_max * k / steps, k = 1..steps; SweepSpec rejects steps < 2.
-    sigma_min = overrides.get("sigma_min", sigma_max / steps if steps else sigma_max)
-    betas = overrides.get("betas", FIGURE_BETAS)
+    if sigma_max is None:
+        sigma_max = FIGURE_SIGMA_FRACTION * mass
+    if sigma_min is None:  # the grid is sigma_max * k / steps, k = 1..steps
+        sigma_min = sigma_max / steps if steps else sigma_max  # SweepSpec rejects steps < 2
     return SweepSpec(
-        theta=overrides.get("theta", math.pi / 4),
-        n=overrides.get("n", FIGURE_N),
-        mass=mass,
-        sigma_grid=(sigma_min, sigma_max, steps),
+        theta=theta, n=n, mass=mass, sigma_grid=(sigma_min, sigma_max, steps),
         betas=tuple((b,) if name == "fig1" else (b, b) for b in betas),
         methods=("perturbative", "exact-eig"),
     )
@@ -364,22 +364,6 @@ def figure_spec(name: Literal["fig1", "fig2"], **overrides) -> SweepSpec:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"n must be a nonnegative integer (the coherence bound requires n > -1/2), got {value}"
-        )
-    return value
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
 
 def _beta_config(text: str) -> tuple[float, ...]:
     """One beta configuration: ``b`` when one particle is boosted, ``b1:b2`` when both are."""
@@ -396,6 +380,11 @@ def _beta_list(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_beta_config(part) for part in text.split(",") if part.strip())
 
 
+def _items(betas) -> str:
+    """Beta configurations as ``--betas`` spells them: ``b`` or ``b1:b2`` items."""
+    return ",".join(":".join(map(str, c)) if isinstance(c, tuple) else str(c) for c in betas)
+
+
 def _beta_pairs(text: str) -> tuple[tuple[float, ...], ...]:
     """``sweep --betas`` under its old name, which takes b1:b2 items only."""
     for part in text.split(","):
@@ -405,26 +394,20 @@ def _beta_pairs(text: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _method_list(text: str) -> tuple[str, ...]:
-    methods = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not methods or set(methods) - set(METHODS):
-        raise argparse.ArgumentTypeError(
-            f"expected a nonempty comma-separated subset of {METHODS}, got {text!r}"
-        )
-    return methods
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def load_config(path, options) -> list[str]:
+def load_config(path) -> list[str]:
     """Turn a ``key = value`` file into ``--key=value`` arguments.
 
     '#' starts a comment and blank lines are skipped.  Underscores in a key
     become dashes, so ``p_over_m`` and ``p-over-m`` both name ``--p-over-m``.
-    A key names the option of ``options`` that argparse gives it, its exact
-    name or else the one option it is a prefix of.  Two keys that name one
-    option, and a key that names ``--config`` (or a prefix of it), raise
-    ``ValueError`` rather than let one value silently win.
+    A key names a flag by its exact name; the parser rejects any other.  Two
+    keys that name one flag, and a ``config`` key, raise ``ValueError``
+    rather than let one value silently win.
     """
     args = []
-    seen = {}  # each key, as the option it names, and the line that set it
+    seen = {}  # each key, as the flag it names, and the line that set it
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -435,13 +418,11 @@ def load_config(path, options) -> list[str]:
         if not eq or not key:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         flag = key.replace("_", "-")
-        if "config".startswith(flag):
+        if flag == "config":
             raise ValueError(f"{path}:{lineno}: key {key!r} cannot name another config file")
-        matches = [o for o in options if o.startswith(f"--{flag}")]
-        option = matches[0] if len(matches) == 1 else f"--{flag}"
-        if option in seen:
-            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[option]}")
-        seen[option] = lineno
+        if flag in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {seen[flag]}")
+        seen[flag] = lineno
         args.append(f"--{flag}={value.strip()}")
     return args
 
@@ -456,20 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boostcoh",
         description="Spin coherence of entangled pairs under Lorentz boosts",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key = value file of long flags; flags given here win")
-        p.set_defaults(func=func, options=p._option_string_actions)  # filled as flags are added
+        p.set_defaults(func=func)
         return p
 
     # Flag groups shared by several subcommands; the figure presets live in
     # figure_spec, so its flags default to None.
     def add_packet(p: argparse.ArgumentParser, theta=None, n=None) -> None:
         p.add_argument("--theta", type=float, default=theta, help="entanglement angle (radians)")
-        p.add_argument("--n", type=_nonneg_int, default=n, help="wave-packet generalization exponent")
+        p.add_argument("--n", type=int, default=n, help="wave-packet generalization exponent")
         p.add_argument("--mass", type=float, help="particle rest mass (MeV)")
 
     def add_grid(p: argparse.ArgumentParser, betas, betas_help: str):
@@ -509,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = command("figure", cmd_figure, "preset sweeps for the two coherence-decay figures")
     p_fig.add_argument("name", choices=("fig1", "fig2"))
     add_packet(p_fig)
-    add_grid(p_fig, _float_list, "comma-separated list, e.g. 0.0,0.3,0.95")
+    add_grid(p_fig, _beta_list, "comma-separated b items, e.g. 0.0,0.3,0.95")
 
     return parser
 
@@ -540,7 +522,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 def cmd_coherence(args: argparse.Namespace) -> int:
     _require(args, "sigma", "mass", "beta")
     check_theta(args.theta)
-
+    check_nonneg_int(args.n, "n")
     check_positive_finite(args.sigma, "sigma")
     check_positive_finite(args.mass, "mass")
     boosts = tuple(boost_from_beta(b) for b in args.beta)
@@ -595,11 +577,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     _require(args, "out")
+    if pairs := [cfg for cfg in args.betas or () if len(cfg) != 1]:
+        raise ValueError(f"figure --betas items have the form b, since {args.name} sets the "
+                         f"boost count; got {_items(pairs)}")
     overrides = {
         key: value
-        for key in ("theta", "n", "mass", "sigma_min", "sigma_max", "steps", "betas")
-        if (value := getattr(args, key, None)) is not None
+        for key in ("theta", "n", "mass", "sigma_min", "sigma_max", "steps")
+        if (value := getattr(args, key)) is not None
     }
+    if args.betas is not None:
+        overrides["betas"] = [cfg[0] for cfg in args.betas]
     spec = figure_spec(args.name, **overrides)
     count = write_sweep_csv(spec, args.out)
     print(f"wrote {count} rows to {args.out}")
@@ -614,7 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:
             # argv[0] is the subcommand; config arguments go ahead of the
             # command line's, and argparse keeps a flag's last occurrence.
-            args = parser.parse_args(argv[:1] + load_config(args.config, args.options) + argv[1:])
+            args = parser.parse_args(argv[:1] + load_config(args.config) + argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -266,6 +266,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "coherence-negative-quad-order": (
         ["coherence", "--beta", "0.9", "--sigma", "100", *NEUTRON, *QUAD, "--quad-order", "-1"],
         {}),
+    # argparse reads a flag by its exact name, and figure's --betas items are b alone
+    "figure-pair-item": (["figure", "fig2", "--betas", "0.3:0.5", *OUT], {}),
+    "coherence-abbreviated-flag": (["coherence", "--beta", "0.5", "--sig", "100", *NEUTRON], {}),
 }
 
 

@@ -133,12 +133,13 @@ class TestCoherenceCommand:
             assert "F2" in report
 
     def test_negative_n_rejected_at_parse(self, capsys):
+        # argparse reads --n as an int; the library's check rejects it
         code = main([
             "coherence", "--beta", "0.5",
             "--sigma", "10", "--mass", "100", "--n", "-1",
         ])
         assert code == 2
-        assert "n > -1/2" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: n must be nonnegative, got -1\n")
 
     # The quadrature picks its own order, so the order flags are gone: each
     # exits 2 as an unrecognized argument, whatever its value.
@@ -226,34 +227,38 @@ class TestCoherenceCommand:
 
     POINT = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
 
+    # A key names a flag by its exact name, so a prefix of one is an
+    # unrecognized argument, as on the command line.
+    UNRECOGNIZED = "usage: boostcoh [-h] {{wigner,coherence,sweep,figure}} ...\n" \
+        "boostcoh: error: unrecognized arguments: {}\n"
+
     @pytest.mark.parametrize(
         "config, message",
         [
-            (POINT + "beta = 0.7\n", "run.cfg:4: key 'beta' is already set on line 1"),
+            (POINT + "beta = 0.7\n",
+             "error: {tmp}/run.cfg:4: key 'beta' is already set on line 1\n"),
             ("quad_order = 16\n" + POINT + "quad-order = 32\n",
-             "run.cfg:5: key 'quad-order' is already set on line 1"),
+             "error: {tmp}/run.cfg:5: key 'quad-order' is already set on line 1\n"),
             (POINT + "config = other.cfg\n",
-             "run.cfg:4: key 'config' cannot name another config file"),
-            ("conf = other.cfg\n" + POINT,
-             "run.cfg:1: key 'conf' cannot name another config file"),
+             "error: {tmp}/run.cfg:4: key 'config' cannot name another config file\n"),
+            ("conf = other.cfg\n" + POINT, UNRECOGNIZED.format("--conf=other.cfg")),
             ("sigma = 100\nsig = 200\nbeta = 0.5\nmass = 939.36\n",
-             "run.cfg:2: key 'sig' is already set on line 1"),
+             UNRECOGNIZED.format("--sig=200")),
             ("sig = 200\nbeta = 0.5\nmass = 939.36\nsigma = 100\n",
-             "run.cfg:4: key 'sigma' is already set on line 1"),
+             UNRECOGNIZED.format("--sig=200")),
         ],
         ids=["repeated-key", "repeated-after-normalisation", "nested-config",
              "nested-config-prefix", "repeated-through-prefix", "prefix-then-full-name"],
     )
     def test_conflicting_config_rejected(self, config, message, tmp_path, capsys):
         # Neither value may silently win: not the last of a repeated key, nor
-        # the command line's --config over a nested one.
+        # the command line's --config over a nested one, nor a flag over a
+        # prefix of it.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config, encoding="utf-8")
         (tmp_path / "other.cfg").write_text("beta = 0.9\n", encoding="utf-8")
         assert main(["coherence", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {tmp_path}/{message}\n"
+        assert capsys.readouterr() == ("", message.replace("{tmp}", str(tmp_path)))
 
     SWEEP_KEYS = "n = 2\nmass = 939.36\nsigma_min = 1\nsigma_max = 2\nsteps = 2\nbetas = 0.5\n"
     POINT_KEYS = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
@@ -443,9 +448,12 @@ class TestSweepCommand:
             assert abs(float(row[7]) - float(row[6])) <= 3 * f1**2 + 1e-15
 
     def test_empty_methods_rejected(self, tmp_path, capsys):
+        # argparse only splits the list; SweepSpec checks it
         out = tmp_path / "sweep.csv"
         assert main([*self.SMALL, "--methods", "", "--out", str(out)]) == 2
-        assert "--methods" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: methods must be a nonempty subset of "
+                "perturbative,exact-eig,quadrature, got ''\n")
         assert not out.exists()
 
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
@@ -960,6 +968,12 @@ class TestFigureCommand:
     def test_unknown_name_rejected(self, capsys):
         assert main(["figure", "fig3", "--out", "x.csv"]) == 2
 
+    def test_preset_rejects_an_unknown_keyword(self):
+        # a misspelt override raises rather than leave the preset in place
+        with pytest.raises(TypeError, match="stepz"):
+            figure_spec("fig1", stepz=12, sigma=5.0)
+        assert figure_spec("fig1", steps=12).sigma_grid[2] == 12
+
     @pytest.mark.parametrize("steps", ["0", "-4", "1"])
     def test_too_few_steps_rejected(self, steps, tmp_path, capsys):
         # the preset sigma_min is sigma_max / steps; the grid check comes first
@@ -1050,7 +1064,8 @@ class TestClosedFormPaths:
 # +/-inf, huge, negative, zero, empty and non-numeric values, and values
 # outside a flag's domain.  A drawn subset of the flags then goes into a
 # --config file, which must give the record of the command line alone.  A
-# sweep or figure has at most 64 steps, so each example stays small.
+# prefix of a flag or of a config key is drawn too, and exits 2.  A sweep or
+# figure has at most 64 steps, so each example stays small.
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e308", "1e400", "-1", "0", "abc", ""]
 VALID = {
     "theta": ["0", "0.3", "0.7853981633974483", "1.5707963267948966"],
@@ -1097,18 +1112,20 @@ FLAGS = {
 
 
 @st.composite
-def cli_argv(draw, command: str) -> list[str]:
-    """Argv for ``command``: valid flags, up to three of them odd or dropped."""
+def cli_argv(draw, command: str, odd: int = 3) -> list[str]:
+    """Argv for ``command``: valid flags, up to ``odd`` of them odd or dropped."""
     two = TWO_BOOSTS if command in ("coherence", "sweep") else {}
     values = {flag: draw(st.sampled_from(VALID[flag] + two.get(flag, [])))
               for flag in FLAGS[command]}
     names = FLAGS[command] + (["scenario"] if command == "sweep" else [])
-    for flag in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(names), max_size=odd, unique=True)):
         values[flag] = draw(st.none() | st.sampled_from(ODD[flag]))  # None drops the flag
     head = [command]
     if command == "figure":
-        steps = draw(st.sampled_from(VALID["steps"]) | st.sampled_from(ODD["steps"]))
-        head += [draw(st.sampled_from(["fig1", "fig2", "fig3"])), f"--steps={steps}"]
+        steps, name = st.sampled_from(VALID["steps"]), st.sampled_from(["fig1", "fig2"])
+        if odd:
+            steps, name = steps | st.sampled_from(ODD["steps"]), name | st.just("fig3")
+        head += [draw(name), f"--steps={draw(steps)}"]
     return head + [f"--{f}={v}" for f, v in values.items() if v is not None]
 
 
@@ -1188,6 +1205,30 @@ class TestContractProperty:
         elif existing:
             assert text == "earlier results\n"
         assert names == (["out.csv"] if code == 0 or existing else [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(FLAGS)), st.booleans(), st.data())
+    def test_abbreviated_name_rejected(self, command, in_config, data):
+        # A flag, or a config key, is read by its exact name alone: a prefix
+        # of one, even a unique one, exits 2 as an unrecognized argument.  No
+        # prefix of a drawn flag is another flag of its command.
+        argv = data.draw(cli_argv(command, odd=0))
+        i = data.draw(st.sampled_from([i for i, arg in enumerate(argv)
+                                       if arg.startswith("--") and arg.index("=") > len("--n")]))
+        name, value = argv[i][2:].split("=", 1)
+        short = name[:data.draw(st.integers(1, len(name) - 1))]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv[i] = f"--{short}={value}"
+            if in_config:
+                cfg = Path(tmp, "run.cfg")
+                cfg.write_text(f"{short.replace('-', '_')} = {value}\n", encoding="utf-8")
+                argv[i] = f"--config={cfg}"
+            out = Path(tmp, "out.csv")
+            code, stdout, err = self.run([*argv, f"--out={out}"] if command in ("sweep", "figure")
+                                         else argv)
+            assert not out.exists()
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: --{short}={value}\n"), err
 
     @settings(max_examples=100, deadline=None)
     @given(cli_argv("wigner"))

@@ -33,6 +33,11 @@ rule, which is not a check and stays beside its loop.
 The quadrature picks its own order by one convergence rule, so no caller
 chooses one: no name ``quad_order``, ``quad_max_order``, ``max_order`` or
 ``adaptive`` comes back, and no string spells a ``--quad-`` flag.
+
+Argparse only reads each input, by its exact name, and the library checks
+it: every ``ArgumentParser(...)`` and ``.add_parser(...)`` call passes
+``allow_abbrev=False``, no ``_nonneg_int`` or ``_float_list`` checker comes
+back, and nothing reads argparse's private ``_option_string_actions``.
 """
 
 import ast
@@ -221,6 +226,56 @@ def test_one_spelling_of_a_beta_configuration():
 ])
 def test_the_beta_spelling_rule_sees_each_spelling(source, want):
     assert beta_spellings(source) == want
+
+
+PARSER_CALLS = {"ArgumentParser", "add_parser"}
+GONE_PARSE_NAMES = {"_nonneg_int", "_float_list"}
+PRIVATE_OPTIONS = "_option_string_actions"
+
+
+def parser_checks(source: str) -> list[str]:
+    """Each place where argparse in ``source`` guesses or checks an input, as ``line: what``.
+
+    That is an ``ArgumentParser(...)`` or ``.add_parser(...)`` call without
+    the keyword ``allow_abbrev=False``, a class, function, assignment,
+    import or argument named ``_nonneg_int`` or ``_float_list``, and any
+    use of the attribute ``_option_string_actions``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [n for n in _bound_names(node) if n in GONE_PARSE_NAMES]
+        if isinstance(node, ast.Attribute) and node.attr == PRIVATE_OPTIONS:
+            names.append(f".{node.attr}")
+        if isinstance(node, ast.Call) and (_dotted(node.func) or "").split(".")[-1] in PARSER_CALLS:
+            if not any(k.arg == "allow_abbrev" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in node.keywords):
+                names.append(f"{_dotted(node.func)}() without allow_abbrev=False")
+        found += [f"{node.lineno}: {n}" for n in dict.fromkeys(names)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_argparse_reads_exact_names_only(path):
+    assert parser_checks(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("parser = argparse.ArgumentParser(prog='boostcoh', allow_abbrev=False)", []),
+    ("p = sub.add_parser(name, help=summary, allow_abbrev=False)", []),
+    ("parser = argparse.ArgumentParser(\n    prog='boostcoh',\n)",
+     ["1: argparse.ArgumentParser() without allow_abbrev=False"]),
+    ("from argparse import ArgumentParser\nparser = ArgumentParser(allow_abbrev=True)",
+     ["2: ArgumentParser() without allow_abbrev=False"]),
+    ("p = sub.add_parser(name, help=summary)", ["1: sub.add_parser() without allow_abbrev=False"]),
+    ("p = sub.add_parser(name, **options)", ["1: sub.add_parser() without allow_abbrev=False"]),
+    ("def _nonneg_int(text: str) -> int:\n    return int(text)", ["1: _nonneg_int"]),
+    ("_float_list = _beta_list", ["1: _float_list"]),
+    ("p.set_defaults(func=func, options=p._option_string_actions)",
+     ["1: ._option_string_actions"]),
+    ("# _nonneg_int and p._option_string_actions in a comment\nhelp = 'add_parser()'", []),
+])
+def test_the_parser_rule_sees_each_spelling(source, want):
+    assert parser_checks(source) == want
 
 
 ORDER_NAMES = {"quad_order", "quad_max_order", "max_order", "adaptive"}
