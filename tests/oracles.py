@@ -25,7 +25,8 @@ from the package's own code paths:
   its inverse (``x_blocks``), so that the full-matrix oracles above run
   on the states the package holds;
 * the relative entropy of coherence ``c_re``, in closed form on the
-  blocks, with ``c_re_eigvalsh`` on the 4x4 embedding as its check;
+  blocks, with ``mp_c_re`` (the same blocks' exact roots at 50 digits) as
+  its reference and ``c_re_eigvalsh`` on the 4x4 embedding;
 * the Wigner rotation from explicit 4x4 Lorentz matrices
   (``wigner_rotation_matrix``) and its spin-1/2 representation
   (``spin_half_matrix``);
@@ -463,6 +464,28 @@ def c_re_eigvalsh(blocks) -> np.ndarray:
     """:func:`c_re` from the 4x4 embedding: its diagonal, and ``eigvalsh`` for the spectrum."""
     m = x_matrices(blocks)
     return entropy_bits(np.diagonal(m, axis1=-2, axis2=-1)) - entropy_bits(np.linalg.eigvalsh(m))
+
+
+def mp_c_re(blocks) -> list[mp.mpf]:
+    """:func:`c_re` at 50 digits on the same float blocks: each block's exact roots, both entropies.
+
+    Each block's roots are (a + d)/2 +- hypot((a - d)/2, c) in exact
+    arithmetic, so this reference does not round a small root to either
+    sign as ``eigvalsh`` does.  A value at or below zero adds nothing to an
+    entropy, as in :func:`entropy_bits`.
+    """
+    def entropy(values) -> mp.mpf:
+        return -sum(p * mp.log(p, 2) for p in values if p > 0)
+
+    out = []
+    for point in np.asarray(blocks, dtype=float).tolist():
+        diagonal, spectrum = [], []
+        for a, d, c in (map(mp.mpf, block) for block in point):
+            mean, half = (a + d) / 2, mp.sqrt(((a - d) / 2) ** 2 + c * c)
+            diagonal += [a, d]
+            spectrum += [mean + half, mean - half]
+        out.append(entropy(diagonal) - entropy(spectrum))
+    return out
 
 
 def mp_binary_entropy(p: float) -> mp.mpf:

@@ -150,7 +150,8 @@ class TestCoherenceCommand:
             "--method", "quadrature", "--quad-order", "0",
         ])
         assert code == 2
-        assert "unrecognized arguments: --quad-order 0" in capsys.readouterr().err
+        assert "boostcoh coherence: error: unrecognized arguments: --quad-order 0" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_order", ["0", "8", "1000"])
     def test_quad_max_order_out_of_range_rejected(self, max_order, capsys):
@@ -159,7 +160,8 @@ class TestCoherenceCommand:
             "--method", "quadrature", "--quad-max-order", max_order,
         ])
         assert code == 2
-        assert f"unrecognized arguments: --quad-max-order {max_order}" in capsys.readouterr().err
+        assert f"boostcoh coherence: error: unrecognized arguments: --quad-max-order {max_order}" \
+            in capsys.readouterr().err
 
     def test_quadrature_tolerance_exit_code(self, capsys):
         # at n = 200 orders 128 and 256 differ by 2.9e-4
@@ -178,7 +180,8 @@ class TestCoherenceCommand:
             "--method", "quadrature", *orders,
         ])
         assert code == 2
-        assert f"unrecognized arguments: {' '.join(orders)}" in capsys.readouterr().err
+        assert f"boostcoh coherence: error: unrecognized arguments: {' '.join(orders)}" \
+            in capsys.readouterr().err
 
     def test_crude_estimate_exit_code(self, capsys):
         # Orders up to 256 cannot integrate kappa^598; it is still an
@@ -228,9 +231,9 @@ class TestCoherenceCommand:
     POINT = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
 
     # A key names a flag by its exact name, so a prefix of one is an
-    # unrecognized argument, as on the command line.
-    UNRECOGNIZED = "usage: boostcoh [-h] {{wigner,coherence,sweep,figure}} ...\n" \
-        "boostcoh: error: unrecognized arguments: {}\n"
+    # unrecognized argument, as on the command line, and the subcommand's
+    # parser reports it with its own usage.
+    UNRECOGNIZED = "{{usage}}boostcoh coherence: error: unrecognized arguments: {}\n"
 
     @pytest.mark.parametrize(
         "config, message",
@@ -257,8 +260,10 @@ class TestCoherenceCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config, encoding="utf-8")
         (tmp_path / "other.cfg").write_text("beta = 0.9\n", encoding="utf-8")
+        usage = build_parser().parse_known_args(["coherence"])[0].parser.format_usage()
         assert main(["coherence", "--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", message.replace("{tmp}", str(tmp_path)))
+        assert capsys.readouterr() == (
+            "", message.replace("{tmp}", str(tmp_path)).replace("{usage}", usage))
 
     SWEEP_KEYS = "n = 2\nmass = 939.36\nsigma_min = 1\nsigma_max = 2\nsteps = 2\nbetas = 0.5\n"
     POINT_KEYS = "beta = 0.5\nsigma = 100\nmass = 939.36\n"
@@ -296,9 +301,9 @@ class TestCoherenceCommand:
         "argv, key, value, message",
         [
             (["coherence", "--beta", "0.5:0.5", "--sigma", "100", "--mass", "939.36"],
-             "beta1", "0.9", "unrecognized arguments: --beta1"),
+             "beta1", "0.9", "boostcoh coherence: error: unrecognized arguments: --beta1"),
             (["coherence", "--beta", "0.9", "--sigma", "100", "--mass", "939.36"],
-             "scenario", "single", "unrecognized arguments: --scenario"),
+             "scenario", "single", "boostcoh coherence: error: unrecognized arguments: --scenario"),
             (["sweep", "--betas", "0.5:0.5", *GRID], "beta-pairs", "0.3:0.6",
              "not allowed with argument --b"),
             (["sweep", "--betas", "0.9", *GRID], "scenario", "dual",
@@ -583,7 +588,8 @@ class TestSweepCommand:
         assert main([*self.CROSSING, "--quad-order", "32", "--quad-max-order", "32",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: --quad-order 32 --quad-max-order 32" in err
+        assert "boostcoh sweep: error: unrecognized arguments: --quad-order 32 --quad-max-order 32" \
+            in err
         assert out.read_text() == "keep\n"
 
     # 257 sigma points: one full block of 256 and a block of one.
@@ -1228,7 +1234,8 @@ class TestContractProperty:
                                          else argv)
             assert not out.exists()
         assert (code, stdout) == (2, "")
-        assert err.endswith(f"error: unrecognized arguments: --{short}={value}\n"), err
+        assert err.startswith(f"usage: boostcoh {command} "), err
+        assert err.endswith(f"boostcoh {command}: error: unrecognized arguments: --{short}={value}\n"), err
 
     @settings(max_examples=100, deadline=None)
     @given(cli_argv("wigner"))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from boostcoh import (
     DensityMatrix,
@@ -27,7 +27,7 @@ from boostcoh.coherence import _descending, _spectrum_faults
 from boostcoh.integrals import check_factor_sum
 
 from oracles import (
-    c_re, c_re_eigvalsh, entropy_bits, jacobi_eigenvalues, mp_binary_entropy,
+    c_re, c_re_eigvalsh, entropy_bits, jacobi_eigenvalues, mp_binary_entropy, mp_c_re,
     mp_frobenius_from_spectrum, x_blocks, x_matrices,
 )
 
@@ -649,10 +649,14 @@ class TestRelativeEntropyOfCoherence:
     @settings(max_examples=300, deadline=None)
     @given(theta=THETA, i3=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
            j3=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    def test_closed_form_matches_eigvalsh_entropy(self, theta, i3, j3):
+    # eigvalsh moves this state's two roots near 1e-15 by ~1e-16, an ulp of
+    # its largest, and the entropy's slope there (~50) turns that into a
+    # C_re of -1.27e-14, below zero; the exact roots give 1.8e-31
+    @example(theta=math.pi / 2, i3=1.0562165631760898e-14, j3=0.13762586142604552)
+    def test_closed_form_matches_exact_root_entropy(self, theta, i3, j3):
         # any pair of moment rows summing to one, not only the ones a packet gives
         rho = rho_dual_boost_general(theta, col([1.0 - i3, i3]), col([1.0 - j3, j3]))
-        assert abs(c_re(rho.blocks)[0] - c_re_eigvalsh(rho.blocks)[0]) <= 1e-14
+        assert abs(c_re(rho.blocks)[0] - mp_c_re(rho.blocks)[0]) <= 1e-14
 
     @settings(max_examples=150, deadline=None)
     @given(theta=THETA, beta=BETA, eps=EPS, n=st.integers(0, 40))

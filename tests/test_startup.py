@@ -1,11 +1,14 @@
 """What a fresh process loads: ``import boostcoh`` loads no numpy, and
 ``import boostcoh.cli`` loads numpy with one OpenBLAS thread unless the user
-set a thread count or numpy was loaded first.
+set a thread count or numpy was loaded first.  The console entry point
+freezes the import-time heap before it runs ``main``; ``main`` itself does
+not.
 
 Each case runs in a new interpreter whose environment has the BLAS thread
 variables removed, since this process may have set one of them.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -40,11 +43,14 @@ def fresh_env(**preset: str) -> dict:
     return {**env, **preset}
 
 
-def run_fresh(code: str, **preset: str) -> str:
+def run_fresh(code: str, *args: str, check: bool = True, **preset: str):
+    """Run ``code`` in a new interpreter: its stdout, or with ``check=False`` the whole result."""
     result = subprocess.run(
-        [sys.executable, "-c", code], env=fresh_env(**preset),
+        [sys.executable, "-c", code, *args], env=fresh_env(**preset),
         capture_output=True, text=True, timeout=120,
     )
+    if not check:
+        return result
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -94,3 +100,39 @@ def test_numpy_loaded_first_is_left_alone():
     report = probe("import numpy, boostcoh.cli")
     assert report["env"] == dict.fromkeys(THREAD_VARIABLES)
     assert report["threads"] == default["threads"]
+
+
+WIGNER = ["wigner", "--beta", "0.95", "--p-over-m", "1"]
+ABBREVIATED = ["coherence", "--beta", "0.5", "--sig", "100", "--mass", "939.36"]
+
+
+def test_entry_point_freezes_the_heap_by_exit():
+    # an atexit probe runs after sys.exit, when shutdown's collections begin
+    code = (
+        "import atexit, gc, sys\n"
+        "print(gc.get_freeze_count() > 0)\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "from boostcoh.cli import entry_point\n"
+        f"sys.argv = ['boostcoh', *{WIGNER!r}]\n"
+        "entry_point()\n"
+    )
+    lines = run_fresh(code).splitlines()
+    assert [lines[0], lines[-1]] == ["False", "True"]
+
+
+@pytest.mark.parametrize("argv, want", [(WIGNER, 0), (ABBREVIATED, 2)], ids=["exit-0", "exit-2"])
+def test_entry_point_matches_main(argv, want, capsys, monkeypatch):
+    # argparse wraps its usage lines to COLUMNS, so both sides get one width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == want
+    out, err = capsys.readouterr()
+    result = run_fresh("from boostcoh.cli import entry_point; entry_point()", *argv,
+                       check=False, COLUMNS="80")
+    assert (result.returncode, result.stdout, result.stderr) == (want, out, err)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # library callers, the transcript replay and warm benchmark rounds call main
+    before = gc.get_freeze_count()
+    assert cli.main(WIGNER) == 0
+    assert gc.get_freeze_count() == before
