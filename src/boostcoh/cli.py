@@ -157,31 +157,33 @@ def _block_values(
     n: int,
     eps: np.ndarray,
     methods: Sequence[str],
-) -> tuple[list, np.ndarray, tuple | None]:
-    """Every beta configuration over a block of sigma/m values, as columns.
+) -> tuple[dict, Exception | None]:
+    """Every beta configuration over a block of sigma/m values, as named columns.
 
     Each configuration holds one boost when a single particle is boosted
     and two when both are, the same number for all.  A row is a (point,
     configuration) pair, and rows are in row order: by point, then by
-    configuration.  Returns ``(columns, spectra, failure)``.  ``columns``
-    holds the CSV columns c_l1 to f2 as arrays, one value per row (None for
-    a method not asked for, and for f2 with one boost).  ``spectra`` holds
-    each row's spectrum: Jacobi's with quadrature, else the closed form
-    when exact-eig is asked for, else None.
-    ``failure`` is None, or ``(k, error)`` for the first row k that fails a
-    check, with the error of the first check it fails.
+    configuration.  Returns ``(columns, error)``.  ``error`` is None, or
+    the error of the first check that the first failing row fails.
+    ``columns`` maps each CSV value column, ``c_l1`` to ``f2``, and
+    ``spectrum`` to an array of the rows before the first failing row (of
+    every row when none fails), or to None: a method's column when the
+    method is not asked for, ``f2`` with one boost, and ``spectrum`` when
+    neither exact-eig nor quadrature is.  ``spectrum`` holds each row's
+    eigenvalues: Jacobi's with quadrature, else the closed form.
 
-    Every value and check is computed once for the whole block: F with one
+    Every check is computed once for the whole block: F with one
     :func:`f_factor` call per distinct boost, the domain gates (sigma/m in
-    (0, 1), the n bounds, then F1 + F2 < 1/2) as masks, the quadrature
+    (0, 1), the n bounds, then F1 + F2 < 1/2) as masks, and the quadrature
     moments with one :func:`moments_quadrature` call per distinct boost
     over the points some configuration using it has gated (a point's bits
-    do not depend on the points evaluated with it), the density matrices
-    as one stack, and the spectra and coherences as columns.  A row's
-    checks are, in order: the gates, then the convergence of its first
-    boost's moments, then of its second's, each failing with the point's
-    :class:`QuadratureToleranceError`.  The tolerances of :mod:`boostcoh.core`
-    compose, so the states of the rows that pass them pass the
+    do not depend on the points evaluated with it).  A row's checks are,
+    in order: the gates, then the convergence of its first boost's
+    moments, then of its second's, each failing with the point's
+    :class:`QuadratureToleranceError`.  Only the rows before the first
+    failing row go on: their density matrices as one stack, and their
+    spectra and coherences as columns.  The tolerances of
+    :mod:`boostcoh.core` compose, so these states pass the
     :class:`DensityMatrix` checks, and their spectra the spectrum checks.
     Only plain values are returned, so no stack outlives the call.
     """
@@ -206,40 +208,35 @@ def _block_values(
                 moments[j, need], errors[j, need] = moments_quadrature(n, b, eps[need])
         failed = errors.astype(bool)
         passed = gated & ~failed[slot].any(axis=1).T
-    ok = passed.ravel()
-    points, cfgs = np.nonzero(passed)
-    l1 = np.full(passed.size, np.nan)
-    eigs = np.full((passed.size, 4), np.nan)
-    if points.size:
-        if quadrature:
-            build = rho_single_boost_general if single else rho_dual_boost_general
-            rho = build(theta, *(moments[s[cfgs], points] for s in slot.T))
-        else:
-            build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
-            rho = build(theta, *(f[passed] for f in factors))
-        l1[ok] = c_l1(rho)
-        if quadrature:
-            eigs[ok] = hermitian_eigenvalues(rho)
+    rows = passed.size if passed.all() else int(np.argmin(passed))  # the rows that go on
 
-    f_rows = [f.ravel() for f in factors]
-    cf_pert = None
+    f_rows = [f.ravel()[:rows] for f in factors]
+    if quadrature:
+        points, cfgs = divmod(np.arange(rows), len(configs))
+        build = rho_single_boost_general if single else rho_dual_boost_general
+        rho = build(theta, *(moments[s[cfgs], points] for s in slot.T))
+    else:
+        build = rho_single_boost_perturbative if single else rho_dual_boost_perturbative
+        rho = build(theta, *f_rows)
+    columns = dict.fromkeys(CSV_HEADER[5:] + ["spectrum"])
+    columns.update(c_l1=c_l1(rho), f1=f_rows[0], f2=None if single else f_rows[1])
     if "perturbative" in methods:
         # the F columns fix the values; the first configuration, the number of boosts
-        cf_pert = c_frobenius_perturbative(n, configs[0], np.repeat(eps, len(configs)), f_rows)
-    closed = cf_exact = None
+        columns["c_f_perturbative"] = c_frobenius_perturbative(
+            n, configs[0], np.repeat(eps, len(configs))[:rows], f_rows
+        )
     if "exact-eig" in methods:
-        closed = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *f_rows)
-        cf_exact = c_frobenius(closed)
-    spectra = eigs if quadrature else closed
-    cf_quad = c_frobenius(eigs) if quadrature else None
-    columns = [l1, cf_pert, cf_exact, cf_quad, f_rows[0], None if single else f_rows[1]]
-    if ok.all():
-        return columns, spectra, None
+        spectrum = (spectrum_single_boost if single else spectrum_dual_boost)(theta, *f_rows)
+        columns.update(spectrum=spectrum, c_f_exact_eig=c_frobenius(spectrum))
+    if quadrature:
+        spectrum = hermitian_eigenvalues(rho)
+        columns.update(spectrum=spectrum, c_f_quadrature=c_frobenius(spectrum))
+    if rows == passed.size:
+        return columns, None
 
     # The first failing row's error: that of the first check whose mask it
     # fails, with the row's values.
-    k = int(np.argmin(ok))
-    p, c = divmod(k, len(configs))
+    p, c = divmod(rows, len(configs))
     if not (0.0 < eps[p] < 1.0):
         error = ValueError(f"sigma/m must lie in (0, 1), got {eps[p].item()}")
     elif not inside[p]:
@@ -252,7 +249,7 @@ def _block_values(
         error = ValueError(f"F1 + F2 must be < 1/2, got {sum(f[p, c].item() for f in factors)}")
     else:  # only a quadrature error is left, so quadrature ran
         error = next(errors[j, p] for j in slot[c] if failed[j, p])
-    return columns, spectra, (k, error)
+    return columns, error
 
 
 def run_sweep(spec: SweepSpec):
@@ -261,8 +258,8 @@ def run_sweep(spec: SweepSpec):
     The sigma grid is walked in blocks of :data:`BLOCK` points, and each
     block's sigma values are built when it is reached.  Per block, sigma/m
     is one array division, every beta configuration's values are one set
-    of columns (see :func:`_block_values`), and each column's text is one
-    ``map(repr, ...)``.  Each sigma is formatted once for every
+    of named columns (see :func:`_block_values`), and each column's text
+    is one ``map(repr, ...)``.  Each sigma is formatted once for every
     configuration, f2 reuses f1's text on rows where the two hold the same
     bits (a symmetric pair), and beta1, beta2, n and theta are formatted
     once per configuration.  A column not asked for is empty.  Lines are
@@ -276,25 +273,22 @@ def run_sweep(spec: SweepSpec):
     ]
     for start in range(0, spec.sigma_grid[2], BLOCK):
         sigma = np.array(spec.sigmas(start, start + BLOCK))
-        columns, _, failure = _block_values(
-            spec.theta, configs, spec.n, sigma / spec.mass, spec.methods
-        )
-        rows = len(sigma) * len(configs) if failure is None else failure[0]
+        columns, error = _block_values(spec.theta, configs, spec.n, sigma / spec.mass, spec.methods)
+        f1, f2 = columns["f1"], columns["f2"]
 
         def text(column) -> list[str]:
-            return [""] * rows if column is None else list(map(repr, column[:rows].tolist()))
+            return [""] * len(f1) if column is None else list(map(repr, column.tolist()))
 
-        *values, f1, f2 = columns
         f1_text = text(f1)
         f2_text = text(None)
         if f2 is not None:  # a symmetric pair's F columns hold the same bits: reuse f1's text
-            same = (f1.view(np.uint64) == f2.view(np.uint64))[:rows].tolist()
-            f2_text = [t if s else repr(v) for t, v, s in zip(f1_text, f2[:rows].tolist(), same)]
+            same = (f1.view(np.uint64) == f2.view(np.uint64)).tolist()
+            f2_text = [t if s else repr(v) for t, v, s in zip(f1_text, f2.tolist(), same)]
         sigma_text = [t for t in map(repr, sigma.tolist()) for _ in configs]
-        fields = zip(sigma_text, heads * len(sigma), *map(text, values), f1_text, f2_text)
-        yield from map(",".join, fields)
-        if failure is not None:
-            raise failure[1]
+        values = [text(columns[name]) for name in CSV_HEADER[5:9]]  # c_l1 to c_f_quadrature
+        yield from map(",".join, zip(sigma_text, heads * len(sigma), *values, f1_text, f2_text))
+        if error is not None:
+            raise error
 
 
 def write_sweep_csv(spec: SweepSpec, out_path) -> int:
@@ -540,14 +534,12 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     boosts = tuple(boost_from_beta(b) for b in args.beta)
     sigma_over_m = args.sigma / args.mass
     # exact-eig gives the closed spectrum that the perturbative method prints
-    columns, spectra, failure = _block_values(
+    columns, error = _block_values(
         args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method, "exact-eig")
     )
-    if failure is not None:
-        raise failure[1]
-    l1, cf_pert, cf_exact, cf_quad, f1, f2 = (
-        None if column is None else column[0].item() for column in columns
-    )
+    if error is not None:
+        raise error
+    row = {name: None if column is None else column[0].tolist() for name, column in columns.items()}
 
     print(f"scenario      {'single' if len(boosts) == 1 else 'dual'}")
     print(f"method        {args.method}")
@@ -558,13 +550,12 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     print(f"mass_mev      {args.mass!r}")
     print(f"sigma_over_m  {sigma_over_m!r}")
     print(f"n             {args.n}")
-    print(f"F1            {f1!r}")
-    if f2 is not None:
-        print(f"F2            {f2!r}")
-    print(f"spectrum      {spectra[0].tolist()!r}")
-    print(f"c_l1          {l1!r}")
-    cf = {"perturbative": cf_pert, "exact-eig": cf_exact, "quadrature": cf_quad}[args.method]
-    print(f"c_F           {cf!r}")
+    print(f"F1            {row['f1']!r}")
+    if row["f2"] is not None:
+        print(f"F2            {row['f2']!r}")
+    print(f"spectrum      {row['spectrum']!r}")
+    print(f"c_l1          {row['c_l1']!r}")
+    print(f"c_F           {row['c_f_' + args.method.replace('-', '_')]!r}")
     return 0
 
 

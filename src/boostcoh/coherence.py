@@ -4,8 +4,8 @@ Two measures are implemented:
 
 * the l1 norm, sum_{i != j} |rho_ij| -- basis-dependent, so it is always
   computed from matrix entries, never from a spectrum;
-* the Frobenius measure sqrt((d/(d-1)) sum_i (lambda_i - 1/d)^2) --
-  basis-independent, computed from eigenvalues.
+* the Frobenius measure sqrt((4/3) sum_i (lambda_i - 1/4)^2) --
+  basis-independent, computed from the four eigenvalues.
 
 The boosted matrices are X-shaped in the product basis, so their spectra
 come in closed form (union of two 2x2 blocks).  The numerical check on
@@ -89,21 +89,18 @@ def _fold(v: np.ndarray) -> np.ndarray:
 
 
 def c_frobenius(spec: np.ndarray) -> np.ndarray:
-    """sqrt((d/(d-1)) sum (lambda_i - 1/d)^2): distance from maximal mixing.
+    """sqrt((4/3) sum (lambda_i - 1/4)^2): distance from maximal mixing.
 
-    ``spec`` is a (points x d) array of eigenvalues, d >= 2, one row per
-    point; the result has one value per row, NaN where the row holds NaN
-    or fails a :func:`_spectrum_faults` check.  A row is sorted descending
-    and its terms added in that order from 0.
+    ``spec`` is a (points x 4) array of eigenvalues, one row per point; the
+    result has one value per row, NaN where the row holds NaN or fails a
+    :func:`_spectrum_faults` check.  A row is sorted descending and its
+    terms added in that order from 0.
     """
     values = np.asarray(spec, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"spectra must be a (points x d) array, got shape {values.shape}")
-    d = values.shape[1]
-    if d < 2:
-        raise ValueError("coherence needs d >= 2")
-    terms = np.float_power(_checked_spectra(values) - 1.0 / d, 2.0)
-    return np.sqrt(d / (d - 1.0) * _fold(terms))
+    if values.ndim != 2 or values.shape[1] != 4:
+        raise ValueError(f"spectra must be a (points x 4) array, got shape {values.shape}")
+    terms = np.float_power(_checked_spectra(values) - 0.25, 2.0)
+    return np.sqrt(4.0 / 3.0 * _fold(terms))
 
 
 def spectrum_single_boost(theta: float, f: np.ndarray) -> np.ndarray:

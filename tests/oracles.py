@@ -9,6 +9,9 @@ from the package's own code paths:
   among them ``mp_i3_ultrarelativistic``, the exact beta -> 1 limit of I3
   through Tricomi's U, with its own quadrature self-check, and ``mp_i3``,
   the moment I3 at any beta by mpmath quadrature;
+* ``series_i3``, I3 as the all-orders narrow-packet series in sigma/m
+  (coefficients from ``narrow_series``) at 30 digits, summed to its
+  smallest term;
 * ``jacobi_eigenvalues``: the cyclic Jacobi solver rotating one matrix at
   a time with Python scalars, in full sweeps, the reference for the
   package's one rotation per X block;
@@ -40,6 +43,7 @@ them at run time.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -155,6 +159,48 @@ def mp_i3(n: int, beta: float, eps: float) -> mp.mpf:
     cuts = sorted({0.0, max(0.0, peak - 6.0), peak, peak + 6.0})
     # the integrand is even in kappa
     return 2 * mp.quad(integrand, [*cuts, mp.inf]) / mp.gamma(n + mp.mpf(1) / 2)
+
+
+def narrow_series(beta: float):
+    """Yield g_1, g_2, ... of sin^2(phi/2) = g(y) = sum_k g_k y^k, at the working precision.
+
+    In the perpendicular geometry g(y) = (b - 1)(r - 1) / (2 (1 + b r)),
+    with r = sqrt(1 + y), y = (sigma/m)^2 kappa^2 and b = cosh(alpha).  The
+    numerator's series is r - 1 = sum_{k>=1} binom(1/2, k) y^k, and it is
+    divided as a power series by 1 + b r = (1 + b) + b (r - 1).
+    """
+    b = mp_boost(beta)[2]
+    binom, g = [mp.mpf(1)], [mp.mpf(0)]  # binom(1/2, k) and g_k from k = 0
+    for k in itertools.count(1):
+        binom.append(binom[-1] * (mp.mpf(1) / 2 - k + 1) / k)
+        tail = mp.fsum(binom[j] * g[k - j] for j in range(1, k))
+        g.append(((b - 1) * binom[k] / 2 - b * tail) / (1 + b))
+        yield g[k]
+
+
+def series_i3(n: int, beta: float, eps: float) -> tuple[mp.mpf, mp.mpf]:
+    """I3 as the narrow-packet series sum_k g_k (n + 1/2)_k eps^2k, at 30 digits.
+
+    The weight's moments are E[kappa^2k] = (n + 1/2)_k, so the terms of
+    :func:`narrow_series` average to these; k = 1 is F.  The series is
+    asymptotic: its radius in y is 1 and the moments grow like k!.  It
+    stops at its smallest term, or at a term below 1e-25 of the sum.
+    Returns ``(sum, smallest term's magnitude)``; the sum's error lies below
+    the smallest term, so a caller compares only where that is small.
+    """
+    with mp.workdps(30):
+        eps2, rising = mp.mpf(eps) ** 2, mp.mpf(1)
+        total, smallest = mp.mpf(0), mp.inf
+        for k, g in enumerate(narrow_series(beta), start=1):
+            rising *= n + k - mp.mpf(1) / 2  # (n + 1/2)_k
+            term = g * rising * eps2**k
+            if abs(term) >= smallest:  # past the smallest term
+                break
+            total += term
+            smallest = abs(term)
+            if smallest < mp.mpf(10) ** -25 * abs(total):
+                break
+        return total, smallest
 
 
 def mp_frobenius_from_spectrum(eigenvalues) -> mp.mpf:

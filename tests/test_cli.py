@@ -788,18 +788,63 @@ class TestSweepCommand:
         # The F columns and closed spectra of a block, with sigma/m drawn as
         # fractions of the n bound's edge: on every gated point F stays below
         # 3/4 (one boost) or 3/8 per particle (two), and the closed spectrum
-        # passes the spectrum checks, so no failure can come from it.
+        # passes the spectrum checks, so no failure can come from it.  They
+        # are computed here over the whole block, since the block's columns
+        # stop at its first failing row.
         edge = math.sqrt((3.0 if len(betas) == 1 else 1.5) / (n + 0.5))
         eps = np.minimum(np.array(fractions) * edge, math.nextafter(1.0, 0.0))
         boosts = [boost_from_beta(b) for b in betas]
-        columns, spectra, failure = cli._block_values(theta, [boosts], n, eps, ("exact-eig",))
-        factors = [f for f in columns[-2:] if f is not None]
+        columns, error = cli._block_values(theta, [boosts], n, eps, ("exact-eig",))
+        gated_eps = np.where(check_n_in_bounds(n, eps, len(boosts)), eps, np.nan)
+        factors = [f_factor(n, b, gated_eps) for b in boosts]
         bound = 0.75 if len(betas) == 1 else 0.375
         assert all((f[~np.isnan(f)] < bound).all() for f in factors)
         gated = check_factor_sum(*factors)
+        closed = (spectrum_single_boost if len(boosts) == 1 else spectrum_dual_boost)
+        spectra = closed(theta, *factors)
         off_sum, off_range = _spectrum_faults(spectra[gated])
         assert not (off_sum | off_range).any()
-        assert failure is None or not gated[failure[0]]
+        # the block stops only at an ungated point, and its columns are
+        # these values on the points before it
+        rows = len(columns["f1"])
+        assert (error is None) == (rows == len(eps))
+        assert error is None or not gated[rows]
+        assert gated[:rows].all()
+        assert columns["f1"].tobytes() == factors[0][:rows].tobytes()
+        assert columns["spectrum"].tobytes() == spectra[:rows].tobytes()
+
+    # 20 sigma points x 2 pairs: F1 + F2 reaches 1/2 for 0.999:0.999 at grid
+    # index 13, the block's row 27; the pair 0.3:0.3 stays gated throughout.
+    PREFIX = SweepSpec(
+        theta=math.pi / 4, n=2, mass=1.0, sigma_grid=(0.5, 0.75, 20),
+        betas=((0.3, 0.3), (0.999, 0.999)), methods=("perturbative", "exact-eig"),
+    )
+
+    def test_failing_block_evaluates_only_the_rows_it_yields(self, monkeypatch):
+        # The states, their l1 coherence, the closed spectra and both
+        # Frobenius columns are built for the rows before the first failing
+        # one, and for no row at or after it.
+        names = ("rho_dual_boost_perturbative", "c_l1", "spectrum_dual_boost", "c_frobenius",
+                 "c_frobenius_perturbative")
+        rows = {name: [] for name in names}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                rows[name].append(len(getattr(result, "blocks", result)))  # rows of the result
+                return result
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in names:
+            counting(name)
+        yielded, error = lines_and_error(run_sweep(self.PREFIX))
+        assert str(error).startswith("F1 + F2 must be < 1/2, got ")
+        assert len(yielded) == 27
+        for name in names:
+            assert rows[name] == [27], name
 
     def test_sigma_blocks_are_the_grid(self):
         # each block's values are the grid's, and the last block is clipped
@@ -926,7 +971,8 @@ class TestColumnText:
         f2 = np.array([-0.0, 0.25, np.nan, -np.inf, 0.125])
 
         def block(theta, configs, n, eps, *rest):
-            return [np.full(5, 0.75), None, None, None, f1, f2], None, None
+            values = {"c_l1": np.full(5, 0.75), "f1": f1, "f2": f2}
+            return dict.fromkeys([*CSV_HEADER[5:], "spectrum"]) | values, None
 
         texts = []
 

@@ -35,7 +35,7 @@ THETAS = [k * math.pi / 24 for k in range(13)]
 
 
 def col(*values) -> np.ndarray:
-    """A column of F values, or a (points x d) array of spectra, one per point."""
+    """A column of F values, or a (points x 4) array of spectra, one per point."""
     return np.array(values, dtype=float)
 
 
@@ -101,12 +101,11 @@ class TestCFrobenius:
         assert c_frobenius(col(values))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_is_the_row_width(self):
-        # d = 2: the pure state of a qubit is maximally coherent
-        assert c_frobenius(col((1.0, 0.0))).tolist() == [1.0]
-        with pytest.raises(ValueError, match="d >= 2"):
-            c_frobenius(col((1.0,)))
-        with pytest.raises(ValueError, match="points x d"):
-            c_frobenius(np.array([1.0, 0.0, 0.0, 0.0]))
+        # every state is two qubits: a spectrum row holds 4 eigenvalues
+        assert c_frobenius(col((1.0, 0.0, 0.0, 0.0))).tolist() == [1.0]
+        for spectra in (col((1.0,)), col((1.0, 0.0)), np.array([1.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match=r"\(points x 4\) array"):
+                c_frobenius(spectra)
 
 
 class TestSpectrumValidation:

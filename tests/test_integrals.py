@@ -1,8 +1,10 @@
 """Tests for the moment integrals: quadrature engine and closed forms."""
 
+import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,9 @@ from boostcoh.integrals import (
 )
 
 from oracles import (
-    hermite_value, hermite_weight, moments_at_order, mp_f_factor, mp_i3, mp_i3_ultrarelativistic,
-    mp_i3_ultrarelativistic_quad, trapezoid_moments,
+    hermite_value, hermite_weight, moments_at_order, mp_boost, mp_f_factor, mp_i3,
+    mp_i3_ultrarelativistic, mp_i3_ultrarelativistic_quad, narrow_series, series_i3,
+    trapezoid_moments,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -342,6 +345,40 @@ class TestUltrarelativisticLimit:
         assert scaled == pytest.approx([-0.0030549, -0.0030936, -0.0030975], abs=2e-7)
         steps = np.diff(scaled)
         assert 5.0 < steps[0] / steps[1] < 20.0
+
+
+class TestNarrowPacketSeries:
+    """The all-orders narrow-packet series of I3 against its known terms and mpmath's I3."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.95, 0.999999])
+    def test_first_term_is_f(self, beta):
+        b = mp_boost(beta)[2]
+        g1 = next(narrow_series(beta))
+        assert abs(g1 / ((b - 1) / (4 * (1 + b))) - 1) < 1e-45
+        # so the k = 1 term, g_1 (n + 1/2) eps^2, is F
+        for n, eps in [(0, 0.1), (2, 1e-3), (40, 0.03)]:
+            term = g1 * (n + mp.mpf(1) / 2) * mp.mpf(eps) ** 2
+            assert abs(term / mp_f_factor(n, beta, eps) - 1) < 1e-45
+
+    @pytest.mark.parametrize("beta", [0.3, 0.95])
+    def test_second_coefficient(self, beta):
+        b = mp_boost(beta)[2]
+        g1, g2 = itertools.islice(narrow_series(beta), 2)
+        assert abs((g2 / g1) / (-(1 + 3 * b) / (4 * (1 + b))) - 1) < 1e-45
+
+    # Each n, beta and sigma/m of the grid {0, 2, 8, 40} x {0.3, 0.95,
+    # 0.999999} x {1e-7, 1e-3, 0.03} appears; mp_i3 costs ~0.5 s a point at
+    # n = 40 on a 2-core machine, so that n has one, where (n + 1/2) eps^2 is largest.
+    @pytest.mark.parametrize("n, beta, eps", [
+        (0, 0.3, 1e-7), (0, 0.999999, 0.03), (2, 0.95, 1e-3), (2, 0.3, 0.03),
+        (2, 0.999999, 1e-7), (8, 0.999999, 1e-3), (8, 0.95, 0.03), (8, 0.3, 1e-3),
+        (40, 0.999999, 0.03),
+    ])
+    def test_matches_mpmath_i3(self, n, beta, eps):
+        total, smallest = series_i3(n, beta, eps)
+        # the sum's error, below its smallest term, is under 1e-20 of it
+        assert smallest < 1e-20 * total
+        assert abs(total / mp_i3(n, beta, eps) - 1) < 1e-20
 
 
 class TestFFactor:
