@@ -127,6 +127,7 @@ class SweepSpec:
         lo, hi, steps = self.sigma_grid
         if steps < 2:  # first: figure_spec derives its default sigma_min from steps
             raise ValueError(f"sigma grid needs steps >= 2, got {steps}")
+        check_nonneg_int(steps, "steps")
         check_positive_finite(lo, "sigma_min")
         check_positive_finite(hi, "sigma_max")
         if hi < lo:
@@ -184,7 +185,7 @@ def _block_values(
     failing row go on: their density matrices as one stack, and their
     spectra and coherences as columns.  The tolerances of
     :mod:`boostcoh.core` compose, so these states pass the
-    :class:`DensityMatrix` checks, and their spectra the spectrum checks.
+    :class:`DensityMatrix` checks.
     Only plain values are returned, so no stack outlives the call.
     """
     quadrature = "quadrature" in methods
@@ -193,8 +194,7 @@ def _block_values(
     boosts = list(dict.fromkeys(b for cfg in configs for b in cfg))
     slot = np.array([[boosts.index(b) for b in cfg] for cfg in configs])  # configs x particles
     inside = check_n_in_bounds(n, eps, boosted)
-    gated_eps = np.where(inside, eps, np.nan)
-    per_boost = np.array([f_factor(n, b, gated_eps) for b in boosts])
+    per_boost = np.array([f_factor(n, b, eps) for b in boosts])
     factors = [per_boost[s].T for s in slot.T]  # per particle, points x configs
     gated = inside[:, None] & check_factor_sum(*factors)
 
@@ -534,9 +534,8 @@ def cmd_coherence(args: argparse.Namespace) -> int:
     boosts = tuple(boost_from_beta(b) for b in args.beta)
     sigma_over_m = args.sigma / args.mass
     # exact-eig gives the closed spectrum that the perturbative method prints
-    columns, error = _block_values(
-        args.theta, [boosts], args.n, np.array([sigma_over_m]), (args.method, "exact-eig")
-    )
+    methods = (args.method, "exact-eig") if args.method == "perturbative" else (args.method,)
+    columns, error = _block_values(args.theta, [boosts], args.n, np.array([sigma_over_m]), methods)
     if error is not None:
         raise error
     row = {name: None if column is None else column[0].tolist() for name, column in columns.items()}

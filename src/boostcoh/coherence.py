@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, BoostParams, DensityMatrix
+from .core import BoostParams, DensityMatrix
 from .integrals import check_factor_sum, check_n_in_bounds, f_factor
 
 __all__ = [
@@ -41,27 +41,6 @@ JACOBI_OFF_TOL = 1e-13
 def _descending(values: np.ndarray) -> np.ndarray:
     """Each row of ``values`` sorted descending, as ``sorted(row, reverse=True)`` does."""
     return -np.sort(-values, axis=-1, kind="stable")
-
-
-def _spectrum_faults(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of descending eigenvalues, whether it fails each spectrum check.
-
-    The checks, in order, are a sum off 1 by more than
-    :data:`~boostcoh.core.SPECTRUM_SUM_TOL`, and a value outside [0, 1] by
-    more than :data:`~boostcoh.core.SPECTRUM_RANGE_TOL`.  A NaN value fails
-    the range check.  The sum adds the values one after another from 0.
-    """
-    lo, hi = -SPECTRUM_RANGE_TOL, 1.0 + SPECTRUM_RANGE_TOL
-    off_range = ~((lo <= values) & (values <= hi)).all(axis=-1)
-    return np.abs(_fold(values) - 1.0) > SPECTRUM_SUM_TOL, off_range
-
-
-def _checked_spectra(values: np.ndarray) -> np.ndarray:
-    """Rows sorted descending, NaN where a row fails a :func:`_spectrum_faults` check."""
-    values = _descending(values)
-    off_sum, off_range = _spectrum_faults(values)
-    values[off_sum | off_range] = np.nan
-    return values
 
 
 def c_l1(rho: DensityMatrix) -> np.ndarray:
@@ -92,14 +71,14 @@ def c_frobenius(spec: np.ndarray) -> np.ndarray:
     """sqrt((4/3) sum (lambda_i - 1/4)^2): distance from maximal mixing.
 
     ``spec`` is a (points x 4) array of eigenvalues, one row per point; the
-    result has one value per row, NaN where the row holds NaN or fails a
-    :func:`_spectrum_faults` check.  A row is sorted descending and its
-    terms added in that order from 0.
+    result has one value per row, NaN where the row holds NaN.  A row is
+    sorted descending and its terms added in that order from 0.  Rows are
+    not checked as spectra; the state checks and the F gates decide them.
     """
     values = np.asarray(spec, dtype=float)
     if values.ndim != 2 or values.shape[1] != 4:
         raise ValueError(f"spectra must be a (points x 4) array, got shape {values.shape}")
-    terms = np.float_power(_checked_spectra(values) - 0.25, 2.0)
+    terms = np.float_power(_descending(values) - 0.25, 2.0)
     return np.sqrt(4.0 / 3.0 * _fold(terms))
 
 
@@ -120,8 +99,9 @@ def spectrum_dual_boost(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.ndar
 
     ``f1`` and ``f2`` are F columns, one value per point.  The result is a
     (points x 4) array of descending eigenvalues, a row NaN where
-    F1 + F2 >= 1/2 or an F is NaN.  The rows are not checked as spectra;
-    :func:`c_frobenius` checks them.
+    F1 + F2 >= 1/2 or an F is NaN.  The rows are not checked as spectra:
+    with F1, F2 >= 0 and F1 + F2 < 1/2 the four values lie in [0, 1] and add
+    up to 1 within rounding.
     """
     g1, g2 = np.asarray(f1, dtype=float), np.asarray(f2, dtype=float)
     s = g1 + g2
@@ -140,9 +120,9 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
     Serves as the numerically independent check on the analytic spectra.
     The result is a (points x 4) array of descending eigenvalues, one row
-    per matrix.  The rows are not checked as spectra; :func:`c_frobenius`
-    checks them.  The tolerances of :mod:`boostcoh.core` make the spectrum
-    of a state built from checked moments or gated F values pass.
+    per matrix.  The rows are not checked as spectra: the matrix passed
+    the :class:`DensityMatrix` trace and PSD checks, and a rotation keeps
+    its block's trace and eigenvalues within rounding.
 
     Sweeps would run until the off-diagonal Frobenius norm drops below
     1e-13.  On an X-state, the only state a :class:`DensityMatrix` holds, a

@@ -26,8 +26,6 @@ __all__ = [
     "MOMENT_TOL",
     "TRACE_TOL",
     "PSD_TOL",
-    "SPECTRUM_SUM_TOL",
-    "SPECTRUM_RANGE_TOL",
     "BoostParams",
     "DensityMatrix",
     "check_nonneg_int",
@@ -49,11 +47,6 @@ TRACE_TOL = (1.0 + NORM_TOL) ** 2 - 1.0 + 16 * U
 # A block is two unit projectors weighted by products of moments, so checked
 # rows give a least eigenvalue >= -2 MOMENT_TOL (1 + MOMENT_TOL).
 PSD_TOL = 1e-10
-# A Jacobi rotation keeps its block's trace to < 20 U; the sums add 6 U more.
-SPECTRUM_SUM_TOL = TRACE_TOL + 32 * U
-# Low end: PSD_TOL and the rotation's rounding; checked rows give no
-# eigenvalue above 1 + 2.1 MOMENT_TOL.
-SPECTRUM_RANGE_TOL = PSD_TOL + 32 * U
 
 
 def check_nonneg_int(value, name: str) -> None:

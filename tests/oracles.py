@@ -53,7 +53,7 @@ from boostcoh.coherence import (
     JACOBI_OFF_TOL, c_frobenius, c_frobenius_perturbative, c_l1, hermitian_eigenvalues,
     spectrum_dual_boost, spectrum_single_boost,
 )
-from boostcoh.core import SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, BoostParams, check_nonneg_int
+from boostcoh.core import PSD_TOL, TRACE_TOL, U, BoostParams, check_nonneg_int
 from boostcoh.density import (
     rho_dual_boost_general, rho_dual_boost_perturbative, rho_single_boost_general,
     rho_single_boost_perturbative,
@@ -229,16 +229,39 @@ def hermite_weight(order: int, x: float) -> mp.mpf:
     )
 
 
+# The spectrum checks' tolerances, derived from the state checks as the
+# package's table is.  A Jacobi rotation keeps its block's trace to < 20 U;
+# the sums add 6 U more.
+SPECTRUM_SUM_TOL = TRACE_TOL + 32 * U
+# Low end: PSD_TOL and the rotation's rounding; checked rows give no
+# eigenvalue above 1 + 2.1 MOMENT_TOL.
+SPECTRUM_RANGE_TOL = PSD_TOL + 32 * U
+
+
+def spectrum_faults(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of eigenvalues, whether it fails each spectrum check.
+
+    The checks, in order, are a sum off 1 by more than
+    :data:`SPECTRUM_SUM_TOL`, and a value outside [0, 1] by more than
+    :data:`SPECTRUM_RANGE_TOL`.  A NaN value fails the range check.  The
+    sum adds the row's values, sorted descending, one after another from 0.
+    """
+    values = np.sort(np.asarray(spectra, dtype=float), axis=-1)[..., ::-1]
+    total = np.zeros(values.shape[:-1])
+    for i in range(values.shape[-1]):
+        total += values[..., i]
+    lo, hi = -SPECTRUM_RANGE_TOL, 1.0 + SPECTRUM_RANGE_TOL
+    off_range = ~((lo <= values) & (values <= hi)).all(axis=-1)
+    return np.abs(total - 1.0) > SPECTRUM_SUM_TOL, off_range
+
+
 def jacobi_eigenvalues(entries: np.ndarray) -> np.ndarray:
     """Eigenvalues of one Hermitian matrix by cyclic Jacobi rotations, sorted descending.
 
     The package's one-matrix solver before it learned to rotate each X
-    block once, kept verbatim (renamed) as the reference that rotation must
-    reproduce.  The result is checked as the spectrum of a state, with the
-    package's tolerances: its sum, added one value after another from 0,
-    within :data:`~boostcoh.core.SPECTRUM_SUM_TOL` of 1, and each value
-    within :data:`~boostcoh.core.SPECTRUM_RANGE_TOL` of [0, 1];
-    ``ValueError`` otherwise.
+    block once, its rotations kept verbatim (renamed) as the reference
+    that rotation must reproduce.  The result is checked as the spectrum of
+    a state, by :func:`spectrum_faults`; ``ValueError`` when it fails.
     """
     a = np.array(entries, dtype=complex)
     n = a.shape[0]
@@ -247,14 +270,8 @@ def jacobi_eigenvalues(entries: np.ndarray) -> np.ndarray:
         off = math.sqrt(float(np.sum(np.abs(a[off_diagonal]) ** 2)))
         if off < JACOBI_OFF_TOL:
             eigs = np.sort(np.real(np.diagonal(a)))[::-1]
-            total = sum(eigs.tolist())
-            if abs(total - 1.0) > SPECTRUM_SUM_TOL:
-                raise ValueError(
-                    f"eigenvalues sum to {total}, expected 1 within {SPECTRUM_SUM_TOL:.3g}"
-                )
-            lo, hi = -SPECTRUM_RANGE_TOL, 1.0 + SPECTRUM_RANGE_TOL
-            if not all(lo <= v <= hi for v in eigs.tolist()):
-                raise ValueError(f"eigenvalues must lie in [0, 1]: {eigs.tolist()}")
+            if any(fault[0] for fault in spectrum_faults(eigs[None])):
+                raise ValueError(f"eigenvalues fail the spectrum checks: {eigs.tolist()}")
             return eigs
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -26,7 +26,6 @@ from boostcoh import (
 )
 from boostcoh import cli, density, integrals
 from boostcoh.cli import CSV_HEADER, SweepSpec, build_parser, figure_spec, main, run_sweep
-from boostcoh.coherence import _spectrum_faults
 from boostcoh.integrals import check_factor_sum, check_n_in_bounds
 
 import oracles
@@ -131,6 +130,32 @@ class TestCoherenceCommand:
             report = parse_report(capsys.readouterr().out)
             assert 0.98 < float(report["c_F"]) <= 1.0
             assert "F2" in report
+
+    @pytest.mark.parametrize("method, closed", [
+        ("perturbative", 1), ("exact-eig", 1), ("quadrature", 0),
+    ])
+    def test_one_spectrum_per_method(self, method, closed, monkeypatch, capsys):
+        # The closed spectrum is built only when the method prints it or
+        # takes c_F from it; quadrature prints the Jacobi one.  Each builds
+        # one spectrum, so c_frobenius runs once.
+        calls = {name: 0 for name in ("spectrum_single_boost", "spectrum_dual_boost",
+                                      "c_frobenius")}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        assert main(["coherence", "--method", method, "--beta", "0.95", "--sigma", "100",
+                     "--mass", "939.36"]) == 0
+        assert calls["spectrum_single_boost"] + calls["spectrum_dual_boost"] == closed
+        assert calls["c_frobenius"] == 1
 
     def test_negative_n_rejected_at_parse(self, capsys):
         # argparse reads --n as an int; the library's check rejects it
@@ -802,7 +827,7 @@ class TestSweepCommand:
         gated = check_factor_sum(*factors)
         closed = (spectrum_single_boost if len(boosts) == 1 else spectrum_dual_boost)
         spectra = closed(theta, *factors)
-        off_sum, off_range = _spectrum_faults(spectra[gated])
+        off_sum, off_range = oracles.spectrum_faults(spectra[gated])
         assert not (off_sum | off_range).any()
         # the block stops only at an ungated point, and its columns are
         # these values on the points before it
@@ -895,6 +920,9 @@ class TestSweepCommand:
             dict(betas=()),
             dict(betas=((1.0,),)),
             dict(betas=((0.5, 1.0),)),
+            # run_sweep's range() would raise a TypeError, an unmapped exit
+            dict(sigma_grid=(1.0, 2.0, 3.7)),
+            dict(sigma_grid=(1.0, 2.0, 2.0)),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, changes):

@@ -2,8 +2,9 @@
 
 A state built from inputs that pass the checks upstream of it passes the
 ``DensityMatrix`` checks, and its Jacobi spectrum passes the spectrum
-checks. That is what lets the pipeline build its stacks without a
-per-state verdict. The inputs are the ones the pipeline feeds in:
+checks of ``oracles.spectrum_faults``. That is what lets the pipeline
+build its stacks without a per-state verdict, and take c_F of a spectrum
+without checking it. The inputs are the ones the pipeline feeds in:
 
 * (I1, I3) moment rows that pass ``integrals._moment_faults``, including
   sums of i1 + i3 on either side of each +/-NORM_TOL edge and i3 down to
@@ -25,13 +26,12 @@ from boostcoh import (
     rho_single_boost_general,
     rho_single_boost_perturbative,
 )
-from boostcoh.coherence import _spectrum_faults
-from boostcoh.core import (
-    MOMENT_TOL, NORM_TOL, PSD_TOL, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, TRACE_TOL,
-)
+from boostcoh.core import MOMENT_TOL, NORM_TOL, PSD_TOL, TRACE_TOL
 from boostcoh.integrals import _moment_faults
 
-from oracles import jacobi_eigenvalues, x_matrices
+from oracles import (
+    SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, jacobi_eigenvalues, spectrum_faults, x_matrices,
+)
 from test_coherence import GATED_F
 
 THETAS = st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(0.0, math.pi / 2)
@@ -73,7 +73,7 @@ MOMENT_ROW = st.builds(
 
 def assert_spectra_pass(rho) -> None:
     """The Jacobi spectra of ``rho``, which construction accepted, pass the spectrum checks."""
-    off_sum, off_range = _spectrum_faults(hermitian_eigenvalues(rho))
+    off_sum, off_range = spectrum_faults(hermitian_eigenvalues(rho))
     assert not (off_sum | off_range).any()
 
 
